@@ -14,11 +14,11 @@ import json
 import math
 import subprocess
 from dataclasses import dataclass, replace
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .environment import SafetyFlags, evolve_state
+from .environment import BATTERY_DEPLETED_PCT, SafetyFlags, evolve_state
 from .episode import (
     A2aAck,
     A2aTask,
@@ -481,13 +481,16 @@ def run_episode(
     timing: GenTiming = GenTiming(),
     timestamp: str = EPOCH_TIMESTAMP,
     episode_id: str | None = None,
+    on_accept: Callable[[str], None] | None = None,
 ) -> Episode | FailureStub:
     """Generate one episode with up to three validation-gated attempts.
 
     Retries re-run the same seeded streams under a stricter action regime
     (1: registry-known tools only, 2: adaptive subset only).  The recorded
     generation time spans every attempt; after the final failure a stub
-    carrying the terminal error kind is returned.
+    carrying the terminal error kind is returned.  ``on_accept``, when given,
+    receives the canonical JSON line of the accepted episode: the exact bytes
+    that were validated, ready to be stored.
     """
     registry = dict(registry) if registry is not None else default_registry()
     episode_id = episode_id or f"{scenario.scenario_id}-{agent.name}-{index:04d}"
@@ -528,11 +531,14 @@ def run_episode(
         tamper = getattr(agent, "tamper_document", None)
         if tamper is not None:
             doc = tamper(doc, strictness)
-        # Round through canonical bytes so the in-memory value equals the
-        # on-disk value bit for bit.
-        doc = json.loads(dumps_canonical(doc))
+        # Validate the canonical line itself, so the in-memory value equals
+        # the on-disk value bit for bit.
+        line = dumps_canonical(doc)
+        doc = json.loads(line)
         report = validate_episode(doc)
         if report.valid:
+            if on_accept is not None:
+                on_accept(line)
             return doc_to_episode(doc)
         last_report = report
     error_kind = stub_error_kind(last_report) if last_report is not None else "internal"
@@ -559,7 +565,8 @@ def _run_attempt(
     action_filter = AdaptiveActionFilter()
 
     state = scenario.initial_state
-    state = replace(state, flags=state.flags.union(SafetyFlags(battery_depleted=state.battery_pct < 5.0)))
+    depleted = SafetyFlags(battery_depleted=state.battery_pct < BATTERY_DEPLETED_PCT)
+    state = replace(state, flags=state.flags.union(depleted))
     network = sample_network_state(scenario.initial_slice, calib, net_rng)
     status = MissionStatus()
     turns: list[Turn] = []

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .agents import (
     AGENT_TYPES,
@@ -33,12 +33,12 @@ from .agents import (
 from .episode import (
     Episode,
     FailureStub,
+    ValidationReport,
     doc_to_episode,
     doc_to_stub,
     dumps_canonical,
     dumps_pretty,
-    episode_to_doc,
-    iter_corpus,
+    line_to_record,
     loads_document,
     stub_to_doc,
     validate_episode,
@@ -144,7 +144,6 @@ class RunConfig:
     calibration: str | None = None
     tools: str | None = None
     canonical: bool = False
-    strict: bool = True
     # name -> argv for policies attached over the subprocess line protocol
     external_agents: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
@@ -211,6 +210,7 @@ def _generate_line(
     else:
         agent = make_agent(agent_name, scenario)
     user = UserSimulator(mode="fixed_prompt", prompts=scenario.user_prompts) if scenario.user_prompts else UserSimulator()
+    accepted: list[str] = []
     try:
         record = run_episode(
             agent,
@@ -224,6 +224,7 @@ def _generate_line(
             timing=GenTiming(),
             timestamp=timestamp,
             episode_id=_job_id(scenario.scenario_id, agent_name, index),
+            on_accept=accepted.append,
         )
     finally:
         if isinstance(agent, SubprocessPolicy):
@@ -232,7 +233,7 @@ def _generate_line(
         doc = stub_to_doc(record)
         doc["episode_id"] = _job_id(scenario.scenario_id, agent_name, index)
         return dumps_canonical(doc)
-    return dumps_canonical(episode_to_doc(record))
+    return accepted[0]
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -320,7 +321,31 @@ def cmd_generate(config: RunConfig) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-def _score_doc(doc: Mapping[str, Any], ctx: ScoringContext, strict: bool) -> dict[str, Any]:
+def _corpus_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) for every non-blank line of a JSONL file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
+
+
+def _check_doc(doc: Mapping[str, Any], strict: bool) -> tuple[ValidationReport, Episode | None]:
+    """Validate one episode document, and build it when it is valid."""
+    # Validate the raw document: strict mode must see fields that the typed
+    # episode value would drop.
+    report = validate_episode(doc, strict=strict)
+    return report, (doc_to_episode(doc) if report.valid else None)
+
+
+def _score_doc(
+    doc: Mapping[str, Any],
+    ctx: ScoringContext,
+    strict: bool,
+    checked: tuple[ValidationReport, Episode | None] | None = None,
+) -> dict[str, Any]:
+    """Score one corpus record; `checked` is its _check_doc result, when the
+    caller already has it."""
     if doc.get("kind") == "failure_stub":
         stub = doc_to_stub(doc)
         return {
@@ -332,9 +357,7 @@ def _score_doc(doc: Mapping[str, Any], ctx: ScoringContext, strict: bool) -> dic
             "error_kind": stub.error_kind,
             "scored": False,
         }
-    # Validate the raw document: strict mode must see fields that the typed
-    # episode value would drop.
-    report = validate_episode(doc, strict=strict)
+    report, episode = checked if checked is not None else _check_doc(doc, strict)
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), Mapping) else {}
     base: dict[str, Any] = {
         "episode_id": doc.get("episode_id", ""),
@@ -346,7 +369,6 @@ def _score_doc(doc: Mapping[str, Any], ctx: ScoringContext, strict: bool) -> dic
     if not report.valid:
         base.update(valid=False, alpha3=0.0, violations=sorted(set(report.codes())))
         return base
-    episode = doc_to_episode(doc)
     scores = score_episode(episode, report, ctx)
     try:
         ge_time, ge_tokens = generation_efficiency(episode, scores.alpha3)
@@ -373,27 +395,22 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
         raise ScenarioError(f"corpus not found: {corpus_path}")
     docs = []
     malformed = 0
-    with open(corpus_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                docs.append(loads_document(line))
-            except ParseError:
-                malformed += 1
-    valid_episodes = [
-        doc_to_episode(doc)
-        for doc in docs
-        if doc.get("kind") != "failure_stub" and validate_episode(doc, strict=strict).valid
-    ]
+    for _, line in _corpus_lines(corpus_path):
+        try:
+            docs.append(loads_document(line))
+        except ParseError:
+            malformed += 1
+    # Each episode is validated and built once; t_opt needs every valid
+    # episode before any record can be scored.
+    checked = [None if doc.get("kind") == "failure_stub" else _check_doc(doc, strict) for doc in docs]
+    valid_episodes = [c[1] for c in checked if c is not None and c[1] is not None]
     t_opt = compute_t_opt(valid_episodes)
     ctx = ScoringContext(t_opt=t_opt)
     out_dir.mkdir(parents=True, exist_ok=True)
     scores_path = out_dir / SCORES_NAME
     with open(scores_path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(dumps_canonical(_score_doc(doc, ctx, strict)))
+        for doc, check in zip(docs, checked):
+            fh.write(dumps_canonical(_score_doc(doc, ctx, strict, check)))
             fh.write("\n")
     meta = {
         "t_opt": t_opt,
@@ -611,7 +628,14 @@ def cmd_analytics(out: str, corpus: str | None = None) -> int:
     corpus_path = Path(corpus) if corpus else out_dir / CORPUS_NAME
     if not corpus_path.exists():
         raise ScenarioError(f"corpus not found: {corpus_path}")
-    report = corpus_analytics(iter_corpus(corpus_path))
+    records = []
+    malformed = 0
+    for _, line in _corpus_lines(corpus_path):
+        try:
+            records.append(line_to_record(line))
+        except ParseError:
+            malformed += 1
+    report = corpus_analytics(records)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / ANALYTICS_NAME).write_text(dumps_pretty(report) + "\n", "utf-8")
     print(f"episodes analyzed: {report['episodes']}")
@@ -628,6 +652,8 @@ def cmd_analytics(out: str, corpus: str | None = None) -> int:
         f"A2A: {a2a['total_calls']} calls, {a2a['episodes_with_a2a_pct']:.1f}% episodes, "
         f"{a2a['degraded_share_pct']:.1f}% under degraded conditions"
     )
+    if malformed:
+        print(f"warning: {malformed} malformed lines skipped", file=sys.stderr)
     return EXIT_OK
 
 
@@ -639,32 +665,35 @@ def cmd_validate(path: str, strict: bool = True) -> int:
     file_path = Path(path)
     if not file_path.exists():
         raise ScenarioError(f"no such file: {path}")
-    text = file_path.read_text("utf-8")
-    invalid = 0
-    if file_path.suffix == ".jsonl":
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            doc = loads_document(line)
-            if doc.get("kind") == "failure_stub":
-                continue
-            report = validate_episode(doc, strict=strict)
-            if not report.valid:
-                invalid += 1
-                codes = ",".join(sorted(set(report.codes())))
-                print(f"line {lineno}: INVALID ({codes})")
-        print("all records valid" if not invalid else f"{invalid} invalid records")
-    else:
-        report = validate_episode(loads_document(text), strict=strict)
+    if file_path.suffix != ".jsonl":
+        report = validate_episode(loads_document(file_path.read_text("utf-8")), strict=strict)
         if report.valid:
             print("valid")
-        else:
-            invalid = 1
-            for violation in report.violations:
-                where = f"turn {violation.turn_index}" if violation.turn_index >= 0 else "episode"
-                print(f"{violation.code} @ {where}: {violation.message}")
-    return EXIT_OK if invalid == 0 else EXIT_INPUT
+            return EXIT_OK
+        for violation in report.violations:
+            where = f"turn {violation.turn_index}" if violation.turn_index >= 0 else "episode"
+            print(f"{violation.code} @ {where}: {violation.message}")
+        return EXIT_INPUT
+    invalid = malformed = 0
+    for lineno, line in _corpus_lines(file_path):
+        try:
+            doc = loads_document(line)
+        except ParseError:
+            malformed += 1
+            print(f"line {lineno}: MALFORMED")
+            continue
+        if doc.get("kind") == "failure_stub":
+            continue
+        report = validate_episode(doc, strict=strict)
+        if not report.valid:
+            invalid += 1
+            codes = ",".join(sorted(set(report.codes())))
+            print(f"line {lineno}: INVALID ({codes})")
+    problems = [f"{invalid} invalid records"] if invalid else []
+    if malformed:
+        problems.append(f"{malformed} malformed lines")
+    print(", ".join(problems) or "all records valid")
+    return EXIT_INPUT if problems else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@ SENSOR_TYPES = frozenset({"LiDAR", "RGB", "Thermal", "IMU"})
 
 ACTION_CLASSES = ("idle", "hover", "maneuver", "sense", "transmit")
 
+# Battery percentage below which the battery_depleted flag is raised.
+BATTERY_DEPLETED_PCT = 5.0
+
 Vec3 = tuple[float, float, float]
 
 
@@ -262,7 +265,7 @@ def update_battery(state: UavState, action_class: str, params: VehicleParams, dt
     if dt <= 0:
         raise InvalidInput("dt must be positive")
     battery = max(0.0, state.battery_pct - params.draw_for(action_class) * dt)
-    flags = state.flags.union(SafetyFlags(battery_depleted=battery < 5.0))
+    flags = state.flags.union(SafetyFlags(battery_depleted=battery < BATTERY_DEPLETED_PCT))
     return replace(state, battery_pct=battery, flags=flags)
 
 
@@ -298,7 +301,7 @@ def evaluate_flags(
         altitude_violation=not check_altitude(position, airspace),
         nfz_violation=not check_geofence(position, airspace).compliant,
         separation_breach=not check_separation(position, peer_positions, airspace.separation_margin_m),
-        battery_depleted=state.battery_pct < 5.0,
+        battery_depleted=state.battery_pct < BATTERY_DEPLETED_PCT,
     )
     return state.flags.union(observed)
 

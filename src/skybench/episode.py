@@ -26,7 +26,6 @@ ROLES = (ROLE_AGENT, ROLE_USER)
 MIN_TURNS = 8
 MAX_TURNS = 12
 MAX_ATTEMPTS = 3
-BATTERY_DEPLETED_PCT = 5.0
 
 # Terminal error taxonomy for failure stubs.
 ERROR_KINDS = ("schema_invalid", "alternation_violation", "turn_bounds", "role_disallowed", "internal")
@@ -449,6 +448,156 @@ def _turn_index_of(path: Iterable[Any]) -> int:
     return -1
 
 
+# Fast accept path.  A hand-written reading of data/episode_schema.json that
+# answers only "accepted or not"; each helper below mirrors one $defs entry,
+# with jsonschema's type rules (bool is neither number nor integer, an
+# integral float is an integer) and its comparisons (NaN passes every bound).
+# jsonschema stays the oracle: it runs whenever this check rejects, so every
+# reported violation comes from it.  A schema change must update both, and
+# tests/test_fast_validation.py holds them to the same verdict.
+
+_ROOT_KEYS = frozenset({"episode_id", "metadata", "turns", "final_state"})
+_TURN_REQUIRED = frozenset({"role", "intent", "network"})
+_TURN_KEYS = _TURN_REQUIRED | {"action", "observation"}
+_NETWORK_KEYS = frozenset({"slice", "latency_ms", "jitter_ms", "loss_pct", "throughput_mbps", "edge_load"})
+_MCP_KEYS = frozenset({"protocol", "name", "args"})
+_A2A_KEYS = frozenset({"protocol", "task", "to", "payload"})
+_RESULT_KEYS = frozenset({"tool", "result"})
+_ACK_KEYS = frozenset({"task", "from", "status", "payload"})
+_METADATA_KEYS = frozenset({
+    "model", "seed", "scenario_id", "gen_time_s", "attempts_used",
+    "prompt_tokens", "completion_tokens", "total_tokens", "timestamp",
+})
+_FINAL_KEYS = frozenset({
+    "position", "velocity", "yaw", "battery", "mission_completed",
+    "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted",
+})
+_FINAL_FLAGS = ("mission_completed", "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted")
+_SLICE_NAMES = frozenset({"URLLC", "eMBB", "mMTC"})
+_ACK_STATUSES = frozenset({"ok", "degraded", "failed"})
+
+
+def _keys_ok(obj: dict, required: frozenset, allowed: frozenset, strict: bool) -> bool:
+    keys = obj.keys()
+    return keys >= required and (not strict or keys <= allowed)
+
+
+def _number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _integer(x: Any) -> bool:
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+
+
+def _text(x: Any) -> bool:
+    """A string of minLength 1."""
+    return isinstance(x, str) and len(x) >= 1
+
+
+def _network_ok(n: Any, strict: bool) -> bool:
+    if not (isinstance(n, dict) and _keys_ok(n, _NETWORK_KEYS, _NETWORK_KEYS, strict)):
+        return False
+    slice_name = n["slice"]
+    latency, jitter, loss = n["latency_ms"], n["jitter_ms"], n["loss_pct"]
+    throughput, edge = n["throughput_mbps"], n["edge_load"]
+    return (
+        isinstance(slice_name, str) and slice_name in _SLICE_NAMES
+        and _number(latency) and not latency <= 0
+        and _number(jitter) and not jitter < 0
+        and _number(loss) and not loss < 0 and not loss > 100
+        and _number(throughput) and not throughput < 0
+        and _number(edge) and not edge < 0 and not edge > 1
+    )
+
+
+def _action_ok(a: Any, strict: bool) -> bool:
+    # The two oneOf branches pin different protocol constants, so at most one
+    # can match in either mode.
+    if not isinstance(a, dict):
+        return False
+    protocol = a.get("protocol")
+    if protocol == "mcp":
+        return _keys_ok(a, _MCP_KEYS, _MCP_KEYS, strict) and _text(a["name"]) and isinstance(a["args"], dict)
+    if protocol == "a2a":
+        return (
+            _keys_ok(a, _A2A_KEYS, _A2A_KEYS, strict)
+            and _text(a["task"]) and _text(a["to"]) and isinstance(a["payload"], dict)
+        )
+    return False
+
+
+def _observation_ok(o: Any, strict: bool) -> bool:
+    if not isinstance(o, dict):
+        return False
+    result = (
+        _keys_ok(o, _RESULT_KEYS, _RESULT_KEYS, strict)
+        and _text(o["tool"]) and isinstance(o["result"], dict)
+    )
+    ack = (
+        _keys_ok(o, _ACK_KEYS, _ACK_KEYS, strict)
+        and _text(o["task"]) and _text(o["from"])
+        and isinstance(o["status"], str) and o["status"] in _ACK_STATUSES
+        and isinstance(o["payload"], dict)
+    )
+    # oneOf: lenient mode opens both branches, so an observation carrying the
+    # keys of both matches both and is rejected.
+    return result != ack
+
+
+def _turn_ok(t: Any, strict: bool) -> bool:
+    return (
+        isinstance(t, dict)
+        and _keys_ok(t, _TURN_REQUIRED, _TURN_KEYS, strict)
+        and isinstance(t["role"], str)
+        and isinstance(t["intent"], str)
+        and _network_ok(t["network"], strict)
+        and ("action" not in t or _action_ok(t["action"], strict))
+        and ("observation" not in t or _observation_ok(t["observation"], strict))
+    )
+
+
+def _metadata_ok(m: Any, strict: bool) -> bool:
+    if not (isinstance(m, dict) and _keys_ok(m, _METADATA_KEYS, _METADATA_KEYS, strict)):
+        return False
+    gen_time = m["gen_time_s"]
+    tokens = (m["prompt_tokens"], m["completion_tokens"], m["total_tokens"])
+    return (
+        _text(m["model"]) and _integer(m["seed"]) and _text(m["scenario_id"])
+        and _number(gen_time) and not gen_time < 0
+        and _integer(m["attempts_used"])
+        and all(_integer(v) and not v < 0 for v in tokens)
+        and _text(m["timestamp"])
+    )
+
+
+def _final_state_ok(f: Any, strict: bool) -> bool:
+    if not (isinstance(f, dict) and _keys_ok(f, _FINAL_KEYS, _FINAL_KEYS, strict)):
+        return False
+    position, velocity = f["position"], f["velocity"]
+    return (
+        isinstance(position, list) and len(position) == 3 and all(_number(v) for v in position)
+        and _number(velocity) and not velocity < 0
+        and _number(f["yaw"]) and _number(f["battery"])
+        and all(isinstance(f[k], bool) for k in _FINAL_FLAGS)
+    )
+
+
+def schema_accepts(doc: Any, strict: bool = True) -> bool:
+    """True when the shipped schema (relaxed when not strict) accepts doc."""
+    if not (isinstance(doc, dict) and _keys_ok(doc, _ROOT_KEYS, _ROOT_KEYS, strict)):
+        return False
+    turns = doc["turns"]
+    return (
+        _text(doc["episode_id"])
+        and _metadata_ok(doc["metadata"], strict)
+        and isinstance(turns, list) and all(_turn_ok(t, strict) for t in turns)
+        and _final_state_ok(doc["final_state"], strict)
+    )
+
+
 def _schema_violations(doc: Mapping[str, Any], strict: bool) -> list[Violation]:
     errors = sorted(_validator(strict).iter_errors(doc), key=lambda e: list(map(str, e.absolute_path)))
     out = []
@@ -514,7 +663,8 @@ def validate_episode(doc: Mapping[str, Any] | Episode | bytes | str, *, strict: 
         doc = episode_to_doc(doc)
     elif isinstance(doc, (bytes, str)):
         doc = loads_document(doc)
-    violations = _schema_violations(doc, strict) + _semantic_violations(doc)
+    schema = [] if schema_accepts(doc, strict) else _schema_violations(doc, strict)
+    violations = schema + _semantic_violations(doc)
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 

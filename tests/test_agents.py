@@ -153,6 +153,25 @@ def test_faulty_agent_recovers_on_second_attempt(scenario_by_id, calibration):
     assert record.metadata.gen_time_s > single.metadata.gen_time_s
 
 
+def test_accepted_line_is_the_records_serialization(scenarios, calibration):
+    # generate stores the line handed to on_accept in place of re-serializing
+    # the returned episode, so the two must be the same bytes.
+    for scenario in scenarios:
+        agents = [make_agent(name, scenario) for name in ("adaptive_pilot", "greedy_streamer", "safe_pilot")]
+        for agent in agents + [FaultyAgent(scenario, fail_below_strictness=1)]:
+            lines = []
+            record = run_episode(
+                agent, UserSimulator(), scenario, calibration=calibration, index=3, on_accept=lines.append,
+            )
+            assert isinstance(record, Episode)
+            assert lines == [serialize_episode(record).decode()]
+    lines = []
+    stub = run_episode(
+        FaultyAgent(scenarios[0]), UserSimulator(), scenarios[0], calibration=calibration, on_accept=lines.append,
+    )
+    assert isinstance(stub, FailureStub) and lines == []
+
+
 class CrashingAgent(SafePilot):
     name = "crashing_agent"
 

@@ -31,6 +31,7 @@ from skybench.episode import (
     episode_to_doc,
     make_failure_stub,
     serialize_episode,
+    stub_to_doc,
 )
 from skybench.network import URLLC
 from skybench.scoring import LEADERBOARD_COLUMNS
@@ -295,6 +296,59 @@ def test_malformed_corpus_lines_counted_not_fatal(tmp_path):
     meta = json.loads((out / "scoring_meta.json").read_text())
     assert meta["malformed_lines"] == 1
     assert meta["records"] == 2
+
+
+def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):
+    import skybench.cli as cli
+
+    out = tmp_path / "run"
+    out.mkdir()
+    rng = np.random.default_rng(12)
+    docs = [episode_to_doc(random_episode(rng)) for _ in range(5)]
+    docs[1]["turns"] = docs[1]["turns"][:7]  # invalid, so never built
+    stub = stub_to_doc(make_failure_stub("S01", "safe_pilot", 42, "internal"))
+    (out / "corpus.jsonl").write_text("".join(dumps_canonical(d) + "\n" for d in docs + [stub]))
+    calls = {"validate_episode": 0, "doc_to_episode": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert cmd_score(str(out)) == EXIT_OK
+    assert calls == {"validate_episode": 5, "doc_to_episode": 4}
+    scores = [json.loads(line) for line in (out / SCORES_NAME).read_text().splitlines()]
+    assert [s.get("valid") for s in scores] == [True, False, True, True, True, None]
+
+
+def test_validate_lists_malformed_lines_and_goes_on(tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    good = serialize_episode(random_episode(rng)).decode()
+    short = episode_to_doc(random_episode(rng))
+    short["turns"] = short["turns"][:7]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([good, "{broken json", dumps_canonical(short), "[1, 2]", "", good]) + "\n")
+    assert main(["validate", str(corpus)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == [
+        "line 2: MALFORMED",
+        "line 3: INVALID (turn_bounds)",
+        "line 4: MALFORMED",
+        "1 invalid records, 2 malformed lines",
+    ]
+    corpus.write_text("\n".join([good, "{broken json", good]) + "\n")
+    assert main(["validate", str(corpus)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == ["line 2: MALFORMED", "1 malformed lines"]
+
+
+def test_analytics_skips_malformed_lines_with_warning(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    rng = np.random.default_rng(14)
+    good = serialize_episode(random_episode(rng)).decode()
+    (out / "corpus.jsonl").write_text("\n".join([good, "{broken json", good, '{"turns": []}']) + "\n")
+    assert main(["analytics", "--out", str(out)]) == EXIT_OK
+    assert "warning: 2 malformed lines skipped" in capsys.readouterr().err
+    assert json.loads((out / "analytics.json").read_text())["episodes"] == 2
 
 
 def test_internal_errors_exit_three(tmp_path, monkeypatch):
