@@ -29,7 +29,6 @@ from .episode import (
     EpisodeMetadata,
     FailureStub,
     FinalState,
-    IntentOnly,
     McpCall,
     McpResult,
     Turn,

@@ -90,9 +90,7 @@ class AdaptiveActionFilter:
         return network.latency_ms > self.latency_threshold_ms or network.loss_pct >= self.loss_threshold_pct
 
     def permits(self, action: Action | None, network: NetworkState) -> bool:
-        if not self.degraded(network):
-            return True
-        if action is None or not isinstance(action, (McpCall, A2aTask)):
+        if action is None or not self.degraded(network):
             return True
         return isinstance(action, McpCall) and action.name in self.allowed_tools
 
@@ -336,6 +334,7 @@ class SubprocessPolicy:
 
     def _process(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            self.close()
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -382,11 +381,18 @@ class SubprocessPolicy:
         return intent, action
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()  # type: ignore[union-attr]
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
-        self._proc = None
+        """Stop the child and close both pipes, whether or not it still runs."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()  # type: ignore[union-attr]
+        except BrokenPipeError:  # output left unflushed for a child that has gone
+            pass
+        if proc.poll() is None:
+            proc.terminate()
+        proc.wait(timeout=5)
+        proc.stdout.close()  # type: ignore[union-attr]
 
     def __enter__(self) -> "SubprocessPolicy":
         return self

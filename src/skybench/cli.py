@@ -68,6 +68,12 @@ DEFAULT_EPISODE_SEEDS = (42, 77, 101, 2025, 1337)
 DEFAULT_EPISODES_PER_SCENARIO = 50
 DEFAULT_AGENTS = tuple(sorted(AGENT_TYPES))
 
+# Raised whenever the same configuration starts to give different corpus
+# bytes; it is part of config_hash, so a resume never mixes the two.
+# 2: per-component disturbance draws (their order changed where
+#    sigma_vel_mps > sigma_pos_m).
+CORPUS_VERSION = 2
+
 CORPUS_NAME = "corpus.jsonl"
 SCORES_NAME = "scores.jsonl"
 LEADERBOARD_NAME = "leaderboard.csv"
@@ -130,6 +136,25 @@ def _load_calibration(path: str | None):
     return calibrate(targets)
 
 
+def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
+    """(line number, stripped text) for every non-blank line of a JSONL file.
+
+    A line that is not UTF-8 comes as its bytes, which loads_document rejects.
+    """
+    # surrogateescape turns each undecodable byte into a lone surrogate, so a
+    # bad byte spoils only its own line; no valid UTF-8 decodes to one.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    line = line.encode("utf-8", "surrogateescape")
+            if line:
+                yield lineno, line
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: str = "builtin"
@@ -137,8 +162,6 @@ class RunConfig:
     episodes_per_scenario: int = DEFAULT_EPISODES_PER_SCENARIO
     seed: int = DEFAULT_SEED
     episode_seed_set: tuple[int, ...] = DEFAULT_EPISODE_SEEDS
-    max_turn_tokens: int = 10_000
-    temperature: float = 0.0
     out: str = "runs"
     parallel: int = 1
     calibration: str | None = None
@@ -157,13 +180,12 @@ class RunConfig:
 
     def config_hash(self) -> str:
         doc = {
+            "corpus_version": CORPUS_VERSION,
             "scenarios": self.scenarios,
             "agents": list(self.agents),
             "episodes_per_scenario": self.episodes_per_scenario,
             "seed": self.seed,
             "episode_seed_set": list(self.episode_seed_set),
-            "max_turn_tokens": self.max_turn_tokens,
-            "temperature": self.temperature,
             "canonical": self.canonical,
         }
         return hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()[:16]
@@ -175,24 +197,6 @@ class RunConfig:
 
 def _job_id(scenario_id: str, agent: str, index: int) -> str:
     return f"{scenario_id}-{agent}-{index:04d}"
-
-
-def _existing_lines(path: Path) -> dict[str, str]:
-    if not path.exists():
-        return {}
-    existing: dict[str, str] = {}
-    for line in path.read_text("utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        record_id = doc.get("episode_id")
-        if isinstance(record_id, str):
-            existing[record_id] = line
-    return existing
 
 
 def _generate_line(
@@ -247,7 +251,15 @@ def cmd_generate(config: RunConfig) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / CORPUS_NAME
-    existing = _existing_lines(corpus_path)
+    existing: dict[str, str] = {}
+    if corpus_path.exists():
+        for _, line in _corpus_lines(corpus_path):
+            try:
+                record_id = loads_document(line).get("episode_id")
+            except ParseError:
+                continue
+            if isinstance(record_id, str):
+                existing[record_id] = line
     if existing:
         # Resume only when the previous run used the same configuration.
         manifest_path = out_dir / MANIFEST_NAME
@@ -297,13 +309,12 @@ def cmd_generate(config: RunConfig) -> int:
     stubs = len(jobs) - episodes
     manifest = {
         "config_hash": config.config_hash(),
+        "corpus_version": CORPUS_VERSION,
         "scenarios": [s.scenario_id for s in scenarios],
         "agents": list(config.agents),
         "episodes_per_scenario": config.episodes_per_scenario,
         "seed": config.seed,
         "episode_seed_set": list(config.episode_seed_set),
-        "temperature": config.temperature,
-        "max_turn_tokens": config.max_turn_tokens,
         "episode_budget_per_model": len(scenarios) * config.episodes_per_scenario,
         "counts": {"jobs": len(jobs), "episodes": episodes, "failure_stubs": stubs},
         "seed_derivation": (
@@ -321,17 +332,14 @@ def cmd_generate(config: RunConfig) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-def _corpus_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) for every non-blank line of a JSONL file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield lineno, line
+Checked = FailureStub | tuple[ValidationReport, Episode | None]
 
 
-def _check_doc(doc: Mapping[str, Any], strict: bool) -> tuple[ValidationReport, Episode | None]:
-    """Validate one episode document, and build it when it is valid."""
+def _check_doc(doc: Mapping[str, Any], strict: bool) -> Checked:
+    """Build a failure stub, or validate an episode document and build it when
+    it is valid.  Raises ParseError for a stub that lacks a field."""
+    if doc.get("kind") == "failure_stub":
+        return doc_to_stub(doc)
     # Validate the raw document: strict mode must see fields that the typed
     # episode value would drop.
     report = validate_episode(doc, strict=strict)
@@ -342,12 +350,13 @@ def _score_doc(
     doc: Mapping[str, Any],
     ctx: ScoringContext,
     strict: bool,
-    checked: tuple[ValidationReport, Episode | None] | None = None,
+    checked: Checked | None = None,
 ) -> dict[str, Any]:
     """Score one corpus record; `checked` is its _check_doc result, when the
     caller already has it."""
-    if doc.get("kind") == "failure_stub":
-        stub = doc_to_stub(doc)
+    checked = checked if checked is not None else _check_doc(doc, strict)
+    if isinstance(checked, FailureStub):
+        stub = checked
         return {
             "kind": "failure_stub",
             "model": stub.model,
@@ -357,7 +366,7 @@ def _score_doc(
             "error_kind": stub.error_kind,
             "scored": False,
         }
-    report, episode = checked if checked is not None else _check_doc(doc, strict)
+    report, episode = checked
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), Mapping) else {}
     base: dict[str, Any] = {
         "episode_id": doc.get("episode_id", ""),
@@ -393,29 +402,29 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
     corpus_path = Path(corpus) if corpus else out_dir / CORPUS_NAME
     if not corpus_path.exists():
         raise ScenarioError(f"corpus not found: {corpus_path}")
-    docs = []
+    # Each record is validated and built once; t_opt needs every valid
+    # episode before any record can be scored.
+    records: list[tuple[dict[str, Any], Checked]] = []
     malformed = 0
     for _, line in _corpus_lines(corpus_path):
         try:
-            docs.append(loads_document(line))
+            doc = loads_document(line)
+            records.append((doc, _check_doc(doc, strict)))
         except ParseError:
             malformed += 1
-    # Each episode is validated and built once; t_opt needs every valid
-    # episode before any record can be scored.
-    checked = [None if doc.get("kind") == "failure_stub" else _check_doc(doc, strict) for doc in docs]
-    valid_episodes = [c[1] for c in checked if c is not None and c[1] is not None]
+    valid_episodes = [c[1] for _, c in records if isinstance(c, tuple) and c[1] is not None]
     t_opt = compute_t_opt(valid_episodes)
     ctx = ScoringContext(t_opt=t_opt)
     out_dir.mkdir(parents=True, exist_ok=True)
     scores_path = out_dir / SCORES_NAME
     with open(scores_path, "w", encoding="utf-8") as fh:
-        for doc, check in zip(docs, checked):
+        for doc, check in records:
             fh.write(dumps_canonical(_score_doc(doc, ctx, strict, check)))
             fh.write("\n")
     meta = {
         "t_opt": t_opt,
         "strict": strict,
-        "records": len(docs),
+        "records": len(records),
         "valid_episodes": len(valid_episodes),
         "malformed_lines": malformed,
         "weights": list(ScoringWeights().as_tuple()),
@@ -424,22 +433,13 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
     (out_dir / SCORING_META_NAME).write_text(dumps_pretty(meta) + "\n", "utf-8")
     if malformed:
         print(f"warning: {malformed} malformed lines skipped", file=sys.stderr)
-    print(f"scored {len(docs)} records (t_opt={t_opt}) to {scores_path}")
+    print(f"scored {len(records)} records (t_opt={t_opt}) to {scores_path}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # aggregate
 # ---------------------------------------------------------------------------
-
-def _read_jsonl(path: Path) -> list[dict[str, Any]]:
-    docs = []
-    for line in path.read_text("utf-8").splitlines():
-        line = line.strip()
-        if line:
-            docs.append(loads_document(line))
-    return docs
-
 
 def _infer_budget(out_dir: Path, score_docs: Sequence[Mapping[str, Any]]) -> int:
     manifest_path = out_dir / MANIFEST_NAME
@@ -463,7 +463,7 @@ def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
     scores_path = out_dir / SCORES_NAME
     if not scores_path.exists():
         raise ScenarioError(f"score sidecar not found: {scores_path} (run `skybench score` first)")
-    docs = _read_jsonl(scores_path)
+    docs = [loads_document(line) for _, line in _corpus_lines(scores_path)]
     budget = episode_budget or _infer_budget(out_dir, docs)
 
     by_model: dict[str, dict[str, list]] = {}
@@ -666,7 +666,7 @@ def cmd_validate(path: str, strict: bool = True) -> int:
     if not file_path.exists():
         raise ScenarioError(f"no such file: {path}")
     if file_path.suffix != ".jsonl":
-        report = validate_episode(loads_document(file_path.read_text("utf-8")), strict=strict)
+        report = validate_episode(loads_document(file_path.read_bytes()), strict=strict)
         if report.valid:
             print("valid")
             return EXIT_OK

@@ -1,9 +1,10 @@
 """UAV physics: kinematic stepping, disturbances, airspace checks, battery, flags.
 
 State evolution is a pure function of (state, command, RNG stream, dt); the
-per-turn step integrates the commanded thrust with the exact constant-
-acceleration update, so piecewise-constant commands reproduce closed-form
-trajectories bit-for-bit.
+per-turn step integrates the commanded world-frame thrust with the exact
+constant-acceleration update, so piecewise-constant commands reproduce
+closed-form trajectories bit-for-bit.  The heading is constant: scenarios set
+only a yaw, and nothing turns the vehicle.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 from .errors import InvalidInput
 
-TWO_PI = 2.0 * math.pi
-
 SENSOR_TYPES = frozenset({"LiDAR", "RGB", "Thermal", "IMU"})
 
 ACTION_CLASSES = ("idle", "hover", "maneuver", "sense", "transmit")
@@ -28,43 +27,15 @@ BATTERY_DEPLETED_PCT = 5.0
 Vec3 = tuple[float, float, float]
 
 
-def normalize_yaw(yaw: float) -> float:
-    """Wrap into (-pi, pi]."""
-    y = yaw % TWO_PI
-    if y > math.pi:
-        y -= TWO_PI
-    return y
-
-
-def rotation_matrix(attitude: Vec3) -> np.ndarray:
-    """Body-to-world rotation for ZYX Euler angles (roll, pitch, yaw)."""
-    roll, pitch, yaw = attitude
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class KinematicState:
     position: Vec3 = (0.0, 0.0, 0.0)
     velocity: Vec3 = (0.0, 0.0, 0.0)
-    attitude: Vec3 = (0.0, 0.0, 0.0)  # roll, pitch, yaw [rad]
-    angular_rate: Vec3 = (0.0, 0.0, 0.0)
+    yaw: float = 0.0  # heading [rad], reported but never changed
 
     @property
     def speed(self) -> float:
         return float(np.linalg.norm(self.velocity))
-
-    @property
-    def yaw(self) -> float:
-        return self.attitude[2]
 
 
 @dataclass(frozen=True)
@@ -97,41 +68,30 @@ class VehicleParams:
 
 @dataclass(frozen=True)
 class DisturbanceModel:
-    """Gaussian perturbation on (position, velocity) with per-component clipping."""
+    """Independent Gaussian noise on each position (sigma_pos) and velocity
+    (sigma_vel) component, clipped at clip_sigmas of its sigma (None: no clip)."""
 
-    covariance: tuple[tuple[float, ...], ...]
-    bounds: tuple[float, ...] | None = None
+    sigma_pos: float
+    sigma_vel: float
+    clip_sigmas: float | None
 
     def __post_init__(self) -> None:
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (6, 6):
-            raise InvalidInput("covariance must be 6x6 over (position, velocity)")
-        if not np.allclose(cov, cov.T):
-            raise InvalidInput("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-9:
-            raise InvalidInput("covariance must be positive semidefinite")
-        if self.bounds is not None and len(self.bounds) != 6:
-            raise InvalidInput("bounds must have six components")
-
-    @classmethod
-    def diagonal(cls, sigma_pos: float = 0.5, sigma_vel: float = 0.2, clip_sigmas: float | None = 3.0) -> "DisturbanceModel":
-        variances = [sigma_pos**2] * 3 + [sigma_vel**2] * 3
-        cov = tuple(tuple(v if i == j else 0.0 for j in range(6)) for i, v in enumerate(variances))
-        bounds = None
-        if clip_sigmas is not None:
-            bounds = tuple(clip_sigmas * math.sqrt(v) for v in variances)
-        return cls(covariance=cov, bounds=bounds)
+        clip = 0.0 if self.clip_sigmas is None else self.clip_sigmas
+        # The chained comparison is also false for NaN.
+        if not all(0.0 <= x < math.inf for x in (self.sigma_pos, self.sigma_vel, clip)):
+            raise InvalidInput("disturbance sigmas and clip_sigmas must be finite and non-negative")
 
     @classmethod
     def none(cls) -> "DisturbanceModel":
-        return cls.diagonal(0.0, 0.0, clip_sigmas=None)
+        return cls(0.0, 0.0, clip_sigmas=None)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        cov = np.asarray(self.covariance, dtype=float)
-        draw = rng.multivariate_normal(np.zeros(6), cov, size=size)
-        if self.bounds is not None:
-            bounds = np.asarray(self.bounds, dtype=float)
-            draw = np.clip(draw, -bounds, bounds)
+        sigma = np.array([self.sigma_pos] * 3 + [self.sigma_vel] * 3)
+        shape = (6,) if size is None else (size, 6)
+        draw = rng.standard_normal(shape) * sigma
+        if self.clip_sigmas is not None:
+            bound = self.clip_sigmas * sigma
+            draw = np.clip(draw, -bound, bound)
         return draw
 
 
@@ -199,30 +159,27 @@ class GeofenceCheck:
     min_clearance_m: float
 
 
-def step_kinematics(k: KinematicState, thrust_body: Vec3, params: VehicleParams, dt: float) -> KinematicState:
-    """One constant-acceleration step under body-frame thrust and gravity.
+def step_kinematics(k: KinematicState, thrust: Vec3, params: VehicleParams, dt: float) -> KinematicState:
+    """One constant-acceleration step under world-frame thrust and gravity.
 
     Exact for piecewise-constant acceleration: p' = p + v dt + a dt^2 / 2,
-    v' = v + a dt with a = R(attitude) thrust / m + g.  Yaw integrates the
-    commanded yaw rate; roll and pitch are held at trim.
+    v' = v + a dt with a = thrust / m + g.
     """
     if dt <= 0:
         raise InvalidInput("dt must be positive")
-    thrust = np.asarray(thrust_body, dtype=float)
-    magnitude = float(np.linalg.norm(thrust))
+    force = np.asarray(thrust, dtype=float)
+    magnitude = float(np.linalg.norm(force))
     if magnitude > params.max_thrust_n + 1e-9:
         raise InvalidInput(f"thrust {magnitude:.3f} N exceeds limit {params.max_thrust_n} N")
-    accel = rotation_matrix(k.attitude) @ thrust / params.mass_kg + np.asarray(params.gravity)
+    accel = force / params.mass_kg + np.asarray(params.gravity)
     p = np.asarray(k.position)
     v = np.asarray(k.velocity)
     p_next = p + v * dt + 0.5 * accel * dt * dt
     v_next = v + accel * dt
-    yaw = normalize_yaw(k.yaw + k.angular_rate[2] * dt)
-    return KinematicState(
+    return replace(
+        k,
         position=tuple(float(x) for x in p_next),
         velocity=tuple(float(x) for x in v_next),
-        attitude=(k.attitude[0], k.attitude[1], yaw),
-        angular_rate=k.angular_rate,
     )
 
 
@@ -270,8 +227,8 @@ def update_battery(state: UavState, action_class: str, params: VehicleParams, dt
 
 
 def _control_thrust(k: KinematicState, command: NavCommand, params: VehicleParams, dt: float) -> Vec3:
-    """World-frame deadbeat acceleration toward the commanded target, bounded
-    by cruise speed and available thrust, expressed in the body frame."""
+    """World-frame deadbeat thrust toward the commanded target, bounded by
+    cruise speed and available thrust."""
     p = np.asarray(k.position)
     v = np.asarray(k.velocity)
     if command.target is not None:
@@ -283,12 +240,11 @@ def _control_thrust(k: KinematicState, command: NavCommand, params: VehicleParam
     speed = float(np.linalg.norm(v_next))
     if speed > params.cruise_speed_mps:
         accel = (v_next * (params.cruise_speed_mps / speed) - v) / dt
-    thrust_world = params.mass_kg * (accel - np.asarray(params.gravity))
-    magnitude = float(np.linalg.norm(thrust_world))
+    thrust = params.mass_kg * (accel - np.asarray(params.gravity))
+    magnitude = float(np.linalg.norm(thrust))
     if magnitude > params.max_thrust_n:
-        thrust_world = thrust_world * (params.max_thrust_n / magnitude)
-    thrust_body = rotation_matrix(k.attitude).T @ thrust_world
-    return tuple(float(x) for x in thrust_body)
+        thrust = thrust * (params.max_thrust_n / magnitude)
+    return tuple(float(x) for x in thrust)
 
 
 def evaluate_flags(

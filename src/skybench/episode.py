@@ -12,7 +12,7 @@ import copy
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Iterable, Iterator, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 
 from jsonschema import Draft202012Validator
 
@@ -56,12 +56,7 @@ class A2aTask:
     payload: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class IntentOnly:
-    """Marker for a turn that carries no structured action."""
-
-
-Action = Union[McpCall, A2aTask, IntentOnly]
+Action = Union[McpCall, A2aTask]
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,6 @@ class Turn:
     action: Action | None
     observation: Observation | None
     network: NetworkState
-
-    def __post_init__(self) -> None:
-        # Intent-only markers normalize to None so round-tripping is exact.
-        if isinstance(self.action, IntentOnly):
-            object.__setattr__(self, "action", None)
 
     @property
     def structured(self) -> bool:
@@ -202,7 +192,7 @@ def dumps_pretty(doc: Mapping[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 def action_to_doc(action: Action | None) -> dict[str, Any] | None:
-    if action is None or isinstance(action, IntentOnly):
+    if action is None:
         return None
     if isinstance(action, McpCall):
         return {"protocol": "mcp", "name": action.name, "args": dict(action.args)}
@@ -397,9 +387,9 @@ def serialize_episode(e: Episode) -> bytes:
 
 
 def loads_document(data: bytes | str) -> dict[str, Any]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="strict")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8", errors="strict")
         doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"not well-formed JSON: {exc}") from exc
@@ -712,7 +702,7 @@ def record_to_line(record: Record) -> str:
     return dumps_canonical(doc)
 
 
-def line_to_record(line: str) -> Record:
+def line_to_record(line: str | bytes) -> Record:
     doc = loads_document(line)
     if doc.get("kind") == "failure_stub":
         return doc_to_stub(doc)
@@ -727,11 +717,3 @@ def write_corpus(path, records: Iterable[Record]) -> int:
             fh.write("\n")
             count += 1
     return count
-
-
-def iter_corpus(path) -> Iterator[Record]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield line_to_record(line)

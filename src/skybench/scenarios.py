@@ -16,7 +16,7 @@ from .environment import (
     UavState,
     VehicleParams,
 )
-from .errors import ScenarioError
+from .errors import InvalidInput, ScenarioError
 from .network import SLICES
 from .tools import SwarmContext
 
@@ -77,7 +77,7 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         kinematics = KinematicState(
             position=_vec3(init["position"], "initial position"),
             velocity=_vec3(init.get("velocity", [0.0, 0.0, 0.0]), "initial velocity"),
-            attitude=(0.0, 0.0, float(init.get("yaw_rad", 0.0))),
+            yaw=float(init.get("yaw_rad", 0.0)),
         )
         state = UavState(
             kinematics=kinematics,
@@ -86,7 +86,7 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         )
         dist = doc.get("disturbance", {})
         clip = dist.get("clip_sigmas", 3.0)
-        disturbance = DisturbanceModel.diagonal(
+        disturbance = DisturbanceModel(
             sigma_pos=float(dist.get("sigma_pos_m", 0.5)),
             sigma_vel=float(dist.get("sigma_vel_mps", 0.2)),
             clip_sigmas=float(clip) if clip is not None else None,
@@ -123,7 +123,7 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidInput) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
 
 

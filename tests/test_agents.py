@@ -318,6 +318,31 @@ def test_subprocess_policy_round_trip(scenario_by_id, calibration):
     assert not record.final_state.mission_completed  # it never navigates
 
 
+def test_subprocess_policy_closes_its_pipes(scenario_by_id, calibration):
+    import gc
+    import sys
+    import warnings
+
+    from skybench.agents import SubprocessPolicy
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for policy in (ECHO_POLICY, "import sys; sys.exit(0)"):
+            with SubprocessPolicy([sys.executable, "-c", policy], name="echo_policy") as agent:
+                run_episode(agent, UserSimulator(), scenario_by_id["S01"],
+                            calibration=calibration, episode_seed=42, index=0)
+            del agent
+            gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    # A child that died is replaced, and the dead one's pipes are closed.
+    with SubprocessPolicy([sys.executable, "-c", ECHO_POLICY]) as agent:
+        dead = agent._process()
+        dead.kill()
+        dead.wait()
+        assert agent._process() is not dead
+        assert dead.stdin.closed and dead.stdout.closed
+
+
 def test_subprocess_policy_failure_becomes_internal_stub(scenario_by_id, calibration):
     import sys
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +253,37 @@ def test_run_config_validation():
     assert RunConfig(seed=7).config_hash() != RunConfig().config_hash()
 
 
+def test_config_hash_covers_corpus_version(monkeypatch):
+    import skybench.cli as cli
+
+    before = RunConfig().config_hash()
+    monkeypatch.setattr(cli, "CORPUS_VERSION", cli.CORPUS_VERSION + 1)
+    assert RunConfig().config_hash() != before
+
+
+def test_builtin_corpus_bytes_are_pinned(tmp_path):
+    out = tmp_path / "pin"
+    assert main(["generate", "--canonical", "--episodes-per-scenario", "2", "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest()
+    assert digest == "518c8dc371de11990a3f4d40e20f112ca52d176c4f3257d8c277a37d26e2c5fc"
+
+
+def test_generate_rejects_bad_disturbance_inputs(tmp_path, capsys):
+    source = resources.files("skybench.data") / "scenarios" / "s01_thermal_survey.json"
+    bad = [(key, -0.5) for key in ("sigma_pos_m", "sigma_vel_mps", "clip_sigmas")]
+    bad += [("sigma_pos_m", float("nan")), ("sigma_vel_mps", float("inf"))]
+    for i, (key, value) in enumerate(bad):
+        scenario = json.loads(source.read_text("utf-8"))
+        scenario["disturbance"][key] = value
+        path = tmp_path / f"bad_{i}.json"
+        path.write_text(json.dumps(scenario))
+        assert main([
+            "generate", "--scenarios", str(path), "--episodes-per-scenario", "1",
+            "--agents", "safe_pilot", "--out", str(tmp_path / "run"),
+        ]) == EXIT_INPUT, (key, value)
+        assert "error: malformed scenario document" in capsys.readouterr().err
+
+
 def test_external_agent_via_config(tmp_path):
     import sys
 
@@ -296,6 +329,39 @@ def test_malformed_corpus_lines_counted_not_fatal(tmp_path):
     meta = json.loads((out / "scoring_meta.json").read_text())
     assert meta["malformed_lines"] == 1
     assert meta["records"] == 2
+
+
+def test_non_utf8_line_is_malformed_not_fatal(tmp_path, capsys):
+    out = tmp_path / "run"
+    cmd_generate(tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=1))
+    corpus = out / "corpus.jsonl"
+    good = corpus.read_bytes().splitlines()
+    # A lone \r ends a line, as in text mode.
+    corpus.write_bytes(
+        good[0] + b"\r" + b'{"a":"\xff"}' + b"\r\n" + good[1] + b"\n[1, 2]\n" + good[2] + b"\n"
+    )
+    assert main(["score", "--out", str(out)]) == EXIT_OK
+    meta = json.loads((out / "scoring_meta.json").read_text())
+    assert (meta["records"], meta["malformed_lines"]) == (3, 2)
+    assert main(["analytics", "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "analytics.json").read_text())["episodes"] == 3
+    capsys.readouterr()
+    assert main(["validate", str(corpus)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == ["line 2: MALFORMED", "line 4: MALFORMED", "2 malformed lines"]
+    # Resume skips the unreadable lines and regenerates the corpus whole.
+    cmd_generate(tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=1))
+    assert corpus.read_bytes().splitlines() == good
+
+
+def test_score_counts_incomplete_failure_stub_as_malformed(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    rng = np.random.default_rng(15)
+    good = serialize_episode(random_episode(rng)).decode()
+    (out / "corpus.jsonl").write_text(good + '\n{"kind":"failure_stub","model":"x"}\n')
+    assert main(["score", "--out", str(out)]) == EXIT_OK
+    meta = json.loads((out / "scoring_meta.json").read_text())
+    assert (meta["records"], meta["malformed_lines"]) == (1, 1)
 
 
 def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):

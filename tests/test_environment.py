@@ -20,7 +20,6 @@ from skybench.environment import (
     check_geofence,
     check_separation,
     evolve_state,
-    normalize_yaw,
     step_kinematics,
     update_battery,
 )
@@ -77,22 +76,12 @@ def test_step_rejects_bad_dt_and_overthrust():
         step_kinematics(k, (0.0, 0.0, PARAMS.max_thrust_n + 1.0), PARAMS, dt=1.0)
 
 
-def test_yaw_integrates_and_normalizes():
-    k = KinematicState(attitude=(0.0, 0.0, 3.0), angular_rate=(0.0, 0.0, 0.5))
-    out = step_kinematics(k, hover_thrust(), PARAMS, dt=1.0)
-    assert out.attitude[2] == pytest.approx(normalize_yaw(3.5))
-    assert -math.pi < out.attitude[2] <= math.pi
-    assert normalize_yaw(math.pi) == pytest.approx(math.pi)
-    assert normalize_yaw(-math.pi) == pytest.approx(math.pi)
-
-
-def test_yawed_attitude_rotates_body_thrust():
-    yaw = math.pi / 2
-    k = KinematicState(attitude=(0.0, 0.0, yaw))
-    # Body +x thrust points along world +y after a 90 degree yaw.
+def test_thrust_is_world_frame_and_yaw_constant():
+    k = KinematicState(yaw=math.pi / 2)
+    # World +x thrust accelerates along world +x whatever the heading.
     out = step_kinematics(k, (PARAMS.mass_kg * 2.0, 0.0, PARAMS.mass_kg * 9.81), PARAMS, dt=1.0)
-    assert out.velocity[0] == pytest.approx(0.0, abs=1e-12)
-    assert out.velocity[1] == pytest.approx(2.0)
+    assert out.velocity == pytest.approx((2.0, 0.0, 0.0))
+    assert out.yaw == k.yaw
 
 
 # -- disturbances ------------------------------------------------------------
@@ -105,7 +94,7 @@ def test_zero_covariance_disturbance_is_identity():
 
 
 def test_disturbance_deterministic_given_seed():
-    model = DisturbanceModel.diagonal()
+    model = DisturbanceModel(0.5, 0.2, 3.0)
     k = KinematicState()
     a = apply_disturbance(k, model, np.random.default_rng(42))
     b = apply_disturbance(k, model, np.random.default_rng(42))
@@ -114,25 +103,16 @@ def test_disturbance_deterministic_given_seed():
 
 def test_disturbance_sample_variance_matches_covariance():
     sigma = 0.5
-    model = DisturbanceModel.diagonal(sigma_pos=sigma, sigma_vel=sigma, clip_sigmas=None)
+    model = DisturbanceModel(sigma_pos=sigma, sigma_vel=sigma, clip_sigmas=None)
     draws = model.sample(np.random.default_rng(7), size=1_000_000)
     variances = draws.var(axis=0)
     assert np.all(np.abs(variances - sigma**2) <= 0.02 * sigma**2)
 
 
 def test_disturbance_respects_clip_bounds():
-    model = DisturbanceModel.diagonal(sigma_pos=1.0, sigma_vel=1.0, clip_sigmas=1.0)
+    model = DisturbanceModel(sigma_pos=1.0, sigma_vel=1.0, clip_sigmas=1.0)
     draws = model.sample(np.random.default_rng(8), size=50_000)
     assert np.all(np.abs(draws) <= 1.0 + 1e-12)
-
-
-def test_disturbance_model_validates_covariance():
-    with pytest.raises(InvalidInput):
-        DisturbanceModel(covariance=tuple(tuple(float(i == j) for j in range(5)) for i in range(5)))
-    asymmetric = [[0.0] * 6 for _ in range(6)]
-    asymmetric[0][1] = 1.0
-    with pytest.raises(InvalidInput):
-        DisturbanceModel(covariance=tuple(tuple(row) for row in asymmetric))
 
 
 # -- airspace checks ---------------------------------------------------------
@@ -220,7 +200,7 @@ def quiet_rng():
 
 def test_evolve_hover_only_drifts_by_disturbance():
     state = UavState(kinematics=KinematicState(position=(0.0, 0.0, 50.0)), battery_pct=90.0)
-    model = DisturbanceModel.diagonal(0.5, 0.2, clip_sigmas=3.0)
+    model = DisturbanceModel(0.5, 0.2, clip_sigmas=3.0)
     out = evolve_state(state, AIRSPACE, PARAMS, model, quiet_rng(), 1.0, action_class="hover")
     drift = math.dist(out.kinematics.position, (0.0, 0.0, 50.0))
     assert drift <= 3 * 0.5 * math.sqrt(3) + 1e-9
@@ -267,7 +247,7 @@ def test_evolve_bit_for_bit_deterministic():
         battery_pct=80.0,
         command=NavCommand(target=(10.0, -5.0, 55.0)),
     )
-    model = DisturbanceModel.diagonal()
+    model = DisturbanceModel(0.5, 0.2, 3.0)
 
     def run(seed):
         rng = np.random.default_rng(seed)
@@ -281,7 +261,7 @@ def test_evolve_bit_for_bit_deterministic():
 
 def test_evolve_battery_monotone_and_flags_monotone():
     state = UavState(kinematics=KinematicState(position=(0.0, 0.0, 50.0)), battery_pct=30.0)
-    model = DisturbanceModel.diagonal()
+    model = DisturbanceModel(0.5, 0.2, 3.0)
     rng = np.random.default_rng(17)
     classes = ("hover", "maneuver", "sense", "transmit", "idle")
     previous = state

@@ -9,13 +9,10 @@ from hypothesis import given, strategies as st
 from generators import corrupted_docs, random_episode, valid_doc
 from skybench.episode import (
     FailureStub,
-    IntentOnly,
-    Turn,
     canonical_float,
     doc_to_episode,
     dumps_canonical,
     episode_to_doc,
-    iter_corpus,
     line_to_record,
     make_failure_stub,
     parse_episode,
@@ -26,6 +23,7 @@ from skybench.episode import (
     validate_episode,
     write_corpus,
 )
+from skybench.cli import _corpus_lines
 from skybench.errors import ParseError
 
 
@@ -143,14 +141,6 @@ def test_lenient_mode_ignores_unknown_fields():
     assert validate_episode(doc, strict=False).valid
 
 
-def test_intent_only_normalizes_to_none():
-    rng = np.random.default_rng(9)
-    episode = random_episode(rng)
-    turn = Turn("agent", "holding", IntentOnly(), None, episode.turns[0].network)
-    assert turn.action is None
-    assert not turn.structured
-
-
 def test_make_failure_stub_contract():
     stub = make_failure_stub("S17", "scripted-greedy", 77, "schema_invalid")
     assert stub.attempts_used == 3
@@ -178,7 +168,7 @@ def test_corpus_round_trip_with_stubs(tmp_path):
     records.append(make_failure_stub("S01", "m", 42, "turn_bounds", timestamp="1970-01-01T00:00:00Z"))
     path = tmp_path / "corpus.jsonl"
     assert write_corpus(path, records) == 4
-    loaded = list(iter_corpus(path))
+    loaded = [line_to_record(line) for _, line in _corpus_lines(path)]
     assert loaded == records
     stub_line = record_to_line(records[-1])
     assert isinstance(line_to_record(stub_line), FailureStub)
