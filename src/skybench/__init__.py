@@ -57,11 +57,9 @@ from .network import (
 )
 from .scenarios import Scenario, builtin_scenarios, load_scenario, load_scenario_file
 from .scoring import (
-    Budgets,
     ModelAggregate,
     PillarScores,
     ScoringContext,
-    ScoringWeights,
     aggregate_model,
     composite,
     compute_t_opt,

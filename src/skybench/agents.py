@@ -25,6 +25,7 @@ from .episode import (
     Action,
     Episode,
     FailureStub,
+    MAX_ATTEMPTS,
     MAX_TURNS,
     MIN_TURNS,
     McpCall,
@@ -46,6 +47,8 @@ from .episode import (
     validate_episode,
 )
 from .network import (
+    HARD_LATENCY_MS,
+    HARD_LOSS_PCT,
     NetworkState,
     SliceCalibration,
     URLLC,
@@ -61,6 +64,18 @@ EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 # Consecutive hard turns after which an incomplete mission is aborted.
 DEGRADED_TERMINATION_RUN = 4
+
+# Tools an agent may call while the link is degraded (and, at strictness 2,
+# the only tools it may call at all).
+SAFE_TOOLS = frozenset({"switch_network_slice", "read_telemetry", "land", "hover"})
+
+# Simulation step per dialogue exchange, in seconds.
+STEP_DT_S = 1.0
+
+# Synthetic generation time per attempt, so efficiency metrics are
+# deterministic and non-degenerate for scripted agents.
+GEN_BASE_S = 0.6
+GEN_PER_TURN_S = 0.25
 
 
 @runtime_checkable
@@ -78,21 +93,16 @@ class AgentPolicy(Protocol):
     ) -> tuple[str, Action | None]: ...
 
 
-@dataclass(frozen=True)
 class AdaptiveActionFilter:
     """Communication-safe action subset enforced under a degraded link."""
 
-    allowed_tools: frozenset[str] = frozenset({"switch_network_slice", "read_telemetry", "land", "hover"})
-    latency_threshold_ms: float = 40.0
-    loss_threshold_pct: float = 1.0
-
     def degraded(self, network: NetworkState) -> bool:
-        return network.latency_ms > self.latency_threshold_ms or network.loss_pct >= self.loss_threshold_pct
+        return network.latency_ms > HARD_LATENCY_MS or network.loss_pct >= HARD_LOSS_PCT
 
     def permits(self, action: Action | None, network: NetworkState) -> bool:
         if action is None or not self.degraded(network):
             return True
-        return isinstance(action, McpCall) and action.name in self.allowed_tools
+        return isinstance(action, McpCall) and action.name in SAFE_TOOLS
 
 
 @dataclass(frozen=True)
@@ -110,19 +120,16 @@ class MissionStatus:
 
 @dataclass(frozen=True)
 class UserSimulator:
-    """Deterministic supervisor turns; never emits structured actions."""
+    """Deterministic supervisor turns; never emits structured actions.
 
-    mode: str = "scripted_template"  # scripted_template | fixed_prompt
+    With ``prompts`` it replays them in order (repeating the last one);
+    without, it speaks from mission-aware templates.
+    """
+
     prompts: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("scripted_template", "fixed_prompt"):
-            raise ValueError(f"unknown user simulator mode: {self.mode!r}")
-        if self.mode == "fixed_prompt" and not self.prompts:
-            raise ValueError("fixed_prompt mode needs a non-empty prompt list")
-
     def intent(self, ordinal: int, scenario: Scenario, status: MissionStatus) -> str:
-        if self.mode == "fixed_prompt":
+        if self.prompts:
             return self.prompts[min(ordinal, len(self.prompts) - 1)]
         x, y, z = scenario.mission.target
         if ordinal == 0:
@@ -419,15 +426,6 @@ def make_agent(name: str, scenario: Scenario) -> ScriptedAgent:
 # Episode loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenTiming:
-    """Synthetic per-attempt latency so efficiency metrics are deterministic
-    and non-degenerate for scripted agents."""
-
-    base_s: float = 0.6
-    per_turn_s: float = 0.25
-
-
 def stream_digest(scenario_id: str, agent_name: str, index: int) -> int:
     raw = hashlib.sha256(f"{scenario_id}|{agent_name}|{index}".encode("utf-8")).digest()
     return int.from_bytes(raw[:16], "big")
@@ -441,7 +439,6 @@ def _apply_strictness(
     action: Action | None,
     strictness: int,
     registry: Mapping[str, ToolSpec],
-    action_filter: AdaptiveActionFilter,
 ) -> Action | None:
     if action is None or strictness <= 0:
         return action
@@ -450,7 +447,7 @@ def _apply_strictness(
     if strictness >= 2:
         if isinstance(action, A2aTask):
             return None
-        if isinstance(action, McpCall) and action.name not in action_filter.allowed_tools:
+        if isinstance(action, McpCall) and action.name not in SAFE_TOOLS:
             return None
     return action
 
@@ -482,14 +479,11 @@ def run_episode(
     global_seed: int = 42,
     episode_seed: int = 42,
     index: int = 0,
-    max_attempts: int = 3,
-    dt: float = 1.0,
-    timing: GenTiming = GenTiming(),
     timestamp: str = EPOCH_TIMESTAMP,
     episode_id: str | None = None,
     on_accept: Callable[[str], None] | None = None,
 ) -> Episode | FailureStub:
-    """Generate one episode with up to three validation-gated attempts.
+    """Generate one episode with up to MAX_ATTEMPTS validation-gated attempts.
 
     Retries re-run the same seeded streams under a stricter action regime
     (1: registry-known tools only, 2: adaptive subset only).  The recorded
@@ -507,17 +501,17 @@ def run_episode(
     prompt_tokens = 0
     completion_tokens = 0
     last_report = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         strictness = attempt - 1
         try:
             turns, final_state = _run_attempt(
-                agent, user, scenario, calibration, registry, children, strictness, dt
+                agent, user, scenario, calibration, registry, children, strictness
             )
         except Exception:
-            gen_time += timing.base_s
+            gen_time += GEN_BASE_S
             last_report = None
             continue
-        gen_time += timing.base_s + timing.per_turn_s * len(turns) * agent.latency_factor
+        gen_time += GEN_BASE_S + GEN_PER_TURN_S * len(turns) * agent.latency_factor
         p_tokens, c_tokens = _token_usage(agent, turns)
         prompt_tokens += p_tokens
         completion_tokens += c_tokens
@@ -559,7 +553,6 @@ def _run_attempt(
     registry: Mapping[str, ToolSpec],
     children: Sequence[np.random.SeedSequence],
     strictness: int,
-    dt: float,
 ) -> tuple[list[Turn], FinalState]:
     net_rng = np.random.default_rng(children[0])
     phys_rng = np.random.default_rng(children[1])
@@ -568,7 +561,6 @@ def _run_attempt(
     if scenario.slice_switch_prob is not None:
         calib = replace(calibration, slice_switch_prob=scenario.slice_switch_prob)
     executor = ToolExecutor(registry, calib, scenario.airspace, scenario.params, scenario.swarm)
-    action_filter = AdaptiveActionFilter()
 
     state = scenario.initial_state
     depleted = SafetyFlags(battery_depleted=state.battery_pct < BATTERY_DEPLETED_PCT)
@@ -588,7 +580,7 @@ def _run_attempt(
         network = evolve_network(network, calib, net_rng)
 
         intent, action = agent.next_turn(tuple(turns), state, network, strictness)
-        action = _apply_strictness(action, strictness, registry, action_filter)
+        action = _apply_strictness(action, strictness, registry)
         observation = None
         post_network = network
         if isinstance(action, McpCall):
@@ -613,7 +605,7 @@ def _run_attempt(
             scenario.params,
             scenario.disturbance,
             phys_rng,
-            dt,
+            STEP_DT_S,
             action_class=_action_class(action, registry),
             peer_positions=scenario.swarm.positions_at(step_index),
         )

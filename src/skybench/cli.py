@@ -23,7 +23,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from .agents import (
     AGENT_TYPES,
     EPOCH_TIMESTAMP,
-    GenTiming,
     SubprocessPolicy,
     UserSimulator,
     episode_seed_for,
@@ -44,16 +43,17 @@ from .episode import (
     validate_episode,
 )
 from .errors import DegenerateInput, ParseError, ScenarioError, SkybenchError
-from .network import calibrate, default_calibration, classify_hard
+from .network import calibrate, default_calibration, classify_hard, verify_calibration
 from .scenarios import Scenario, builtin_scenarios, load_scenario_dir, load_scenario_file
 from .tools import default_registry, load_registry_file
 from .scoring import (
-    Budgets,
     LEADERBOARD_COLUMNS,
     PILLAR_KEYS,
+    TOKEN_BUDGET,
+    TOOL_BUDGET,
+    WEIGHTS,
     PillarScores,
     ScoringContext,
-    ScoringWeights,
     aggregate_model,
     compute_t_opt,
     generation_efficiency,
@@ -133,7 +133,9 @@ def _load_calibration(path: str | None):
         targets = json.loads(Path(path).read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read calibration {path}: {exc}") from exc
-    return calibrate(targets)
+    calib = calibrate(targets)
+    verify_calibration(calib, targets)
+    return calib
 
 
 def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
@@ -213,7 +215,7 @@ def _generate_line(
         agent = SubprocessPolicy(external[agent_name], name=agent_name)
     else:
         agent = make_agent(agent_name, scenario)
-    user = UserSimulator(mode="fixed_prompt", prompts=scenario.user_prompts) if scenario.user_prompts else UserSimulator()
+    user = UserSimulator(prompts=scenario.user_prompts)
     accepted: list[str] = []
     try:
         record = run_episode(
@@ -225,7 +227,6 @@ def _generate_line(
             global_seed=config.seed,
             episode_seed=episode_seed_for(index, config.episode_seed_set),
             index=index,
-            timing=GenTiming(),
             timestamp=timestamp,
             episode_id=_job_id(scenario.scenario_id, agent_name, index),
             on_accept=accepted.append,
@@ -427,8 +428,8 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
         "records": len(records),
         "valid_episodes": len(valid_episodes),
         "malformed_lines": malformed,
-        "weights": list(ScoringWeights().as_tuple()),
-        "budgets": {"token_budget": Budgets().token_budget, "tool_budget": Budgets().tool_budget},
+        "weights": list(WEIGHTS),
+        "budgets": {"token_budget": TOKEN_BUDGET, "tool_budget": TOOL_BUDGET},
     }
     (out_dir / SCORING_META_NAME).write_text(dumps_pretty(meta) + "\n", "utf-8")
     if malformed:
@@ -678,11 +679,12 @@ def cmd_validate(path: str, strict: bool = True) -> int:
     for lineno, line in _corpus_lines(file_path):
         try:
             doc = loads_document(line)
+            if doc.get("kind") == "failure_stub":
+                doc_to_stub(doc)
+                continue
         except ParseError:
             malformed += 1
             print(f"line {lineno}: MALFORMED")
-            continue
-        if doc.get("kind") == "failure_stub":
             continue
         report = validate_episode(doc, strict=strict)
         if not report.valid:

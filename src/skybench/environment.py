@@ -43,7 +43,6 @@ class VehicleParams:
     mass_kg: float = 2.0
     gravity: Vec3 = (0.0, 0.0, -9.81)
     max_thrust_n: float = 60.0
-    battery_capacity_pct: float = 100.0
     cruise_speed_mps: float = 15.0
     # Battery draw per action class, percent per second.
     idle_draw: float = 0.05

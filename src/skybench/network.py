@@ -39,6 +39,21 @@ EDGE_CONCENTRATION = 10.0
 
 FIELD_NAMES = ("latency_ms", "jitter_ms", "loss_pct", "throughput_mbps", "edge_load")
 
+# The seven per-slice statistics a calibration targets document must give.
+TARGET_STATS = (
+    "latency_mean_ms",
+    "latency_median_ms",
+    "latency_p90_ms",
+    "jitter_mean_ms",
+    "loss_mean_pct",
+    "throughput_mean_mbps",
+    "edge_load_mean",
+)
+
+# Monte-Carlo draw size and seed of verify_calibration.
+VERIFY_SAMPLES = 200_000
+VERIFY_SEED = 7
+
 
 @dataclass(frozen=True)
 class NetworkState:
@@ -168,24 +183,32 @@ def fit_lognormal_mean(mean: float, sigma: float) -> tuple[float, float]:
     return math.log(mean) - sigma * sigma / 2.0, sigma
 
 
-def calibrate(
-    targets: Mapping[str, Mapping[str, float]] | None = None,
-    *,
-    slice_switch_prob: float = 0.05,
-    mixing_weight: float = 0.5,
-    verify: bool = True,
-    verify_samples: int = 200_000,
-    verify_seed: int = 7,
-) -> SliceCalibration:
+def _check_targets(targets) -> None:
+    """Reject a targets document that is not an object keyed by slice, lacks
+    a slice, or does not give every statistic of a slice as a number."""
+    if not isinstance(targets, Mapping):
+        raise CalibrationError("calibration targets must be an object keyed by slice")
+    missing = [name for name in SLICES if name not in targets]
+    if missing:
+        raise CalibrationError(f"calibration targets lack slices {missing}")
+    for name, stats in targets.items():
+        if not isinstance(stats, Mapping):
+            raise CalibrationError(f"calibration targets for {name} must be an object")
+        for key in TARGET_STATS:
+            value = stats.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CalibrationError(f"calibration targets for {name} need a number for {key!r}")
+
+
+def calibrate(targets: Mapping[str, Mapping[str, float]]) -> SliceCalibration:
     """Fit per-slice distributions to the target statistics.
 
     Latency is fit by analytic quantile inversion (median and P90); jitter and
     throughput by moment matching with a fixed lognormal shape; loss as a
-    clipped exponential; edge load as a Beta with fixed concentration.  When
-    ``verify`` is set, a Monte-Carlo draw must reproduce the target median and
-    P90 and each field's analytic mean within tolerance.
+    clipped exponential; edge load as a Beta with fixed concentration.
+    verify_calibration checks the fit by Monte Carlo.
     """
-    targets = targets or DEFAULT_TARGETS
+    _check_targets(targets)
     slices: dict[str, SliceModel] = {}
     for name, stats in targets.items():
         mu, sigma = fit_lognormal_quantiles(stats["latency_median_ms"], stats["latency_p90_ms"])
@@ -205,22 +228,16 @@ def calibrate(
                 EDGE_CLIP,
             ),
         )
-    calib = SliceCalibration(slices=slices, slice_switch_prob=slice_switch_prob, mixing_weight=mixing_weight)
-    if verify:
-        _verify_calibration(calib, targets, verify_samples, verify_seed)
-    return calib
+    return SliceCalibration(slices=slices)
 
 
-def _verify_calibration(
-    calib: SliceCalibration,
-    targets: Mapping[str, Mapping[str, float]],
-    n: int,
-    seed: int,
-) -> None:
-    rng = np.random.default_rng(seed)
+def verify_calibration(calib: SliceCalibration, targets: Mapping[str, Mapping[str, float]]) -> None:
+    """Raise CalibrationError unless a Monte-Carlo draw reproduces the target
+    latency median and P90 and each field's analytic mean within tolerance."""
+    rng = np.random.default_rng(VERIFY_SEED)
     for name, stats in targets.items():
         model = calib.model(name)
-        lat = model.latency.sample(rng, n)
+        lat = model.latency.sample(rng, VERIFY_SAMPLES)
         median = float(np.median(lat))
         p90 = float(np.percentile(lat, 90))
         _check(name, "latency median", median, stats["latency_median_ms"], 0.02)
@@ -235,7 +252,7 @@ def _verify_calibration(
             ("throughput mean", model.throughput),
             ("edge load mean", model.edge_load),
         ):
-            _check(name, label, float(np.mean(field.sample(rng, n))), field.analytic_mean(), 0.05)
+            _check(name, label, float(np.mean(field.sample(rng, VERIFY_SAMPLES))), field.analytic_mean(), 0.05)
 
 
 def _check(slice_name: str, label: str, got: float, want: float, rel_tol: float) -> None:

@@ -9,7 +9,7 @@ awareness / completion bonus), and communication cost (budget ratios).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .episode import (
@@ -38,58 +38,29 @@ PENALTY_BATTERY = 0.25
 
 T_OPT_FALLBACK = 10
 
+# Composite weights, in PILLAR_KEYS order; they sum to 1.
+WEIGHTS = (0.30, 0.20, 0.20, 0.15, 0.10, 0.05)
+
+# Communication-cost budgets per episode.
+TOKEN_BUDGET = 10_000
+TOOL_BUDGET = 25
+
+# Network robustness: component weights, and the completion bonus paid when
+# at least NR_BONUS_MIN_HARD_FRACTION of the turns were hard.
+NR_BASE_WEIGHT = 0.6
+NR_ADAPT_WEIGHT = 0.2
+NR_SLICE_WEIGHT = 0.2
+NR_BONUS = 0.05
+NR_BONUS_MIN_HARD_FRACTION = 0.3
+
 
 def clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
 @dataclass(frozen=True)
-class ScoringWeights:
-    task_outcome: float = 0.30
-    safety_policy: float = 0.20
-    tool_consistency: float = 0.20
-    interaction_quality: float = 0.15
-    network_robustness: float = 0.10
-    communication_cost: float = 0.05
-
-    def __post_init__(self) -> None:
-        values = self.as_tuple()
-        if any(w < 0 for w in values):
-            raise ValueError("weights must be non-negative")
-        if abs(sum(values) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(values)!r}")
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.task_outcome,
-            self.safety_policy,
-            self.tool_consistency,
-            self.interaction_quality,
-            self.network_robustness,
-            self.communication_cost,
-        )
-
-
-@dataclass(frozen=True)
-class Budgets:
-    token_budget: int = 10_000
-    tool_budget: int = 25
-
-    def __post_init__(self) -> None:
-        if self.token_budget <= 0 or self.tool_budget <= 0:
-            raise ValueError("budgets must be positive")
-
-
-@dataclass(frozen=True)
 class ScoringContext:
     t_opt: int = T_OPT_FALLBACK
-    budgets: Budgets = field(default_factory=Budgets)
-    weights: ScoringWeights = field(default_factory=ScoringWeights)
-    nr_base_weight: float = 0.6
-    nr_adapt_weight: float = 0.2
-    nr_slice_weight: float = 0.2
-    nr_bonus: float = 0.05
-    nr_bonus_min_hard_fraction: float = 0.3
 
     def __post_init__(self) -> None:
         if self.t_opt < 1:
@@ -277,8 +248,8 @@ def _nr_components(e: Episode, ctx: ScoringContext) -> tuple[float, float, float
         slice_aware = sum(1 for t, h in zip(turns, hard) if h and t.network.slice != EMBB) / n_hard
 
     bonus = (
-        ctx.nr_bonus
-        if e.final_state.mission_completed and hard_fraction >= ctx.nr_bonus_min_hard_fraction
+        NR_BONUS
+        if e.final_state.mission_completed and hard_fraction >= NR_BONUS_MIN_HARD_FRACTION
         else 0.0
     )
     return base, adapt, slice_aware, bonus
@@ -287,23 +258,22 @@ def _nr_components(e: Episode, ctx: ScoringContext) -> tuple[float, float, float
 def score_network_robustness(e: Episode, ctx: ScoringContext) -> float:
     base, adapt, slice_aware, bonus = _nr_components(e, ctx)
     return clamp01(
-        ctx.nr_base_weight * base + ctx.nr_adapt_weight * adapt + ctx.nr_slice_weight * slice_aware + bonus
+        NR_BASE_WEIGHT * base + NR_ADAPT_WEIGHT * adapt + NR_SLICE_WEIGHT * slice_aware + bonus
     )
 
 
-def score_communication_cost(e: Episode, budgets: Budgets) -> float:
+def score_communication_cost(e: Episode) -> float:
     tokens = e.metadata.total_tokens
     tools = len(_structured_turns(e))
-    token_term = clamp01(budgets.token_budget / max(tokens, 1))
-    tool_term = clamp01(budgets.tool_budget / max(tools, 1))
+    token_term = clamp01(TOKEN_BUDGET / max(tokens, 1))
+    tool_term = clamp01(TOOL_BUDGET / max(tools, 1))
     return 0.5 * (token_term + tool_term)
 
 
-def composite(pillars: Sequence[float], weights: ScoringWeights | None = None) -> float:
-    weights = weights or ScoringWeights()
+def composite(pillars: Sequence[float]) -> float:
     if len(pillars) != 6:
         raise ValueError("expected six pillar values")
-    return float(sum(w * p for w, p in zip(weights.as_tuple(), pillars)))
+    return float(sum(w * p for w, p in zip(WEIGHTS, pillars)))
 
 
 def score_episode(e: Episode, report: ValidationReport, ctx: ScoringContext) -> PillarScores:
@@ -313,9 +283,9 @@ def score_episode(e: Episode, report: ValidationReport, ctx: ScoringContext) -> 
         score_tool_consistency(e),
         score_interaction_quality(e, ctx),
         score_network_robustness(e, ctx),
-        score_communication_cost(e, ctx.budgets),
+        score_communication_cost(e),
     )
-    return PillarScores(*pillars, alpha3=composite(pillars, ctx.weights))
+    return PillarScores(*pillars, alpha3=composite(pillars))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .environment import (
+    ACTION_CLASSES,
     Airspace,
     NavCommand,
     SENSOR_TYPES,
@@ -40,56 +41,48 @@ class ArgSpec:
 class ToolSpec:
     name: str
     protocol: str  # mcp | a2a
-    action_class: str  # battery class
-    effect: str  # state_query | state_mutation | payload_only | network_mutation | coordination
+    action_class: str  # battery class, one of environment.ACTION_CLASSES
     args: tuple[ArgSpec, ...] = ()
 
 
 DEFAULT_TOOLS: tuple[ToolSpec, ...] = (
-    ToolSpec("read_telemetry", "mcp", "transmit", "state_query"),
+    ToolSpec("read_telemetry", "mcp", "transmit"),
     ToolSpec(
         "set_waypoint",
         "mcp",
         "maneuver",
-        "state_mutation",
         (ArgSpec("x", "number"), ArgSpec("y", "number"), ArgSpec("z", "number")),
     ),
     ToolSpec(
         "navigate_to",
         "mcp",
         "maneuver",
-        "state_mutation",
         (ArgSpec("x", "number"), ArgSpec("y", "number"), ArgSpec("z", "number")),
     ),
-    ToolSpec("set_altitude", "mcp", "maneuver", "state_mutation", (ArgSpec("z", "number"),)),
+    ToolSpec("set_altitude", "mcp", "maneuver", (ArgSpec("z", "number"),)),
     ToolSpec(
         "activate_sensor",
         "mcp",
         "sense",
-        "payload_only",
         (ArgSpec("sensor", "string", choices=tuple(sorted(SENSOR_TYPES))),),
     ),
     ToolSpec(
         "capture_image",
         "mcp",
         "sense",
-        "payload_only",
         (ArgSpec("sensor", "string", required=False, choices=tuple(sorted(SENSOR_TYPES))),),
     ),
     ToolSpec(
         "switch_network_slice",
         "mcp",
         "transmit",
-        "network_mutation",
         (ArgSpec("slice", "string", choices=SLICES),),
     ),
-    ToolSpec("check_geofence", "mcp", "transmit", "state_query"),
-    ToolSpec("execute_maneuver", "mcp", "maneuver", "state_mutation", (ArgSpec("maneuver", "string"),)),
-    ToolSpec("land", "mcp", "maneuver", "state_mutation"),
-    ToolSpec("hover", "mcp", "hover", "state_mutation"),
+    ToolSpec("check_geofence", "mcp", "transmit"),
+    ToolSpec("execute_maneuver", "mcp", "maneuver", (ArgSpec("maneuver", "string"),)),
+    ToolSpec("land", "mcp", "maneuver"),
+    ToolSpec("hover", "mcp", "hover"),
 )
-
-A2A_TASKS = ("collision_avoidance", "swarm_status_check", "request_weather_update")
 
 
 def default_registry() -> dict[str, ToolSpec]:
@@ -101,6 +94,8 @@ def load_registry_extension(doc: Mapping[str, Any] | Sequence[Mapping[str, Any]]
     entries = doc.get("tools", []) if isinstance(doc, Mapping) else doc
     registry = default_registry()
     for entry in entries:
+        if not isinstance(entry, Mapping):
+            raise ParseError(f"tool registry entry must be an object, got {entry!r}")
         try:
             args = tuple(
                 ArgSpec(
@@ -115,11 +110,14 @@ def load_registry_extension(doc: Mapping[str, Any] | Sequence[Mapping[str, Any]]
                 name=str(entry["name"]),
                 protocol=str(entry.get("protocol", "mcp")),
                 action_class=str(entry.get("action_class", "transmit")),
-                effect=str(entry.get("effect", "payload_only")),
                 args=args,
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed tool registry entry: {exc}") from exc
+        if spec.action_class not in ACTION_CLASSES:
+            raise ParseError(
+                f"tool {spec.name!r}: action_class {spec.action_class!r} is not one of {list(ACTION_CLASSES)}"
+            )
         registry[spec.name] = spec
     return registry
 

@@ -203,7 +203,7 @@ def test_user_opener_matches_template(scenario_by_id):
 
 def test_fixed_prompt_mode_is_agent_independent(scenario_by_id, calibration):
     prompts = ("begin the survey", "continue", "report status", "wrap up")
-    user = UserSimulator(mode="fixed_prompt", prompts=prompts)
+    user = UserSimulator(prompts=prompts)
     scenario = scenario_by_id["S01"]
     safe = run_episode(make_agent("safe_pilot", scenario), user, scenario,
                        calibration=calibration, episode_seed=42, index=0)
@@ -213,10 +213,7 @@ def test_fixed_prompt_mode_is_agent_independent(scenario_by_id, calibration):
     greedy_user = [t.intent for t in greedy.turns if t.role == "user"]
     n = min(len(safe_user), len(greedy_user))
     assert safe_user[:n] == greedy_user[:n]
-    with pytest.raises(ValueError):
-        UserSimulator(mode="fixed_prompt")
-    with pytest.raises(ValueError):
-        UserSimulator(mode="llm_generated")
+    assert safe_user[:n] == list(prompts[:n]) + [prompts[-1]] * (n - len(prompts))
 
 
 # -- adaptive filter and strictness --------------------------------------------
@@ -243,12 +240,12 @@ def test_strictness_ladder(registry):
     capture = McpCall("capture_image", {"sensor": "RGB"})
     telemetry = McpCall("read_telemetry")
     a2a = A2aTask("swarm_status_check", "P1", {})
-    assert _apply_strictness(unknown, 0, registry, FILTER) is unknown
-    assert _apply_strictness(unknown, 1, registry, FILTER) is None
-    assert _apply_strictness(capture, 1, registry, FILTER) is capture
-    assert _apply_strictness(capture, 2, registry, FILTER) is None
-    assert _apply_strictness(telemetry, 2, registry, FILTER) is telemetry
-    assert _apply_strictness(a2a, 2, registry, FILTER) is None
+    assert _apply_strictness(unknown, 0, registry) is unknown
+    assert _apply_strictness(unknown, 1, registry) is None
+    assert _apply_strictness(capture, 1, registry) is capture
+    assert _apply_strictness(capture, 2, registry) is None
+    assert _apply_strictness(telemetry, 2, registry) is telemetry
+    assert _apply_strictness(a2a, 2, registry) is None
 
 
 def test_safe_and_adaptive_respect_filter_across_corpus(scenarios, calibration):

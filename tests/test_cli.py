@@ -35,7 +35,7 @@ from skybench.episode import (
     serialize_episode,
     stub_to_doc,
 )
-from skybench.network import URLLC
+from skybench.network import DEFAULT_TARGETS, MMTC, URLLC
 from skybench.scoring import LEADERBOARD_COLUMNS
 
 
@@ -319,6 +319,62 @@ def test_generate_with_tool_extension_file(tmp_path):
     assert (out / "corpus.jsonl").exists()
 
 
+def _targets_without_mmtc():
+    return {name: stats for name, stats in DEFAULT_TARGETS.items() if name != MMTC}
+
+
+def _targets_without_jitter():
+    targets = {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
+    del targets[URLLC]["jitter_mean_ms"]
+    return targets
+
+
+def _targets_with_lossy_mmtc():
+    targets = {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
+    targets[MMTC]["loss_mean_pct"] = 80.0  # a clipped exponential cannot keep this mean
+    return targets
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        (_targets_without_mmtc(), "calibration targets lack slices ['mMTC']"),
+        (_targets_without_jitter(), "calibration targets for URLLC need a number for 'jitter_mean_ms'"),
+        ([DEFAULT_TARGETS[URLLC]], "calibration targets must be an object keyed by slice"),
+        (_targets_with_lossy_mmtc(), "mMTC loss mean verification failed"),
+    ],
+)
+def test_generate_rejects_bad_calibration_file(tmp_path, capsys, targets, message):
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(targets))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--calibration", str(path), "--episodes-per-scenario", "2",
+        "--agents", "safe_pilot", "--out", str(out), "--canonical",
+    ]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"name": "read_telemetry", "action_class": "warp"}, "action_class 'warp' is not one of"),
+        (["read_telemetry"], "tool registry entry must be an object"),
+    ],
+)
+def test_generate_rejects_bad_tool_file(tmp_path, capsys, entry, message):
+    tools = tmp_path / "tools.json"
+    tools.write_text(json.dumps({"tools": [entry]}))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--tools", str(tools), "--episodes-per-scenario", "2",
+        "--agents", "safe_pilot", "--out", str(out), "--canonical",
+    ]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (out / "corpus.jsonl").exists()
+
+
 def test_malformed_corpus_lines_counted_not_fatal(tmp_path):
     out = tmp_path / "messy"
     out.mkdir()
@@ -402,6 +458,17 @@ def test_validate_lists_malformed_lines_and_goes_on(tmp_path, capsys):
         "1 invalid records, 2 malformed lines",
     ]
     corpus.write_text("\n".join([good, "{broken json", good]) + "\n")
+    assert main(["validate", str(corpus)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == ["line 2: MALFORMED", "1 malformed lines"]
+
+
+def test_validate_counts_incomplete_failure_stub_as_malformed(tmp_path, capsys):
+    stub = dumps_canonical(stub_to_doc(make_failure_stub("S01", "safe_pilot", 42, "internal")))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(stub + "\n")
+    assert main(["validate", str(corpus)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["all records valid"]
+    corpus.write_text(stub + '\n{"kind":"failure_stub","model":"x"}\n')
     assert main(["validate", str(corpus)]) == EXIT_INPUT
     assert capsys.readouterr().out.splitlines() == ["line 2: MALFORMED", "1 malformed lines"]
 

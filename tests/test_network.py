@@ -20,6 +20,7 @@ from skybench.network import (
     fit_lognormal_quantiles,
     sample_fields,
     sample_network_state,
+    verify_calibration,
 )
 
 
@@ -44,21 +45,42 @@ def test_latency_fit_embb_analytic():
     assert sigma == pytest.approx(0.4524, abs=5e-5)
 
 
+def _targets() -> dict[str, dict[str, float]]:
+    return {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
+
+
 def test_calibrate_rejects_p90_below_median():
-    targets = {URLLC: dict(DEFAULT_TARGETS[URLLC])}
+    targets = _targets()
     targets[URLLC]["latency_p90_ms"] = 5.0  # below the 7.0 median
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="P90 below median"):
         calibrate(targets)
 
 
 def test_degenerate_sigma_zero_gives_constant_latency():
-    targets = {URLLC: dict(DEFAULT_TARGETS[URLLC])}
+    targets = _targets()
     targets[URLLC]["latency_median_ms"] = 5.0
     targets[URLLC]["latency_p90_ms"] = 5.0
-    calib = calibrate(targets, verify=False)
+    calib = calibrate(targets)
     rng = np.random.default_rng(0)
     draws = calib.model(URLLC).latency.sample(rng, 1000)
     assert np.allclose(draws, 5.0)
+
+
+def test_shipped_calibration_passes_verification(calibration):
+    verify_calibration(calibration, DEFAULT_TARGETS)
+
+
+@pytest.mark.parametrize(
+    "slice_stats, message",
+    [
+        ("fast", "for mMTC must be an object"),
+        ({**DEFAULT_TARGETS[MMTC], "jitter_mean_ms": "17.1"}, "for mMTC need a number for 'jitter_mean_ms'"),
+        ({**DEFAULT_TARGETS[MMTC], "loss_mean_pct": True}, "for mMTC need a number for 'loss_mean_pct'"),
+    ],
+)
+def test_calibrate_rejects_non_numeric_targets(slice_stats, message):
+    with pytest.raises(CalibrationError, match=message):
+        calibrate({**DEFAULT_TARGETS, MMTC: slice_stats})
 
 
 def test_default_calibration_reproduces_slice_means(calibration):

@@ -19,10 +19,11 @@ from skybench.episode import (
 from skybench.errors import DegenerateInput
 from skybench.network import EMBB, URLLC, classify_hard
 from skybench.scoring import (
-    Budgets,
+    TOKEN_BUDGET,
+    TOOL_BUDGET,
+    WEIGHTS,
     PillarScores,
     ScoringContext,
-    ScoringWeights,
     aggregate_model,
     composite,
     compute_t_opt,
@@ -242,23 +243,25 @@ def test_nr_relabel_embb_to_urllc_never_decreases():
 # -- communication cost ------------------------------------------------------
 
 def test_cc_examples():
+    assert (TOKEN_BUDGET, TOOL_BUDGET) == (10_000, 25)
     at_budget = build_episode(dialogue([(False, True, URLLC)] * 8), total_tokens=10_000)
     # 4 structured actions (< 25) and exactly the token budget.
-    assert score_communication_cost(at_budget, Budgets()) == 1.0
+    assert score_communication_cost(at_budget) == 1.0
+    at_tool_budget = build_episode(dialogue([(False, True, URLLC)] * 50), total_tokens=10_000)
+    # Exactly 25 structured actions.
+    assert score_communication_cost(at_tool_budget) == 1.0
     double = build_episode(dialogue([(False, True, URLLC)] * 8), total_tokens=20_000)
     # Token term 0.5, tool term 1.
-    assert score_communication_cost(double, Budgets(tool_budget=4)) == pytest.approx(0.75)
-    assert score_communication_cost(double, Budgets()) == pytest.approx(0.75)
+    assert score_communication_cost(double) == pytest.approx(0.75)
     none_structured = build_episode(dialogue([(False, False, URLLC)] * 8), total_tokens=10_000)
-    assert score_communication_cost(none_structured, Budgets()) == 1.0
+    assert score_communication_cost(none_structured) == 1.0
 
 
 def test_cc_double_both_terms():
-    turns = dialogue([(False, True, URLLC)] * 10)
-    episode = build_episode(turns, total_tokens=20_000)
-    assert score_communication_cost(episode, Budgets(token_budget=10_000, tool_budget=2)) == pytest.approx(
-        0.5 * (0.5 + 0.4)
-    )
+    # 50 structured actions (twice the tool budget), 2.5x the token budget.
+    turns = dialogue([(False, True, URLLC)] * 100)
+    episode = build_episode(turns, total_tokens=25_000)
+    assert score_communication_cost(episode) == pytest.approx(0.5 * (0.4 + 0.5))
 
 
 # -- composite ---------------------------------------------------------------
@@ -275,20 +278,10 @@ def test_composite_published_rows():
     st.lists(st.floats(min_value=0, max_value=1), min_size=6, max_size=6),
 )
 def test_composite_linearity(index, delta, pillars):
-    weights = ScoringWeights()
     bumped = list(pillars)
     bumped[index] += delta
     diff = composite(bumped) - composite(pillars)
-    assert diff == pytest.approx(weights.as_tuple()[index] * delta, abs=1e-12)
-
-
-def test_weights_validation():
-    with pytest.raises(ValueError):
-        ScoringWeights(task_outcome=0.5, safety_policy=0.5, tool_consistency=0.5,
-                       interaction_quality=0.0, network_robustness=0.0, communication_cost=0.0)
-    with pytest.raises(ValueError):
-        ScoringWeights(task_outcome=-0.1, safety_policy=0.6, tool_consistency=0.2,
-                       interaction_quality=0.15, network_robustness=0.1, communication_cost=0.05)
+    assert diff == pytest.approx(WEIGHTS[index] * delta, abs=1e-12)
 
 
 # -- t_opt, efficiency, aggregation -------------------------------------------
