@@ -33,9 +33,9 @@ from .episode import (
     McpResult,
     Turn,
     ValidationReport,
+    line_to_record,
     make_failure_stub,
-    parse_episode,
-    serialize_episode,
+    record_to_line,
     validate_episode,
 )
 from .errors import (

@@ -33,7 +33,6 @@ from .episode import (
     ROLE_AGENT,
     ROLE_USER,
     Turn,
-    canonical_float,
     doc_to_action,
     doc_to_episode,
     dumps_canonical,
@@ -42,6 +41,7 @@ from .episode import (
     turn_to_doc,
     FinalState,
     EpisodeMetadata,
+    format_float,
     make_failure_stub,
     stub_error_kind,
     validate_episode,
@@ -68,6 +68,9 @@ DEGRADED_TERMINATION_RUN = 4
 # Tools an agent may call while the link is degraded (and, at strictness 2,
 # the only tools it may call at all).
 SAFE_TOOLS = frozenset({"switch_network_slice", "read_telemetry", "land", "hover"})
+
+# Battery percentage below which a scripted agent lands at once.
+LOW_BATTERY_PCT = 10.0
 
 # Simulation step per dialogue exchange, in seconds.
 STEP_DT_S = 1.0
@@ -175,10 +178,6 @@ def simulate_user_turn(
 # Scripted reference agents
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(canonical_float(value), "g")
-
-
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.dist(tuple(a), tuple(b))
 
@@ -211,7 +210,6 @@ class ScriptedAgent:
     latency_factor = 1.0
     prompt_tokens_per_turn = 160
     completion_tokens_per_turn = 240
-    low_battery_pct = 10.0
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
@@ -220,8 +218,8 @@ class ScriptedAgent:
     def _hard_response(self, cite: str, network: NetworkState) -> tuple[str, Action | None]:
         if network.slice != URLLC:
             intent = (
-                f"{cite}link degraded ({_fmt(network.latency_ms)} ms, {_fmt(network.loss_pct)}% loss) "
-                f"on {network.slice}; switching slice to URLLC"
+                f"{cite}link degraded ({format_float(network.latency_ms)} ms, "
+                f"{format_float(network.loss_pct)}% loss) on {network.slice}; switching slice to URLLC"
             )
             return intent, McpCall("switch_network_slice", {"slice": URLLC})
         return f"{cite}link still constrained; monitoring telemetry only", McpCall("read_telemetry")
@@ -241,21 +239,23 @@ class ScriptedAgent:
         position = state.kinematics.position
         last = _last_observation_name(history)
         cite = f"{last} confirms status; " if last else ""
-        if state.battery_pct < self.low_battery_pct and not state.command.landing:
-            return f"{cite}battery at {_fmt(state.battery_pct)}%; landing immediately", McpCall("land")
+        if state.battery_pct < LOW_BATTERY_PCT and not state.command.landing:
+            return f"{cite}battery at {format_float(state.battery_pct)}%; landing immediately", McpCall("land")
         if classify_hard(network):
             return self._hard_response(cite, network)
         if not _has_result(history, "read_telemetry"):
             return "running a preflight telemetry sweep before departure", McpCall("read_telemetry")
         target = mission.target
         if state.command.target is None and not state.command.landing:
-            intent = f"{cite}telemetry nominal; setting waypoint ({_fmt(target[0])}, {_fmt(target[1])}, {_fmt(target[2])})"
+            x, y, z = (format_float(v) for v in target)
+            intent = f"{cite}telemetry nominal; setting waypoint ({x}, {y}, {z})"
             return intent, McpCall("set_waypoint", {"x": target[0], "y": target[1], "z": target[2]})
         distance = _distance(position, target)
         if distance > mission.arrival_tolerance_m and not state.command.landing:
+            en_route = f"{cite}en route, {format_float(distance)} m to go"
             if _agent_turns(history) % 2 == 0:
-                return f"{cite}en route, {_fmt(distance)} m to go; verifying exclusion-zone clearance", McpCall("check_geofence")
-            return f"{cite}en route, {_fmt(distance)} m to go; refreshing telemetry", McpCall("read_telemetry")
+                return f"{en_route}; verifying exclusion-zone clearance", McpCall("check_geofence")
+            return f"{en_route}; refreshing telemetry", McpCall("read_telemetry")
         station = self._on_station_step(cite, history)
         if station is not None:
             return station
@@ -285,7 +285,7 @@ class AdaptivePilot(ScriptedAgent):
     def _hard_response(self, cite: str, network: NetworkState) -> tuple[str, Action | None]:
         if network.slice != URLLC:
             intent = (
-                f"{cite}degradation detected ({_fmt(network.latency_ms)} ms on {network.slice}); "
+                f"{cite}degradation detected ({format_float(network.latency_ms)} ms on {network.slice}); "
                 "switching slice to URLLC"
             )
             return intent, McpCall("switch_network_slice", {"slice": URLLC})
@@ -435,6 +435,11 @@ def episode_seed_for(index: int, seed_set: Sequence[int]) -> int:
     return seed_set[index % len(seed_set)]
 
 
+def episode_id_for(scenario_id: str, agent_name: str, index: int) -> str:
+    """The record id of job (scenario, agent, index), episode or stub alike."""
+    return f"{scenario_id}-{agent_name}-{index:04d}"
+
+
 def _apply_strictness(
     action: Action | None,
     strictness: int,
@@ -480,7 +485,6 @@ def run_episode(
     episode_seed: int = 42,
     index: int = 0,
     timestamp: str = EPOCH_TIMESTAMP,
-    episode_id: str | None = None,
     on_accept: Callable[[str], None] | None = None,
 ) -> Episode | FailureStub:
     """Generate one episode with up to MAX_ATTEMPTS validation-gated attempts.
@@ -493,7 +497,7 @@ def run_episode(
     that were validated, ready to be stored.
     """
     registry = dict(registry) if registry is not None else default_registry()
-    episode_id = episode_id or f"{scenario.scenario_id}-{agent.name}-{index:04d}"
+    episode_id = episode_id_for(scenario.scenario_id, agent.name, index)
     root = np.random.SeedSequence([global_seed, episode_seed, stream_digest(scenario.scenario_id, agent.name, index)])
     children = root.spawn(3)
 
@@ -519,7 +523,7 @@ def run_episode(
             model=agent.name,
             seed=episode_seed,
             scenario_id=scenario.scenario_id,
-            gen_time_s=canonical_float(gen_time),
+            gen_time_s=gen_time,
             attempts_used=attempt,
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
@@ -542,7 +546,7 @@ def run_episode(
             return doc_to_episode(doc)
         last_report = report
     error_kind = stub_error_kind(last_report) if last_report is not None else "internal"
-    return make_failure_stub(scenario.scenario_id, agent.name, episode_seed, error_kind, timestamp=timestamp)
+    return make_failure_stub(episode_id, scenario.scenario_id, agent.name, episode_seed, error_kind, timestamp=timestamp)
 
 
 def _run_attempt(
@@ -631,10 +635,10 @@ def _run_attempt(
 
     k = state.kinematics
     final_state = FinalState(
-        position=tuple(canonical_float(v) for v in k.position),
-        velocity=canonical_float(k.speed),
-        yaw=canonical_float(k.yaw),
-        battery=canonical_float(state.battery_pct),
+        position=k.position,
+        velocity=k.speed,
+        yaw=k.yaw,
+        battery=state.battery_pct,
         mission_completed=status.completed,
         altitude_violation=state.flags.altitude_violation,
         nfz_violation=state.flags.nfz_violation,

@@ -25,6 +25,7 @@ from .agents import (
     EPOCH_TIMESTAMP,
     SubprocessPolicy,
     UserSimulator,
+    episode_id_for,
     episode_seed_for,
     make_agent,
     run_episode,
@@ -37,14 +38,15 @@ from .episode import (
     doc_to_stub,
     dumps_canonical,
     dumps_pretty,
+    format_float,
     line_to_record,
     loads_document,
-    stub_to_doc,
+    record_to_line,
     validate_episode,
 )
 from .errors import DegenerateInput, ParseError, ScenarioError, SkybenchError
 from .network import calibrate, default_calibration, classify_hard, verify_calibration
-from .scenarios import Scenario, builtin_scenarios, load_scenario_dir, load_scenario_file
+from .scenarios import Scenario, builtin_scenarios, load_scenario_file, scenario_files
 from .tools import default_registry, load_registry_file
 from .scoring import (
     LEADERBOARD_COLUMNS,
@@ -108,31 +110,23 @@ def _resolve(flag_value, env_name: str, config: Mapping[str, Any], key: str, def
     return default
 
 
-def _load_config_file(path: str | None) -> dict[str, Any]:
-    if not path:
-        return {}
+def _read_json(path: str | Path, what: str) -> Any:
     try:
         return json.loads(Path(path).read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read config {path}: {exc}") from exc
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _load_scenarios(spec: str) -> tuple[Scenario, ...]:
     if spec == "builtin":
         return builtin_scenarios()
-    path = Path(spec)
-    if path.is_dir():
-        return load_scenario_dir(path)
-    return (load_scenario_file(path),)
+    return tuple(load_scenario_file(path) for path in scenario_files(spec))
 
 
 def _load_calibration(path: str | None):
     if not path:
         return default_calibration()
-    try:
-        targets = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read calibration {path}: {exc}") from exc
+    targets = _read_json(path, "calibration")
     calib = calibrate(targets)
     verify_calibration(calib, targets)
     return calib
@@ -174,32 +168,52 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.episodes_per_scenario < 1:
-            raise ValueError("episodes_per_scenario must be at least 1")
+            raise ScenarioError("episodes_per_scenario must be at least 1")
         if not self.episode_seed_set:
-            raise ValueError("episode seed set must be non-empty")
+            raise ScenarioError("episode seed set must be non-empty")
         if self.parallel < 1:
-            raise ValueError("parallel must be at least 1")
+            raise ScenarioError("parallel must be at least 1")
+        if not self.agents:
+            raise ScenarioError("the agent list is empty")
+        if len(set(self.agents)) != len(self.agents):
+            raise ScenarioError(f"the agent list names an agent twice: {list(self.agents)}")
 
     def config_hash(self) -> str:
+        """Hash of the settings, each input file as a parsed document and the
+        external agents' argv; CORPUS_VERSION covers the built-in inputs."""
+        scenarios = [] if self.scenarios == "builtin" else scenario_files(self.scenarios)
         doc = {
             "corpus_version": CORPUS_VERSION,
             "scenarios": self.scenarios,
+            "scenario_docs": [_read_json(path, "scenario") for path in scenarios],
+            "calibration": _read_json(self.calibration, "calibration") if self.calibration else None,
+            "tools": _read_json(self.tools, "tool registry") if self.tools else None,
+            "external_agents": {name: list(argv) for name, argv in self.external_agents},
             "agents": list(self.agents),
             "episodes_per_scenario": self.episodes_per_scenario,
             "seed": self.seed,
             "episode_seed_set": list(self.episode_seed_set),
             "canonical": self.canonical,
         }
-        return hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()[:16]
+        # Full-precision floats: six-digit quantization would give two
+        # calibrations that differ in the seventh digit the same hash.
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _read_manifest(out_dir: Path) -> dict[str, Any]:
+    """The manifest in out_dir, or {} when it is missing, unreadable, not
+    JSON or not an object."""
+    try:
+        manifest = json.loads((out_dir / MANIFEST_NAME).read_bytes())
+    except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
 
 
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
-
-def _job_id(scenario_id: str, agent: str, index: int) -> str:
-    return f"{scenario_id}-{agent}-{index:04d}"
-
 
 def _generate_line(
     scenario: Scenario,
@@ -228,17 +242,12 @@ def _generate_line(
             episode_seed=episode_seed_for(index, config.episode_seed_set),
             index=index,
             timestamp=timestamp,
-            episode_id=_job_id(scenario.scenario_id, agent_name, index),
             on_accept=accepted.append,
         )
     finally:
         if isinstance(agent, SubprocessPolicy):
             agent.close()
-    if isinstance(record, FailureStub):
-        doc = stub_to_doc(record)
-        doc["episode_id"] = _job_id(scenario.scenario_id, agent_name, index)
-        return dumps_canonical(doc)
-    return accepted[0]
+    return record_to_line(record) if isinstance(record, FailureStub) else accepted[0]
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -252,6 +261,7 @@ def cmd_generate(config: RunConfig) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / CORPUS_NAME
+    config_hash = config.config_hash()
     existing: dict[str, str] = {}
     if corpus_path.exists():
         for _, line in _corpus_lines(corpus_path):
@@ -261,17 +271,9 @@ def cmd_generate(config: RunConfig) -> int:
                 continue
             if isinstance(record_id, str):
                 existing[record_id] = line
-    if existing:
-        # Resume only when the previous run used the same configuration.
-        manifest_path = out_dir / MANIFEST_NAME
-        previous_hash = None
-        if manifest_path.exists():
-            try:
-                previous_hash = json.loads(manifest_path.read_text("utf-8")).get("config_hash")
-            except json.JSONDecodeError:
-                previous_hash = None
-        if previous_hash != config.config_hash():
-            existing = {}
+    # Resume only when the previous run used the same configuration.
+    if existing and _read_manifest(out_dir).get("config_hash") != config_hash:
+        existing = {}
     timestamp = EPOCH_TIMESTAMP if config.canonical else datetime.now(timezone.utc).isoformat()
 
     jobs = [
@@ -283,7 +285,7 @@ def cmd_generate(config: RunConfig) -> int:
     lines: dict[int, str] = {}
     pending = []
     for position, (scenario, agent_name, index) in enumerate(jobs):
-        record_id = _job_id(scenario.scenario_id, agent_name, index)
+        record_id = episode_id_for(scenario.scenario_id, agent_name, index)
         if record_id in existing:
             lines[position] = existing[record_id]
         else:
@@ -309,7 +311,7 @@ def cmd_generate(config: RunConfig) -> int:
     episodes = sum(1 for line in lines.values() if '"kind":"failure_stub"' not in line)
     stubs = len(jobs) - episodes
     manifest = {
-        "config_hash": config.config_hash(),
+        "config_hash": config_hash,
         "corpus_version": CORPUS_VERSION,
         "scenarios": [s.scenario_id for s in scenarios],
         "agents": list(config.agents),
@@ -443,15 +445,12 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
 # ---------------------------------------------------------------------------
 
 def _infer_budget(out_dir: Path, score_docs: Sequence[Mapping[str, Any]]) -> int:
-    manifest_path = out_dir / MANIFEST_NAME
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text("utf-8"))
-            budget = int(manifest["episode_budget_per_model"])
-            if budget > 0:
-                return budget
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            pass
+    try:
+        budget = int(_read_manifest(out_dir)["episode_budget_per_model"])
+        if budget > 0:
+            return budget
+    except (KeyError, TypeError, ValueError):
+        pass
     per_model: dict[str, int] = {}
     for doc in score_docs:
         model = str(doc.get("model", ""))
@@ -460,6 +459,8 @@ def _infer_budget(out_dir: Path, score_docs: Sequence[Mapping[str, Any]]) -> int
 
 
 def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
+    if episode_budget is not None and episode_budget < 1:
+        raise ScenarioError(f"episode budget must be at least 1, got {episode_budget}")
     out_dir = Path(out)
     scores_path = out_dir / SCORES_NAME
     if not scores_path.exists():
@@ -505,7 +506,7 @@ def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
         writer.writerow(LEADERBOARD_COLUMNS)
         for row in rows:
             writer.writerow(
-                [row["model"]] + [format(float(row[c]), ".6g") for c in LEADERBOARD_COLUMNS[1:]]
+                [row["model"]] + [format_float(row[c]) for c in LEADERBOARD_COLUMNS[1:]]
             )
     print(f"wrote leaderboard for {len(rows)} models (budget {budget}) to {leaderboard_path}")
     success = {agg.model: agg.success_rate for agg in aggregates}
@@ -745,11 +746,11 @@ def _add_strictness(parser: argparse.ArgumentParser) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "generate":
-        config_doc = _load_config_file(args.config)
+        config_doc = _read_json(args.config, "config") if args.config else {}
         agents_raw = _resolve(args.agents, "agents", config_doc, "agents", None)
         if isinstance(agents_raw, str):
             agents = tuple(a.strip() for a in agents_raw.split(",") if a.strip())
-        elif agents_raw:
+        elif agents_raw is not None:
             agents = tuple(agents_raw)
         else:
             agents = DEFAULT_AGENTS

@@ -19,7 +19,12 @@ from .errors import InvalidInput
 
 SENSOR_TYPES = frozenset({"LiDAR", "RGB", "Thermal", "IMU"})
 
-ACTION_CLASSES = ("idle", "hover", "maneuver", "sense", "transmit")
+# Battery draw per action class, percent per second.
+BATTERY_DRAW = {"idle": 0.05, "hover": 0.10, "maneuver": 0.30, "sense": 0.15, "transmit": 0.12}
+ACTION_CLASSES = tuple(BATTERY_DRAW)
+
+# World-frame gravitational acceleration (z up), m/s^2.
+GRAVITY = (0.0, 0.0, -9.81)
 
 # Battery percentage below which the battery_depleted flag is raised.
 BATTERY_DEPLETED_PCT = 5.0
@@ -41,28 +46,12 @@ class KinematicState:
 @dataclass(frozen=True)
 class VehicleParams:
     mass_kg: float = 2.0
-    gravity: Vec3 = (0.0, 0.0, -9.81)
     max_thrust_n: float = 60.0
     cruise_speed_mps: float = 15.0
-    # Battery draw per action class, percent per second.
-    idle_draw: float = 0.05
-    hover_draw: float = 0.10
-    sense_draw: float = 0.15
-    transmit_draw: float = 0.12
-    maneuver_draw: float = 0.30
 
     def __post_init__(self) -> None:
         if self.mass_kg <= 0:
             raise InvalidInput("mass must be positive")
-        for name in ("idle_draw", "hover_draw", "sense_draw", "transmit_draw", "maneuver_draw"):
-            if getattr(self, name) < 0:
-                raise InvalidInput(f"{name} must be non-negative")
-
-    def draw_for(self, action_class: str) -> float:
-        try:
-            return getattr(self, f"{action_class}_draw")
-        except AttributeError:
-            raise InvalidInput(f"unknown action class: {action_class!r}") from None
 
 
 @dataclass(frozen=True)
@@ -170,7 +159,7 @@ def step_kinematics(k: KinematicState, thrust: Vec3, params: VehicleParams, dt: 
     magnitude = float(np.linalg.norm(force))
     if magnitude > params.max_thrust_n + 1e-9:
         raise InvalidInput(f"thrust {magnitude:.3f} N exceeds limit {params.max_thrust_n} N")
-    accel = force / params.mass_kg + np.asarray(params.gravity)
+    accel = force / params.mass_kg + np.asarray(GRAVITY)
     p = np.asarray(k.position)
     v = np.asarray(k.velocity)
     p_next = p + v * dt + 0.5 * accel * dt * dt
@@ -216,11 +205,13 @@ def check_separation(position: Sequence[float], peer_positions: Iterable[Sequenc
     return True
 
 
-def update_battery(state: UavState, action_class: str, params: VehicleParams, dt: float) -> UavState:
+def update_battery(state: UavState, action_class: str, dt: float) -> UavState:
     """Drain the battery by the class draw, floored at zero; depletion is sticky."""
     if dt <= 0:
         raise InvalidInput("dt must be positive")
-    battery = max(0.0, state.battery_pct - params.draw_for(action_class) * dt)
+    if action_class not in BATTERY_DRAW:
+        raise InvalidInput(f"unknown action class: {action_class!r}")
+    battery = max(0.0, state.battery_pct - BATTERY_DRAW[action_class] * dt)
     flags = state.flags.union(SafetyFlags(battery_depleted=battery < BATTERY_DEPLETED_PCT))
     return replace(state, battery_pct=battery, flags=flags)
 
@@ -239,7 +230,7 @@ def _control_thrust(k: KinematicState, command: NavCommand, params: VehicleParam
     speed = float(np.linalg.norm(v_next))
     if speed > params.cruise_speed_mps:
         accel = (v_next * (params.cruise_speed_mps / speed) - v) / dt
-    thrust = params.mass_kg * (accel - np.asarray(params.gravity))
+    thrust = params.mass_kg * (accel - np.asarray(GRAVITY))
     magnitude = float(np.linalg.norm(thrust))
     if magnitude > params.max_thrust_n:
         thrust = thrust * (params.max_thrust_n / magnitude)
@@ -283,5 +274,5 @@ def evolve_state(
     kin = step_kinematics(state.kinematics, thrust, params, dt)
     kin = apply_disturbance(kin, disturbance, rng)
     moved = replace(state, kinematics=kin)
-    moved = update_battery(moved, action_class, params, dt)
+    moved = update_battery(moved, action_class, dt)
     return replace(moved, flags=evaluate_flags(moved, airspace, peer_positions))

@@ -133,6 +133,7 @@ class Episode:
 
 @dataclass(frozen=True)
 class FailureStub:
+    episode_id: str
     scenario_id: str
     model: str
     seed: int
@@ -161,9 +162,14 @@ class ValidationReport:
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
+def format_float(x: float) -> str:
+    """The six-significant-digit text of x: the one float rule of every record."""
+    return format(float(x), ".6g")
+
+
 def canonical_float(x: float) -> float:
     """Quantize to six significant digits; idempotent under re-serialization."""
-    return float(format(float(x), ".6g"))
+    return float(format_float(x))
 
 
 def _canonize(obj: Any) -> Any:
@@ -264,6 +270,7 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
 def stub_to_doc(s: FailureStub) -> dict[str, Any]:
     return {
         "kind": "failure_stub",
+        "episode_id": s.episode_id,
         "scenario_id": s.scenario_id,
         "model": s.model,
         "seed": s.seed,
@@ -367,6 +374,7 @@ def doc_to_episode(doc: Mapping[str, Any]) -> Episode:
 def doc_to_stub(doc: Mapping[str, Any]) -> FailureStub:
     try:
         return FailureStub(
+            episode_id=str(doc["episode_id"]),
             scenario_id=str(doc["scenario_id"]),
             model=str(doc["model"]),
             seed=int(doc["seed"]),
@@ -376,14 +384,6 @@ def doc_to_stub(doc: Mapping[str, Any]) -> FailureStub:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"cannot build failure stub from document: {exc}") from exc
-
-
-def parse_episode(data: bytes | str) -> Episode:
-    return doc_to_episode(loads_document(data))
-
-
-def serialize_episode(e: Episode) -> bytes:
-    return dumps_canonical(episode_to_doc(e)).encode("utf-8")
 
 
 def loads_document(data: bytes | str) -> dict[str, Any]:
@@ -642,17 +642,14 @@ def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
     return out
 
 
-def validate_episode(doc: Mapping[str, Any] | Episode | bytes | str, *, strict: bool = True) -> ValidationReport:
+def validate_episode(doc: Mapping[str, Any] | Episode, *, strict: bool = True) -> ValidationReport:
     """Check one episode document against the schema and the semantic rules.
 
-    Accepts a parsed document, raw bytes/text (raising ParseError when not
-    well-formed JSON), or an Episode value.  Total over well-formed input:
-    every problem becomes a listed violation, never an exception.
+    Accepts a parsed document or an Episode value.  Total: every problem
+    becomes a listed violation, never an exception.
     """
     if isinstance(doc, Episode):
         doc = episode_to_doc(doc)
-    elif isinstance(doc, (bytes, str)):
-        doc = loads_document(doc)
     schema = [] if schema_accepts(doc, strict) else _schema_violations(doc, strict)
     violations = schema + _semantic_violations(doc)
     return ValidationReport(valid=not violations, violations=tuple(violations))
@@ -671,6 +668,7 @@ def stub_error_kind(report: ValidationReport) -> str:
 
 
 def make_failure_stub(
+    episode_id: str,
     scenario_id: str,
     model: str,
     seed: int,
@@ -681,12 +679,12 @@ def make_failure_stub(
     if error_kind not in ERROR_KINDS:
         raise ValueError(f"unknown error kind: {error_kind!r}")
     return FailureStub(
+        episode_id=episode_id,
         scenario_id=scenario_id,
         model=model,
         seed=seed,
         error_kind=error_kind,
         timestamp=timestamp,
-        attempts_used=MAX_ATTEMPTS,
     )
 
 
@@ -707,13 +705,3 @@ def line_to_record(line: str | bytes) -> Record:
     if doc.get("kind") == "failure_stub":
         return doc_to_stub(doc)
     return doc_to_episode(doc)
-
-
-def write_corpus(path, records: Iterable[Record]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record_to_line(record))
-            fh.write("\n")
-            count += 1
-    return count

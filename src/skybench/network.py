@@ -50,6 +50,9 @@ TARGET_STATS = (
     "edge_load_mean",
 )
 
+# Weight of the fresh same-slice sample in each per-turn evolution step.
+MIXING_WEIGHT = 0.5
+
 # Monte-Carlo draw size and seed of verify_calibration.
 VERIFY_SAMPLES = 200_000
 VERIFY_SEED = 7
@@ -118,7 +121,6 @@ class SliceModel:
 class SliceCalibration:
     slices: Mapping[str, SliceModel]
     slice_switch_prob: float = 0.05
-    mixing_weight: float = 0.5
 
     def model(self, slice_name: str) -> SliceModel:
         try:
@@ -300,18 +302,17 @@ def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.G
     With probability ``slice_switch_prob`` the slice changes (uniformly among
     the other two) and the whole vector is redrawn from the new slice;
     otherwise every scalar moves toward a fresh same-slice sample with the
-    configured mixing weight and is clipped to its field range.
+    weight MIXING_WEIGHT and is clipped to its field range.
     """
     if rng.random() < calib.slice_switch_prob:
         others = [s for s in SLICES if s != prev.slice]
         new_slice = others[int(rng.integers(0, len(others)))]
         return sample_network_state(new_slice, calib, rng)
     model = calib.model(prev.slice)
-    w = calib.mixing_weight
     mixed = []
     for old, field in zip(prev.scalars(), model.fields()):
         fresh = field.sample(rng)
-        value = old + w * (fresh - old)
+        value = old + MIXING_WEIGHT * (fresh - old)
         mixed.append(min(max(value, field.clip[0]), field.clip[1]))
     return NetworkState(prev.slice, *mixed)
 

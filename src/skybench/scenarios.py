@@ -107,6 +107,13 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
             for pid, track in doc.get("peers", {}).items()
         }
         swarm = SwarmContext(peers=peers, weather=doc.get("weather", {}))
+        # A blank prompt would make an empty user intent, which no record may hold.
+        prompts = doc.get("user_prompts", [])
+        if not isinstance(prompts, list) or not all(isinstance(p, str) and p.strip() for p in prompts):
+            raise ScenarioError("user_prompts must be a list of non-blank strings")
+        tags = doc.get("tags", [])
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ScenarioError("tags must be a list of strings")
         return Scenario(
             scenario_id=str(doc["scenario_id"]),
             description=str(doc.get("description", "")),
@@ -118,8 +125,8 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
             initial_slice=initial_slice,
             slice_switch_prob=float(switch) if switch is not None else None,
             swarm=swarm,
-            user_prompts=tuple(doc.get("user_prompts", [])),
-            tags=tuple(doc.get("tags", [])),
+            user_prompts=tuple(prompts),
+            tags=tuple(tags),
         )
     except ScenarioError:
         raise
@@ -135,11 +142,15 @@ def load_scenario_file(path: str | Path) -> Scenario:
     return load_scenario(doc)
 
 
-def load_scenario_dir(path: str | Path) -> tuple[Scenario, ...]:
-    files = sorted(Path(path).glob("*.json"))
+def scenario_files(path: str | Path) -> list[Path]:
+    """A scenario file, or the *.json files of a directory in load order."""
+    path = Path(path)
+    if not path.is_dir():
+        return [path]
+    files = sorted(path.glob("*.json"))
     if not files:
         raise ScenarioError(f"no scenario files under {path}")
-    return tuple(load_scenario_file(f) for f in files)
+    return files
 
 
 def builtin_scenarios() -> tuple[Scenario, ...]:

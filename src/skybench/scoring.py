@@ -22,7 +22,7 @@ from .episode import (
     ROLE_AGENT,
     Turn,
     ValidationReport,
-    canonical_float,
+    format_float,
 )
 from .errors import DegenerateInput
 from .network import EMBB, classify_hard
@@ -160,7 +160,7 @@ def _observation_tokens(obs) -> set[str]:
             if len(value) >= 3:
                 tokens.add(value)
         elif isinstance(value, (int, float)):
-            text = format(canonical_float(float(value)), "g")
+            text = format_float(value)
             if len(text.replace("-", "")) >= 2:
                 tokens.add(text)
         elif isinstance(value, dict):

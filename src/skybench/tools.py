@@ -24,7 +24,7 @@ from .environment import (
     VehicleParams,
     check_geofence,
 )
-from .episode import A2aAck, A2aTask, Action, McpCall, McpResult, Observation, canonical_float
+from .episode import A2aAck, A2aTask, Action, McpCall, McpResult, Observation
 from .errors import ParseError
 from .network import NetworkState, SLICES, SliceCalibration, classify_hard, sample_network_state
 
@@ -40,48 +40,42 @@ class ArgSpec:
 @dataclass(frozen=True)
 class ToolSpec:
     name: str
-    protocol: str  # mcp | a2a
     action_class: str  # battery class, one of environment.ACTION_CLASSES
     args: tuple[ArgSpec, ...] = ()
 
 
 DEFAULT_TOOLS: tuple[ToolSpec, ...] = (
-    ToolSpec("read_telemetry", "mcp", "transmit"),
+    ToolSpec("read_telemetry", "transmit"),
     ToolSpec(
         "set_waypoint",
-        "mcp",
         "maneuver",
         (ArgSpec("x", "number"), ArgSpec("y", "number"), ArgSpec("z", "number")),
     ),
     ToolSpec(
         "navigate_to",
-        "mcp",
         "maneuver",
         (ArgSpec("x", "number"), ArgSpec("y", "number"), ArgSpec("z", "number")),
     ),
-    ToolSpec("set_altitude", "mcp", "maneuver", (ArgSpec("z", "number"),)),
+    ToolSpec("set_altitude", "maneuver", (ArgSpec("z", "number"),)),
     ToolSpec(
         "activate_sensor",
-        "mcp",
         "sense",
         (ArgSpec("sensor", "string", choices=tuple(sorted(SENSOR_TYPES))),),
     ),
     ToolSpec(
         "capture_image",
-        "mcp",
         "sense",
         (ArgSpec("sensor", "string", required=False, choices=tuple(sorted(SENSOR_TYPES))),),
     ),
     ToolSpec(
         "switch_network_slice",
-        "mcp",
         "transmit",
         (ArgSpec("slice", "string", choices=SLICES),),
     ),
-    ToolSpec("check_geofence", "mcp", "transmit"),
-    ToolSpec("execute_maneuver", "mcp", "maneuver", (ArgSpec("maneuver", "string"),)),
-    ToolSpec("land", "mcp", "maneuver"),
-    ToolSpec("hover", "mcp", "hover"),
+    ToolSpec("check_geofence", "transmit"),
+    ToolSpec("execute_maneuver", "maneuver", (ArgSpec("maneuver", "string"),)),
+    ToolSpec("land", "maneuver"),
+    ToolSpec("hover", "hover"),
 )
 
 
@@ -108,7 +102,6 @@ def load_registry_extension(doc: Mapping[str, Any] | Sequence[Mapping[str, Any]]
             )
             spec = ToolSpec(
                 name=str(entry["name"]),
-                protocol=str(entry.get("protocol", "mcp")),
                 action_class=str(entry.get("action_class", "transmit")),
                 args=args,
             )
@@ -118,6 +111,15 @@ def load_registry_extension(doc: Mapping[str, Any] | Sequence[Mapping[str, Any]]
             raise ParseError(
                 f"tool {spec.name!r}: action_class {spec.action_class!r} is not one of {list(ACTION_CLASSES)}"
             )
+        # Only MCP calls consult the registry, so a tool of another protocol
+        # could never be called.
+        if entry.get("protocol", "mcp") != "mcp":
+            raise ParseError(f"tool {spec.name!r}: protocol {entry['protocol']!r} is not 'mcp'")
+        for arg in spec.args:
+            if arg.kind not in _KIND_CHECKS:
+                raise ParseError(
+                    f"tool {spec.name!r}: argument {arg.name!r} has kind {arg.kind!r}, not one of {list(_KIND_CHECKS)}"
+                )
         registry[spec.name] = spec
     return registry
 
@@ -151,7 +153,7 @@ def validate_args(spec: ToolSpec, args: Mapping[str, Any]) -> str | None:
                 return f"missing argument {arg.name!r}"
             continue
         value = args[arg.name]
-        if not _KIND_CHECKS.get(arg.kind, lambda v: True)(value):
+        if not _KIND_CHECKS[arg.kind](value):
             return f"argument {arg.name!r} must be {arg.kind}"
         if arg.choices is not None and value not in arg.choices:
             return f"argument {arg.name!r} must be one of {list(arg.choices)}"
@@ -193,10 +195,6 @@ class SwarmContext:
         return tuple(self.peer_position(pid, turn_index) for pid in self.peer_ids())
 
 
-def _round3(values: Sequence[float]) -> list[float]:
-    return [canonical_float(v) for v in values]
-
-
 class ToolExecutor:
     """Executes structured actions; immutable configuration, explicit RNG."""
 
@@ -224,7 +222,7 @@ class ToolExecutor:
         rng: np.random.Generator,
     ) -> tuple[McpResult, UavState, NetworkState]:
         spec = self.registry.get(call.name)
-        if spec is None or spec.protocol != "mcp":
+        if spec is None:
             return McpResult(call.name, {"status": "failed", "error": "unknown_tool"}), state, network
         error = validate_args(spec, call.args)
         if error is not None:
@@ -241,15 +239,15 @@ class ToolExecutor:
     def _tool_read_telemetry(self, call, state, network, rng):
         k = state.kinematics
         result = {
-            "position": _round3(k.position),
-            "speed_mps": canonical_float(k.speed),
-            "yaw_rad": canonical_float(k.yaw),
-            "battery_pct": canonical_float(state.battery_pct),
+            "position": list(k.position),
+            "speed_mps": k.speed,
+            "yaw_rad": k.yaw,
+            "battery_pct": state.battery_pct,
             "network": {
                 "slice": network.slice,
-                "latency_ms": canonical_float(network.latency_ms),
-                "loss_pct": canonical_float(network.loss_pct),
-                "throughput_mbps": canonical_float(network.throughput_mbps),
+                "latency_ms": network.latency_ms,
+                "loss_pct": network.loss_pct,
+                "throughput_mbps": network.throughput_mbps,
             },
         }
         return McpResult(call.name, result), state, network
@@ -257,7 +255,7 @@ class ToolExecutor:
     def _set_target(self, call, state, network, target):
         clamped = (float(target[0]), float(target[1]), self._clamp_altitude(float(target[2])))
         next_state = replace(state, command=NavCommand(target=clamped, landing=state.command.landing))
-        return McpResult(call.name, {"status": "accepted", "target": _round3(clamped)}), next_state, network
+        return McpResult(call.name, {"status": "accepted", "target": list(clamped)}), next_state, network
 
     def _tool_set_waypoint(self, call, state, network, rng):
         return self._set_target(call, state, network, (call.args["x"], call.args["y"], call.args["z"]))
@@ -282,7 +280,7 @@ class ToolExecutor:
             "status": "captured" if sensor in state.sensors else "captured_cold",
             "sensor": sensor,
             "frame_id": int(rng.integers(0, 1_000_000)),
-            "quality": canonical_float(quality),
+            "quality": quality,
         }
         return McpResult(call.name, result), state, network
 
@@ -296,7 +294,7 @@ class ToolExecutor:
         clearance = check.min_clearance_m
         result = {
             "compliant": check.compliant,
-            "min_clearance_m": canonical_float(clearance) if clearance != float("inf") else 1e9,
+            "min_clearance_m": clearance if clearance != float("inf") else 1e9,
         }
         return McpResult(call.name, result), state, network
 
@@ -307,7 +305,7 @@ class ToolExecutor:
         p = state.kinematics.position
         target = (p[0], p[1], self.airspace.z_min_m)
         next_state = replace(state, command=NavCommand(target=target, landing=True))
-        result = {"status": "landing", "target_altitude_m": canonical_float(self.airspace.z_min_m)}
+        result = {"status": "landing", "target_altitude_m": self.airspace.z_min_m}
         return McpResult(call.name, result), next_state, network
 
     def _tool_hover(self, call, state, network, rng):
@@ -341,12 +339,12 @@ class ToolExecutor:
         position = self.swarm.peer_position(peer, turn_index)
         if task.task == "collision_avoidance":
             return {
-                "peer_position": _round3(position),
+                "peer_position": list(position),
                 "advisory": "maintain_heading",
                 "separation_ok": True,
             }
         if task.task == "swarm_status_check":
-            return {"peer": peer, "position": _round3(position), "status": "nominal"}
+            return {"peer": peer, "position": list(position), "status": "nominal"}
         if task.task == "request_weather_update":
             return dict(self.swarm.weather)
         # Cooperative peers answer unlisted coordination tasks with an echo.

@@ -21,7 +21,7 @@ from skybench.episode import (
     Episode,
     FailureStub,
     McpCall,
-    serialize_episode,
+    record_to_line,
     validate_episode,
 )
 from skybench.network import NetworkState, URLLC
@@ -83,7 +83,7 @@ def test_determinism_identical_except_timestamp(scenario_by_id, calibration):
     assert a.final_state == b.final_state
     assert replace(a.metadata, timestamp="") == replace(b.metadata, timestamp="")
     c = run_episode(make_agent("adaptive_pilot", scenario), UserSimulator(), scenario, **kwargs)
-    assert serialize_episode(a) == serialize_episode(c)
+    assert record_to_line(a) == record_to_line(c)
 
 
 def test_greedy_streamer_aborts_on_congested_scenario(scenario_by_id, calibration):
@@ -135,6 +135,7 @@ def test_faulty_agent_exhausts_attempts_to_stub(scenario_by_id, calibration):
     assert record.error_kind == "role_disallowed"
     assert record.model == "faulty_agent"
     assert record.seed == 77
+    assert record.episode_id == "S01-faulty_agent-0000"
 
 
 def test_faulty_agent_recovers_on_second_attempt(scenario_by_id, calibration):
@@ -164,7 +165,7 @@ def test_accepted_line_is_the_records_serialization(scenarios, calibration):
                 agent, UserSimulator(), scenario, calibration=calibration, index=3, on_accept=lines.append,
             )
             assert isinstance(record, Episode)
-            assert lines == [serialize_episode(record).decode()]
+            assert lines == [record_to_line(record)]
     lines = []
     stub = run_episode(
         FaultyAgent(scenarios[0]), UserSimulator(), scenarios[0], calibration=calibration, on_accept=lines.append,

@@ -32,9 +32,10 @@ from skybench.episode import (
     dumps_canonical,
     episode_to_doc,
     make_failure_stub,
-    serialize_episode,
+    record_to_line,
     stub_to_doc,
 )
+from skybench.errors import SkybenchError
 from skybench.network import DEFAULT_TARGETS, MMTC, URLLC
 from skybench.scoring import LEADERBOARD_COLUMNS
 
@@ -107,11 +108,11 @@ def test_stubs_pass_through_unscored(tmp_path):
     out.mkdir()
     rng = np.random.default_rng(0)
     episode = random_episode(rng)
-    stub = make_failure_stub("S01", "random_model", 42, "schema_invalid", timestamp="1970-01-01T00:00:00Z")
+    stub = make_failure_stub(
+        "S01-random_model-0000", "S01", "random_model", 42, "schema_invalid", timestamp="1970-01-01T00:00:00Z"
+    )
     with open(out / "corpus.jsonl", "w") as fh:
-        fh.write(serialize_episode(episode).decode() + "\n")
-        from skybench.episode import record_to_line
-
+        fh.write(record_to_line(episode) + "\n")
         fh.write(record_to_line(stub) + "\n")
     cmd_score(str(out))
     records = [json.loads(line) for line in (out / SCORES_NAME).read_text().splitlines()]
@@ -192,7 +193,7 @@ def test_validate_command_exit_codes(tmp_path):
     rng = np.random.default_rng(2)
     episode = random_episode(rng)
     good = tmp_path / "good.json"
-    good.write_bytes(serialize_episode(episode))
+    good.write_text(record_to_line(episode))
     assert main(["validate", str(good)]) == EXIT_OK
 
     doc = episode_to_doc(episode)
@@ -245,10 +246,15 @@ def test_config_file_defaults(tmp_path):
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(episodes_per_scenario=0)
-    with pytest.raises(ValueError):
-        RunConfig(parallel=0)
+    for bad in (
+        {"episodes_per_scenario": 0},
+        {"parallel": 0},
+        {"episode_seed_set": ()},
+        {"agents": ()},
+        {"agents": ("safe_pilot", "greedy_streamer", "safe_pilot")},
+    ):
+        with pytest.raises(SkybenchError):
+            RunConfig(**bad)
     assert RunConfig().config_hash() == RunConfig().config_hash()
     assert RunConfig(seed=7).config_hash() != RunConfig().config_hash()
 
@@ -268,12 +274,157 @@ def test_builtin_corpus_bytes_are_pinned(tmp_path):
     assert digest == "518c8dc371de11990a3f4d40e20f112ca52d176c4f3257d8c277a37d26e2c5fc"
 
 
+def test_failure_stub_corpus_bytes_are_pinned(tmp_path):
+    import sys
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "agents": ["safe_pilot", "dead"],
+        "external_agents": {"dead": [sys.executable, "-c", "import sys; sys.exit(0)"]},
+        "episodes_per_scenario": 2,
+        "canonical": True,
+    }))
+    out = tmp_path / "pin"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    corpus = (out / "corpus.jsonl").read_bytes()
+    assert corpus.count(b'"error_kind":"internal"') == 6
+    assert hashlib.sha256(corpus).hexdigest() == "e5daf50f61f5f2094fe62f0a22c8dd47927e8622166f2a4d0ac309e5ed4a624a"
+
+
+def _builtin_scenario_doc() -> dict:
+    return json.loads((resources.files("skybench.data") / "scenarios" / "s01_thermal_survey.json").read_text("utf-8"))
+
+
+_ECHO_POLICY = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    json.loads(line)\n"
+    "    print(json.dumps({'intent': 'monitoring pass ' + sys.argv[1], 'action': None}), flush=True)\n"
+)
+
+
+@pytest.mark.parametrize("change", ["calibration", "scenario", "tools", "external_argv"])
+def test_resume_discards_records_of_changed_inputs(tmp_path, change):
+    import sys
+
+    scenario = _builtin_scenario_doc()
+    targets = {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
+    tools = {"tools": [{"name": "read_telemetry", "action_class": "transmit"}]}
+    argv = [sys.executable, "-c", _ECHO_POLICY, "alpha"]
+    inputs = tmp_path / "inputs"
+    (inputs / "scenarios").mkdir(parents=True)
+
+    def run(out: Path) -> bytes:
+        (inputs / "scenarios" / "s01.json").write_text(json.dumps(scenario))
+        (inputs / "calibration.json").write_text(json.dumps(targets))
+        (inputs / "tools.json").write_text(json.dumps(tools))
+        (inputs / "config.json").write_text(json.dumps({
+            "scenarios": str(inputs / "scenarios"),
+            "calibration": str(inputs / "calibration.json"),
+            "tools": str(inputs / "tools.json"),
+            "agents": ["safe_pilot", "probe"],
+            "external_agents": {"probe": argv},
+            "episodes_per_scenario": 2,
+            "canonical": True,
+        }))
+        assert main(["generate", "--config", str(inputs / "config.json"), "--out", str(out)]) == EXIT_OK
+        return (out / "corpus.jsonl").read_bytes()
+
+    first = run(tmp_path / "run")
+    if change == "calibration":
+        targets["eMBB"].update(latency_median_ms=30.0, latency_p90_ms=60.0)
+    elif change == "scenario":
+        scenario["description"] = "thermal survey of the south field"
+    elif change == "tools":
+        tools["tools"][0]["action_class"] = "maneuver"
+    else:
+        argv[-1] = "beta"
+    rerun = run(tmp_path / "run")
+    assert rerun == run(tmp_path / "fresh")
+    assert rerun != first
+
+
+def test_config_hash_reads_input_documents_not_their_text(tmp_path):
+    path = tmp_path / "calibration.json"
+    targets = {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
+    path.write_text(json.dumps(targets))
+    compact = RunConfig(calibration=str(path)).config_hash()
+    path.write_text(json.dumps(targets, indent=4, sort_keys=True))
+    assert RunConfig(calibration=str(path)).config_hash() == compact
+    # A change in the seventh significant digit, which six-digit canonical
+    # floats would hide, is a different input.
+    targets[URLLC]["latency_median_ms"] = 7.000001
+    path.write_text(json.dumps(targets))
+    assert RunConfig(calibration=str(path)).config_hash() != compact
+
+
+@pytest.mark.parametrize("manifest", [b"[]", b'"text"', b"\xff", b"{broken"])
+def test_unreadable_manifest_means_regenerate(tmp_path, manifest):
+    out = tmp_path / "run"
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--canonical", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    corpus = out / "corpus.jsonl"
+    full = corpus.read_bytes()
+    stale = [json.dumps({"episode_id": json.loads(line)["episode_id"]}) for line in full.decode().splitlines()]
+    corpus.write_text("\n".join(stale) + "\n")
+    (out / MANIFEST_NAME).write_bytes(manifest)
+    assert main(argv) == EXIT_OK
+    assert corpus.read_bytes() == full
+    assert main(["score", "--out", str(out)]) == EXIT_OK
+    (out / MANIFEST_NAME).write_bytes(manifest)
+    assert main(["aggregate", "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--episodes-per-scenario", "0"],
+        ["generate", "--parallel", "0"],
+        ["generate", "--agents", ""],
+        ["generate", "--agents", "safe_pilot,safe_pilot"],
+        ["aggregate", "--episode-budget", "-3"],
+    ],
+)
+def test_bad_numbers_and_agent_lists_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert cmd_generate(tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=1)) == EXIT_OK
+    assert cmd_score(str(out)) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("user_prompts", "begin", "user_prompts must be a list of non-blank strings"),
+        ("user_prompts", [1, 2], "user_prompts must be a list of non-blank strings"),
+        ("user_prompts", ["take off", "  "], "user_prompts must be a list of non-blank strings"),
+        ("tags", "clean", "tags must be a list of strings"),
+        ("tags", ["clean", 3], "tags must be a list of strings"),
+    ],
+)
+def test_generate_rejects_bad_scenario_lists(tmp_path, capsys, key, value, message):
+    scenario = _builtin_scenario_doc()
+    scenario[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--scenarios", str(path), "--episodes-per-scenario", "1",
+        "--agents", "safe_pilot", "--out", str(out),
+    ]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "corpus.jsonl").exists()
+
+
 def test_generate_rejects_bad_disturbance_inputs(tmp_path, capsys):
-    source = resources.files("skybench.data") / "scenarios" / "s01_thermal_survey.json"
     bad = [(key, -0.5) for key in ("sigma_pos_m", "sigma_vel_mps", "clip_sigmas")]
     bad += [("sigma_pos_m", float("nan")), ("sigma_vel_mps", float("inf"))]
     for i, (key, value) in enumerate(bad):
-        scenario = json.loads(source.read_text("utf-8"))
+        scenario = _builtin_scenario_doc()
         scenario["disturbance"][key] = value
         path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(scenario))
@@ -361,6 +512,8 @@ def test_generate_rejects_bad_calibration_file(tmp_path, capsys, targets, messag
     [
         ({"name": "read_telemetry", "action_class": "warp"}, "action_class 'warp' is not one of"),
         (["read_telemetry"], "tool registry entry must be an object"),
+        ({"name": "ping", "args": [{"name": "n", "kind": "float"}]}, "argument 'n' has kind 'float'"),
+        ({"name": "ping", "protocol": "a2a"}, "protocol 'a2a' is not 'mcp'"),
     ],
 )
 def test_generate_rejects_bad_tool_file(tmp_path, capsys, entry, message):
@@ -379,7 +532,7 @@ def test_malformed_corpus_lines_counted_not_fatal(tmp_path):
     out = tmp_path / "messy"
     out.mkdir()
     rng = np.random.default_rng(9)
-    good = serialize_episode(random_episode(rng)).decode()
+    good = record_to_line(random_episode(rng))
     (out / "corpus.jsonl").write_text(good + "\n{broken json\n" + good + "\n")
     assert cmd_score(str(out)) == EXIT_OK
     meta = json.loads((out / "scoring_meta.json").read_text())
@@ -413,7 +566,7 @@ def test_score_counts_incomplete_failure_stub_as_malformed(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     rng = np.random.default_rng(15)
-    good = serialize_episode(random_episode(rng)).decode()
+    good = record_to_line(random_episode(rng))
     (out / "corpus.jsonl").write_text(good + '\n{"kind":"failure_stub","model":"x"}\n')
     assert main(["score", "--out", str(out)]) == EXIT_OK
     meta = json.loads((out / "scoring_meta.json").read_text())
@@ -428,7 +581,7 @@ def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(12)
     docs = [episode_to_doc(random_episode(rng)) for _ in range(5)]
     docs[1]["turns"] = docs[1]["turns"][:7]  # invalid, so never built
-    stub = stub_to_doc(make_failure_stub("S01", "safe_pilot", 42, "internal"))
+    stub = stub_to_doc(make_failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal"))
     (out / "corpus.jsonl").write_text("".join(dumps_canonical(d) + "\n" for d in docs + [stub]))
     calls = {"validate_episode": 0, "doc_to_episode": 0}
     for name in calls:
@@ -445,7 +598,7 @@ def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):
 
 def test_validate_lists_malformed_lines_and_goes_on(tmp_path, capsys):
     rng = np.random.default_rng(13)
-    good = serialize_episode(random_episode(rng)).decode()
+    good = record_to_line(random_episode(rng))
     short = episode_to_doc(random_episode(rng))
     short["turns"] = short["turns"][:7]
     corpus = tmp_path / "corpus.jsonl"
@@ -463,7 +616,7 @@ def test_validate_lists_malformed_lines_and_goes_on(tmp_path, capsys):
 
 
 def test_validate_counts_incomplete_failure_stub_as_malformed(tmp_path, capsys):
-    stub = dumps_canonical(stub_to_doc(make_failure_stub("S01", "safe_pilot", 42, "internal")))
+    stub = dumps_canonical(stub_to_doc(make_failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal")))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(stub + "\n")
     assert main(["validate", str(corpus)]) == EXIT_OK
@@ -477,7 +630,7 @@ def test_analytics_skips_malformed_lines_with_warning(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
     rng = np.random.default_rng(14)
-    good = serialize_episode(random_episode(rng)).decode()
+    good = record_to_line(random_episode(rng))
     (out / "corpus.jsonl").write_text("\n".join([good, "{broken json", good, '{"turns": []}']) + "\n")
     assert main(["analytics", "--out", str(out)]) == EXIT_OK
     assert "warning: 2 malformed lines skipped" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from skybench.environment import (
+    BATTERY_DRAW,
     Airspace,
     DisturbanceModel,
     Geofence,
@@ -164,32 +165,33 @@ def test_separation_margin_inclusive():
 
 # -- battery -----------------------------------------------------------------
 
-def test_battery_idle_zero_draw_unchanged():
-    params = replace(PARAMS, idle_draw=0.0)
+def test_battery_idle_zero_draw_unchanged(monkeypatch):
+    monkeypatch.setitem(BATTERY_DRAW, "idle", 0.0)
     state = UavState(battery_pct=50.0)
-    assert update_battery(state, "idle", params, dt=5.0).battery_pct == 50.0
+    assert update_battery(state, "idle", dt=5.0).battery_pct == 50.0
 
 
-def test_battery_threshold_crossing_sets_sticky_flag():
-    params = replace(PARAMS, maneuver_draw=1.0)
+def test_battery_threshold_crossing_sets_sticky_flag(monkeypatch):
+    monkeypatch.setitem(BATTERY_DRAW, "maneuver", 1.0)
     state = UavState(battery_pct=5.5)
-    out = update_battery(state, "maneuver", params, dt=1.0)
+    out = update_battery(state, "maneuver", dt=1.0)
     assert out.battery_pct == pytest.approx(4.5)
     assert out.flags.battery_depleted
     # Flag stays set even after a zero-draw update.
-    again = update_battery(out, "idle", replace(params, idle_draw=0.0), dt=1.0)
+    monkeypatch.setitem(BATTERY_DRAW, "idle", 0.0)
+    again = update_battery(out, "idle", dt=1.0)
     assert again.flags.battery_depleted
 
 
-def test_battery_floors_at_zero():
-    params = replace(PARAMS, maneuver_draw=1.0)
-    out = update_battery(UavState(battery_pct=0.3), "maneuver", params, dt=1.0)
+def test_battery_floors_at_zero(monkeypatch):
+    monkeypatch.setitem(BATTERY_DRAW, "maneuver", 1.0)
+    out = update_battery(UavState(battery_pct=0.3), "maneuver", dt=1.0)
     assert out.battery_pct == 0.0
 
 
 def test_unknown_action_class_rejected():
     with pytest.raises(InvalidInput):
-        update_battery(UavState(), "warp", PARAMS, dt=1.0)
+        update_battery(UavState(), "warp", dt=1.0)
 
 
 # -- closed-loop evolution ---------------------------------------------------

@@ -11,17 +11,16 @@ from skybench.episode import (
     FailureStub,
     canonical_float,
     doc_to_episode,
+    doc_to_stub,
     dumps_canonical,
     episode_to_doc,
+    format_float,
     line_to_record,
     make_failure_stub,
-    parse_episode,
     record_to_line,
-    serialize_episode,
     stub_error_kind,
     stub_to_doc,
     validate_episode,
-    write_corpus,
 )
 from skybench.cli import _corpus_lines
 from skybench.errors import ParseError
@@ -68,11 +67,11 @@ def test_consecutive_agent_turns_flag_second_index():
 
 def test_parse_error_on_truncated_and_non_object_input():
     with pytest.raises(ParseError):
-        parse_episode(b'{"episode_id": "x", "metadata"')
+        line_to_record(b'{"episode_id": "x", "metadata"')
     with pytest.raises(ParseError):
-        parse_episode(b"[1, 2, 3]")
+        line_to_record(b"[1, 2, 3]")
     with pytest.raises(ParseError):
-        validate_episode(b"not json at all{")
+        line_to_record("not json at all{")
 
 
 def test_validation_is_total_over_corruptions():
@@ -106,15 +105,15 @@ def test_round_trip_identity_over_random_episodes():
     rng = np.random.default_rng(6)
     for _ in range(1000):
         episode = random_episode(rng)
-        data = serialize_episode(episode)
-        assert parse_episode(data) == episode
-        assert serialize_episode(parse_episode(data)) == data
+        line = record_to_line(episode)
+        assert line_to_record(line) == episode
+        assert record_to_line(line_to_record(line)) == line
 
 
 def test_canonical_serialization_is_byte_stable():
     rng = np.random.default_rng(7)
     episode = random_episode(rng)
-    assert serialize_episode(episode) == serialize_episode(episode)
+    assert record_to_line(episode) == record_to_line(episode)
     # Key order of the input document does not affect the bytes.
     doc = episode_to_doc(episode)
     shuffled = json.loads(json.dumps(doc))
@@ -131,6 +130,7 @@ def test_canonical_float_six_significant_digits():
     assert canonical_float(1.23456789) == 1.23457
     assert canonical_float(1234567.89) == 1234570.0
     assert canonical_float(0.5) == 0.5
+    assert (format_float(1.23456789), format_float(1234567.89), format_float(2)) == ("1.23457", "1.23457e+06", "2")
 
 
 def test_lenient_mode_ignores_unknown_fields():
@@ -142,14 +142,19 @@ def test_lenient_mode_ignores_unknown_fields():
 
 
 def test_make_failure_stub_contract():
-    stub = make_failure_stub("S17", "scripted-greedy", 77, "schema_invalid")
+    stub = make_failure_stub("S17-scripted-greedy-0003", "S17", "scripted-greedy", 77, "schema_invalid")
     assert stub.attempts_used == 3
     assert stub.error_kind == "schema_invalid"
     doc = stub_to_doc(stub)
     assert doc["kind"] == "failure_stub"
+    assert doc["episode_id"] == "S17-scripted-greedy-0003"
     assert "turns" not in doc and "final_state" not in doc
+    assert doc_to_stub(doc) == stub
+    del doc["episode_id"]
+    with pytest.raises(ParseError):
+        doc_to_stub(doc)
     with pytest.raises(ValueError):
-        make_failure_stub("S1", "m", 1, "not_a_kind")
+        make_failure_stub("S1-m-0000", "S1", "m", 1, "not_a_kind")
 
 
 def test_stub_error_kind_mapping():
@@ -165,9 +170,9 @@ def test_stub_error_kind_mapping():
 def test_corpus_round_trip_with_stubs(tmp_path):
     rng = np.random.default_rng(11)
     records = [random_episode(rng) for _ in range(3)]
-    records.append(make_failure_stub("S01", "m", 42, "turn_bounds", timestamp="1970-01-01T00:00:00Z"))
+    records.append(make_failure_stub("S01-m-0000", "S01", "m", 42, "turn_bounds", timestamp="1970-01-01T00:00:00Z"))
     path = tmp_path / "corpus.jsonl"
-    assert write_corpus(path, records) == 4
+    path.write_text("".join(record_to_line(record) + "\n" for record in records))
     loaded = [line_to_record(line) for _, line in _corpus_lines(path)]
     assert loaded == records
     stub_line = record_to_line(records[-1])

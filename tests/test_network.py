@@ -139,8 +139,11 @@ def test_slice_latency_ordering(calibration):
     assert means[URLLC] < means[EMBB] < means[MMTC]
 
 
-def test_evolve_identity_with_zero_mixing(calibration):
-    calib = replace(calibration, mixing_weight=0.0, slice_switch_prob=0.0)
+def test_evolve_identity_with_zero_mixing(calibration, monkeypatch):
+    import skybench.network as network
+
+    monkeypatch.setattr(network, "MIXING_WEIGHT", 0.0)
+    calib = replace(calibration, slice_switch_prob=0.0)
     rng = np.random.default_rng(9)
     state = sample_network_state(EMBB, calib, rng)
     evolved = evolve_network(state, calib, rng)
