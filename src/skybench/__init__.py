@@ -3,7 +3,6 @@
 from .agents import (
     AdaptiveActionFilter,
     AdaptivePilot,
-    AgentPolicy,
     GreedyStreamer,
     SafePilot,
     SubprocessPolicy,

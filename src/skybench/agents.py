@@ -14,7 +14,7 @@ import json
 import math
 import subprocess
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .episode import (
     doc_to_action,
     doc_to_episode,
     dumps_canonical,
+    dumps_document,
     episode_to_doc,
     network_to_doc,
     turn_to_doc,
@@ -81,21 +82,6 @@ GEN_BASE_S = 0.6
 GEN_PER_TURN_S = 0.25
 
 
-@runtime_checkable
-class AgentPolicy(Protocol):
-    """Behavioural contract: deterministic given (history, state, network, strictness)."""
-
-    name: str
-
-    def next_turn(
-        self,
-        history: Sequence[Turn],
-        state,
-        network: NetworkState,
-        strictness: int = 0,
-    ) -> tuple[str, Action | None]: ...
-
-
 class AdaptiveActionFilter:
     """Communication-safe action subset enforced under a degraded link."""
 
@@ -108,8 +94,10 @@ class AdaptiveActionFilter:
         return isinstance(action, McpCall) and action.name in SAFE_TOOLS
 
 
-@dataclass(frozen=True)
+@dataclass
 class MissionStatus:
+    """Progress of one attempt, updated in place turn by turn."""
+
     arrived: bool = False
     captured: bool = False
     completed: bool = False
@@ -531,18 +519,14 @@ def run_episode(
             timestamp=timestamp,
         )
         episode = Episode(episode_id=episode_id, metadata=metadata, turns=tuple(turns), final_state=final_state)
+        # The document is canonical as built: it equals its stored line
+        # parsed back, so the line, the validation and the returned value
+        # all come from it.
         doc = episode_to_doc(episode)
-        tamper = getattr(agent, "tamper_document", None)
-        if tamper is not None:
-            doc = tamper(doc, strictness)
-        # Validate the canonical line itself, so the in-memory value equals
-        # the on-disk value bit for bit.
-        line = dumps_canonical(doc)
-        doc = json.loads(line)
         report = validate_episode(doc)
         if report.valid:
             if on_accept is not None:
-                on_accept(line)
+                on_accept(dumps_document(doc))
             return doc_to_episode(doc)
         last_report = report
     error_kind = stub_error_kind(last_report) if last_report is not None else "internal"
@@ -573,14 +557,10 @@ def _run_attempt(
     status = MissionStatus()
     turns: list[Turn] = []
 
-    def bump_hard_run(current: MissionStatus, turn_network: NetworkState) -> MissionStatus:
-        run = current.hard_run + 1 if classify_hard(turn_network) else 0
-        return replace(current, hard_run=run)
-
     while True:
         user_turn = simulate_user_turn(user, len(turns), scenario, status, network)
         turns.append(user_turn)
-        status = bump_hard_run(status, network)
+        status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
         network = evolve_network(network, calib, net_rng)
 
         intent, action = agent.next_turn(tuple(turns), state, network, strictness)
@@ -592,7 +572,7 @@ def _run_attempt(
         elif isinstance(action, A2aTask):
             observation = executor.execute_a2a(action, network, tool_rng, turn_index=len(turns) // 2)
         turns.append(Turn(role=ROLE_AGENT, intent=intent, action=action, observation=observation, network=network))
-        status = bump_hard_run(status, network)
+        status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
 
         if (
             isinstance(action, McpCall)
@@ -600,7 +580,7 @@ def _run_attempt(
             and status.arrived
             and not status.captured
         ):
-            status = replace(status, captured=True)
+            status.captured = True
 
         step_index = len(turns) // 2 - 1
         state = evolve_state(
@@ -616,16 +596,15 @@ def _run_attempt(
         network = evolve_network(post_network, calib, net_rng)
 
         if not status.arrived and _distance(state.kinematics.position, scenario.mission.target) <= scenario.mission.arrival_tolerance_m:
-            status = replace(status, arrived=True)
+            status.arrived = True
         if status.aborted is None:
-            done = status.arrived and (status.captured or scenario.mission.capture_sensor is None)
-            if done and not status.completed:
-                status = replace(status, completed=True)
+            if status.arrived and (status.captured or scenario.mission.capture_sensor is None):
+                status.completed = True
         if status.aborted is None and not status.completed:
             if state.battery_pct <= 0.0:
-                status = replace(status, aborted="battery_depleted")
+                status.aborted = "battery_depleted"
             elif status.hard_run >= DEGRADED_TERMINATION_RUN:
-                status = replace(status, aborted="network_degraded")
+                status.aborted = "network_degraded"
 
         n_turns = len(turns)
         if n_turns >= MAX_TURNS:

@@ -104,7 +104,10 @@ def _resolve(flag_value, env_name: str, config: Mapping[str, Any], key: str, def
         return flag_value
     raw = _env(env_name)
     if raw is not None:
-        return cast(raw) if cast else raw
+        try:
+            return cast(raw) if cast else raw
+        except ValueError:
+            raise ScenarioError(f"{ENV_PREFIX}{env_name.upper()}={raw!r} is not a valid value") from None
     if key in config:
         return config[key]
     return default
@@ -151,6 +154,10 @@ def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
                 yield lineno, line
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: str = "builtin"
@@ -167,6 +174,21 @@ class RunConfig:
     external_agents: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("episodes_per_scenario", "seed", "parallel"):
+            if not _is_int(getattr(self, name)):
+                raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(_is_int(s) for s in self.episode_seed_set):
+            raise ScenarioError(f"episode seeds must be integers: {list(self.episode_seed_set)}")
+        if self.seed < 0 or any(s < 0 for s in self.episode_seed_set):
+            raise ScenarioError("seeds must be non-negative")
+        for name in ("scenarios", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ScenarioError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("calibration", "tools"):
+            if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
+                raise ScenarioError(f"{name} must be a path string, got {getattr(self, name)!r}")
+        if not all(isinstance(a, str) for a in self.agents):
+            raise ScenarioError(f"agent names must be strings: {list(self.agents)}")
         if self.episodes_per_scenario < 1:
             raise ScenarioError("episodes_per_scenario must be at least 1")
         if not self.episode_seed_set:
@@ -747,13 +769,26 @@ def _add_strictness(parser: argparse.ArgumentParser) -> None:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "generate":
         config_doc = _read_json(args.config, "config") if args.config else {}
+        if not isinstance(config_doc, dict):
+            raise ScenarioError(f"config {args.config} must hold a JSON object")
         agents_raw = _resolve(args.agents, "agents", config_doc, "agents", None)
         if isinstance(agents_raw, str):
             agents = tuple(a.strip() for a in agents_raw.split(",") if a.strip())
-        elif agents_raw is not None:
+        elif isinstance(agents_raw, list):
             agents = tuple(agents_raw)
+        elif agents_raw is not None:
+            raise ScenarioError(f"agents must be a list or a comma-separated string, got {agents_raw!r}")
         else:
             agents = DEFAULT_AGENTS
+        seed_set = config_doc.get("episode_seed_set", list(DEFAULT_EPISODE_SEEDS))
+        if not isinstance(seed_set, list):
+            raise ScenarioError(f"episode_seed_set must be a list, got {seed_set!r}")
+        external = config_doc.get("external_agents", {})
+        if not isinstance(external, dict) or not all(
+            isinstance(argv, list) and argv and all(isinstance(part, str) for part in argv)
+            for argv in external.values()
+        ):
+            raise ScenarioError("external_agents must map each name to a non-empty argv list of strings")
         config = RunConfig(
             scenarios=_resolve(args.scenarios, "scenarios", config_doc, "scenarios", "builtin"),
             agents=agents,
@@ -762,15 +797,12 @@ def _run(args: argparse.Namespace) -> int:
                 "episodes_per_scenario", DEFAULT_EPISODES_PER_SCENARIO, int,
             ),
             seed=_resolve(args.seed, "seed", config_doc, "seed", DEFAULT_SEED, int),
-            episode_seed_set=tuple(config_doc.get("episode_seed_set", DEFAULT_EPISODE_SEEDS)),
+            episode_seed_set=tuple(seed_set),
             out=_resolve(args.out, "out", config_doc, "out", "runs"),
             parallel=_resolve(args.parallel, "parallel", config_doc, "parallel", 1, int),
             calibration=_resolve(args.calibration, "calibration", config_doc, "calibration", None),
             tools=_resolve(args.tools, "tools", config_doc, "tools", None),
-            external_agents=tuple(
-                (str(name), tuple(str(part) for part in argv))
-                for name, argv in config_doc.get("external_agents", {}).items()
-            ),
+            external_agents=tuple((name, tuple(argv)) for name, argv in external.items()),
             canonical=bool(_resolve(args.canonical, "canonical", config_doc, "canonical", False, lambda v: v == "1")),
         )
         return cmd_generate(config)

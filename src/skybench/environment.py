@@ -40,7 +40,7 @@ class KinematicState:
 
     @property
     def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+        return _norm3(self.velocity)
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,18 @@ class DisturbanceModel:
     def none(cls) -> "DisturbanceModel":
         return cls(0.0, 0.0, clip_sigmas=None)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        sigma = np.array([self.sigma_pos] * 3 + [self.sigma_vel] * 3)
-        shape = (6,) if size is None else (size, 6)
-        draw = rng.standard_normal(shape) * sigma
+    def sample(self, rng: np.random.Generator) -> list[float]:
+        """One draw: three position components, then three velocity components."""
+        sp, sv = self.sigma_pos, self.sigma_vel
+        z = rng.standard_normal(6).tolist()
+        draw = [z[0] * sp, z[1] * sp, z[2] * sp, z[3] * sv, z[4] * sv, z[5] * sv]
         if self.clip_sigmas is not None:
-            bound = self.clip_sigmas * sigma
-            draw = np.clip(draw, -bound, bound)
+            # numpy.clip's order: raise to the lower bound, then cut at the upper.
+            c = self.clip_sigmas
+            for i, sigma in enumerate((sp, sp, sp, sv, sv, sv)):
+                bound = c * sigma
+                d = draw[i] if draw[i] > -bound else -bound
+                draw[i] = d if d < bound else bound
         return draw
 
 
@@ -147,6 +152,26 @@ class GeofenceCheck:
     min_clearance_m: float
 
 
+def _norm3(v: Sequence[float]) -> float:
+    """Euclidean length of a 3-vector, rounded as sqrt(fma(z, z, fma(y, y, x*x))).
+
+    That is how the BLAS dot product behind numpy.linalg.norm accumulates on
+    FMA hardware, so trajectories stay bit-identical to the numpy-based
+    physics that earlier corpora were made with.  Each fused multiply-add is
+    emulated exactly: a Veltkamp split gives c*c as an unrounded pair, and
+    math.fsum rounds the pair plus the running sum once.
+    """
+    x, y, z = v
+    total = x * x
+    for c in (y, z):
+        t = 134217729.0 * c  # 2**27 + 1
+        hi = t - (t - c)
+        lo = c - hi
+        square = c * c
+        total = math.fsum((square, ((hi * hi - square) + 2.0 * hi * lo) + lo * lo, total))
+    return math.sqrt(total)
+
+
 def step_kinematics(k: KinematicState, thrust: Vec3, params: VehicleParams, dt: float) -> KinematicState:
     """One constant-acceleration step under world-frame thrust and gravity.
 
@@ -155,30 +180,25 @@ def step_kinematics(k: KinematicState, thrust: Vec3, params: VehicleParams, dt: 
     """
     if dt <= 0:
         raise InvalidInput("dt must be positive")
-    force = np.asarray(thrust, dtype=float)
-    magnitude = float(np.linalg.norm(force))
+    magnitude = _norm3(thrust)
     if magnitude > params.max_thrust_n + 1e-9:
         raise InvalidInput(f"thrust {magnitude:.3f} N exceeds limit {params.max_thrust_n} N")
-    accel = force / params.mass_kg + np.asarray(GRAVITY)
-    p = np.asarray(k.position)
-    v = np.asarray(k.velocity)
-    p_next = p + v * dt + 0.5 * accel * dt * dt
-    v_next = v + accel * dt
-    return replace(
-        k,
-        position=tuple(float(x) for x in p_next),
-        velocity=tuple(float(x) for x in v_next),
+    m = params.mass_kg
+    gx, gy, gz = GRAVITY
+    ax, ay, az = thrust[0] / m + gx, thrust[1] / m + gy, thrust[2] / m + gz
+    (px, py, pz), (vx, vy, vz) = k.position, k.velocity
+    return KinematicState(
+        (px + vx * dt + 0.5 * ax * dt * dt, py + vy * dt + 0.5 * ay * dt * dt, pz + vz * dt + 0.5 * az * dt * dt),
+        (vx + ax * dt, vy + ay * dt, vz + az * dt),
+        k.yaw,
     )
 
 
 def apply_disturbance(k: KinematicState, model: DisturbanceModel, rng: np.random.Generator) -> KinematicState:
     """Add a clipped Gaussian perturbation to the position and velocity."""
-    noise = model.sample(rng)
-    return replace(
-        k,
-        position=tuple(float(a + b) for a, b in zip(k.position, noise[:3])),
-        velocity=tuple(float(a + b) for a, b in zip(k.velocity, noise[3:])),
-    )
+    n = model.sample(rng)
+    (px, py, pz), (vx, vy, vz) = k.position, k.velocity
+    return KinematicState((px + n[0], py + n[1], pz + n[2]), (vx + n[3], vy + n[4], vz + n[5]), k.yaw)
 
 
 def check_geofence(position: Sequence[float], airspace: Airspace) -> GeofenceCheck:
@@ -198,20 +218,24 @@ def check_altitude(position: Sequence[float], airspace: Airspace) -> bool:
 
 
 def check_separation(position: Sequence[float], peer_positions: Iterable[Sequence[float]], margin_m: float) -> bool:
-    p = np.asarray(position, dtype=float)
+    x, y, z = position
     for peer in peer_positions:
-        if float(np.linalg.norm(p - np.asarray(peer, dtype=float))) < margin_m:
+        if _norm3((x - peer[0], y - peer[1], z - peer[2])) < margin_m:
             return False
     return True
 
 
-def update_battery(state: UavState, action_class: str, dt: float) -> UavState:
-    """Drain the battery by the class draw, floored at zero; depletion is sticky."""
+def _drain(battery_pct: float, action_class: str, dt: float) -> float:
     if dt <= 0:
         raise InvalidInput("dt must be positive")
     if action_class not in BATTERY_DRAW:
         raise InvalidInput(f"unknown action class: {action_class!r}")
-    battery = max(0.0, state.battery_pct - BATTERY_DRAW[action_class] * dt)
+    return max(0.0, battery_pct - BATTERY_DRAW[action_class] * dt)
+
+
+def update_battery(state: UavState, action_class: str, dt: float) -> UavState:
+    """Drain the battery by the class draw, floored at zero; depletion is sticky."""
+    battery = _drain(state.battery_pct, action_class, dt)
     flags = state.flags.union(SafetyFlags(battery_depleted=battery < BATTERY_DEPLETED_PCT))
     return replace(state, battery_pct=battery, flags=flags)
 
@@ -219,37 +243,29 @@ def update_battery(state: UavState, action_class: str, dt: float) -> UavState:
 def _control_thrust(k: KinematicState, command: NavCommand, params: VehicleParams, dt: float) -> Vec3:
     """World-frame deadbeat thrust toward the commanded target, bounded by
     cruise speed and available thrust."""
-    p = np.asarray(k.position)
-    v = np.asarray(k.velocity)
+    vx, vy, vz = k.velocity
     if command.target is not None:
-        delta = np.asarray(command.target) - p
-        accel = 2.0 * (delta - v * dt) / (dt * dt)
+        (tx, ty, tz), (px, py, pz) = command.target, k.position
+        h = dt * dt
+        ax = 2.0 * ((tx - px) - vx * dt) / h
+        ay = 2.0 * ((ty - py) - vy * dt) / h
+        az = 2.0 * ((tz - pz) - vz * dt) / h
     else:
-        accel = -v / dt
-    v_next = v + accel * dt
-    speed = float(np.linalg.norm(v_next))
-    if speed > params.cruise_speed_mps:
-        accel = (v_next * (params.cruise_speed_mps / speed) - v) / dt
-    thrust = params.mass_kg * (accel - np.asarray(GRAVITY))
-    magnitude = float(np.linalg.norm(thrust))
+        ax, ay, az = -vx / dt, -vy / dt, -vz / dt
+    nx, ny, nz = vx + ax * dt, vy + ay * dt, vz + az * dt
+    speed = _norm3((nx, ny, nz))
+    cruise = params.cruise_speed_mps
+    if speed > cruise:
+        scale = cruise / speed
+        ax, ay, az = (nx * scale - vx) / dt, (ny * scale - vy) / dt, (nz * scale - vz) / dt
+    m = params.mass_kg
+    gx, gy, gz = GRAVITY
+    thrust = (m * (ax - gx), m * (ay - gy), m * (az - gz))
+    magnitude = _norm3(thrust)
     if magnitude > params.max_thrust_n:
-        thrust = thrust * (params.max_thrust_n / magnitude)
-    return tuple(float(x) for x in thrust)
-
-
-def evaluate_flags(
-    state: UavState,
-    airspace: Airspace,
-    peer_positions: Iterable[Sequence[float]] = (),
-) -> SafetyFlags:
-    position = state.kinematics.position
-    observed = SafetyFlags(
-        altitude_violation=not check_altitude(position, airspace),
-        nfz_violation=not check_geofence(position, airspace).compliant,
-        separation_breach=not check_separation(position, peer_positions, airspace.separation_margin_m),
-        battery_depleted=state.battery_pct < BATTERY_DEPLETED_PCT,
-    )
-    return state.flags.union(observed)
+        scale = params.max_thrust_n / magnitude
+        thrust = (thrust[0] * scale, thrust[1] * scale, thrust[2] * scale)
+    return thrust
 
 
 def evolve_state(
@@ -270,9 +286,18 @@ def evolve_state(
     safety flag (sticky accumulation).  Tool-induced command changes happen
     upstream in the tool executor.
     """
+    if dt <= 0:
+        raise InvalidInput("dt must be positive")
     thrust = _control_thrust(state.kinematics, state.command, params, dt)
-    kin = step_kinematics(state.kinematics, thrust, params, dt)
-    kin = apply_disturbance(kin, disturbance, rng)
-    moved = replace(state, kinematics=kin)
-    moved = update_battery(moved, action_class, dt)
-    return replace(moved, flags=evaluate_flags(moved, airspace, peer_positions))
+    kin = apply_disturbance(step_kinematics(state.kinematics, thrust, params, dt), disturbance, rng)
+    position = kin.position
+    battery = _drain(state.battery_pct, action_class, dt)
+    f = state.flags
+    flags = SafetyFlags(
+        altitude_violation=f.altitude_violation or not check_altitude(position, airspace),
+        nfz_violation=f.nfz_violation or not check_geofence(position, airspace).compliant,
+        separation_breach=f.separation_breach
+        or not check_separation(position, peer_positions, airspace.separation_margin_m),
+        battery_depleted=f.battery_depleted or battery < BATTERY_DEPLETED_PCT,
+    )
+    return UavState(kin, battery, flags, state.sensors, state.command)

@@ -173,10 +173,18 @@ def canonical_float(x: float) -> float:
 
 
 def _canonize(obj: Any) -> Any:
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
+    """The canonical document of obj: floats quantized, tuples made lists,
+    keys made strings.  Plain dicts, lists and tuples are matched by exact
+    type before the slow typing.Mapping check."""
     if isinstance(obj, float):
         return canonical_float(obj)
+    t = type(obj)
+    if t is dict:
+        return {str(k): _canonize(v) for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [_canonize(v) for v in obj]
+    if obj is None or isinstance(obj, (int, str)):  # bool included
+        return obj
     if isinstance(obj, Mapping):
         return {str(k): _canonize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -184,9 +192,15 @@ def _canonize(obj: Any) -> Any:
     raise TypeError(f"value not representable in an episode document: {type(obj).__name__}")
 
 
+def dumps_document(doc: Mapping[str, Any]) -> str:
+    """The line of a document that is already canonical, such as one built
+    by episode_to_doc or stub_to_doc: sorted keys, no whitespace."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(doc: Mapping[str, Any]) -> str:
-    """Compact canonical form: sorted keys, 6-significant-digit floats."""
-    return json.dumps(_canonize(doc), sort_keys=True, separators=(",", ":"))
+    """Compact canonical form of any document: sorted keys, 6-significant-digit floats."""
+    return dumps_document(_canonize(doc))
 
 
 def dumps_pretty(doc: Mapping[str, Any]) -> str:
@@ -195,32 +209,36 @@ def dumps_pretty(doc: Mapping[str, Any]) -> str:
 
 # ---------------------------------------------------------------------------
 # Document conversion
+#
+# The *_to_doc builders give canonical documents: each float is quantized
+# once, here, so the document equals json.loads of its own line and can be
+# validated and turned back into a value without a parse.
 # ---------------------------------------------------------------------------
 
 def action_to_doc(action: Action | None) -> dict[str, Any] | None:
     if action is None:
         return None
     if isinstance(action, McpCall):
-        return {"protocol": "mcp", "name": action.name, "args": dict(action.args)}
-    return {"protocol": "a2a", "task": action.task, "to": action.to, "payload": dict(action.payload)}
+        return {"protocol": "mcp", "name": action.name, "args": _canonize(action.args)}
+    return {"protocol": "a2a", "task": action.task, "to": action.to, "payload": _canonize(action.payload)}
 
 
 def observation_to_doc(obs: Observation | None) -> dict[str, Any] | None:
     if obs is None:
         return None
     if isinstance(obs, McpResult):
-        return {"tool": obs.tool, "result": dict(obs.result)}
-    return {"task": obs.task, "from": obs.from_agent, "status": obs.status, "payload": dict(obs.payload)}
+        return {"tool": obs.tool, "result": _canonize(obs.result)}
+    return {"task": obs.task, "from": obs.from_agent, "status": obs.status, "payload": _canonize(obs.payload)}
 
 
 def network_to_doc(n: NetworkState) -> dict[str, Any]:
     return {
         "slice": n.slice,
-        "latency_ms": n.latency_ms,
-        "jitter_ms": n.jitter_ms,
-        "loss_pct": n.loss_pct,
-        "throughput_mbps": n.throughput_mbps,
-        "edge_load": n.edge_load,
+        "latency_ms": _canonize(n.latency_ms),
+        "jitter_ms": _canonize(n.jitter_ms),
+        "loss_pct": _canonize(n.loss_pct),
+        "throughput_mbps": _canonize(n.throughput_mbps),
+        "edge_load": _canonize(n.edge_load),
     }
 
 
@@ -245,7 +263,7 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
             "model": m.model,
             "seed": m.seed,
             "scenario_id": m.scenario_id,
-            "gen_time_s": m.gen_time_s,
+            "gen_time_s": _canonize(m.gen_time_s),
             "attempts_used": m.attempts_used,
             "prompt_tokens": m.prompt_tokens,
             "completion_tokens": m.completion_tokens,
@@ -254,10 +272,10 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
         },
         "turns": turns,
         "final_state": {
-            "position": list(f.position),
-            "velocity": f.velocity,
-            "yaw": f.yaw,
-            "battery": f.battery,
+            "position": _canonize(f.position),
+            "velocity": _canonize(f.velocity),
+            "yaw": _canonize(f.yaw),
+            "battery": _canonize(f.battery),
             "mission_completed": f.mission_completed,
             "altitude_violation": f.altitude_violation,
             "nfz_violation": f.nfz_violation,
@@ -597,6 +615,11 @@ def _schema_violations(doc: Mapping[str, Any], strict: bool) -> list[Violation]:
     return out
 
 
+def _is_mapping(x: Any) -> bool:
+    # A typing.Mapping check is slow; documents hold plain dicts.
+    return type(x) is dict or isinstance(x, Mapping)
+
+
 def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
     out: list[Violation] = []
     turns = doc.get("turns")
@@ -606,7 +629,7 @@ def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
             out.append(Violation(CODE_TURN_BOUNDS, -1, f"episode has {n} turns, expected {MIN_TURNS}..{MAX_TURNS}"))
         prev_role: Any = None
         for i, turn in enumerate(turns):
-            if not isinstance(turn, Mapping):
+            if not _is_mapping(turn):
                 continue
             role = turn.get("role")
             if isinstance(role, str) and role not in ROLES:
@@ -622,13 +645,13 @@ def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
             if role == ROLE_USER and ("action" in turn or "observation" in turn):
                 out.append(Violation(CODE_USER_STRUCTURED, i, "user turns carry no action or observation"))
     final = doc.get("final_state")
-    if isinstance(final, Mapping):
+    if _is_mapping(final):
         battery = final.get("battery")
         if isinstance(battery, (int, float)) and not isinstance(battery, bool):
             if not 0.0 <= float(battery) <= 100.0:
                 out.append(Violation(CODE_BATTERY_RANGE, -1, f"battery {battery} outside [0, 100]"))
     meta = doc.get("metadata")
-    if isinstance(meta, Mapping):
+    if _is_mapping(meta):
         prompt, completion, total = meta.get("prompt_tokens"), meta.get("completion_tokens"), meta.get("total_tokens")
         if all(isinstance(v, int) and not isinstance(v, bool) for v in (prompt, completion, total)):
             if prompt + completion != total:
@@ -696,8 +719,7 @@ Record = Union[Episode, FailureStub]
 
 
 def record_to_line(record: Record) -> str:
-    doc = stub_to_doc(record) if isinstance(record, FailureStub) else episode_to_doc(record)
-    return dumps_canonical(doc)
+    return dumps_document(stub_to_doc(record) if isinstance(record, FailureStub) else episode_to_doc(record))
 
 
 def line_to_record(line: str | bytes) -> Record:

@@ -54,9 +54,21 @@ def _vec3(raw: Any, what: str) -> tuple[float, float, float]:
     return (float(raw[0]), float(raw[1]), float(raw[2]))
 
 
+def _section(doc: Mapping[str, Any], key: str, required: bool = False) -> dict[str, Any]:
+    """The object under key ({} when optional and absent)."""
+    if key not in doc and not required:
+        return {}
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
 def load_scenario(doc: Mapping[str, Any]) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"a scenario must be an object, got {type(doc).__name__}")
     try:
-        air = doc["airspace"]
+        air = _section(doc, "airspace", required=True)
         fences = tuple(
             Geofence(center=(float(g["center"][0]), float(g["center"][1])), radius_m=float(g["radius_m"]))
             for g in air.get("geofences", [])
@@ -67,45 +79,49 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
             geofences=fences,
             separation_margin_m=float(air.get("separation_margin_m", 10.0)),
         )
-        vehicle = doc.get("vehicle", {})
+        vehicle = _section(doc, "vehicle")
         params = VehicleParams(
             mass_kg=float(vehicle.get("mass_kg", 2.0)),
             max_thrust_n=float(vehicle.get("max_thrust_n", 60.0)),
             cruise_speed_mps=float(vehicle.get("cruise_speed_mps", 15.0)),
         )
-        init = doc["initial_state"]
+        init = _section(doc, "initial_state", required=True)
         kinematics = KinematicState(
             position=_vec3(init["position"], "initial position"),
             velocity=_vec3(init.get("velocity", [0.0, 0.0, 0.0]), "initial velocity"),
             yaw=float(init.get("yaw_rad", 0.0)),
         )
+        sensors = init.get("sensors", ["IMU"])
+        if not isinstance(sensors, list) or not all(isinstance(x, str) for x in sensors):
+            raise ScenarioError("initial_state.sensors must be a list of strings")
         state = UavState(
             kinematics=kinematics,
             battery_pct=float(init.get("battery_pct", 100.0)),
-            sensors=frozenset(init.get("sensors", ["IMU"])),
+            sensors=frozenset(sensors),
         )
-        dist = doc.get("disturbance", {})
+        dist = _section(doc, "disturbance")
         clip = dist.get("clip_sigmas", 3.0)
         disturbance = DisturbanceModel(
             sigma_pos=float(dist.get("sigma_pos_m", 0.5)),
             sigma_vel=float(dist.get("sigma_vel_mps", 0.2)),
             clip_sigmas=float(clip) if clip is not None else None,
         )
-        mission_doc = doc["mission"]
+        mission_doc = _section(doc, "mission", required=True)
         mission = MissionSpec(
             target=_vec3(mission_doc["target"], "mission target"),
             arrival_tolerance_m=float(mission_doc.get("arrival_tolerance_m", 5.0)),
             capture_sensor=mission_doc.get("capture_sensor"),
         )
-        net = doc.get("network", {})
+        net = _section(doc, "network")
         initial_slice = str(net.get("initial_slice", "eMBB"))
         if initial_slice not in SLICES:
             raise ScenarioError(f"unknown slice {initial_slice!r}")
         switch = net.get("slice_switch_prob")
-        peers = {
-            str(pid): tuple(_vec3(p, f"peer {pid} position") for p in track)
-            for pid, track in doc.get("peers", {}).items()
-        }
+        peers = {}
+        for pid, track in _section(doc, "peers").items():
+            if not isinstance(track, list) or not track:
+                raise ScenarioError(f"peer {pid} must have a non-empty list of positions")
+            peers[str(pid)] = tuple(_vec3(p, f"peer {pid} position") for p in track)
         swarm = SwarmContext(peers=peers, weather=doc.get("weather", {}))
         # A blank prompt would make an empty user intent, which no record may hold.
         prompts = doc.get("user_prompts", [])

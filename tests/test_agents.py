@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import copy
+import itertools
+import json
 from dataclasses import replace
 
 import pytest
 
+from skybench import agents
 from skybench.agents import (
     AdaptiveActionFilter,
+    AdaptivePilot,
     MissionStatus,
     SafePilot,
     UserSimulator,
@@ -17,14 +22,21 @@ from skybench.agents import (
     stream_digest,
 )
 from skybench.episode import (
+    A2aAck,
     A2aTask,
     Episode,
     FailureStub,
+    MAX_ATTEMPTS,
     McpCall,
+    McpResult,
+    doc_to_episode,
+    dumps_canonical,
+    episode_to_doc,
     record_to_line,
     validate_episode,
 )
 from skybench.network import NetworkState, URLLC
+from skybench.tools import ToolExecutor
 FILTER = AdaptiveActionFilter()
 
 
@@ -109,68 +121,148 @@ def test_safe_pilot_lands_below_battery_threshold(scenario_by_id, calibration):
     assert isinstance(first_action, McpCall) and first_action.name == "land"
 
 
-# -- faulty agents and the retry ladder ---------------------------------------
+# -- broken documents and the retry ladder ------------------------------------
 
-class FaultyAgent(SafePilot):
-    name = "faulty_agent"
+def break_documents(monkeypatch, failing=MAX_ATTEMPTS):
+    """Make run_episode's next `failing` episode documents give turn 3 a
+    disallowed role, as a faulty policy's output would."""
+    built = itertools.count()
 
-    def __init__(self, scenario, fail_below_strictness=99):
-        super().__init__(scenario)
-        self.fail_below_strictness = fail_below_strictness
-
-    def tamper_document(self, doc, strictness):
-        if strictness < self.fail_below_strictness:
+    def broken(episode):
+        doc = episode_to_doc(episode)
+        if next(built) < failing:
             doc["turns"][3]["role"] = "system"
         return doc
 
+    monkeypatch.setattr(agents, "episode_to_doc", broken)
 
-def test_faulty_agent_exhausts_attempts_to_stub(scenario_by_id, calibration):
+
+def test_faulty_agent_exhausts_attempts_to_stub(scenario_by_id, calibration, monkeypatch):
     scenario = scenario_by_id["S01"]
+    break_documents(monkeypatch)
     record = run_episode(
-        FaultyAgent(scenario), UserSimulator(), scenario,
+        make_agent("safe_pilot", scenario), UserSimulator(), scenario,
         calibration=calibration, episode_seed=77, index=0,
     )
     assert isinstance(record, FailureStub)
     assert record.attempts_used == 3
     assert record.error_kind == "role_disallowed"
-    assert record.model == "faulty_agent"
+    assert record.model == "safe_pilot"
     assert record.seed == 77
-    assert record.episode_id == "S01-faulty_agent-0000"
+    assert record.episode_id == "S01-safe_pilot-0000"
 
 
-def test_faulty_agent_recovers_on_second_attempt(scenario_by_id, calibration):
+def test_faulty_agent_recovers_on_second_attempt(scenario_by_id, calibration, monkeypatch):
     scenario = scenario_by_id["S01"]
+    break_documents(monkeypatch, failing=1)
     record = run_episode(
-        FaultyAgent(scenario, fail_below_strictness=1), UserSimulator(), scenario,
+        make_agent("safe_pilot", scenario), UserSimulator(), scenario,
         calibration=calibration, episode_seed=77, index=0,
     )
     assert isinstance(record, Episode)
     assert record.metadata.attempts_used == 2
     # Generation time accumulates over both attempts.
+    break_documents(monkeypatch, failing=0)
     single = run_episode(
-        FaultyAgent(scenario, fail_below_strictness=0), UserSimulator(), scenario,
+        make_agent("safe_pilot", scenario), UserSimulator(), scenario,
         calibration=calibration, episode_seed=77, index=0,
     )
+    assert single.metadata.attempts_used == 1
     assert record.metadata.gen_time_s > single.metadata.gen_time_s
 
 
-def test_accepted_line_is_the_records_serialization(scenarios, calibration):
+def test_accepted_line_is_the_records_serialization(scenarios, calibration, monkeypatch):
     # generate stores the line handed to on_accept in place of re-serializing
     # the returned episode, so the two must be the same bytes.
     for scenario in scenarios:
-        agents = [make_agent(name, scenario) for name in ("adaptive_pilot", "greedy_streamer", "safe_pilot")]
-        for agent in agents + [FaultyAgent(scenario, fail_below_strictness=1)]:
-            lines = []
-            record = run_episode(
-                agent, UserSimulator(), scenario, calibration=calibration, index=3, on_accept=lines.append,
-            )
-            assert isinstance(record, Episode)
-            assert lines == [record_to_line(record)]
+        for name in ("adaptive_pilot", "greedy_streamer", "safe_pilot"):
+            for failing in (0, 1):
+                break_documents(monkeypatch, failing)
+                lines = []
+                record = run_episode(
+                    make_agent(name, scenario), UserSimulator(), scenario,
+                    calibration=calibration, index=3, on_accept=lines.append,
+                )
+                assert isinstance(record, Episode)
+                assert record.metadata.attempts_used == failing + 1
+                assert lines == [record_to_line(record)]
+    break_documents(monkeypatch)
     lines = []
     stub = run_episode(
-        FaultyAgent(scenarios[0]), UserSimulator(), scenarios[0], calibration=calibration, on_accept=lines.append,
+        make_agent("safe_pilot", scenarios[0]), UserSimulator(), scenarios[0],
+        calibration=calibration, on_accept=lines.append,
     )
     assert isinstance(stub, FailureStub) and lines == []
+
+
+# -- one pass from episode to line ---------------------------------------------
+
+class EchoPilot(AdaptivePilot):
+    """On station, sends its peer a task that peers answer by echoing the payload."""
+
+    name = "echo_pilot"
+    latency_factor = 1.1234567  # a generation time with more than six digits
+
+    def _on_station_step(self, cite, history):
+        peers = self.scenario.swarm.peer_ids()
+        synced = any(isinstance(t.observation, A2aAck) and t.observation.task == "formation_sync" for t in history)
+        if peers and not synced:
+            payload = {"offset_m": (1.25, -0.5, 3.0), "gain": 0.123456789, "mode": ("hold", 2)}
+            return f"{cite}syncing formation with {peers[0]}", A2aTask("formation_sync", peers[0], payload)
+        return None
+
+
+def _typed(value):
+    """value with every scalar tagged by its type, so 1 and 1.0 or a tuple
+    and a list no longer compare equal."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_typed(v) for v in value])
+    return (type(value).__name__, value)
+
+
+def test_validated_document_is_the_stored_line(scenarios, calibration, monkeypatch):
+    # run_episode validates the document it builds, not its line parsed back,
+    # and returns the value built from that document: the three must agree.
+    validated = []
+
+    def recording_validate(doc, **kwargs):
+        validated.append((doc, copy.deepcopy(doc)))
+        return validate_episode(doc, **kwargs)
+
+    real_telemetry = ToolExecutor._tool_read_telemetry
+
+    def tuple_telemetry(self, call, state, network, rng):
+        obs, state, network = real_telemetry(self, call, state, network, rng)
+        result = dict(obs.result, position=tuple(state.kinematics.position), span=((0.1234567, 2), (-1e-7, 3.5)))
+        return McpResult(obs.tool, result), state, network
+
+    monkeypatch.setattr(agents, "validate_episode", recording_validate)
+    monkeypatch.setattr(ToolExecutor, "_tool_read_telemetry", tuple_telemetry)
+    results = []
+    for scenario in scenarios:
+        for agent_type in (SafePilot, AdaptivePilot, agents.GreedyStreamer, EchoPilot):
+            for index in range(6):
+                lines, validated[:] = [], []
+                record = run_episode(
+                    agent_type(scenario), UserSimulator(), scenario, calibration=calibration,
+                    episode_seed=episode_seed_for(index, (42, 77, 101, 2025, 1337)), index=index,
+                    on_accept=lines.append,
+                )
+                assert isinstance(record, Episode), (scenario.scenario_id, agent_type.name, index)
+                doc, snapshot = validated[-1]
+                assert _typed(doc) == _typed(snapshot) == _typed(json.loads(lines[0]))
+                assert record == doc_to_episode(json.loads(lines[0]))
+                assert record_to_line(record) == lines[0]
+                assert dumps_canonical(json.loads(lines[0])) == lines[0]
+                results += [t["observation"] for t in doc["turns"] if "observation" in t]
+    clearances = [o["result"]["min_clearance_m"] for o in results if o.get("tool") == "check_geofence"]
+    assert 1e9 in clearances and any(c != 1e9 for c in clearances)
+    spans = [o["result"]["span"] for o in results if o.get("tool") == "read_telemetry"]
+    assert spans and all(span == [[0.123457, 2], [-1e-7, 3.5]] for span in spans)
+    echoes = [o["payload"]["echo"] for o in results if o.get("task") == "formation_sync"]
+    assert echoes and all(e == {"offset_m": [1.25, -0.5, 3.0], "gain": 0.123457, "mode": ["hold", 2]} for e in echoes)
 
 
 class CrashingAgent(SafePilot):

@@ -435,6 +435,59 @@ def test_generate_rejects_bad_disturbance_inputs(tmp_path, capsys):
         assert "error: malformed scenario document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, env",
+    [
+        ([], {}),
+        ({"episode_seed_set": ["a"]}, {}),
+        ({"episode_seed_set": [1.5]}, {}),
+        ({"episode_seed_set": 7}, {}),
+        ({"seed": -1}, {}),
+        ({"agents": 5}, {}),
+        ({"external_agents": []}, {}),
+        ({"external_agents": {"probe": "python policy.py"}}, {}),
+        ({}, {"SKYBENCH_SEED": "abc"}),
+        ({}, {"SKYBENCH_PARALLEL": "two"}),
+    ],
+)
+def test_bad_config_and_environment_values_exit_two(tmp_path, capsys, monkeypatch, config, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if isinstance(config, dict):
+        config = {"agents": ["safe_pilot"], **config}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(path), "--episodes-per-scenario", "1", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(peers=[]), "peers must be an object"),
+        (lambda doc: doc.update(vehicle=[]), "vehicle must be an object"),
+        (lambda doc: doc.update(network=[]), "network must be an object"),
+        (lambda doc: doc.update(disturbance="none"), "disturbance must be an object"),
+        (lambda doc: doc.update(peers={"P9": []}), "peer P9 must have a non-empty list of positions"),
+        (lambda doc: doc["initial_state"].update(sensors="IMU"), "initial_state.sensors must be a list of strings"),
+    ],
+)
+def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, edit, message):
+    scenario = _builtin_scenario_doc()
+    edit(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--scenarios", str(path), "--episodes-per-scenario", "1",
+        "--agents", "safe_pilot", "--out", str(out),
+    ]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "corpus.jsonl").exists()
+
+
 def test_external_agent_via_config(tmp_path):
     import sys
 

@@ -105,14 +105,17 @@ def test_disturbance_deterministic_given_seed():
 def test_disturbance_sample_variance_matches_covariance():
     sigma = 0.5
     model = DisturbanceModel(sigma_pos=sigma, sigma_vel=sigma, clip_sigmas=None)
-    draws = model.sample(np.random.default_rng(7), size=1_000_000)
+    rng = np.random.default_rng(7)
+    # 200k single draws: the variance's relative standard error is 0.3 %.
+    draws = np.array([model.sample(rng) for _ in range(200_000)])
     variances = draws.var(axis=0)
     assert np.all(np.abs(variances - sigma**2) <= 0.02 * sigma**2)
 
 
 def test_disturbance_respects_clip_bounds():
     model = DisturbanceModel(sigma_pos=1.0, sigma_vel=1.0, clip_sigmas=1.0)
-    draws = model.sample(np.random.default_rng(8), size=50_000)
+    rng = np.random.default_rng(8)
+    draws = np.array([model.sample(rng) for _ in range(50_000)])
     assert np.all(np.abs(draws) <= 1.0 + 1e-12)
 
 
