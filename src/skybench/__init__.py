@@ -54,7 +54,7 @@ from .network import (
     evolve_network,
     sample_network_state,
 )
-from .scenarios import Scenario, builtin_scenarios, load_scenario, load_scenario_file
+from .scenarios import Scenario, builtin_scenarios, load_scenario
 from .scoring import (
     ModelAggregate,
     PillarScores,

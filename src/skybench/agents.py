@@ -574,11 +574,12 @@ def _run_attempt(
         turns.append(Turn(role=ROLE_AGENT, intent=intent, action=action, observation=observation, network=network))
         status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
 
+        # Only a capture the tool carried out counts; a rejected call does not.
         if (
             isinstance(action, McpCall)
             and action.name == "capture_image"
+            and observation.result.get("status") in ("captured", "captured_cold")
             and status.arrived
-            and not status.captured
         ):
             status.captured = True
 

@@ -46,8 +46,8 @@ from .episode import (
 )
 from .errors import DegenerateInput, ParseError, ScenarioError, SkybenchError
 from .network import calibrate, default_calibration, classify_hard, verify_calibration
-from .scenarios import Scenario, builtin_scenarios, load_scenario_file, scenario_files
-from .tools import default_registry, load_registry_file
+from .scenarios import Scenario, builtin_scenarios, load_scenario, scenario_files
+from .tools import default_registry, load_registry_extension
 from .scoring import (
     LEADERBOARD_COLUMNS,
     PILLAR_KEYS,
@@ -120,21 +120,6 @@ def _read_json(path: str | Path, what: str) -> Any:
         raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_scenarios(spec: str) -> tuple[Scenario, ...]:
-    if spec == "builtin":
-        return builtin_scenarios()
-    return tuple(load_scenario_file(path) for path in scenario_files(spec))
-
-
-def _load_calibration(path: str | None):
-    if not path:
-        return default_calibration()
-    targets = _read_json(path, "calibration")
-    calib = calibrate(targets)
-    verify_calibration(calib, targets)
-    return calib
-
-
 def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
     """(line number, stripped text) for every non-blank line of a JSONL file.
 
@@ -200,16 +185,15 @@ class RunConfig:
         if len(set(self.agents)) != len(self.agents):
             raise ScenarioError(f"the agent list names an agent twice: {list(self.agents)}")
 
-    def config_hash(self) -> str:
-        """Hash of the settings, each input file as a parsed document and the
-        external agents' argv; CORPUS_VERSION covers the built-in inputs."""
-        scenarios = [] if self.scenarios == "builtin" else scenario_files(self.scenarios)
+    def config_hash(self, scenario_docs: Sequence[Any], calibration_targets: Any, tools_doc: Any) -> str:
+        """Hash of the settings, the parsed input documents and the external
+        agents' argv; CORPUS_VERSION covers the built-in inputs."""
         doc = {
             "corpus_version": CORPUS_VERSION,
             "scenarios": self.scenarios,
-            "scenario_docs": [_read_json(path, "scenario") for path in scenarios],
-            "calibration": _read_json(self.calibration, "calibration") if self.calibration else None,
-            "tools": _read_json(self.tools, "tool registry") if self.tools else None,
+            "scenario_docs": scenario_docs,
+            "calibration": calibration_targets,
+            "tools": tools_doc,
             "external_agents": {name: list(argv) for name, argv in self.external_agents},
             "agents": list(self.agents),
             "episodes_per_scenario": self.episodes_per_scenario,
@@ -245,7 +229,8 @@ def _generate_line(
     calibration,
     registry,
     timestamp: str,
-) -> str:
+) -> tuple[str, bool]:
+    """The record's line, and whether the record is a failure stub."""
     external = dict(config.external_agents)
     if agent_name in external:
         agent = SubprocessPolicy(external[agent_name], name=agent_name)
@@ -269,13 +254,26 @@ def _generate_line(
     finally:
         if isinstance(agent, SubprocessPolicy):
             agent.close()
-    return record_to_line(record) if isinstance(record, FailureStub) else accepted[0]
+    if isinstance(record, FailureStub):
+        return record_to_line(record), True
+    return accepted[0], False
 
 
 def cmd_generate(config: RunConfig) -> int:
-    scenarios = _load_scenarios(config.scenarios)
-    calibration = _load_calibration(config.calibration)
-    registry = load_registry_file(config.tools) if config.tools else default_registry()
+    # Each input document is read once: the run is built from the parsed
+    # documents and config_hash covers the same values.
+    builtin = config.scenarios == "builtin"
+    scenario_docs = [] if builtin else [_read_json(p, "scenario") for p in scenario_files(config.scenarios)]
+    targets = _read_json(config.calibration, "calibration") if config.calibration else None
+    tools_doc = _read_json(config.tools, "tool registry") if config.tools else None
+    config_hash = config.config_hash(scenario_docs, targets, tools_doc)
+    scenarios = builtin_scenarios() if builtin else tuple(load_scenario(doc) for doc in scenario_docs)
+    if targets is None:
+        calibration = default_calibration()
+    else:
+        calibration = calibrate(targets)
+        verify_calibration(calibration, targets)
+    registry = default_registry() if tools_doc is None else load_registry_extension(tools_doc)
     external = dict(config.external_agents)
     for name in config.agents:
         if name not in AGENT_TYPES and name not in external:
@@ -283,19 +281,16 @@ def cmd_generate(config: RunConfig) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / CORPUS_NAME
-    config_hash = config.config_hash()
-    existing: dict[str, str] = {}
-    if corpus_path.exists():
+    # Resume only when the previous run used the same configuration.
+    existing: dict[str, tuple[str, bool]] = {}
+    if corpus_path.exists() and _read_manifest(out_dir).get("config_hash") == config_hash:
         for _, line in _corpus_lines(corpus_path):
             try:
-                record_id = loads_document(line).get("episode_id")
+                doc = loads_document(line)
             except ParseError:
                 continue
-            if isinstance(record_id, str):
-                existing[record_id] = line
-    # Resume only when the previous run used the same configuration.
-    if existing and _read_manifest(out_dir).get("config_hash") != config_hash:
-        existing = {}
+            if isinstance(doc.get("episode_id"), str):
+                existing[doc["episode_id"]] = (line, doc.get("kind") == "failure_stub")
     timestamp = EPOCH_TIMESTAMP if config.canonical else datetime.now(timezone.utc).isoformat()
 
     jobs = [
@@ -304,7 +299,7 @@ def cmd_generate(config: RunConfig) -> int:
         for agent_name in config.agents
         for index in range(config.episodes_per_scenario)
     ]
-    lines: dict[int, str] = {}
+    lines: dict[int, tuple[str, bool]] = {}
     pending = []
     for position, (scenario, agent_name, index) in enumerate(jobs):
         record_id = episode_id_for(scenario.scenario_id, agent_name, index)
@@ -313,7 +308,7 @@ def cmd_generate(config: RunConfig) -> int:
         else:
             pending.append(position)
 
-    def work(position: int) -> tuple[int, str]:
+    def work(position: int) -> tuple[int, tuple[str, bool]]:
         scenario, agent_name, index = jobs[position]
         return position, _generate_line(scenario, agent_name, index, config, calibration, registry, timestamp)
 
@@ -327,11 +322,11 @@ def cmd_generate(config: RunConfig) -> int:
 
     with open(corpus_path, "w", encoding="utf-8") as fh:
         for position in range(len(jobs)):
-            fh.write(lines[position])
+            fh.write(lines[position][0])
             fh.write("\n")
 
-    episodes = sum(1 for line in lines.values() if '"kind":"failure_stub"' not in line)
-    stubs = len(jobs) - episodes
+    stubs = sum(is_stub for _, is_stub in lines.values())
+    episodes = len(jobs) - stubs
     manifest = {
         "config_hash": config_hash,
         "corpus_version": CORPUS_VERSION,

@@ -50,8 +50,9 @@ class VehicleParams:
     cruise_speed_mps: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.mass_kg <= 0:
-            raise InvalidInput("mass must be positive")
+        for name in ("mass_kg", "max_thrust_n", "cruise_speed_mps"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise InvalidInput(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Union
 from jsonschema import Draft202012Validator
 
 from .errors import ParseError
-from .network import NetworkState
+from .network import SLICES, NetworkState
 
 ROLE_USER = "user"
 ROLE_AGENT = "agent"
@@ -481,7 +481,7 @@ _FINAL_KEYS = frozenset({
     "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted",
 })
 _FINAL_FLAGS = ("mission_completed", "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted")
-_SLICE_NAMES = frozenset({"URLLC", "eMBB", "mMTC"})
+_SLICE_NAMES = frozenset(SLICES)
 _ACK_STATUSES = frozenset({"ok", "degraded", "failed"})
 
 

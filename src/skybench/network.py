@@ -37,8 +37,6 @@ JITTER_SIGMA = 0.6
 THROUGHPUT_SIGMA = 0.6
 EDGE_CONCENTRATION = 10.0
 
-FIELD_NAMES = ("latency_ms", "jitter_ms", "loss_pct", "throughput_mbps", "edge_load")
-
 # The seven per-slice statistics a calibration targets document must give.
 TARGET_STATS = (
     "latency_mean_ms",

@@ -107,10 +107,15 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
             clip_sigmas=float(clip) if clip is not None else None,
         )
         mission_doc = _section(doc, "mission", required=True)
+        # Not checked against SENSOR_TYPES: a tool file may redefine the
+        # sensors capture_image accepts.
+        sensor = mission_doc.get("capture_sensor")
+        if sensor is not None and not (isinstance(sensor, str) and sensor.strip()):
+            raise ScenarioError(f"mission.capture_sensor must be a non-blank string or null, got {sensor!r}")
         mission = MissionSpec(
             target=_vec3(mission_doc["target"], "mission target"),
             arrival_tolerance_m=float(mission_doc.get("arrival_tolerance_m", 5.0)),
-            capture_sensor=mission_doc.get("capture_sensor"),
+            capture_sensor=sensor,
         )
         net = _section(doc, "network")
         initial_slice = str(net.get("initial_slice", "eMBB"))
@@ -150,14 +155,6 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
 
 
-def load_scenario_file(path: str | Path) -> Scenario:
-    try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    return load_scenario(doc)
-
-
 def scenario_files(path: str | Path) -> list[Path]:
     """A scenario file, or the *.json files of a directory in load order."""
     path = Path(path)
@@ -171,8 +168,5 @@ def scenario_files(path: str | Path) -> list[Path]:
 
 def builtin_scenarios() -> tuple[Scenario, ...]:
     root = resources.files("skybench.data").joinpath("scenarios")
-    scenarios = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            scenarios.append(load_scenario(json.loads(entry.read_text("utf-8"))))
-    return tuple(scenarios)
+    entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
+    return tuple(load_scenario(json.loads(e.read_text("utf-8"))) for e in entries)

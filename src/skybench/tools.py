@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -122,15 +121,6 @@ def load_registry_extension(doc: Mapping[str, Any] | Sequence[Mapping[str, Any]]
                 )
         registry[spec.name] = spec
     return registry
-
-
-def load_registry_file(path) -> dict[str, ToolSpec]:
-    """Default registry merged with extension tools from a JSON file."""
-    try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read tool registry {path}: {exc}") from exc
-    return load_registry_extension(doc)
 
 
 _KIND_CHECKS = {

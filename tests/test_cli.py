@@ -255,16 +255,17 @@ def test_run_config_validation():
     ):
         with pytest.raises(SkybenchError):
             RunConfig(**bad)
-    assert RunConfig().config_hash() == RunConfig().config_hash()
-    assert RunConfig(seed=7).config_hash() != RunConfig().config_hash()
+    builtin_inputs = ([], None, None)
+    assert RunConfig().config_hash(*builtin_inputs) == RunConfig().config_hash(*builtin_inputs)
+    assert RunConfig(seed=7).config_hash(*builtin_inputs) != RunConfig().config_hash(*builtin_inputs)
 
 
 def test_config_hash_covers_corpus_version(monkeypatch):
     import skybench.cli as cli
 
-    before = RunConfig().config_hash()
+    before = RunConfig().config_hash([], None, None)
     monkeypatch.setattr(cli, "CORPUS_VERSION", cli.CORPUS_VERSION + 1)
-    assert RunConfig().config_hash() != before
+    assert RunConfig().config_hash([], None, None) != before
 
 
 def test_builtin_corpus_bytes_are_pinned(tmp_path):
@@ -347,15 +348,82 @@ def test_resume_discards_records_of_changed_inputs(tmp_path, change):
 def test_config_hash_reads_input_documents_not_their_text(tmp_path):
     path = tmp_path / "calibration.json"
     targets = {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
-    path.write_text(json.dumps(targets))
-    compact = RunConfig(calibration=str(path)).config_hash()
-    path.write_text(json.dumps(targets, indent=4, sort_keys=True))
-    assert RunConfig(calibration=str(path)).config_hash() == compact
+
+    def manifest_hash(text: str) -> str:
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert main([
+            "generate", "--calibration", str(path), "--agents", "safe_pilot",
+            "--episodes-per-scenario", "1", "--canonical", "--out", str(out),
+        ]) == EXIT_OK
+        return json.loads((out / MANIFEST_NAME).read_text())["config_hash"]
+
+    compact = manifest_hash(json.dumps(targets))
+    assert manifest_hash(json.dumps(targets, indent=4, sort_keys=True)) == compact
     # A change in the seventh significant digit, which six-digit canonical
     # floats would hide, is a different input.
     targets[URLLC]["latency_median_ms"] = 7.000001
-    path.write_text(json.dumps(targets))
-    assert RunConfig(calibration=str(path)).config_hash() != compact
+    assert manifest_hash(json.dumps(targets)) != compact
+
+
+def test_generate_reads_each_input_file_once(tmp_path, monkeypatch):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    s01 = _builtin_scenario_doc()
+    (scenarios / "a.json").write_text(json.dumps(s01))
+    (scenarios / "b.json").write_text(json.dumps({**s01, "scenario_id": "s01b"}))
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps(DEFAULT_TARGETS))
+    tools = tmp_path / "tools.json"
+    tools.write_text(json.dumps({"tools": [{"name": "deploy_beacon", "action_class": "transmit"}]}))
+    reads: dict[Path, int] = {}
+    globs: dict[Path, int] = {}
+    read_text, glob = Path.read_text, Path.glob
+
+    def counting_read_text(self, *args, **kwargs):
+        reads[self.resolve()] = reads.get(self.resolve(), 0) + 1
+        return read_text(self, *args, **kwargs)
+
+    def counting_glob(self, *args, **kwargs):
+        globs[self.resolve()] = globs.get(self.resolve(), 0) + 1
+        return glob(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(Path, "glob", counting_glob)
+    assert main([
+        "generate", "--scenarios", str(scenarios), "--calibration", str(calibration), "--tools", str(tools),
+        "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--canonical", "--out", str(tmp_path / "run"),
+    ]) == EXIT_OK
+    inputs = [scenarios / "a.json", scenarios / "b.json", calibration, tools]
+    assert {path: reads.get(path.resolve(), 0) for path in inputs} == {path: 1 for path in inputs}
+    assert globs == {scenarios.resolve(): 1}
+
+
+def test_stub_counts_come_from_the_records(tmp_path, capsys):
+    import sys
+
+    # A valid episode whose line holds the text "kind":"failure_stub".
+    policy = (
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    json.loads(line)\n"
+        "    action = {'protocol': 'mcp', 'name': 'read_telemetry_x', 'args': {'kind': 'failure_stub'}}\n"
+        "    print(json.dumps({'intent': 'probe the telemetry feed', 'action': action}), flush=True)\n"
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "agents": ["probe"],
+        "external_agents": {"probe": [sys.executable, "-c", policy]},
+        "episodes_per_scenario": 1,
+        "canonical": True,
+    }))
+    out = tmp_path / "run"
+    for _ in range(2):  # a fresh run, then a resume that keeps every line
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "(3 episodes, 0 stubs)" in capsys.readouterr().out
+        assert b'"kind":"failure_stub"' in (out / "corpus.jsonl").read_bytes()
+        counts = json.loads((out / MANIFEST_NAME).read_text())["counts"]
+        assert counts == {"jobs": 3, "episodes": 3, "failure_stubs": 0}
 
 
 @pytest.mark.parametrize("manifest", [b"[]", b'"text"', b"\xff", b"{broken"])
@@ -472,6 +540,12 @@ def test_bad_config_and_environment_values_exit_two(tmp_path, capsys, monkeypatc
         (lambda doc: doc.update(disturbance="none"), "disturbance must be an object"),
         (lambda doc: doc.update(peers={"P9": []}), "peer P9 must have a non-empty list of positions"),
         (lambda doc: doc["initial_state"].update(sensors="IMU"), "initial_state.sensors must be a list of strings"),
+        (lambda doc: doc["vehicle"].update(max_thrust_n=-5.0), "malformed scenario document: max_thrust_n must be positive, got -5.0"),
+        (lambda doc: doc["vehicle"].update(cruise_speed_mps=-1.0), "malformed scenario document: cruise_speed_mps must be positive, got -1.0"),
+        (lambda doc: doc["vehicle"].update(cruise_speed_mps=0.0), "malformed scenario document: cruise_speed_mps must be positive, got 0.0"),
+        (lambda doc: doc["vehicle"].update(mass_kg=float("nan")), "malformed scenario document: mass_kg must be positive, got nan"),
+        (lambda doc: doc["mission"].update(capture_sensor=5), "mission.capture_sensor must be a non-blank string or null, got 5"),
+        (lambda doc: doc["mission"].update(capture_sensor=" "), "mission.capture_sensor must be a non-blank string or null, got ' '"),
     ],
 )
 def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, edit, message):
@@ -486,6 +560,24 @@ def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, 
     ]) == EXIT_INPUT
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "corpus.jsonl").exists()
+
+
+def test_failed_capture_does_not_complete_the_mission(tmp_path):
+    scenario = _builtin_scenario_doc()
+    scenario["mission"]["capture_sensor"] = "Sonar"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--scenarios", str(path), "--episodes-per-scenario", "2",
+        "--agents", "safe_pilot", "--canonical", "--out", str(out),
+    ]) == EXIT_OK
+    docs = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    assert len(docs) == 2
+    for doc in docs:
+        captures = [t["observation"]["result"] for t in doc["turns"] if (t.get("action") or {}).get("name") == "capture_image"]
+        assert captures and all(result["status"] == "failed" for result in captures)
+        assert doc["final_state"]["mission_completed"] is False
 
 
 def test_external_agent_via_config(tmp_path):

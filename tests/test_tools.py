@@ -248,10 +248,10 @@ def test_every_registered_mcp_tool_yields_schema_valid_observation(calibration):
 def test_registry_file_loading(tmp_path):
     import json
 
-    from skybench.tools import load_registry_file
+    from skybench.tools import load_registry_extension
 
     path = tmp_path / "tools.json"
     path.write_text(json.dumps({"tools": [{"name": "deploy_beacon", "action_class": "transmit"}]}))
-    registry = load_registry_file(path)
+    registry = load_registry_extension(json.loads(path.read_text()))
     assert "deploy_beacon" in registry
     assert len(registry) == len(default_registry()) + 1
