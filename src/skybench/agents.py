@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import selectors
 import subprocess
+import time
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .environment import BATTERY_DEPLETED_PCT, SafetyFlags, evolve_state
 from .episode import (
@@ -61,6 +62,9 @@ from .errors import ScenarioError
 from .scenarios import Scenario
 from .tools import ToolExecutor, ToolSpec, default_registry
 
+if TYPE_CHECKING:
+    import numpy as np
+
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 # Consecutive hard turns after which an incomplete mission is aborted.
@@ -80,6 +84,10 @@ STEP_DT_S = 1.0
 # deterministic and non-degenerate for scripted agents.
 GEN_BASE_S = 0.6
 GEN_PER_TURN_S = 0.25
+
+# Seconds an external policy has to answer one request; past it the attempt
+# fails and the child is stopped.
+POLICY_TURN_TIMEOUT_S = 60.0
 
 
 class AdaptiveActionFilter:
@@ -326,6 +334,7 @@ class SubprocessPolicy:
         self.command = tuple(command)
         self.name = name
         self._proc: subprocess.Popen | None = None
+        self._pending = b""  # reply bytes read past the last full line
 
     def _process(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
@@ -366,18 +375,39 @@ class SubprocessPolicy:
         assert proc.stdin is not None and proc.stdout is not None
         proc.stdin.write(dumps_canonical(request) + "\n")
         proc.stdin.flush()
-        line = proc.stdout.readline()
-        if not line:
-            raise ScenarioError(f"external policy {self.name!r} closed its output")
-        reply = json.loads(line)
+        reply = json.loads(self._read_line(proc))
         intent = str(reply["intent"])
         action_doc = reply.get("action")
         action = doc_to_action(action_doc) if action_doc else None
         return intent, action
 
+    def _read_line(self, proc: subprocess.Popen) -> str:
+        """The child's next reply line, due within POLICY_TURN_TIMEOUT_S.
+
+        Bytes come straight from the pipe's descriptor, never through
+        proc.stdout, whose buffer the selector could not see.
+        """
+        fd = proc.stdout.fileno()  # type: ignore[union-attr]
+        deadline = time.monotonic() + POLICY_TURN_TIMEOUT_S
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    # A late reply must not answer the next request.
+                    self.close()
+                    raise ScenarioError(f"external policy {self.name!r} sent no reply within {POLICY_TURN_TIMEOUT_S} s")
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    raise ScenarioError(f"external policy {self.name!r} closed its output")
+                self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line.decode("utf-8")
+
     def close(self) -> None:
         """Stop the child and close both pipes, whether or not it still runs."""
         proc, self._proc = self._proc, None
+        self._pending = b""
         if proc is None:
             return
         try:
@@ -484,6 +514,8 @@ def run_episode(
     receives the canonical JSON line of the accepted episode: the exact bytes
     that were validated, ready to be stored.
     """
+    import numpy as np
+
     registry = dict(registry) if registry is not None else default_registry()
     episode_id = episode_id_for(scenario.scenario_id, agent.name, index)
     root = np.random.SeedSequence([global_seed, episode_seed, stream_digest(scenario.scenario_id, agent.name, index)])
@@ -542,6 +574,8 @@ def _run_attempt(
     children: Sequence[np.random.SeedSequence],
     strictness: int,
 ) -> tuple[list[Turn], FinalState]:
+    import numpy as np
+
     net_rng = np.random.default_rng(children[0])
     phys_rng = np.random.default_rng(children[1])
     tool_rng = np.random.default_rng(children[2])

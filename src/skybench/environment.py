@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidInput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SENSOR_TYPES = frozenset({"LiDAR", "RGB", "Thermal", "IMU"})
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import CalibrationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 URLLC = "URLLC"
 EMBB = "eMBB"
@@ -89,9 +90,11 @@ class FieldModel:
             raw = rng.beta(a, b, size=size)
         else:
             raise ValueError(f"unknown field family: {self.family}")
-        return np.clip(raw, self.clip[0], self.clip[1]) if size is not None else float(
-            min(max(raw, self.clip[0]), self.clip[1])
-        )
+        if size is not None:
+            import numpy as np
+
+            return np.clip(raw, self.clip[0], self.clip[1])
+        return float(min(max(raw, self.clip[0]), self.clip[1]))
 
     def analytic_mean(self) -> float:
         if self.family == "lognormal":
@@ -234,6 +237,8 @@ def calibrate(targets: Mapping[str, Mapping[str, float]]) -> SliceCalibration:
 def verify_calibration(calib: SliceCalibration, targets: Mapping[str, Mapping[str, float]]) -> None:
     """Raise CalibrationError unless a Monte-Carlo draw reproduces the target
     latency median and P90 and each field's analytic mean within tolerance."""
+    import numpy as np
+
     rng = np.random.default_rng(VERIFY_SEED)
     for name, stats in targets.items():
         model = calib.model(name)

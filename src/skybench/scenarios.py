@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -94,9 +95,12 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         sensors = init.get("sensors", ["IMU"])
         if not isinstance(sensors, list) or not all(isinstance(x, str) for x in sensors):
             raise ScenarioError("initial_state.sensors must be a list of strings")
+        battery = float(init.get("battery_pct", 100.0))
+        if not math.isfinite(battery):
+            raise ScenarioError(f"initial_state.battery_pct must be finite, got {battery!r}")
         state = UavState(
             kinematics=kinematics,
-            battery_pct=float(init.get("battery_pct", 100.0)),
+            battery_pct=battery,
             sensors=frozenset(sensors),
         )
         dist = _section(doc, "disturbance")
@@ -112,9 +116,12 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         sensor = mission_doc.get("capture_sensor")
         if sensor is not None and not (isinstance(sensor, str) and sensor.strip()):
             raise ScenarioError(f"mission.capture_sensor must be a non-blank string or null, got {sensor!r}")
+        tolerance = float(mission_doc.get("arrival_tolerance_m", 5.0))
+        if not tolerance > 0:  # NaN fails too
+            raise ScenarioError(f"mission.arrival_tolerance_m must be positive, got {tolerance!r}")
         mission = MissionSpec(
             target=_vec3(mission_doc["target"], "mission target"),
-            arrival_tolerance_m=float(mission_doc.get("arrival_tolerance_m", 5.0)),
+            arrival_tolerance_m=tolerance,
             capture_sensor=sensor,
         )
         net = _section(doc, "network")

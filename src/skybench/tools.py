@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .environment import (
     ACTION_CLASSES,
@@ -26,6 +24,9 @@ from .environment import (
 from .episode import A2aAck, A2aTask, Action, McpCall, McpResult, Observation
 from .errors import ParseError
 from .network import NetworkState, SLICES, SliceCalibration, classify_hard, sample_network_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,26 @@ def test_subprocess_policy_closes_its_pipes(scenario_by_id, calibration):
         assert dead.stdin.closed and dead.stdout.closed
 
 
+def test_subprocess_policy_reads_a_reply_sent_in_pieces(scenario_by_id, calibration):
+    import sys
+
+    from skybench.agents import SubprocessPolicy
+
+    # Each reply arrives in two writes with a pause between them.
+    policy = (
+        "import json, sys, time\n"
+        "for line in sys.stdin:\n"
+        "    reply = json.dumps({'intent': 'split hold', 'action': None}) + '\\n'\n"
+        "    sys.stdout.write(reply[:9]); sys.stdout.flush(); time.sleep(0.01)\n"
+        "    sys.stdout.write(reply[9:]); sys.stdout.flush()\n"
+    )
+    with SubprocessPolicy([sys.executable, "-c", policy], name="split") as agent:
+        record = run_episode(agent, UserSimulator(), scenario_by_id["S01"],
+                             calibration=calibration, episode_seed=42, index=0)
+    assert isinstance(record, Episode)
+    assert all(t.intent == "split hold" for t in record.turns[1::2])
+
+
 def test_subprocess_policy_failure_becomes_internal_stub(scenario_by_id, calibration):
     import sys
 

@@ -268,11 +268,27 @@ def test_config_hash_covers_corpus_version(monkeypatch):
     assert RunConfig().config_hash([], None, None) != before
 
 
+# sha256 of the built-in corpus: generate --canonical --episodes-per-scenario 2.
+BUILTIN_PIN = "518c8dc371de11990a3f4d40e20f112ca52d176c4f3257d8c277a37d26e2c5fc"
+
+
 def test_builtin_corpus_bytes_are_pinned(tmp_path):
     out = tmp_path / "pin"
     assert main(["generate", "--canonical", "--episodes-per-scenario", "2", "--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest()
-    assert digest == "518c8dc371de11990a3f4d40e20f112ca52d176c4f3257d8c277a37d26e2c5fc"
+    assert digest == BUILTIN_PIN
+
+
+def test_parallel_corpus_bytes_match_the_serial_pin(tmp_path, fresh_python):
+    # A fresh interpreter, so that numpy is first imported in a worker thread.
+    out = tmp_path / "pin"
+    code, _, err = fresh_python(
+        "import sys\n"
+        "from skybench.cli import main\n"
+        f"sys.exit(main(['generate', '--canonical', '--episodes-per-scenario', '2', '--parallel', '2', '--out', {str(out)!r}]))\n"
+    )
+    assert code == EXIT_OK, err
+    assert hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest() == BUILTIN_PIN
 
 
 def test_failure_stub_corpus_bytes_are_pinned(tmp_path):
@@ -546,6 +562,12 @@ def test_bad_config_and_environment_values_exit_two(tmp_path, capsys, monkeypatc
         (lambda doc: doc["vehicle"].update(mass_kg=float("nan")), "malformed scenario document: mass_kg must be positive, got nan"),
         (lambda doc: doc["mission"].update(capture_sensor=5), "mission.capture_sensor must be a non-blank string or null, got 5"),
         (lambda doc: doc["mission"].update(capture_sensor=" "), "mission.capture_sensor must be a non-blank string or null, got ' '"),
+        (lambda doc: doc["initial_state"].update(battery_pct=float("nan")), "initial_state.battery_pct must be finite, got nan"),
+        (lambda doc: doc["initial_state"].update(battery_pct=float("inf")), "initial_state.battery_pct must be finite, got inf"),
+        (lambda doc: doc["initial_state"].update(battery_pct=float("-inf")), "initial_state.battery_pct must be finite, got -inf"),
+        (lambda doc: doc["mission"].update(arrival_tolerance_m=-1.0), "mission.arrival_tolerance_m must be positive, got -1.0"),
+        (lambda doc: doc["mission"].update(arrival_tolerance_m=0.0), "mission.arrival_tolerance_m must be positive, got 0.0"),
+        (lambda doc: doc["mission"].update(arrival_tolerance_m=float("nan")), "mission.arrival_tolerance_m must be positive, got nan"),
     ],
 )
 def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, edit, message):
@@ -602,6 +624,34 @@ def test_external_agent_via_config(tmp_path):
     lines = (out / "corpus.jsonl").read_text().splitlines()
     assert len(lines) == 3
     assert all('"model":"line_probe"' in line for line in lines)
+
+
+def test_stalled_external_policy_ends_in_an_internal_stub(tmp_path, fresh_python):
+    import sys
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_builtin_scenario_doc()))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "agents": ["stalled"],
+        "external_agents": {"stalled": [sys.executable, "-c", "import sys, time; sys.stdin.readline(); time.sleep(60)"]},
+        "scenarios": str(scenario),
+        "episodes_per_scenario": 1,
+        "canonical": True,
+    }))
+    out = tmp_path / "run"
+    # Each of the three attempts waits out the shortened deadline.
+    code, _, err = fresh_python(
+        "import sys\n"
+        "from skybench import agents\n"
+        "from skybench.cli import main\n"
+        "agents.POLICY_TURN_TIMEOUT_S = 0.2\n"
+        f"sys.exit(main(['generate', '--config', {str(cfg)!r}, '--out', {str(out)!r}]))\n",
+        timeout=30,
+    )
+    assert code == EXIT_OK, err
+    (doc,) = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    assert doc["kind"] == "failure_stub" and doc["error_kind"] == "internal"
 
 
 def test_generate_with_tool_extension_file(tmp_path):
