@@ -90,6 +90,18 @@ GEN_PER_TURN_S = 0.25
 POLICY_TURN_TIMEOUT_S = 60.0
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number as a float; one past float range (1e999) is refused."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON value")
+
+
 class AdaptiveActionFilter:
     """Communication-safe action subset enforced under a degraded link."""
 
@@ -375,7 +387,12 @@ class SubprocessPolicy:
         assert proc.stdin is not None and proc.stdout is not None
         proc.stdin.write(dumps_canonical(request) + "\n")
         proc.stdin.flush()
-        reply = json.loads(self._read_line(proc))
+        try:
+            # A record holds the action as sent, and no record may hold
+            # NaN, Infinity or a number past float range.
+            reply = json.loads(self._read_line(proc), parse_float=_finite_float, parse_constant=_refuse_constant)
+        except ValueError as exc:  # JSONDecodeError included
+            raise ScenarioError(f"external policy {self.name!r} sent a reply that is not JSON: {exc}") from exc
         intent = str(reply["intent"])
         action_doc = reply.get("action")
         action = doc_to_action(action_doc) if action_doc else None

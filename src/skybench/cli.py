@@ -139,6 +139,12 @@ def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
                 yield lineno, line
 
 
+def _env_flag(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError(raw)
+    return raw == "1"
+
+
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -166,6 +172,8 @@ class RunConfig:
             raise ScenarioError(f"episode seeds must be integers: {list(self.episode_seed_set)}")
         if self.seed < 0 or any(s < 0 for s in self.episode_seed_set):
             raise ScenarioError("seeds must be non-negative")
+        if not isinstance(self.canonical, bool):
+            raise ScenarioError(f"canonical must be true or false, got {self.canonical!r}")
         for name in ("scenarios", "out"):
             if not isinstance(getattr(self, name), str):
                 raise ScenarioError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -798,7 +806,7 @@ def _run(args: argparse.Namespace) -> int:
             calibration=_resolve(args.calibration, "calibration", config_doc, "calibration", None),
             tools=_resolve(args.tools, "tools", config_doc, "tools", None),
             external_agents=tuple((name, tuple(argv)) for name, argv in external.items()),
-            canonical=bool(_resolve(args.canonical, "canonical", config_doc, "canonical", False, lambda v: v == "1")),
+            canonical=_resolve(args.canonical, "canonical", config_doc, "canonical", False, _env_flag),
         )
         return cmd_generate(config)
     if args.command == "score":

@@ -96,8 +96,8 @@ class Geofence:
     radius_m: float
 
     def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise InvalidInput("geofence radius must be positive")
+        if not self.radius_m > 0:  # NaN fails too
+            raise InvalidInput(f"geofence radius must be positive, got {self.radius_m!r}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,8 @@ class Airspace:
     def __post_init__(self) -> None:
         if self.z_min_m >= self.z_max_m:
             raise InvalidInput("z_min must be below z_max")
+        if not 0.0 <= self.separation_margin_m < math.inf:  # NaN fails too
+            raise InvalidInput(f"separation_margin_m must be finite and at least 0, got {self.separation_margin_m!r}")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,10 @@ codes.  All types are immutable values; every function is pure.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Iterable, Mapping, Union
-
-from jsonschema import Draft202012Validator
+from typing import Any, Callable, Mapping, NamedTuple, Union
 
 from .errors import ParseError
 from .network import SLICES, NetworkState
@@ -425,69 +422,19 @@ def load_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
-def _relax(schema: Any) -> Any:
-    if isinstance(schema, dict):
-        return {
-            k: (True if k == "additionalProperties" else _relax(v))
-            for k, v in schema.items()
-        }
-    if isinstance(schema, list):
-        return [_relax(v) for v in schema]
-    return schema
+# The schema check: one table per $defs object of data/episode_schema.json,
+# mapping each field to its check and the rule a failing value breaks.  The
+# same tables decide (fits, on every record) and explain (explain, only on a
+# rejected one), so no rule is judged in one place and worded in another.
+# The checks read draft 2020-12 as a reference validator does: bool is
+# neither number nor integer, an integral float is an integer, and NaN passes
+# every bound.  Lenient mode opens every additionalProperties.  A number
+# check tests for a float, which nearly every number field holds, before it
+# calls _number.  A schema change must update the tables;
+# tests/test_fast_validation.py holds them to a reference validator's
+# verdicts and error paths.
 
-
-_VALIDATORS: dict[bool, Draft202012Validator] = {}
-
-
-def _validator(strict: bool) -> Draft202012Validator:
-    if strict not in _VALIDATORS:
-        schema = load_schema()
-        if not strict:
-            schema = _relax(copy.deepcopy(schema))
-        Draft202012Validator.check_schema(schema)
-        _VALIDATORS[strict] = Draft202012Validator(schema)
-    return _VALIDATORS[strict]
-
-
-def _turn_index_of(path: Iterable[Any]) -> int:
-    parts = list(path)
-    if len(parts) >= 2 and parts[0] == "turns" and isinstance(parts[1], int):
-        return parts[1]
-    return -1
-
-
-# Fast accept path.  A hand-written reading of data/episode_schema.json that
-# answers only "accepted or not"; each helper below mirrors one $defs entry,
-# with jsonschema's type rules (bool is neither number nor integer, an
-# integral float is an integer) and its comparisons (NaN passes every bound).
-# jsonschema stays the oracle: it runs whenever this check rejects, so every
-# reported violation comes from it.  A schema change must update both, and
-# tests/test_fast_validation.py holds them to the same verdict.
-
-_ROOT_KEYS = frozenset({"episode_id", "metadata", "turns", "final_state"})
-_TURN_REQUIRED = frozenset({"role", "intent", "network"})
-_TURN_KEYS = _TURN_REQUIRED | {"action", "observation"}
-_NETWORK_KEYS = frozenset({"slice", "latency_ms", "jitter_ms", "loss_pct", "throughput_mbps", "edge_load"})
-_MCP_KEYS = frozenset({"protocol", "name", "args"})
-_A2A_KEYS = frozenset({"protocol", "task", "to", "payload"})
-_RESULT_KEYS = frozenset({"tool", "result"})
-_ACK_KEYS = frozenset({"task", "from", "status", "payload"})
-_METADATA_KEYS = frozenset({
-    "model", "seed", "scenario_id", "gen_time_s", "attempts_used",
-    "prompt_tokens", "completion_tokens", "total_tokens", "timestamp",
-})
-_FINAL_KEYS = frozenset({
-    "position", "velocity", "yaw", "battery", "mission_completed",
-    "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted",
-})
-_FINAL_FLAGS = ("mission_completed", "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted")
-_SLICE_NAMES = frozenset(SLICES)
-_ACK_STATUSES = frozenset({"ok", "degraded", "failed"})
-
-
-def _keys_ok(obj: dict, required: frozenset, allowed: frozenset, strict: bool) -> bool:
-    keys = obj.keys()
-    return keys >= required and (not strict or keys <= allowed)
+_Rule = tuple[Callable[[Any], bool], str]
 
 
 def _number(x: Any) -> bool:
@@ -495,124 +442,175 @@ def _number(x: Any) -> bool:
 
 
 def _integer(x: Any) -> bool:
-    if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+    return not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and x.is_integer()))
 
 
-def _text(x: Any) -> bool:
-    """A string of minLength 1."""
-    return isinstance(x, str) and len(x) >= 1
+def _at_least(low: int) -> _Rule:
+    return (lambda v: (type(v) is float or _number(v)) and not v < low, f"must be a number at least {low}")
 
 
-def _network_ok(n: Any, strict: bool) -> bool:
-    if not (isinstance(n, dict) and _keys_ok(n, _NETWORK_KEYS, _NETWORK_KEYS, strict)):
-        return False
-    slice_name = n["slice"]
-    latency, jitter, loss = n["latency_ms"], n["jitter_ms"], n["loss_pct"]
-    throughput, edge = n["throughput_mbps"], n["edge_load"]
+def _between(low: int, high: int) -> _Rule:
     return (
-        isinstance(slice_name, str) and slice_name in _SLICE_NAMES
-        and _number(latency) and not latency <= 0
-        and _number(jitter) and not jitter < 0
-        and _number(loss) and not loss < 0 and not loss > 100
-        and _number(throughput) and not throughput < 0
-        and _number(edge) and not edge < 0 and not edge > 1
+        lambda v: (type(v) is float or _number(v)) and not (v < low or v > high),
+        f"must be a number from {low} to {high}",
     )
 
 
-def _action_ok(a: Any, strict: bool) -> bool:
-    # The two oneOf branches pin different protocol constants, so at most one
-    # can match in either mode.
-    if not isinstance(a, dict):
-        return False
-    protocol = a.get("protocol")
-    if protocol == "mcp":
-        return _keys_ok(a, _MCP_KEYS, _MCP_KEYS, strict) and _text(a["name"]) and isinstance(a["args"], dict)
-    if protocol == "a2a":
-        return (
-            _keys_ok(a, _A2A_KEYS, _A2A_KEYS, strict)
-            and _text(a["task"]) and _text(a["to"]) and isinstance(a["payload"], dict)
-        )
-    return False
+def _one_of(*values: str) -> _Rule:
+    allowed = frozenset(values)
+    return (lambda v: isinstance(v, str) and v in allowed, f"must be {' or '.join(values)}")
 
 
-def _observation_ok(o: Any, strict: bool) -> bool:
-    if not isinstance(o, dict):
-        return False
-    result = (
-        _keys_ok(o, _RESULT_KEYS, _RESULT_KEYS, strict)
-        and _text(o["tool"]) and isinstance(o["result"], dict)
-    )
-    ack = (
-        _keys_ok(o, _ACK_KEYS, _ACK_KEYS, strict)
-        and _text(o["task"]) and _text(o["from"])
-        and isinstance(o["status"], str) and o["status"] in _ACK_STATUSES
-        and isinstance(o["payload"], dict)
-    )
-    # oneOf: lenient mode opens both branches, so an observation carrying the
-    # keys of both matches both and is rejected.
-    return result != ack
+_TEXT: _Rule = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+_STRING: _Rule = (lambda v: isinstance(v, str), "must be a string")
+_OBJECT: _Rule = (lambda v: isinstance(v, dict), "must be an object")
+_FLAG: _Rule = (lambda v: isinstance(v, bool), "must be true or false")
+_NUMBER: _Rule = (lambda v: type(v) is float or _number(v), "must be a number")
+_INTEGER: _Rule = (_integer, "must be an integer")
+_COUNT: _Rule = (lambda v: _integer(v) and not v < 0, "must be an integer at least 0")
 
 
-def _turn_ok(t: Any, strict: bool) -> bool:
-    return (
-        isinstance(t, dict)
-        and _keys_ok(t, _TURN_REQUIRED, _TURN_KEYS, strict)
-        and isinstance(t["role"], str)
-        and isinstance(t["intent"], str)
-        and _network_ok(t["network"], strict)
-        and ("action" not in t or _action_ok(t["action"], strict))
-        and ("observation" not in t or _observation_ok(t["observation"], strict))
-    )
+class _Object:
+    """An object: a rule for each plain field, a nested part for each other
+    field, and the fields that may be left out.  Strict mode admits no
+    other field."""
+
+    def __init__(self, rules: dict[str, _Rule], parts: dict[str, Any] | None = None, optional=frozenset()) -> None:
+        self.rules = rules
+        self.checks = tuple((name, check) for name, (check, _) in rules.items())
+        self.parts = tuple((parts or {}).items())
+        self.fields = frozenset(rules) | frozenset(parts or ())
+        self.required = self.fields - optional
+
+    def fits(self, obj: Any, strict: bool) -> bool:
+        if not isinstance(obj, dict):
+            return False
+        keys = obj.keys()
+        if not keys >= self.required or (strict and not keys <= self.fields):
+            return False
+        for name, check in self.checks:
+            if not check(obj[name]):
+                return False
+        for name, part in self.parts:
+            if name in obj and not part.fits(obj[name], strict):
+                return False
+        return True
+
+    def explain(self, obj: Any, path: tuple, strict: bool, out: list) -> None:
+        if not isinstance(obj, dict):
+            out.append((path, "must be an object"))
+            return
+        out.extend((path + (name,), "is required") for name in self.required - obj.keys())
+        if strict:
+            out.extend((path + (name,), "is not a field of the schema") for name in obj.keys() - self.fields)
+        for name, (check, rule) in self.rules.items():
+            if name in obj and not check(obj[name]):
+                out.append((path + (name,), rule))
+        for name, part in self.parts:
+            if name in obj:
+                part.explain(obj[name], path + (name,), strict, out)
 
 
-def _metadata_ok(m: Any, strict: bool) -> bool:
-    if not (isinstance(m, dict) and _keys_ok(m, _METADATA_KEYS, _METADATA_KEYS, strict)):
-        return False
-    gen_time = m["gen_time_s"]
-    tokens = (m["prompt_tokens"], m["completion_tokens"], m["total_tokens"])
-    return (
-        _text(m["model"]) and _integer(m["seed"]) and _text(m["scenario_id"])
-        and _number(gen_time) and not gen_time < 0
-        and _integer(m["attempts_used"])
-        and all(_integer(v) and not v < 0 for v in tokens)
-        and _text(m["timestamp"])
-    )
+class _Items(NamedTuple):
+    """A list whose every item is one part."""
+
+    item: _Object
+
+    def fits(self, value: Any, strict: bool) -> bool:
+        if not isinstance(value, list):
+            return False
+        for entry in value:
+            if not self.item.fits(entry, strict):
+                return False
+        return True
+
+    def explain(self, value: Any, path: tuple, strict: bool, out: list) -> None:
+        if not isinstance(value, list):
+            out.append((path, "must be a list"))
+            return
+        for i, entry in enumerate(value):
+            self.item.explain(entry, path + (i,), strict, out)
 
 
-def _final_state_ok(f: Any, strict: bool) -> bool:
-    if not (isinstance(f, dict) and _keys_ok(f, _FINAL_KEYS, _FINAL_KEYS, strict)):
-        return False
-    position, velocity = f["position"], f["velocity"]
-    return (
-        isinstance(position, list) and len(position) == 3 and all(_number(v) for v in position)
-        and _number(velocity) and not velocity < 0
-        and _number(f["yaw"]) and _number(f["battery"])
-        and all(isinstance(f[k], bool) for k in _FINAL_FLAGS)
-    )
+class _OneOf(NamedTuple):
+    """A value that must fit exactly one of two forms (a oneOf)."""
+
+    rule: str
+    first: _Object
+    second: _Object
+
+    def fits(self, value: Any, strict: bool) -> bool:
+        # Lenient mode opens both forms, so a value carrying the fields of
+        # both can fit both, which oneOf rejects.
+        return self.first.fits(value, strict) != self.second.fits(value, strict)
+
+    def explain(self, value: Any, path: tuple, strict: bool, out: list) -> None:
+        if not self.fits(value, strict):
+            out.append((path, self.rule))
+
+
+_NETWORK = _Object({
+    "slice": _one_of(*SLICES),
+    "latency_ms": (lambda v: (type(v) is float or _number(v)) and not v <= 0, "must be a number above 0"),
+    "jitter_ms": _at_least(0),
+    "loss_pct": _between(0, 100),
+    "throughput_mbps": _at_least(0),
+    "edge_load": _between(0, 1),
+})
+_ACTION = _OneOf(
+    "must match exactly one form: an mcp call {protocol, name, args} or an a2a task {protocol, task, to, payload}",
+    _Object({"protocol": _one_of("mcp"), "name": _TEXT, "args": _OBJECT}),
+    _Object({"protocol": _one_of("a2a"), "task": _TEXT, "to": _TEXT, "payload": _OBJECT}),
+)
+_OBSERVATION = _OneOf(
+    "must match exactly one form: a tool result {tool, result} or an acknowledgement {task, from, status, payload}",
+    _Object({"tool": _TEXT, "result": _OBJECT}),
+    _Object({"task": _TEXT, "from": _TEXT, "status": _one_of("ok", "degraded", "failed"), "payload": _OBJECT}),
+)
+_TURN = _Object(
+    {"role": _STRING, "intent": _STRING},
+    {"network": _NETWORK, "action": _ACTION, "observation": _OBSERVATION},
+    optional=frozenset({"action", "observation"}),
+)
+_METADATA = _Object({
+    "model": _TEXT, "seed": _INTEGER, "scenario_id": _TEXT, "gen_time_s": _at_least(0),
+    "attempts_used": _INTEGER, "prompt_tokens": _COUNT, "completion_tokens": _COUNT,
+    "total_tokens": _COUNT, "timestamp": _TEXT,
+})
+_FINAL_STATE = _Object({
+    "position": (
+        lambda v: isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1]) and _number(v[2]),
+        "must be a list of three numbers",
+    ),
+    "velocity": _at_least(0),
+    "yaw": _NUMBER,
+    "battery": _NUMBER,
+    **dict.fromkeys(
+        ("mission_completed", "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted"), _FLAG
+    ),
+})
+_EPISODE = _Object(
+    {"episode_id": _TEXT},
+    {"metadata": _METADATA, "turns": _Items(_TURN), "final_state": _FINAL_STATE},
+)
 
 
 def schema_accepts(doc: Any, strict: bool = True) -> bool:
     """True when the shipped schema (relaxed when not strict) accepts doc."""
-    if not (isinstance(doc, dict) and _keys_ok(doc, _ROOT_KEYS, _ROOT_KEYS, strict)):
-        return False
-    turns = doc["turns"]
-    return (
-        _text(doc["episode_id"])
-        and _metadata_ok(doc["metadata"], strict)
-        and isinstance(turns, list) and all(_turn_ok(t, strict) for t in turns)
-        and _final_state_ok(doc["final_state"], strict)
-    )
+    return _EPISODE.fits(doc, strict)
 
 
 def _schema_violations(doc: Mapping[str, Any], strict: bool) -> list[Violation]:
-    errors = sorted(_validator(strict).iter_errors(doc), key=lambda e: list(map(str, e.absolute_path)))
-    out = []
-    for err in errors:
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        out.append(Violation(CODE_SCHEMA, _turn_index_of(err.absolute_path), f"{where}: {err.message}"))
-    return out
+    """One violation per broken rule, sorted by path; a violation under
+    turns/<i> belongs to turn i."""
+    found: list[tuple[tuple, str]] = []
+    _EPISODE.explain(doc, (), strict, found)
+    found.sort(key=lambda item: [str(p) for p in item[0]])
+    return [
+        Violation(CODE_SCHEMA, path[1] if len(path) > 1 and path[0] == "turns" else -1,
+                  f"{'/'.join(map(str, path)) or '<root>'}: {rule}")
+        for path, rule in found
+    ]
 
 
 def _is_mapping(x: Any) -> bool:

@@ -49,10 +49,17 @@ class Scenario:
         return "degraded" not in self.tags
 
 
+def _finite(raw: Any, what: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _vec3(raw: Any, what: str) -> tuple[float, float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ScenarioError(f"{what} must be a 3-vector")
-    return (float(raw[0]), float(raw[1]), float(raw[2]))
+    return (_finite(raw[0], what), _finite(raw[1], what), _finite(raw[2], what))
 
 
 def _section(doc: Mapping[str, Any], key: str, required: bool = False) -> dict[str, Any]:
@@ -71,12 +78,15 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
     try:
         air = _section(doc, "airspace", required=True)
         fences = tuple(
-            Geofence(center=(float(g["center"][0]), float(g["center"][1])), radius_m=float(g["radius_m"]))
+            Geofence(
+                center=(_finite(g["center"][0], "geofence center"), _finite(g["center"][1], "geofence center")),
+                radius_m=float(g["radius_m"]),
+            )
             for g in air.get("geofences", [])
         )
         airspace = Airspace(
-            z_min_m=float(air["z_min_m"]),
-            z_max_m=float(air["z_max_m"]),
+            z_min_m=_finite(air["z_min_m"], "airspace.z_min_m"),
+            z_max_m=_finite(air["z_max_m"], "airspace.z_max_m"),
             geofences=fences,
             separation_margin_m=float(air.get("separation_margin_m", 10.0)),
         )
@@ -90,17 +100,14 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         kinematics = KinematicState(
             position=_vec3(init["position"], "initial position"),
             velocity=_vec3(init.get("velocity", [0.0, 0.0, 0.0]), "initial velocity"),
-            yaw=float(init.get("yaw_rad", 0.0)),
+            yaw=_finite(init.get("yaw_rad", 0.0), "initial_state.yaw_rad"),
         )
         sensors = init.get("sensors", ["IMU"])
         if not isinstance(sensors, list) or not all(isinstance(x, str) for x in sensors):
             raise ScenarioError("initial_state.sensors must be a list of strings")
-        battery = float(init.get("battery_pct", 100.0))
-        if not math.isfinite(battery):
-            raise ScenarioError(f"initial_state.battery_pct must be finite, got {battery!r}")
         state = UavState(
             kinematics=kinematics,
-            battery_pct=battery,
+            battery_pct=_finite(init.get("battery_pct", 100.0), "initial_state.battery_pct"),
             sensors=frozenset(sensors),
         )
         dist = _section(doc, "disturbance")
@@ -129,6 +136,10 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         if initial_slice not in SLICES:
             raise ScenarioError(f"unknown slice {initial_slice!r}")
         switch = net.get("slice_switch_prob")
+        if switch is not None:
+            switch = float(switch)
+            if not 0.0 <= switch <= 1.0:  # NaN fails too
+                raise ScenarioError(f"network.slice_switch_prob must lie in [0, 1], got {switch!r}")
         peers = {}
         for pid, track in _section(doc, "peers").items():
             if not isinstance(track, list) or not track:
@@ -151,7 +162,7 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
             disturbance=disturbance,
             mission=mission,
             initial_slice=initial_slice,
-            slice_switch_prob=float(switch) if switch is not None else None,
+            slice_switch_prob=switch,
             swarm=swarm,
             user_prompts=tuple(prompts),
             tags=tuple(tags),

@@ -9,6 +9,7 @@ failing the episode; tool-consistency scoring is the penalty channel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -124,8 +125,17 @@ def load_registry_extension(doc: Mapping[str, Any] | Sequence[Mapping[str, Any]]
     return registry
 
 
+def _finite_number(v: Any) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 _KIND_CHECKS = {
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": _finite_number,
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),

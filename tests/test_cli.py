@@ -207,6 +207,26 @@ def test_validate_command_exit_codes(tmp_path):
     assert main(["generate", "--scenarios", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
 
+def test_validate_names_the_fields_a_record_breaks(tmp_path, capsys):
+    doc = episode_to_doc(random_episode(np.random.default_rng(2)))
+    doc["turns"][3]["network"]["latency_ms"] = -1.0
+    doc["turns"][1]["x_vendor"] = 1
+    doc["metadata"]["seed"] = 1.5
+    del doc["final_state"]["yaw"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_canonical(doc))
+    expected = [
+        "schema_invalid @ episode: final_state/yaw: is required",
+        "schema_invalid @ episode: metadata/seed: must be an integer",
+        "schema_invalid @ turn 1: turns/1/x_vendor: is not a field of the schema",
+        "schema_invalid @ turn 3: turns/3/network/latency_ms: must be a number above 0",
+    ]
+    assert main(["validate", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == expected
+    assert main(["validate", "--lenient", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == [line for line in expected if "x_vendor" not in line]
+
+
 def test_lenient_flag_scores_foreign_metadata(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
@@ -230,6 +250,19 @@ def test_env_variable_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("SKYBENCH_CANONICAL", "1")
     assert main(["generate"]) == EXIT_OK
     assert len((out / "corpus.jsonl").read_text().splitlines()) == 3  # 3 scenarios x 1 agent x 1
+
+
+@pytest.mark.parametrize("raw, canonical", [("0", False), ("1", True)])
+def test_canonical_env_variable_reads_zero_and_one(tmp_path, monkeypatch, raw, canonical):
+    monkeypatch.setenv("SKYBENCH_CANONICAL", raw)
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"canonical": not canonical}))  # the environment wins
+    assert main([
+        "generate", "--config", str(config), "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--out", str(out),
+    ]) == EXIT_OK
+    timestamps = {json.loads(line)["metadata"]["timestamp"] for line in (out / "corpus.jsonl").read_text().splitlines()}
+    assert (timestamps == {"1970-01-01T00:00:00Z"}) is canonical
 
 
 def test_config_file_defaults(tmp_path):
@@ -359,6 +392,32 @@ def test_resume_discards_records_of_changed_inputs(tmp_path, change):
     rerun = run(tmp_path / "run")
     assert rerun == run(tmp_path / "fresh")
     assert rerun != first
+
+
+@pytest.mark.parametrize("number", ["1e999", "-1e999", "NaN", "Infinity"])
+def test_external_reply_with_a_number_no_record_can_hold_makes_stubs(tmp_path, number):
+    import sys
+
+    policy = (
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    json.loads(line)\n"
+        "    print('{\"intent\": \"fly far\", \"action\": {\"protocol\": \"mcp\", \"name\": \"set_waypoint\",'\n"
+        f"          ' \"args\": {{\"x\": {number}, \"y\": 0.0, \"z\": 60.0}}}}}}', flush=True)\n"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "agents": ["probe"],
+        "external_agents": {"probe": [sys.executable, "-c", policy]},
+        "episodes_per_scenario": 1,
+        "canonical": True,
+    }))
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    text = (out / "corpus.jsonl").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    docs = [json.loads(line) for line in text.splitlines()]
+    assert [(doc["kind"], doc["error_kind"]) for doc in docs] == [("failure_stub", "internal")] * 3
 
 
 def test_config_hash_reads_input_documents_not_their_text(tmp_path):
@@ -532,6 +591,11 @@ def test_generate_rejects_bad_disturbance_inputs(tmp_path, capsys):
         ({"external_agents": {"probe": "python policy.py"}}, {}),
         ({}, {"SKYBENCH_SEED": "abc"}),
         ({}, {"SKYBENCH_PARALLEL": "two"}),
+        ({"canonical": "false"}, {}),
+        ({"canonical": 1}, {}),
+        ({"canonical": None}, {}),
+        ({}, {"SKYBENCH_CANONICAL": "true"}),
+        ({}, {"SKYBENCH_CANONICAL": ""}),
     ],
 )
 def test_bad_config_and_environment_values_exit_two(tmp_path, capsys, monkeypatch, config, env):
@@ -568,6 +632,21 @@ def test_bad_config_and_environment_values_exit_two(tmp_path, capsys, monkeypatc
         (lambda doc: doc["mission"].update(arrival_tolerance_m=-1.0), "mission.arrival_tolerance_m must be positive, got -1.0"),
         (lambda doc: doc["mission"].update(arrival_tolerance_m=0.0), "mission.arrival_tolerance_m must be positive, got 0.0"),
         (lambda doc: doc["mission"].update(arrival_tolerance_m=float("nan")), "mission.arrival_tolerance_m must be positive, got nan"),
+        (lambda doc: doc["initial_state"].update(yaw_rad=float("nan")), "initial_state.yaw_rad must be finite, got nan"),
+        (lambda doc: doc["initial_state"].update(velocity=[float("inf"), 0.0, 0.0]), "initial velocity must be finite, got inf"),
+        (lambda doc: doc["initial_state"].update(position=[0.0, float("nan"), 60.0]), "initial position must be finite, got nan"),
+        (lambda doc: doc["mission"].update(target=[14.0, 8.0, -float("inf")]), "mission target must be finite, got -inf"),
+        (lambda doc: doc.update(peers={"P1": [[0.0, 0.0, 60.0], [float("nan"), 0.0, 60.0]]}), "peer P1 position must be finite, got nan"),
+        (lambda doc: doc["airspace"].update(z_min_m=float("nan")), "airspace.z_min_m must be finite, got nan"),
+        (lambda doc: doc["airspace"].update(z_max_m=float("inf")), "airspace.z_max_m must be finite, got inf"),
+        (lambda doc: doc["airspace"].update(geofences=[{"center": [float("inf"), 0.0], "radius_m": 5.0}]), "geofence center must be finite, got inf"),
+        (lambda doc: doc["airspace"].update(geofences=[{"center": [50.0, 50.0], "radius_m": float("nan")}]), "malformed scenario document: geofence radius must be positive, got nan"),
+        (lambda doc: doc["airspace"].update(separation_margin_m=-1.0), "malformed scenario document: separation_margin_m must be finite and at least 0, got -1.0"),
+        (lambda doc: doc["airspace"].update(separation_margin_m=float("nan")), "malformed scenario document: separation_margin_m must be finite and at least 0, got nan"),
+        (lambda doc: doc["airspace"].update(separation_margin_m=float("inf")), "malformed scenario document: separation_margin_m must be finite and at least 0, got inf"),
+        (lambda doc: doc["network"].update(slice_switch_prob=5.0), "network.slice_switch_prob must lie in [0, 1], got 5.0"),
+        (lambda doc: doc["network"].update(slice_switch_prob=-0.5), "network.slice_switch_prob must lie in [0, 1], got -0.5"),
+        (lambda doc: doc["network"].update(slice_switch_prob=float("nan")), "network.slice_switch_prob must lie in [0, 1], got nan"),
     ],
 )
 def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, edit, message):

@@ -1,7 +1,8 @@
-"""The hand-written schema check agrees with jsonschema, the oracle it shortcuts.
+"""The table-driven schema check agrees with jsonschema, its test oracle.
 
-`schema_accepts` decides accept or reject; jsonschema's verdict on the same
-document, in the same strict or lenient mode, is the reference.  The inputs
+`schema_accepts` decides accept or reject and `_schema_violations` says what
+a rejected document breaks; jsonschema's verdict and error paths on the same
+document, in the same strict or lenient mode, are the reference.  The inputs
 are generated episodes plus field-level mutations aimed at the places where a
 hand-written check most easily drifts from draft 2020-12: integer and number
 types, bounds, minLength, array sizes, the action and observation oneOf, and
@@ -17,13 +18,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
 from generators import corrupted_docs, valid_doc
 from skybench.episode import (
-    ValidationReport,
+    CODE_SCHEMA,
     _schema_violations,
     _semantic_violations,
-    _validator,
+    load_schema,
     schema_accepts,
     validate_episode,
 )
@@ -36,17 +38,51 @@ ODD_VALUES = (
 )
 
 
-def jsonschema_report(doc, strict: bool) -> ValidationReport:
-    """validate_episode as it was before the fast path: jsonschema always runs."""
-    violations = _schema_violations(doc, strict) + _semantic_violations(doc)
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+def _relaxed(schema):
+    """The schema with every additionalProperties opened: lenient mode."""
+    if isinstance(schema, dict):
+        return {k: (True if k == "additionalProperties" else _relaxed(v)) for k, v in schema.items()}
+    if isinstance(schema, list):
+        return [_relaxed(v) for v in schema]
+    return schema
+
+
+SCHEMA = load_schema()
+Draft202012Validator.check_schema(SCHEMA)
+ORACLES = {True: Draft202012Validator(SCHEMA), False: Draft202012Validator(_relaxed(SCHEMA))}
+
+
+def violation_path(violation) -> tuple[str, ...]:
+    """The path a schema violation's message starts with, by component."""
+    where = violation.message.split(": ", 1)[0]
+    return () if where == "<root>" else tuple(where.split("/"))
+
+
+def on_one_branch(a: tuple, b: tuple) -> bool:
+    """One path is a prefix of the other."""
+    n = min(len(a), len(b))
+    return a[:n] == b[:n]
 
 
 def assert_agrees(doc) -> None:
+    """In both modes: the verdict is jsonschema's, the semantic violations
+    follow the schema ones unchanged, and every reported path and every
+    jsonschema error path lie on one branch with some path of the other."""
     for strict in MODES:
-        want = _validator(strict).is_valid(doc)
-        assert schema_accepts(doc, strict) is want, (strict, doc)
-        assert validate_episode(doc, strict=strict) == jsonschema_report(doc, strict)
+        errors = [tuple(map(str, e.absolute_path)) for e in ORACLES[strict].iter_errors(doc)]
+        assert schema_accepts(doc, strict) is (not errors), (strict, doc)
+        report = validate_episode(doc, strict=strict)
+        semantic = tuple(_semantic_violations(doc))
+        schema = report.violations[: len(report.violations) - len(semantic)]
+        assert report.violations[len(schema):] == semantic
+        assert report.valid is (not report.violations)
+        assert all(v.code == CODE_SCHEMA for v in schema)
+        reported = [violation_path(v) for v in schema]
+        assert reported == sorted(reported)
+        assert all(any(on_one_branch(r, e) for e in errors) for r in reported), (strict, reported, errors)
+        assert all(any(on_one_branch(e, r) for r in reported) for e in errors), (strict, reported, errors)
+        for v, path in zip(schema, reported):
+            assert v.turn_index == (int(path[1]) if len(path) > 1 and path[0] == "turns" else -1)
 
 
 def paths(node, prefix=()):
@@ -197,11 +233,46 @@ def test_edge_case_verdicts_match_jsonschema(name):
         assert_agrees(doc)
 
 
+ACTION_RULE = "must match exactly one form: an mcp call {protocol, name, args} or an a2a task {protocol, task, to, payload}"
+OBSERVATION_RULE = (
+    "must match exactly one form: a tool result {tool, result} or an acknowledgement {task, from, status, payload}"
+)
+BOTH_FORMS = {"tool": "t", "result": {}, "task": "t", "from": "P1", "status": "ok", "payload": {}}
+
+
+@pytest.mark.parametrize("mutate, strict, expected", [
+    (_set(("turns", 3, "network", "latency_ms"), -1), True, [(3, "turns/3/network/latency_ms: must be a number above 0")]),
+    (lambda doc: doc["turns"][2].pop("network"), True, [(2, "turns/2/network: is required")]),
+    (_extra_key(("metadata",)), True, [(-1, "metadata/x_vendor: is not a field of the schema")]),
+    (_extra_key(("metadata",)), False, []),
+    (_set(("turns", 1, "action"), {"protocol": "http"}), True, [(1, f"turns/1/action: {ACTION_RULE}")]),
+    (_set(("turns", 1, "observation"), BOTH_FORMS), True, [(1, f"turns/1/observation: {OBSERVATION_RULE}")]),
+    (_set(("turns", 1, "observation"), BOTH_FORMS), False, [(1, f"turns/1/observation: {OBSERVATION_RULE}")]),
+    (_set(("metadata",), []), True, [(-1, "metadata: must be an object")]),
+    (_set(("turns",), {}), True, [(-1, "turns: must be a list")]),
+    (_set(("turns", 4), "agent"), True, [(4, "turns/4: must be an object")]),
+    (_set(("turns", 0, "network"), None), True, [(0, "turns/0/network: must be an object")]),
+    (_set(("final_state",), 7), True, [(-1, "final_state: must be an object")]),
+    (_set(("final_state", "position"), [1.0, 2.0]), True, [(-1, "final_state/position: must be a list of three numbers")]),
+])
+def test_schema_violations_give_path_and_rule(mutate, strict, expected):
+    doc = base_doc(6)
+    mutate(doc)
+    got = [(v.turn_index, v.message) for v in _schema_violations(doc, strict)]
+    assert got == expected
+    assert all(v.code == CODE_SCHEMA for v in _schema_violations(doc, strict))
+
+
+def test_a_document_that_is_not_an_object_is_one_violation():
+    assert [(v.turn_index, v.message) for v in _schema_violations([], True)] == [(-1, "<root>: must be an object")]
+    assert not schema_accepts([], True)
+
+
 def test_lenient_two_branch_observation_is_rejected():
     doc = base_doc(3)
     _both_observation_branches(doc)
     assert not schema_accepts(doc, False)
-    assert not _validator(False).is_valid(doc)
+    assert not ORACLES[False].is_valid(doc)
     assert not schema_accepts(doc, True)
 
 

@@ -1,7 +1,8 @@
-"""Only generate loads numpy: the read side starts without it.
+"""Only generate loads numpy, and no stage loads jsonschema: the read side
+starts without either, and jsonschema is a test oracle only.
 
 Each case runs in a fresh interpreter, since this test process has long
-since imported numpy.
+since imported both.
 """
 
 from __future__ import annotations
@@ -11,15 +12,17 @@ import shutil
 
 import pytest
 
-from skybench.cli import EXIT_OK, main
+from skybench.cli import EXIT_INPUT, EXIT_OK, main
 
 PROBE = """
 import json
 import sys
 from skybench.cli import main
 code = main({argv!r})
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "jsonschema" in sys.modules]))
 """
+
+READ_SIDE = ["score", "aggregate", "analytics", "validate"]
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +34,18 @@ def clean_run(tmp_path_factory):
     return out
 
 
-def _probe(fresh_python, argv: list[str]) -> tuple[int, bool]:
+def _probe(fresh_python, argv: list[str]) -> tuple[int, bool, bool]:
+    """(exit code, numpy loaded, jsonschema loaded) of main(argv) in a fresh interpreter."""
     code, out, err = fresh_python(PROBE.format(argv=argv))
     assert code == 0, err
     return tuple(json.loads(out.splitlines()[-1]))
 
 
-def test_import_and_setup_leave_numpy_unloaded(fresh_python):
+def _argv(command: str, out) -> list[str]:
+    return [command, str(out / "corpus.jsonl")] if command == "validate" else [command, "--out", str(out)]
+
+
+def test_import_and_setup_leave_numpy_and_jsonschema_unloaded(fresh_python):
     code, out, err = fresh_python(
         "import sys\n"
         "import skybench.cli\n"
@@ -45,20 +53,36 @@ def test_import_and_setup_leave_numpy_unloaded(fresh_python):
         "from skybench.scenarios import builtin_scenarios\n"
         "default_calibration()\n"
         "builtin_scenarios()\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'jsonschema' in sys.modules)\n"
     )
     assert code == 0, err
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
-@pytest.mark.parametrize("command", ["score", "aggregate", "analytics", "validate"])
-def test_read_side_commands_leave_numpy_unloaded(fresh_python, clean_run, tmp_path, command):
+@pytest.mark.parametrize("command", READ_SIDE)
+def test_read_side_commands_leave_numpy_and_jsonschema_unloaded(fresh_python, clean_run, tmp_path, command):
     out = tmp_path / "run"
     shutil.copytree(clean_run, out)
-    argv = [command, str(out / "corpus.jsonl")] if command == "validate" else [command, "--out", str(out)]
-    assert _probe(fresh_python, argv) == (EXIT_OK, False)
+    assert _probe(fresh_python, _argv(command, out)) == (EXIT_OK, False, False)
 
 
-def test_generate_loads_numpy(fresh_python, tmp_path):
+@pytest.mark.parametrize("command", ["score", "validate"])
+def test_rejecting_a_record_leaves_jsonschema_unloaded(fresh_python, clean_run, tmp_path, command):
+    out = tmp_path / "run"
+    shutil.copytree(clean_run, out)
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_text().splitlines()
+    doc = json.loads(lines[0])
+    doc["turns"][3]["network"]["latency_ms"] = -1.0
+    corpus.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+    code, _, jsonschema_loaded = _probe(fresh_python, _argv(command, out))
+    assert code == (EXIT_INPUT if command == "validate" else EXIT_OK)
+    assert not jsonschema_loaded
+    if command == "score":
+        scores = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
+        assert [s["valid"] for s in scores].count(False) == 1
+
+
+def test_generate_loads_numpy_but_not_jsonschema(fresh_python, tmp_path):
     argv = ["generate", "--canonical", "--episodes-per-scenario", "1", "--agents", "safe_pilot", "--out", str(tmp_path / "run")]
-    assert _probe(fresh_python, argv) == (EXIT_OK, True)
+    assert _probe(fresh_python, argv) == (EXIT_OK, True, False)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,13 @@ def test_validate_args_messages():
     assert validate_args(registry["read_telemetry"], {}) is None
     assert "missing" in validate_args(registry["set_altitude"], {})
     assert "must be number" in validate_args(registry["set_altitude"], {"z": "high"})
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "1e400"])
+def test_validate_args_refuses_numbers_a_float_cannot_hold(x):
+    spec = default_registry()["set_waypoint"]
+    assert validate_args(spec, {"x": 10.0, "y": 5, "z": 60.0}) is None
+    assert validate_args(spec, {"x": x, "y": 5, "z": 60.0}) == "argument 'x' must be number"
 
 
 def test_a2a_ok_and_payload_positions(calibration):
