@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .environment import BATTERY_DEPLETED_PCT, SafetyFlags, evolve_state
+from .environment import BATTERY_DEPLETED_PCT, evolve_state
 from .episode import (
     A2aAck,
     A2aTask,
@@ -49,8 +49,6 @@ from .episode import (
     validate_episode,
 )
 from .network import (
-    HARD_LATENCY_MS,
-    HARD_LOSS_PCT,
     NetworkState,
     SliceCalibration,
     URLLC,
@@ -106,7 +104,7 @@ class AdaptiveActionFilter:
     """Communication-safe action subset enforced under a degraded link."""
 
     def degraded(self, network: NetworkState) -> bool:
-        return network.latency_ms > HARD_LATENCY_MS or network.loss_pct >= HARD_LOSS_PCT
+        return classify_hard(network)
 
     def permits(self, action: Action | None, network: NetworkState) -> bool:
         if action is None or not self.degraded(network):
@@ -527,7 +525,8 @@ def run_episode(
     Retries re-run the same seeded streams under a stricter action regime
     (1: registry-known tools only, 2: adaptive subset only).  The recorded
     generation time spans every attempt; after the final failure a stub
-    carrying the terminal error kind is returned.  ``on_accept``, when given,
+    carrying the terminal error kind is returned.  An exception the agent
+    raises fails its attempt; any other propagates.  ``on_accept``, when given,
     receives the canonical JSON line of the accepted episode: the exact bytes
     that were validated, ready to be stored.
     """
@@ -544,14 +543,12 @@ def run_episode(
     last_report = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         strictness = attempt - 1
-        try:
-            turns, final_state = _run_attempt(
-                agent, user, scenario, calibration, registry, children, strictness
-            )
-        except Exception:
+        attempt_result = _run_attempt(agent, user, scenario, calibration, registry, children, strictness)
+        if attempt_result is None:
             gen_time += GEN_BASE_S
             last_report = None
             continue
+        turns, final_state = attempt_result
         gen_time += GEN_BASE_S + GEN_PER_TURN_S * len(turns) * agent.latency_factor
         p_tokens, c_tokens = _token_usage(agent, turns)
         prompt_tokens += p_tokens
@@ -590,7 +587,10 @@ def _run_attempt(
     registry: Mapping[str, ToolSpec],
     children: Sequence[np.random.SeedSequence],
     strictness: int,
-) -> tuple[list[Turn], FinalState]:
+) -> tuple[list[Turn], FinalState] | None:
+    """The turns and final state of one attempt, or None when the agent
+    failed a turn.  Any other exception is a fault of the simulator and
+    propagates."""
     import numpy as np
 
     net_rng = np.random.default_rng(children[0])
@@ -602,8 +602,8 @@ def _run_attempt(
     executor = ToolExecutor(registry, calib, scenario.airspace, scenario.params, scenario.swarm)
 
     state = scenario.initial_state
-    depleted = SafetyFlags(battery_depleted=state.battery_pct < BATTERY_DEPLETED_PCT)
-    state = replace(state, flags=state.flags.union(depleted))
+    if state.battery_pct < BATTERY_DEPLETED_PCT:
+        state = replace(state, flags=replace(state.flags, battery_depleted=True))
     network = sample_network_state(scenario.initial_slice, calib, net_rng)
     status = MissionStatus()
     turns: list[Turn] = []
@@ -614,7 +614,10 @@ def _run_attempt(
         status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
         network = evolve_network(network, calib, net_rng)
 
-        intent, action = agent.next_turn(tuple(turns), state, network, strictness)
+        try:
+            intent, action = agent.next_turn(tuple(turns), state, network, strictness)
+        except Exception:  # a policy error or an external child's bad reply
+            return None
         action = _apply_strictness(action, strictness, registry)
         observation = None
         post_network = network

@@ -1,8 +1,8 @@
 """Command-line orchestration: generate, score, aggregate, analytics, validate.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
-Flags can be overridden by SKYBENCH_* environment variables and by a JSON
-config file (flag > environment > config file > default).
+Each run setting comes from its flag, else its SKYBENCH_<NAME> environment
+variable, else the JSON config file, else its default.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -65,11 +65,6 @@ from .scoring import (
 
 ENV_PREFIX = "SKYBENCH_"
 
-DEFAULT_SEED = 42
-DEFAULT_EPISODE_SEEDS = (42, 77, 101, 2025, 1337)
-DEFAULT_EPISODES_PER_SCENARIO = 50
-DEFAULT_AGENTS = tuple(sorted(AGENT_TYPES))
-
 # Raised whenever the same configuration starts to give different corpus
 # bytes; it is part of config_hash, so a resume never mixes the two.
 # 2: per-component disturbance draws (their order changed where
@@ -93,24 +88,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
-def _resolve(flag_value, env_name: str, config: Mapping[str, Any], key: str, default, cast=None):
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        try:
-            return cast(raw) if cast else raw
-        except ValueError:
-            raise ScenarioError(f"{ENV_PREFIX}{env_name.upper()}={raw!r} is not a valid value") from None
-    if key in config:
-        return config[key]
-    return default
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -152,10 +129,10 @@ def _is_int(value: Any) -> bool:
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: str = "builtin"
-    agents: tuple[str, ...] = DEFAULT_AGENTS
-    episodes_per_scenario: int = DEFAULT_EPISODES_PER_SCENARIO
-    seed: int = DEFAULT_SEED
-    episode_seed_set: tuple[int, ...] = DEFAULT_EPISODE_SEEDS
+    agents: tuple[str, ...] = tuple(sorted(AGENT_TYPES))
+    episodes_per_scenario: int = 50
+    seed: int = 42
+    episode_seed_set: tuple[int, ...] = (42, 77, 101, 2025, 1337)
     out: str = "runs"
     parallel: int = 1
     calibration: str | None = None
@@ -194,25 +171,52 @@ class RunConfig:
             raise ScenarioError(f"the agent list names an agent twice: {list(self.agents)}")
 
     def config_hash(self, scenario_docs: Sequence[Any], calibration_targets: Any, tools_doc: Any) -> str:
-        """Hash of the settings, the parsed input documents and the external
-        agents' argv; CORPUS_VERSION covers the built-in inputs."""
-        doc = {
-            "corpus_version": CORPUS_VERSION,
-            "scenarios": self.scenarios,
-            "scenario_docs": scenario_docs,
-            "calibration": calibration_targets,
-            "tools": tools_doc,
-            "external_agents": {name: list(argv) for name, argv in self.external_agents},
-            "agents": list(self.agents),
-            "episodes_per_scenario": self.episodes_per_scenario,
-            "seed": self.seed,
-            "episode_seed_set": list(self.episode_seed_set),
-            "canonical": self.canonical,
-        }
+        """Hash of every setting but where the run writes and how many threads
+        it uses, which change no corpus byte, with the parsed input documents
+        in place of their paths; CORPUS_VERSION covers the built-in inputs."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out", "parallel")}
+        doc.update(
+            corpus_version=CORPUS_VERSION,
+            scenario_docs=scenario_docs,
+            calibration=calibration_targets,
+            tools=tools_doc,
+            external_agents={name: list(argv) for name, argv in self.external_agents},
+        )
         # Full-precision floats: six-digit quantization would give two
         # calibrations that differ in the seventh digit the same hash.
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Each setting a flag, a SKYBENCH_<NAME> variable or a config key can give,
+# and how the variable's text is read.
+_ENV_READERS = {
+    "scenarios": str, "agents": str, "out": str, "calibration": str, "tools": str,
+    "episodes_per_scenario": int, "seed": int, "parallel": int, "canonical": _env_flag,
+}
+# Settings only a config file can give.
+_CONFIG_ONLY = ("episode_seed_set", "external_agents")
+
+
+def _given_settings(args: argparse.Namespace, config_doc: Mapping[str, Any]) -> dict[str, Any]:
+    """Each setting the command has a flag for, from its flag, else its
+    environment variable, else the config; a setting none of them gives is
+    left out, for RunConfig's default."""
+    given = {}
+    for name, read in _ENV_READERS.items():
+        if not hasattr(args, name):
+            continue
+        raw = os.environ.get(ENV_PREFIX + name.upper())
+        if getattr(args, name) is not None:
+            given[name] = getattr(args, name)
+        elif raw is not None:
+            try:
+                given[name] = read(raw)
+            except ValueError:
+                raise ScenarioError(f"{ENV_PREFIX}{name.upper()}={raw!r} is not a valid value") from None
+        elif name in config_doc:
+            given[name] = config_doc[name]
+    return given
 
 
 def _read_manifest(out_dir: Path) -> dict[str, Any]:
@@ -765,8 +769,8 @@ def _build_parser() -> _Parser:
 
 def _add_strictness(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--strict", dest="strict", action="store_true", default=None)
-    group.add_argument("--lenient", dest="strict", action="store_false", default=None)
+    group.add_argument("--strict", dest="strict", action="store_true", default=True)
+    group.add_argument("--lenient", dest="strict", action="store_false")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -774,56 +778,41 @@ def _run(args: argparse.Namespace) -> int:
         config_doc = _read_json(args.config, "config") if args.config else {}
         if not isinstance(config_doc, dict):
             raise ScenarioError(f"config {args.config} must hold a JSON object")
-        agents_raw = _resolve(args.agents, "agents", config_doc, "agents", None)
-        if isinstance(agents_raw, str):
-            agents = tuple(a.strip() for a in agents_raw.split(",") if a.strip())
-        elif isinstance(agents_raw, list):
-            agents = tuple(agents_raw)
-        elif agents_raw is not None:
-            raise ScenarioError(f"agents must be a list or a comma-separated string, got {agents_raw!r}")
-        else:
-            agents = DEFAULT_AGENTS
-        seed_set = config_doc.get("episode_seed_set", list(DEFAULT_EPISODE_SEEDS))
-        if not isinstance(seed_set, list):
-            raise ScenarioError(f"episode_seed_set must be a list, got {seed_set!r}")
-        external = config_doc.get("external_agents", {})
-        if not isinstance(external, dict) or not all(
-            isinstance(argv, list) and argv and all(isinstance(part, str) for part in argv)
-            for argv in external.values()
-        ):
-            raise ScenarioError("external_agents must map each name to a non-empty argv list of strings")
-        config = RunConfig(
-            scenarios=_resolve(args.scenarios, "scenarios", config_doc, "scenarios", "builtin"),
-            agents=agents,
-            episodes_per_scenario=_resolve(
-                args.episodes_per_scenario, "episodes_per_scenario", config_doc,
-                "episodes_per_scenario", DEFAULT_EPISODES_PER_SCENARIO, int,
-            ),
-            seed=_resolve(args.seed, "seed", config_doc, "seed", DEFAULT_SEED, int),
-            episode_seed_set=tuple(seed_set),
-            out=_resolve(args.out, "out", config_doc, "out", "runs"),
-            parallel=_resolve(args.parallel, "parallel", config_doc, "parallel", 1, int),
-            calibration=_resolve(args.calibration, "calibration", config_doc, "calibration", None),
-            tools=_resolve(args.tools, "tools", config_doc, "tools", None),
-            external_agents=tuple((name, tuple(argv)) for name, argv in external.items()),
-            canonical=_resolve(args.canonical, "canonical", config_doc, "canonical", False, _env_flag),
-        )
-        return cmd_generate(config)
-    if args.command == "score":
-        return cmd_score(
-            out=_resolve(args.out, "out", {}, "out", "runs"),
-            corpus=args.corpus,
-            strict=args.strict if args.strict is not None else True,
-        )
-    if args.command == "aggregate":
-        return cmd_aggregate(
-            out=_resolve(args.out, "out", {}, "out", "runs"),
-            episode_budget=args.episode_budget,
-        )
-    if args.command == "analytics":
-        return cmd_analytics(out=_resolve(args.out, "out", {}, "out", "runs"), corpus=args.corpus)
+        unknown = sorted(set(config_doc) - set(_ENV_READERS) - set(_CONFIG_ONLY))
+        if unknown:
+            raise ScenarioError(f"config {args.config} has unknown keys {unknown}")
+        given = _given_settings(args, config_doc)
+        if "agents" in given:
+            agents = given["agents"]
+            if isinstance(agents, str):
+                given["agents"] = tuple(a.strip() for a in agents.split(",") if a.strip())
+            elif isinstance(agents, list):
+                given["agents"] = tuple(agents)
+            else:
+                raise ScenarioError(f"agents must be a list or a comma-separated string, got {agents!r}")
+        if "episode_seed_set" in config_doc:
+            seed_set = config_doc["episode_seed_set"]
+            if not isinstance(seed_set, list):
+                raise ScenarioError(f"episode_seed_set must be a list, got {seed_set!r}")
+            given["episode_seed_set"] = tuple(seed_set)
+        if "external_agents" in config_doc:
+            external = config_doc["external_agents"]
+            if not isinstance(external, dict) or not all(
+                isinstance(argv, list) and argv and all(isinstance(part, str) for part in argv)
+                for argv in external.values()
+            ):
+                raise ScenarioError("external_agents must map each name to a non-empty argv list of strings")
+            given["external_agents"] = tuple((name, tuple(argv)) for name, argv in external.items())
+        return cmd_generate(RunConfig(**given))
     if args.command == "validate":
-        return cmd_validate(args.path, strict=args.strict if args.strict is not None else True)
+        return cmd_validate(args.path, strict=args.strict)
+    out = _given_settings(args, {}).get("out", RunConfig.out)
+    if args.command == "score":
+        return cmd_score(out=out, corpus=args.corpus, strict=args.strict)
+    if args.command == "aggregate":
+        return cmd_aggregate(out=out, episode_budget=args.episode_budget)
+    if args.command == "analytics":
+        return cmd_analytics(out=out, corpus=args.corpus)
     raise ScenarioError(f"unknown command {args.command!r}")
 
 

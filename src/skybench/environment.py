@@ -10,7 +10,7 @@ only a yaw, and nothing turns the vehicle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidInput
@@ -121,17 +121,6 @@ class SafetyFlags:
     separation_breach: bool = False
     battery_depleted: bool = False
 
-    def union(self, other: "SafetyFlags") -> "SafetyFlags":
-        return SafetyFlags(
-            altitude_violation=self.altitude_violation or other.altitude_violation,
-            nfz_violation=self.nfz_violation or other.nfz_violation,
-            separation_breach=self.separation_breach or other.separation_breach,
-            battery_depleted=self.battery_depleted or other.battery_depleted,
-        )
-
-    def any(self) -> bool:
-        return self.altitude_violation or self.nfz_violation or self.separation_breach or self.battery_depleted
-
 
 @dataclass(frozen=True)
 class NavCommand:
@@ -229,21 +218,6 @@ def check_separation(position: Sequence[float], peer_positions: Iterable[Sequenc
     return True
 
 
-def _drain(battery_pct: float, action_class: str, dt: float) -> float:
-    if dt <= 0:
-        raise InvalidInput("dt must be positive")
-    if action_class not in BATTERY_DRAW:
-        raise InvalidInput(f"unknown action class: {action_class!r}")
-    return max(0.0, battery_pct - BATTERY_DRAW[action_class] * dt)
-
-
-def update_battery(state: UavState, action_class: str, dt: float) -> UavState:
-    """Drain the battery by the class draw, floored at zero; depletion is sticky."""
-    battery = _drain(state.battery_pct, action_class, dt)
-    flags = state.flags.union(SafetyFlags(battery_depleted=battery < BATTERY_DEPLETED_PCT))
-    return replace(state, battery_pct=battery, flags=flags)
-
-
 def _control_thrust(k: KinematicState, command: NavCommand, params: VehicleParams, dt: float) -> Vec3:
     """World-frame deadbeat thrust toward the commanded target, bounded by
     cruise speed and available thrust."""
@@ -286,16 +260,18 @@ def evolve_state(
     """One turn of closed-loop evolution.
 
     Integrates toward the stored navigation command, perturbs the achieved
-    kinematics, drains the battery by the action class, and re-evaluates every
-    safety flag (sticky accumulation).  Tool-induced command changes happen
-    upstream in the tool executor.
+    kinematics, drains the battery by the action class (floored at zero), and
+    re-evaluates every safety flag (sticky accumulation).  Tool-induced
+    command changes happen upstream in the tool executor.
     """
     if dt <= 0:
         raise InvalidInput("dt must be positive")
+    if action_class not in BATTERY_DRAW:
+        raise InvalidInput(f"unknown action class: {action_class!r}")
     thrust = _control_thrust(state.kinematics, state.command, params, dt)
     kin = apply_disturbance(step_kinematics(state.kinematics, thrust, params, dt), disturbance, rng)
     position = kin.position
-    battery = _drain(state.battery_pct, action_class, dt)
+    battery = max(0.0, state.battery_pct - BATTERY_DRAW[action_class] * dt)
     f = state.flags
     flags = SafetyFlags(
         altitude_violation=f.altitude_violation or not check_altitude(position, airspace),

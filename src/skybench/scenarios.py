@@ -56,6 +56,18 @@ def _finite(raw: Any, what: str) -> float:
     return value
 
 
+def _check_finite(value: Any, what: str) -> None:
+    """Raise unless every number in a parsed JSON value, at any depth, is finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{what}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{what}[{i}]")
+
+
 def _vec3(raw: Any, what: str) -> tuple[float, float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ScenarioError(f"{what} must be a 3-vector")
@@ -145,7 +157,10 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
             if not isinstance(track, list) or not track:
                 raise ScenarioError(f"peer {pid} must have a non-empty list of positions")
             peers[str(pid)] = tuple(_vec3(p, f"peer {pid} position") for p in track)
-        swarm = SwarmContext(peers=peers, weather=doc.get("weather", {}))
+        # Peers hand the weather back in acknowledgements, which records hold.
+        weather = _section(doc, "weather")
+        _check_finite(weather, "weather")
+        swarm = SwarmContext(peers=peers, weather=weather)
         # A blank prompt would make an empty user intent, which no record may hold.
         prompts = doc.get("user_prompts", [])
         if not isinstance(prompts, list) or not all(isinstance(p, str) and p.strip() for p in prompts):

@@ -315,6 +315,10 @@ def test_filter_degraded_predicate_boundaries():
     assert not FILTER.degraded(NetworkState("eMBB", 40.0, 1.0, 0.99, 50.0, 0.5))
     assert FILTER.degraded(NetworkState("eMBB", 40.01, 1.0, 0.0, 50.0, 0.5))
     assert FILTER.degraded(NetworkState("eMBB", 10.0, 1.0, 1.0, 50.0, 0.5))
+    # The filter's rule is classify_hard's: throughput and edge load count too.
+    assert not FILTER.degraded(NetworkState("eMBB", 10.0, 1.0, 0.0, 5.0, 0.8))
+    assert FILTER.degraded(NetworkState("eMBB", 10.0, 1.0, 0.0, 4.99, 0.5))
+    assert FILTER.degraded(NetworkState("eMBB", 10.0, 1.0, 0.0, 50.0, 0.81))
 
 
 def test_filter_permits_only_safe_subset_when_degraded():

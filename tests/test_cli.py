@@ -278,6 +278,59 @@ def test_config_file_defaults(tmp_path):
     assert len((out / "corpus.jsonl").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"episode_per_scenario": 1}, "config {path} has unknown keys ['episode_per_scenario']"),
+        ({"Seed": 7, "workers": 2, "seed": 7}, "config {path} has unknown keys ['Seed', 'workers']"),
+        ({"agents": None}, "agents must be a list or a comma-separated string, got None"),
+    ],
+)
+def test_config_keys_and_null_values_are_checked(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"agents": ["safe_pilot"], **config}))
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(path), "--episodes-per-scenario", "1", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not out.exists()
+
+
+def test_null_input_paths_mean_the_built_in_inputs(tmp_path):
+    def run(out: Path, **config) -> bytes:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"agents": ["safe_pilot"], "episodes_per_scenario": 1, "canonical": True, **config}))
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        return (out / "corpus.jsonl").read_bytes() + (out / MANIFEST_NAME).read_bytes()
+
+    assert run(tmp_path / "null", calibration=None, tools=None) == run(tmp_path / "absent")
+
+
+def test_read_side_stages_take_out_from_the_environment_only(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert cmd_generate(tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=1)) == EXIT_OK
+    monkeypatch.setenv("SKYBENCH_OUT", str(out))
+    monkeypatch.setenv("SKYBENCH_SEED", "abc")  # a setting these stages have no flag for
+    for stage in ("score", "aggregate", "analytics"):
+        assert main([stage]) == EXIT_OK
+    assert (out / LEADERBOARD_NAME).exists() and (out / "analytics.json").exists()
+
+
+def test_config_hash_is_pinned():
+    # A changed hash would make every existing run regenerate on resume.
+    builtin_inputs = ([], None, None)
+    assert RunConfig().config_hash(*builtin_inputs) == "10e21ff35400d79a"
+    every_setting = RunConfig(
+        scenarios="some/dir", agents=("safe_pilot", "probe"), episodes_per_scenario=7, seed=9,
+        episode_seed_set=(1, 2, 3), out="elsewhere", parallel=4, calibration="c.json", tools="t.json",
+        canonical=True, external_agents=(("probe", ("python", "-c", "x")), ("b", ("y",))),
+    )
+    assert every_setting.config_hash(*builtin_inputs) == "05ce1dc75cf94bc7"
+    inputs = ([{"a": 1.5}], DEFAULT_TARGETS, {"tools": []})
+    assert every_setting.config_hash(*inputs) == "4b4ac1d4647f4c21"
+    # Where a run writes and how many threads it uses are not part of it.
+    assert RunConfig(out="x", parallel=3).config_hash(*builtin_inputs) == "10e21ff35400d79a"
+
+
 def test_run_config_validation():
     for bad in (
         {"episodes_per_scenario": 0},
@@ -525,6 +578,7 @@ def test_unreadable_manifest_means_regenerate(tmp_path, manifest):
         ["generate", "--parallel", "0"],
         ["generate", "--agents", ""],
         ["generate", "--agents", "safe_pilot,safe_pilot"],
+        ["generate", "--agents", "nobody"],
         ["aggregate", "--episode-budget", "-3"],
     ],
 )
@@ -647,6 +701,14 @@ def test_bad_config_and_environment_values_exit_two(tmp_path, capsys, monkeypatc
         (lambda doc: doc["network"].update(slice_switch_prob=5.0), "network.slice_switch_prob must lie in [0, 1], got 5.0"),
         (lambda doc: doc["network"].update(slice_switch_prob=-0.5), "network.slice_switch_prob must lie in [0, 1], got -0.5"),
         (lambda doc: doc["network"].update(slice_switch_prob=float("nan")), "network.slice_switch_prob must lie in [0, 1], got nan"),
+        (lambda doc: doc["network"].update(initial_slice="5G"), "unknown slice '5G'"),
+        (lambda doc: doc["mission"].update(target=[14.0, 8.0]), "mission target must be a 3-vector"),
+        (lambda doc: doc["airspace"].update(z_min_m=120.0, z_max_m=120.0), "malformed scenario document: z_min must be below z_max"),
+        (lambda doc: doc.update(weather=[]), "weather must be an object, got list"),
+        (lambda doc: doc.update(weather="calm"), "weather must be an object, got str"),
+        (lambda doc: doc["weather"].update(wind_mps=float("nan")), "weather.wind_mps must be finite, got nan"),
+        (lambda doc: doc["weather"].update(visibility_km=float("-inf")), "weather.visibility_km must be finite, got -inf"),
+        (lambda doc: doc["weather"].update(gusts={"peaks_mps": [4.0, float("inf")]}), "weather.gusts.peaks_mps[1] must be finite, got inf"),
     ],
 )
 def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, edit, message):
@@ -661,6 +723,31 @@ def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, 
     ]) == EXIT_INPUT
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("json_file", [True, False], ids=["file holding []", "directory without json"])
+def test_generate_rejects_scenario_paths_with_no_scenario(tmp_path, capsys, json_file):
+    root = tmp_path / "scenarios"
+    root.mkdir()
+    (root / "notes.txt").write_text("not a scenario")
+    if json_file:
+        path, message = root / "scenario.json", "a scenario must be an object, got list"
+        path.write_text("[]")
+    else:
+        path, message = root, f"no scenario files under {root}"
+    out = tmp_path / "run"
+    assert main(["generate", "--scenarios", str(path), "--agents", "safe_pilot", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["score", "analytics"])
+def test_read_side_stages_need_an_existing_corpus(tmp_path, capsys, stage):
+    corpus = tmp_path / "missing.jsonl"
+    out = tmp_path / "run"
+    assert main([stage, "--corpus", str(corpus), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: corpus not found: {corpus}\n"
+    assert not out.exists()
 
 
 def test_failed_capture_does_not_complete_the_mission(tmp_path):
@@ -754,9 +841,9 @@ def _targets_without_jitter():
     return targets
 
 
-def _targets_with_lossy_mmtc():
-    targets = {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
-    targets[MMTC]["loss_mean_pct"] = 80.0  # a clipped exponential cannot keep this mean
+def _targets_with(slice_name: str, **stats):
+    targets = {name: dict(values) for name, values in DEFAULT_TARGETS.items()}
+    targets[slice_name].update(stats)
     return targets
 
 
@@ -766,7 +853,11 @@ def _targets_with_lossy_mmtc():
         (_targets_without_mmtc(), "calibration targets lack slices ['mMTC']"),
         (_targets_without_jitter(), "calibration targets for URLLC need a number for 'jitter_mean_ms'"),
         ([DEFAULT_TARGETS[URLLC]], "calibration targets must be an object keyed by slice"),
-        (_targets_with_lossy_mmtc(), "mMTC loss mean verification failed"),
+        # A clipped exponential cannot keep this mean.
+        (_targets_with(MMTC, loss_mean_pct=80.0), "mMTC loss mean verification failed"),
+        (_targets_with(URLLC, latency_median_ms=0), "latency quantiles must be positive"),
+        (_targets_with(URLLC, jitter_mean_ms=0), "mean must be positive"),
+        (_targets_with(MMTC, edge_load_mean=1.0), "edge load mean must lie in (0, 1)"),
     ],
 )
 def test_generate_rejects_bad_calibration_file(tmp_path, capsys, targets, message):
@@ -788,6 +879,7 @@ def test_generate_rejects_bad_calibration_file(tmp_path, capsys, targets, messag
         (["read_telemetry"], "tool registry entry must be an object"),
         ({"name": "ping", "args": [{"name": "n", "kind": "float"}]}, "argument 'n' has kind 'float'"),
         ({"name": "ping", "protocol": "a2a"}, "protocol 'a2a' is not 'mcp'"),
+        ({"action_class": "transmit"}, "malformed tool registry entry: 'name'"),
     ],
 )
 def test_generate_rejects_bad_tool_file(tmp_path, capsys, entry, message):
@@ -919,6 +1011,20 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_analytics", boom)
     assert main(["analytics", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("name", ["evolve_state", "evolve_network", "sample_network_state"])
+def test_a_fault_outside_the_agent_exits_three(tmp_path, capsys, monkeypatch, name):
+    import skybench.agents as agents
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("physics bug")
+
+    monkeypatch.setattr(agents, name, boom)
+    out = tmp_path / "run"
+    assert main(["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "internal error: physics bug\n"
+    assert not (out / "corpus.jsonl").exists()
 
 
 def test_changed_config_invalidates_resume(tmp_path):

@@ -22,7 +22,6 @@ from skybench.environment import (
     check_separation,
     evolve_state,
     step_kinematics,
-    update_battery,
 )
 from skybench.errors import InvalidInput
 
@@ -168,33 +167,44 @@ def test_separation_margin_inclusive():
 
 # -- battery -----------------------------------------------------------------
 
+def hold(battery_pct: float, action_class: str, dt: float = 1.0, flags: SafetyFlags = SafetyFlags()) -> UavState:
+    """One noiseless evolve_state step of a vehicle holding at 50 m."""
+    state = UavState(kinematics=KinematicState(position=(0.0, 0.0, 50.0)), battery_pct=battery_pct, flags=flags)
+    return evolve_state(state, AIRSPACE, PARAMS, DisturbanceModel.none(), quiet_rng(), dt, action_class=action_class)
+
+
+@pytest.mark.parametrize("action_class", sorted(BATTERY_DRAW))
+def test_battery_drains_by_action_class(action_class):
+    out = hold(90.0, action_class, dt=2.0)
+    assert out.battery_pct == 90.0 - 2.0 * BATTERY_DRAW[action_class]
+    assert out.flags == SafetyFlags()
+
+
 def test_battery_idle_zero_draw_unchanged(monkeypatch):
     monkeypatch.setitem(BATTERY_DRAW, "idle", 0.0)
-    state = UavState(battery_pct=50.0)
-    assert update_battery(state, "idle", dt=5.0).battery_pct == 50.0
+    assert hold(50.0, "idle", dt=5.0).battery_pct == 50.0
 
 
 def test_battery_threshold_crossing_sets_sticky_flag(monkeypatch):
     monkeypatch.setitem(BATTERY_DRAW, "maneuver", 1.0)
-    state = UavState(battery_pct=5.5)
-    out = update_battery(state, "maneuver", dt=1.0)
+    out = hold(5.5, "maneuver")
     assert out.battery_pct == pytest.approx(4.5)
     assert out.flags.battery_depleted
-    # Flag stays set even after a zero-draw update.
+    # Flag stays set even after a zero-draw step.
     monkeypatch.setitem(BATTERY_DRAW, "idle", 0.0)
-    again = update_battery(out, "idle", dt=1.0)
+    again = hold(50.0, "idle", flags=out.flags)
+    assert again.battery_pct == 50.0
     assert again.flags.battery_depleted
 
 
 def test_battery_floors_at_zero(monkeypatch):
     monkeypatch.setitem(BATTERY_DRAW, "maneuver", 1.0)
-    out = update_battery(UavState(battery_pct=0.3), "maneuver", dt=1.0)
-    assert out.battery_pct == 0.0
+    assert hold(0.3, "maneuver").battery_pct == 0.0
 
 
 def test_unknown_action_class_rejected():
-    with pytest.raises(InvalidInput):
-        update_battery(UavState(), "warp", dt=1.0)
+    with pytest.raises(InvalidInput, match="unknown action class: 'warp'"):
+        hold(50.0, "warp")
 
 
 # -- closed-loop evolution ---------------------------------------------------
@@ -209,7 +219,7 @@ def test_evolve_hover_only_drifts_by_disturbance():
     out = evolve_state(state, AIRSPACE, PARAMS, model, quiet_rng(), 1.0, action_class="hover")
     drift = math.dist(out.kinematics.position, (0.0, 0.0, 50.0))
     assert drift <= 3 * 0.5 * math.sqrt(3) + 1e-9
-    assert not out.flags.any()
+    assert out.flags == SafetyFlags()
 
 
 def test_evolve_reaches_waypoint_within_tolerance():
@@ -289,10 +299,3 @@ def test_separation_breach_flag_from_peers():
         action_class="hover", peer_positions=((2.0, 0.0, 50.0),),
     )
     assert out.flags.separation_breach
-
-
-def test_safety_flags_union():
-    a = SafetyFlags(altitude_violation=True)
-    b = SafetyFlags(nfz_violation=True)
-    merged = a.union(b)
-    assert merged.altitude_violation and merged.nfz_violation and not merged.separation_breach

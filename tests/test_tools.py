@@ -212,12 +212,19 @@ def test_mcp_execution_deterministic(calibration):
     assert capture(99) == capture(99)
 
 
-def test_registry_extension_roundtrip():
+def test_registry_extension_roundtrip(calibration):
     registry = load_registry_extension(
-        {"tools": [{"name": "ping_relay", "protocol": "mcp", "action_class": "transmit", "effect": "payload_only"}]}
+        {"tools": [{"name": "ping_relay", "protocol": "mcp", "action_class": "transmit", "effect": "payload_only",
+                    "args": [{"name": "peer"}]}]}
     )
     assert "ping_relay" in registry
     assert registry["read_telemetry"].action_class == "transmit"
+    # A registered tool with no handler of its own echoes its arguments.
+    executor = ToolExecutor(registry, calibration, AIRSPACE, PARAMS)
+    state, net = base_state(), normal_net()
+    obs, after, net_after = executor.execute_mcp(McpCall("ping_relay", {"peer": "P2"}), state, net, np.random.default_rng(0))
+    assert obs == McpResult("ping_relay", {"status": "ok", "args": {"peer": "P2"}})
+    assert (after, net_after) == (state, net)
 
 
 def test_every_registered_mcp_tool_yields_schema_valid_observation(calibration):
