@@ -10,7 +10,6 @@ validation outcomes rather than crashes.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import selectors
@@ -44,6 +43,7 @@ from .episode import (
     FinalState,
     EpisodeMetadata,
     format_float,
+    loads_json,
     make_failure_stub,
     stub_error_kind,
     validate_episode,
@@ -86,18 +86,6 @@ GEN_PER_TURN_S = 0.25
 # Seconds an external policy has to answer one request; past it the attempt
 # fails and the child is stopped.
 POLICY_TURN_TIMEOUT_S = 60.0
-
-
-def _finite_float(text: str) -> float:
-    """A JSON number as a float; one past float range (1e999) is refused."""
-    value = float(text)
-    if math.isinf(value):
-        raise ValueError(f"number {text} is out of range")
-    return value
-
-
-def _refuse_constant(name: str) -> float:
-    raise ValueError(f"{name} is not a JSON value")
 
 
 class AdaptiveActionFilter:
@@ -385,18 +373,15 @@ class SubprocessPolicy:
         assert proc.stdin is not None and proc.stdout is not None
         proc.stdin.write(dumps_canonical(request) + "\n")
         proc.stdin.flush()
-        try:
-            # A record holds the action as sent, and no record may hold
-            # NaN, Infinity or a number past float range.
-            reply = json.loads(self._read_line(proc), parse_float=_finite_float, parse_constant=_refuse_constant)
-        except ValueError as exc:  # JSONDecodeError included
-            raise ScenarioError(f"external policy {self.name!r} sent a reply that is not JSON: {exc}") from exc
+        # A record holds the action as sent, so the reply is read as strictly
+        # as a corpus line; a ParseError fails the attempt.
+        reply = loads_json(self._read_line(proc))
         intent = str(reply["intent"])
         action_doc = reply.get("action")
         action = doc_to_action(action_doc) if action_doc else None
         return intent, action
 
-    def _read_line(self, proc: subprocess.Popen) -> str:
+    def _read_line(self, proc: subprocess.Popen) -> bytes:
         """The child's next reply line, due within POLICY_TURN_TIMEOUT_S.
 
         Bytes come straight from the pipe's descriptor, never through
@@ -417,7 +402,7 @@ class SubprocessPolicy:
                     raise ScenarioError(f"external policy {self.name!r} closed its output")
                 self._pending += chunk
         line, _, self._pending = self._pending.partition(b"\n")
-        return line.decode("utf-8")
+        return line
 
     def close(self) -> None:
         """Stop the child and close both pipes, whether or not it still runs."""

@@ -14,6 +14,7 @@ import json
 import os
 import statistics
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -33,7 +34,6 @@ from .agents import (
 from .episode import (
     Episode,
     FailureStub,
-    ValidationReport,
     doc_to_episode,
     doc_to_stub,
     dumps_canonical,
@@ -41,6 +41,7 @@ from .episode import (
     format_float,
     line_to_record,
     loads_document,
+    loads_json,
     record_to_line,
     validate_episode,
 )
@@ -92,8 +93,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_json(path: str | Path, what: str) -> Any:
     try:
-        return json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return loads_json(Path(path).read_text("utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -223,10 +224,9 @@ def _read_manifest(out_dir: Path) -> dict[str, Any]:
     """The manifest in out_dir, or {} when it is missing, unreadable, not
     JSON or not an object."""
     try:
-        manifest = json.loads((out_dir / MANIFEST_NAME).read_bytes())
-    except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return loads_document((out_dir / MANIFEST_NAME).read_bytes())
+    except (OSError, ParseError):
         return {}
-    return manifest if isinstance(manifest, dict) else {}
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,11 @@ def cmd_generate(config: RunConfig) -> int:
     tools_doc = _read_json(config.tools, "tool registry") if config.tools else None
     config_hash = config.config_hash(scenario_docs, targets, tools_doc)
     scenarios = builtin_scenarios() if builtin else tuple(load_scenario(doc) for doc in scenario_docs)
+    # Episode ids, which key the jobs and the resume, name a scenario by its id.
+    ids = [s.scenario_id for s in scenarios]
+    twice = sorted({i for i in ids if ids.count(i) > 1})
+    if twice:
+        raise ScenarioError(f"more than one scenario has the id {', '.join(map(repr, twice))}")
     if targets is None:
         calibration = default_calibration()
     else:
@@ -311,33 +316,29 @@ def cmd_generate(config: RunConfig) -> int:
         for agent_name in config.agents
         for index in range(config.episodes_per_scenario)
     ]
-    lines: dict[int, tuple[str, bool]] = {}
-    pending = []
-    for position, (scenario, agent_name, index) in enumerate(jobs):
-        record_id = episode_id_for(scenario.scenario_id, agent_name, index)
-        if record_id in existing:
-            lines[position] = existing[record_id]
-        else:
-            pending.append(position)
 
-    def work(position: int) -> tuple[int, tuple[str, bool]]:
-        scenario, agent_name, index = jobs[position]
-        return position, _generate_line(scenario, agent_name, index, config, calibration, registry, timestamp)
+    def line_for(job: tuple[Scenario, str, int]) -> tuple[str, bool]:
+        scenario, agent_name, index = job
+        resumed = existing.get(episode_id_for(scenario.scenario_id, agent_name, index))
+        return resumed or _generate_line(scenario, agent_name, index, config, calibration, registry, timestamp)
 
-    if config.parallel > 1 and pending:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            for position, line in pool.map(work, pending):
-                lines[position] = line
-    else:
-        for position in pending:
-            lines[position] = work(position)[1]
-
-    with open(corpus_path, "w", encoding="utf-8") as fh:
-        for position in range(len(jobs)):
-            fh.write(lines[position][0])
+    # Lines stream to a side file in job order; the corpus is replaced only
+    # once every line is written, so a failed run leaves the old one whole.
+    partial_path = out_dir / (CORPUS_NAME + ".partial")
+    stubs = 0
+    with ThreadPoolExecutor(max_workers=config.parallel) as pool, open(partial_path, "w", encoding="utf-8") as fh:
+        for line, is_stub in (pool.map if config.parallel > 1 else map)(line_for, jobs):
+            fh.write(line)
             fh.write("\n")
-
-    stubs = sum(is_stub for _, is_stub in lines.values())
+            stubs += is_stub
+    # No manifest may vouch for a corpus it does not describe: if writing the
+    # new one fails, the next run finds none and regenerates.
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    # A rename onto an existing file makes ext4 write the new one out at once
+    # (auto_da_alloc), which took longer than the rest of a small resume.
+    # Without a manifest the old corpus is no longer resumable anyway.
+    corpus_path.unlink(missing_ok=True)
+    os.replace(partial_path, corpus_path)
     episodes = len(jobs) - stubs
     manifest = {
         "config_hash": config_hash,
@@ -364,31 +365,13 @@ def cmd_generate(config: RunConfig) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-Checked = FailureStub | tuple[ValidationReport, Episode | None]
-
-
-def _check_doc(doc: Mapping[str, Any], strict: bool) -> Checked:
-    """Build a failure stub, or validate an episode document and build it when
-    it is valid.  Raises ParseError for a stub that lacks a field."""
+def _check_doc(doc: Mapping[str, Any], strict: bool) -> dict[str, Any] | tuple:
+    """The score record of a failure stub or an invalid episode, which t_opt
+    does not change; for a valid episode, its identity keys, report and
+    episode, which _finish scores.  Raises ParseError for a stub that lacks
+    a field."""
     if doc.get("kind") == "failure_stub":
-        return doc_to_stub(doc)
-    # Validate the raw document: strict mode must see fields that the typed
-    # episode value would drop.
-    report = validate_episode(doc, strict=strict)
-    return report, (doc_to_episode(doc) if report.valid else None)
-
-
-def _score_doc(
-    doc: Mapping[str, Any],
-    ctx: ScoringContext,
-    strict: bool,
-    checked: Checked | None = None,
-) -> dict[str, Any]:
-    """Score one corpus record; `checked` is its _check_doc result, when the
-    caller already has it."""
-    checked = checked if checked is not None else _check_doc(doc, strict)
-    if isinstance(checked, FailureStub):
-        stub = checked
+        stub = doc_to_stub(doc)
         return {
             "kind": "failure_stub",
             "model": stub.model,
@@ -398,7 +381,9 @@ def _score_doc(
             "error_kind": stub.error_kind,
             "scored": False,
         }
-    report, episode = checked
+    # Validate the raw document: strict mode must see fields that the typed
+    # episode value would drop.
+    report = validate_episode(doc, strict=strict)
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), Mapping) else {}
     base: dict[str, Any] = {
         "episode_id": doc.get("episode_id", ""),
@@ -410,6 +395,14 @@ def _score_doc(
     if not report.valid:
         base.update(valid=False, alpha3=0.0, violations=sorted(set(report.codes())))
         return base
+    return base, report, doc_to_episode(doc)
+
+
+def _finish(entry: dict[str, Any] | tuple, ctx: ScoringContext) -> dict[str, Any]:
+    """The score record of a _check_doc result."""
+    if isinstance(entry, dict):
+        return entry
+    base, report, episode = entry
     scores = score_episode(episode, report, ctx)
     try:
         ge_time, ge_tokens = generation_efficiency(episode, scores.alpha3)
@@ -429,34 +422,38 @@ def _score_doc(
     return base
 
 
+def _score_doc(doc: Mapping[str, Any], ctx: ScoringContext, strict: bool) -> dict[str, Any]:
+    """Score one corpus record."""
+    return _finish(_check_doc(doc, strict), ctx)
+
+
 def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
     out_dir = Path(out)
     corpus_path = Path(corpus) if corpus else out_dir / CORPUS_NAME
     if not corpus_path.exists():
         raise ScenarioError(f"corpus not found: {corpus_path}")
-    # Each record is validated and built once; t_opt needs every valid
-    # episode before any record can be scored.
-    records: list[tuple[dict[str, Any], Checked]] = []
+    # Each record is validated and built once, and its document dropped;
+    # t_opt needs every valid episode before any of them can be scored.
+    entries = []
     malformed = 0
     for _, line in _corpus_lines(corpus_path):
         try:
-            doc = loads_document(line)
-            records.append((doc, _check_doc(doc, strict)))
+            entries.append(_check_doc(loads_document(line), strict))
         except ParseError:
             malformed += 1
-    valid_episodes = [c[1] for _, c in records if isinstance(c, tuple) and c[1] is not None]
+    valid_episodes = [entry[2] for entry in entries if isinstance(entry, tuple)]
     t_opt = compute_t_opt(valid_episodes)
     ctx = ScoringContext(t_opt=t_opt)
     out_dir.mkdir(parents=True, exist_ok=True)
     scores_path = out_dir / SCORES_NAME
     with open(scores_path, "w", encoding="utf-8") as fh:
-        for doc, check in records:
-            fh.write(dumps_canonical(_score_doc(doc, ctx, strict, check)))
+        for entry in entries:
+            fh.write(dumps_canonical(_finish(entry, ctx)))
             fh.write("\n")
     meta = {
         "t_opt": t_opt,
         "strict": strict,
-        "records": len(records),
+        "records": len(entries),
         "valid_episodes": len(valid_episodes),
         "malformed_lines": malformed,
         "weights": list(WEIGHTS),
@@ -465,7 +462,7 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
     (out_dir / SCORING_META_NAME).write_text(dumps_pretty(meta) + "\n", "utf-8")
     if malformed:
         print(f"warning: {malformed} malformed lines skipped", file=sys.stderr)
-    print(f"scored {len(records)} records (t_opt={t_opt}) to {scores_path}")
+    print(f"scored {len(entries)} records (t_opt={t_opt}) to {scores_path}")
     return EXIT_OK
 
 
@@ -473,18 +470,15 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
 # aggregate
 # ---------------------------------------------------------------------------
 
-def _infer_budget(out_dir: Path, score_docs: Sequence[Mapping[str, Any]]) -> int:
+def _infer_budget(out_dir: Path, by_model: Mapping[str, Mapping[str, Any]]) -> int:
+    """The manifest's budget, else the most records any model has."""
     try:
         budget = int(_read_manifest(out_dir)["episode_budget_per_model"])
         if budget > 0:
             return budget
     except (KeyError, TypeError, ValueError):
         pass
-    per_model: dict[str, int] = {}
-    for doc in score_docs:
-        model = str(doc.get("model", ""))
-        per_model[model] = per_model.get(model, 0) + 1
-    return max(per_model.values(), default=1)
+    return max((len(slot["scores"]) + slot["fails"] for slot in by_model.values()), default=1)
 
 
 def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
@@ -494,11 +488,9 @@ def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
     scores_path = out_dir / SCORES_NAME
     if not scores_path.exists():
         raise ScenarioError(f"score sidecar not found: {scores_path} (run `skybench score` first)")
-    docs = [loads_document(line) for _, line in _corpus_lines(scores_path)]
-    budget = episode_budget or _infer_budget(out_dir, docs)
-
-    by_model: dict[str, dict[str, list]] = {}
-    for doc in docs:
+    by_model: dict[str, dict[str, Any]] = {}
+    for _, line in _corpus_lines(scores_path):
+        doc = loads_document(line)
         model = str(doc.get("model", "unknown"))
         slot = by_model.setdefault(
             model, {"scores": [], "fails": 0, "attempts": 0, "times": [], "tokens": [], "success": []}
@@ -514,6 +506,7 @@ def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
         slot["times"].append(float(doc["gen_time_s"]))
         slot["tokens"].append(float(doc["total_tokens"]))
         slot["success"].append(bool(doc["mission_completed"]))
+    budget = episode_budget or _infer_budget(out_dir, by_model)
 
     aggregates = [
         aggregate_model(
@@ -559,7 +552,8 @@ def _top(counter: Mapping[str, int], k: int = 10) -> list[tuple[str, int]]:
 
 
 def corpus_analytics(records: Iterable) -> dict[str, Any]:
-    episodes = [r for r in records if isinstance(r, Episode)]
+    """Usage tables of the episodes among `records`, folded in one pass."""
+    n_episodes = 0
     intent_counts: dict[str, int] = {}
     mcp_counts: dict[str, int] = {}
     mcp_slice: dict[str, dict[str, int]] = {}
@@ -568,11 +562,14 @@ def corpus_analytics(records: Iterable) -> dict[str, Any]:
     a2a_degraded = 0
     episodes_with_a2a = 0
     bins: list[dict[str, Any]] = [
-        {"bin": f"{int(lo)}-{int(hi) if hi != float('inf') else 'inf'}", "values": [], "slices": {}, "actions": {}, "intents": {}}
+        {"bin": f"{int(lo)}-{int(hi) if hi != float('inf') else 'inf'}", "values": array("d"), "slices": {}, "actions": {}, "intents": {}}
         for lo, hi in LATENCY_BINS
     ]
 
-    for episode in episodes:
+    for episode in records:
+        if not isinstance(episode, Episode):
+            continue
+        n_episodes += 1
         saw_a2a = False
         for turn in episode.turns:
             if turn.role == "agent":
@@ -604,7 +601,6 @@ def corpus_analytics(records: Iterable) -> dict[str, Any]:
         if saw_a2a:
             episodes_with_a2a += 1
 
-    n_episodes = len(episodes)
     total_intents = sum(intent_counts.values())
     total_mcp = sum(mcp_counts.values())
     report: dict[str, Any] = {
@@ -659,14 +655,17 @@ def cmd_analytics(out: str, corpus: str | None = None) -> int:
     corpus_path = Path(corpus) if corpus else out_dir / CORPUS_NAME
     if not corpus_path.exists():
         raise ScenarioError(f"corpus not found: {corpus_path}")
-    records = []
     malformed = 0
-    for _, line in _corpus_lines(corpus_path):
-        try:
-            records.append(line_to_record(line))
-        except ParseError:
-            malformed += 1
-    report = corpus_analytics(records)
+
+    def records() -> Iterator[Episode | FailureStub]:
+        nonlocal malformed
+        for _, line in _corpus_lines(corpus_path):
+            try:
+                yield line_to_record(line)
+            except ParseError:
+                malformed += 1
+
+    report = corpus_analytics(records())
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / ANALYTICS_NAME).write_text(dumps_pretty(report) + "\n", "utf-8")
     print(f"episodes analyzed: {report['episodes']}")

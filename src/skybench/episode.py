@@ -9,6 +9,8 @@ codes.  All types are immutable values; every function is pure.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Callable, Mapping, NamedTuple, Union
@@ -401,13 +403,49 @@ def doc_to_stub(doc: Mapping[str, Any]) -> FailureStub:
         raise ParseError(f"cannot build failure stub from document: {exc}") from exc
 
 
-def loads_document(data: bytes | str) -> dict[str, Any]:
+def _finite_float(text: str) -> float:
+    """A JSON number as a float; one past float range (1e999) is refused."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _float_range_int(text: str) -> int:
+    """A JSON integer; one past float range (±1.8e308) is refused, since a
+    field that is read as a float could not hold it."""
+    value = int(text)  # past Python's digit limit, a ValueError
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} characters is out of range")
+    return value
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+_STRICT_DECODER = json.JSONDecoder(
+    parse_float=_finite_float, parse_int=_float_range_int, parse_constant=_refuse_constant
+)
+
+
+def loads_json(data: bytes | str) -> Any:
+    """Parse JSON text that is UTF-8 and holds only values a record can hold:
+    no NaN or Infinity, and no number past float range.
+
+    Raises ParseError otherwise; this is the one parse of corpus lines,
+    input files and external policy replies.
+    """
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8", errors="strict")
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _STRICT_DECODER.decode(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ParseError(f"not well-formed JSON: {exc}") from exc
+
+
+def loads_document(data: bytes | str) -> dict[str, Any]:
+    doc = loads_json(data)
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return doc

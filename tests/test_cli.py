@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from skybench.episode import (
 )
 from skybench.errors import SkybenchError
 from skybench.network import DEFAULT_TARGETS, MMTC, URLLC
+from skybench.scenarios import load_scenario
 from skybench.scoring import LEADERBOARD_COLUMNS
 
 
@@ -84,9 +86,10 @@ def test_generate_resumes_from_partial_corpus(tmp_path):
     cmd_generate(tiny_config(out))
     full = (out / "corpus.jsonl").read_bytes()
     lines = full.decode().splitlines()
-    (out / "corpus.jsonl").write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    cmd_generate(tiny_config(out))
-    assert (out / "corpus.jsonl").read_bytes() == full
+    for parallel in (1, 2):
+        (out / "corpus.jsonl").write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+        cmd_generate(tiny_config(out, parallel=parallel))
+        assert (out / "corpus.jsonl").read_bytes() == full
 
 
 def test_score_sidecar_counts_and_idempotence(tmp_path):
@@ -367,14 +370,16 @@ def test_builtin_corpus_bytes_are_pinned(tmp_path):
 
 def test_parallel_corpus_bytes_match_the_serial_pin(tmp_path, fresh_python):
     # A fresh interpreter, so that numpy is first imported in a worker thread.
-    out = tmp_path / "pin"
     code, _, err = fresh_python(
         "import sys\n"
         "from skybench.cli import main\n"
-        f"sys.exit(main(['generate', '--canonical', '--episodes-per-scenario', '2', '--parallel', '2', '--out', {str(out)!r}]))\n"
+        "for parallel in ('2', '8'):\n"
+        "    argv = ['generate', '--canonical', '--episodes-per-scenario', '2', '--parallel', parallel]\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r} + '/pin' + parallel]) == 0\n"
     )
     assert code == EXIT_OK, err
-    assert hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest() == BUILTIN_PIN
+    for parallel in ("2", "8"):
+        assert hashlib.sha256((tmp_path / f"pin{parallel}" / "corpus.jsonl").read_bytes()).hexdigest() == BUILTIN_PIN
 
 
 def test_failure_stub_corpus_bytes_are_pinned(tmp_path):
@@ -447,7 +452,7 @@ def test_resume_discards_records_of_changed_inputs(tmp_path, change):
     assert rerun != first
 
 
-@pytest.mark.parametrize("number", ["1e999", "-1e999", "NaN", "Infinity"])
+@pytest.mark.parametrize("number", ["1e999", "-1e999", "NaN", "Infinity", "1" + "0" * 400])
 def test_external_reply_with_a_number_no_record_can_hold_makes_stubs(tmp_path, number):
     import sys
 
@@ -571,6 +576,98 @@ def test_unreadable_manifest_means_regenerate(tmp_path, manifest):
     assert main(["aggregate", "--out", str(out)]) == EXIT_OK
 
 
+def test_a_failed_manifest_write_leaves_no_manifest_to_resume_from(tmp_path, monkeypatch):
+    calibration = tmp_path / "calibration.json"
+    targets = {name: dict(stats) for name, stats in DEFAULT_TARGETS.items()}
+    targets["eMBB"].update(latency_median_ms=30.0, latency_p90_ms=60.0)
+    calibration.write_text(json.dumps(targets))
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--canonical", "--out"]
+    fresh, out = tmp_path / "fresh", tmp_path / "run"
+    assert main(argv + [str(fresh)]) == EXIT_OK
+    assert main(argv + [str(out)]) == EXIT_OK
+    write_text = Path.write_text
+
+    def disk_full(self, *args, **kwargs):
+        if self.name == MANIFEST_NAME:
+            raise OSError(28, "No space left on device")
+        return write_text(self, *args, **kwargs)
+
+    # Another calibration gives other records under the same ids; its corpus
+    # is written, its manifest is not.
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert main(argv + [str(out), "--calibration", str(calibration)]) == EXIT_INPUT
+    assert (out / "corpus.jsonl").read_bytes() != (fresh / "corpus.jsonl").read_bytes()
+    assert not (out / MANIFEST_NAME).exists()
+    monkeypatch.undo()
+    assert main(argv + [str(out)]) == EXIT_OK
+    for name in ("corpus.jsonl", MANIFEST_NAME):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_a_run_that_faults_midway_leaves_the_previous_output_whole(tmp_path, capsys, monkeypatch, parallel):
+    import skybench.cli as cli
+
+    out = tmp_path / "run"
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--canonical", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    before = {name: (out / name).read_bytes() for name in ("corpus.jsonl", MANIFEST_NAME)}
+    calls = []
+    run_episode = cli.run_episode
+
+    def fault_from_the_third_job_on(*args, **kwargs):
+        calls.append(None)
+        if len(calls) >= 3:
+            raise RuntimeError("physics bug")
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", fault_from_the_third_job_on)
+    assert main(argv + ["--seed", "7", "--parallel", parallel]) == 3
+    assert capsys.readouterr().err == "internal error: physics bug\n"
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_scenarios_that_share_an_id_exit_two_before_any_work(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--out", str(out)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    s01 = _builtin_scenario_doc()
+    (scenarios / "a.json").write_text(json.dumps(s01))
+    (scenarios / "b.json").write_text(json.dumps({**s01, "description": "thermal survey of the south field"}))
+    assert main([
+        "generate", "--scenarios", str(scenarios), "--agents", "safe_pilot", "--episodes-per-scenario", "2",
+        "--canonical", "--out", str(out),
+    ]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: more than one scenario has the id {s01['scenario_id']!r}\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "9" * 5000, "1e999"], ids=["401 digits", "5000 digits", "1e999"])
+def test_input_file_with_a_number_no_record_can_hold_exits_two(tmp_path, capsys, number):
+    scenario = _builtin_scenario_doc()
+    scenario["initial_state"]["position"][0] = "@"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario).replace('"@"', number))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--scenarios", str(path), "--agents", "safe_pilot", "--episodes-per-scenario", "1",
+        "--out", str(out),
+    ]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario {path}: not well-formed JSON: ")
+    assert not out.exists()
+
+
+def test_input_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"scenario_id": "\xff"}')
+    out = tmp_path / "run"
+    assert main(["generate", "--scenarios", str(path), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario {path}: 'utf-8' codec can't decode")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -629,7 +726,7 @@ def test_generate_rejects_bad_disturbance_inputs(tmp_path, capsys):
             "generate", "--scenarios", str(path), "--episodes-per-scenario", "1",
             "--agents", "safe_pilot", "--out", str(tmp_path / "run"),
         ]) == EXIT_INPUT, (key, value)
-        assert "error: malformed scenario document" in capsys.readouterr().err
+        _assert_scenario_rejected(scenario, path, capsys.readouterr().err, "malformed scenario document")
 
 
 @pytest.mark.parametrize(
@@ -663,6 +760,20 @@ def test_bad_config_and_environment_values_exit_two(tmp_path, capsys, monkeypatc
     assert main(["generate", "--config", str(path), "--episodes-per-scenario", "1", "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def _assert_scenario_rejected(scenario: dict, path: Path, err: str, message: str) -> None:
+    """`generate` printed `message`; or, for a document that holds NaN or
+    Infinity, the strict read refused its file, and load_scenario, which also
+    takes documents built in Python, refuses the document with `message`."""
+    text = path.read_text()
+    if "NaN" in text or "Infinity" in text:
+        assert err.startswith(f"error: cannot read scenario {path}: not well-formed JSON: ")
+        assert err.endswith(" is not a JSON value\n")
+        with pytest.raises(SkybenchError, match=re.escape(message)):
+            load_scenario(scenario)
+    else:
+        assert f"error: {message}" in err
 
 
 @pytest.mark.parametrize(
@@ -721,7 +832,7 @@ def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, 
         "generate", "--scenarios", str(path), "--episodes-per-scenario", "1",
         "--agents", "safe_pilot", "--out", str(out),
     ]) == EXIT_INPUT
-    assert f"error: {message}" in capsys.readouterr().err
+    _assert_scenario_rejected(scenario, path, capsys.readouterr().err, message)
     assert not (out / "corpus.jsonl").exists()
 
 
@@ -926,6 +1037,39 @@ def test_non_utf8_line_is_malformed_not_fatal(tmp_path, capsys):
     # Resume skips the unreadable lines and regenerates the corpus whole.
     cmd_generate(tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=1))
     assert corpus.read_bytes().splitlines() == good
+
+
+@pytest.mark.parametrize(
+    "key, number",
+    [
+        ("note", "NaN"),
+        ("note", "-Infinity"),
+        ("note", "1e999"),
+        ("note", "9" * 5000),
+        ("latency_ms", "1" + "0" * 400),
+    ],
+    ids=["NaN", "-Infinity", "1e999", "5000 digits", "401-digit latency"],
+)
+def test_corpus_line_with_a_number_no_record_can_hold_is_malformed(tmp_path, capsys, key, number):
+    rng = np.random.default_rng(16)
+    good = record_to_line(random_episode(rng))
+    doc = episode_to_doc(random_episode(rng, structured_prob=1.0))
+    if key == "note":
+        next(t["observation"]["result"] for t in doc["turns"] if "result" in t.get("observation", {}))["note"] = "@"
+    else:
+        doc["turns"][0]["network"]["latency_ms"] = "@"
+    out = tmp_path / "run"
+    out.mkdir()
+    corpus = out / "corpus.jsonl"
+    corpus.write_text(good + "\n" + dumps_canonical(doc).replace('"@"', number) + "\n")
+    assert main(["score", "--out", str(out)]) == EXIT_OK
+    meta = json.loads((out / "scoring_meta.json").read_text())
+    assert (meta["records"], meta["malformed_lines"]) == (1, 1)
+    assert main(["analytics", "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "analytics.json").read_text())["episodes"] == 1
+    capsys.readouterr()
+    assert main(["validate", str(corpus)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == ["line 2: MALFORMED", "1 malformed lines"]
 
 
 def test_score_counts_incomplete_failure_stub_as_malformed(tmp_path):
