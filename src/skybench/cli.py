@@ -12,14 +12,15 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import statistics
 import sys
 from array import array
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .agents import (
     AGENT_TYPES,
@@ -271,6 +272,69 @@ def _generate_line(
     return accepted[0], False
 
 
+def _forked_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterator[Any]:
+    """fn(item) for each item, in item order.  Item k is made by worker
+    k mod workers: worker 0 is this process, and the others, forked on the
+    first next(), each send (ok, value) per item down a pipe of their own.
+    A worker stops after sending an exception, which is raised here when its
+    item comes; it waits while its pipe is full, and ends at its next write
+    once this process is gone.  Closing the iterator early kills the
+    workers; on every path each one is reaped."""
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    import pickle
+
+    pipes, pids, done = [], [], False
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    for pipe in pipes:  # else a sibling's pipe outlives this process
+                        pipe.close()
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        for item in items[w::workers]:
+                            try:
+                                reply = (True, fn(item))
+                            except Exception as exc:
+                                reply = (False, exc)
+                            pipe.write(pickle.dumps(reply))
+                            pipe.flush()
+                            if not reply[0]:
+                                break
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(os.fdopen(read_fd, "rb"))
+        for k, item in enumerate(items):
+            if k % workers == 0:
+                value = fn(item)
+            else:
+                try:
+                    ok, value = pickle.load(pipes[k % workers - 1])
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"generate worker {pids[k % workers - 1]} ended early") from None
+                if not ok:
+                    raise value
+            # With the last item here, every worker has sent its share.
+            done = k == len(items) - 1
+            yield value
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if not done:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        if done and any(statuses):
+            raise RuntimeError("a generate worker did not exit cleanly")
+
+
 def cmd_generate(config: RunConfig) -> int:
     # Each input document is read once: the run is built from the parsed
     # documents and config_hash covers the same values.
@@ -310,24 +374,27 @@ def cmd_generate(config: RunConfig) -> int:
                 existing[doc["episode_id"]] = (line, doc.get("kind") == "failure_stub")
     timestamp = EPOCH_TIMESTAMP if config.canonical else datetime.now(timezone.utc).isoformat()
 
-    jobs = [
-        (scenario, agent_name, index)
+    jobs = {
+        episode_id_for(scenario.scenario_id, agent_name, index): (scenario, agent_name, index)
         for scenario in scenarios
         for agent_name in config.agents
         for index in range(config.episodes_per_scenario)
-    ]
-
-    def line_for(job: tuple[Scenario, str, int]) -> tuple[str, bool]:
-        scenario, agent_name, index = job
-        resumed = existing.get(episode_id_for(scenario.scenario_id, agent_name, index))
-        return resumed or _generate_line(scenario, agent_name, index, config, calibration, registry, timestamp)
+    }
+    # Only the jobs that the resume lacks are handed to workers.
+    todo = [job for episode_id, job in jobs.items() if episode_id not in existing]
+    made = _forked_map(
+        lambda job: _generate_line(*job, config, calibration, registry, timestamp),
+        todo,
+        min(config.parallel, len(todo)),
+    )
 
     # Lines stream to a side file in job order; the corpus is replaced only
     # once every line is written, so a failed run leaves the old one whole.
     partial_path = out_dir / (CORPUS_NAME + ".partial")
     stubs = 0
-    with ThreadPoolExecutor(max_workers=config.parallel) as pool, open(partial_path, "w", encoding="utf-8") as fh:
-        for line, is_stub in (pool.map if config.parallel > 1 else map)(line_for, jobs):
+    with closing(made), open(partial_path, "w", encoding="utf-8") as fh:
+        for episode_id in jobs:
+            line, is_stub = existing.get(episode_id) or next(made)
             fh.write(line)
             fh.write("\n")
             stubs += is_stub

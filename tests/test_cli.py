@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from generators import build_episode, dialogue, random_episode
 from skybench.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     LEADERBOARD_NAME,
@@ -36,7 +39,7 @@ from skybench.episode import (
     record_to_line,
     stub_to_doc,
 )
-from skybench.errors import SkybenchError
+from skybench.errors import ScenarioError, SkybenchError
 from skybench.network import DEFAULT_TARGETS, MMTC, URLLC
 from skybench.scenarios import load_scenario
 from skybench.scoring import LEADERBOARD_COLUMNS
@@ -369,7 +372,7 @@ def test_builtin_corpus_bytes_are_pinned(tmp_path):
 
 
 def test_parallel_corpus_bytes_match_the_serial_pin(tmp_path, fresh_python):
-    # A fresh interpreter, so that numpy is first imported in a worker thread.
+    # A fresh interpreter, so that numpy is first imported in a forked worker.
     code, _, err = fresh_python(
         "import sys\n"
         "from skybench.cli import main\n"
@@ -397,6 +400,12 @@ def test_failure_stub_corpus_bytes_are_pinned(tmp_path):
     corpus = (out / "corpus.jsonl").read_bytes()
     assert corpus.count(b'"error_kind":"internal"') == 6
     assert hashlib.sha256(corpus).hexdigest() == "e5daf50f61f5f2094fe62f0a22c8dd47927e8622166f2a4d0ac309e5ed4a624a"
+
+
+def test_failure_stub_corpus_bytes_hold_in_forked_workers(tmp_path, monkeypatch):
+    # The same pinned run at --parallel 2: its external agent runs in a worker.
+    monkeypatch.setenv("SKYBENCH_PARALLEL", "2")
+    test_failure_stub_corpus_bytes_are_pinned(tmp_path)
 
 
 def _builtin_scenario_doc() -> dict:
@@ -625,6 +634,53 @@ def test_a_run_that_faults_midway_leaves_the_previous_output_whole(tmp_path, cap
     assert main(argv + ["--seed", "7", "--parallel", parallel]) == 3
     assert capsys.readouterr().err == "internal error: physics bug\n"
     assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    (RuntimeError("physics bug"), EXIT_INTERNAL, "internal error: physics bug\n"),
+    (ScenarioError("scenario S02 cannot be flown"), EXIT_INPUT, "error: scenario S02 cannot be flown\n"),
+], ids=["internal", "input"])
+def test_a_fault_in_a_forked_worker_exits_as_at_parallel_1(tmp_path, capsys, monkeypatch, fault, code, message):
+    import skybench.cli as cli
+
+    generator = os.getpid()
+    run_episode = cli.run_episode
+
+    def fault_in_a_worker(*args, **kwargs):
+        if os.getpid() != generator:
+            raise fault
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", fault_in_a_worker)
+    out = tmp_path / "run"
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--canonical", "--out", str(out)]
+    assert main(argv + ["--parallel", "2"]) == code
+    assert capsys.readouterr().err == message
+    assert not (out / "corpus.jsonl").exists()
+    # Every worker has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    import skybench.cli as cli
+
+    generator = os.getpid()
+    run_episode = cli.run_episode
+
+    def die_in_a_worker(*args, **kwargs):
+        if os.getpid() != generator:
+            os._exit(9)
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", die_in_a_worker)
+    out = tmp_path / "run"
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--parallel", "3", "--out", str(out)]
+    assert main(argv) == EXIT_INTERNAL
+    assert re.fullmatch(r"internal error: generate worker \d+ ended early\n", capsys.readouterr().err)
+    assert not (out / "corpus.jsonl").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_scenarios_that_share_an_id_exit_two_before_any_work(tmp_path, capsys):
@@ -929,6 +985,55 @@ def test_stalled_external_policy_ends_in_an_internal_stub(tmp_path, fresh_python
     assert code == EXIT_OK, err
     (doc,) = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
     assert doc["kind"] == "failure_stub" and doc["error_kind"] == "internal"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reaps orphans through PR_SET_CHILD_SUBREAPER")
+def test_a_killed_parallel_generate_leaves_no_worker_behind(tmp_path, fresh_python):
+    killed, whole = tmp_path / "killed", tmp_path / "whole"
+    serial = ["generate", "--episodes-per-scenario", "20", "--canonical", "--out"]
+    argv = serial[:1] + ["--parallel", "2"] + serial[1:]
+    # The script becomes the subreaper of the killed run's workers, so that
+    # each one that ends is reaped and leaves the process group.
+    code, _, err = fresh_python(
+        "import ctypes, os, signal, subprocess, sys, time\n"
+        "from pathlib import Path\n"
+        "prctl = ctypes.CDLL(None, use_errno=True).prctl\n"
+        "prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int\n"
+        "assert prctl(36, 1, 0, 0, 0) == 0, os.strerror(ctypes.get_errno())  # PR_SET_CHILD_SUBREAPER\n"
+        f"argv = [sys.executable, '-m', 'skybench.cli', *{argv!r}, {str(killed)!r}]\n"
+        "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, start_new_session=True)\n"
+        "try:\n"
+        f"    partial = Path({str(killed)!r}) / 'corpus.jsonl.partial'\n"
+        "    while not (partial.exists() and b'\\n' in partial.read_bytes()):\n"
+        "        assert proc.poll() is None, 'generate ended before it was killed'\n"
+        "        time.sleep(0.001)\n"
+        "    os.kill(proc.pid, signal.SIGKILL)\n"
+        "    assert proc.wait() == -signal.SIGKILL\n"
+        "    deadline = time.monotonic() + 10\n"
+        "    while True:\n"
+        "        try:\n"
+        "            while os.waitpid(-1, os.WNOHANG)[0]:\n"
+        "                pass\n"
+        "        except ChildProcessError:\n"
+        "            pass\n"
+        "        try:\n"
+        "            os.killpg(proc.pid, 0)\n"
+        "        except ProcessLookupError:\n"
+        "            break\n"
+        "        assert time.monotonic() < deadline, 'a worker outlived the killed generate'\n"
+        "        time.sleep(0.01)\n"
+        "finally:\n"
+        "    try:\n"
+        "        os.killpg(proc.pid, signal.SIGKILL)\n"
+        "    except ProcessLookupError:\n"
+        "        pass\n",
+        timeout=30,
+    )
+    assert code == EXIT_OK, err
+    assert not (killed / "corpus.jsonl").exists()
+    assert main(argv + [str(killed)]) == EXIT_OK
+    assert main(serial + [str(whole)]) == EXIT_OK
+    assert (killed / "corpus.jsonl").read_bytes() == (whole / "corpus.jsonl").read_bytes()
 
 
 def test_generate_with_tool_extension_file(tmp_path):
