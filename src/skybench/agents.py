@@ -9,11 +9,8 @@ validation outcomes rather than crashes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import selectors
-import subprocess
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -61,6 +58,8 @@ from .scenarios import Scenario
 from .tools import ToolExecutor, ToolSpec, default_registry
 
 if TYPE_CHECKING:
+    import subprocess
+
     import numpy as np
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
@@ -336,6 +335,8 @@ class SubprocessPolicy:
 
     def _process(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            import subprocess
+
             self.close()
             self._proc = subprocess.Popen(
                 self.command,
@@ -387,6 +388,8 @@ class SubprocessPolicy:
         Bytes come straight from the pipe's descriptor, never through
         proc.stdout, whose buffer the selector could not see.
         """
+        import selectors
+
         fd = proc.stdout.fileno()  # type: ignore[union-attr]
         deadline = time.monotonic() + POLICY_TURN_TIMEOUT_S
         with selectors.DefaultSelector() as selector:
@@ -445,6 +448,8 @@ def make_agent(name: str, scenario: Scenario) -> ScriptedAgent:
 # ---------------------------------------------------------------------------
 
 def stream_digest(scenario_id: str, agent_name: str, index: int) -> int:
+    import hashlib
+
     raw = hashlib.sha256(f"{scenario_id}|{agent_name}|{index}".encode("utf-8")).digest()
     return int.from_bytes(raw[:16], "big")
 

@@ -8,17 +8,11 @@ variable, else the JSON config file, else its default.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import os
-import signal
-import statistics
 import sys
-from array import array
 from contextlib import closing
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -130,6 +124,8 @@ def _is_int(value: Any) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a generate run, each with its default."""
+
     scenarios: str = "builtin"
     agents: tuple[str, ...] = tuple(sorted(AGENT_TYPES))
     episodes_per_scenario: int = 50
@@ -176,6 +172,8 @@ class RunConfig:
         """Hash of every setting but where the run writes and how many threads
         it uses, which change no corpus byte, with the parsed input documents
         in place of their paths; CORPUS_VERSION covers the built-in inputs."""
+        import hashlib
+
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out", "parallel")}
         doc.update(
             corpus_version=CORPUS_VERSION,
@@ -328,6 +326,8 @@ def _forked_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) ->
         for pipe in pipes:
             pipe.close()
         if not done:
+            import signal
+
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
@@ -372,7 +372,12 @@ def cmd_generate(config: RunConfig) -> int:
                 continue
             if isinstance(doc.get("episode_id"), str):
                 existing[doc["episode_id"]] = (line, doc.get("kind") == "failure_stub")
-    timestamp = EPOCH_TIMESTAMP if config.canonical else datetime.now(timezone.utc).isoformat()
+    if config.canonical:
+        timestamp = EPOCH_TIMESTAMP
+    else:
+        from datetime import datetime, timezone
+
+        timestamp = datetime.now(timezone.utc).isoformat()
 
     jobs = {
         episode_id_for(scenario.scenario_id, agent_name, index): (scenario, agent_name, index)
@@ -549,6 +554,8 @@ def _infer_budget(out_dir: Path, by_model: Mapping[str, Mapping[str, Any]]) -> i
 
 
 def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
+    import csv
+
     if episode_budget is not None and episode_budget < 1:
         raise ScenarioError(f"episode budget must be at least 1, got {episode_budget}")
     out_dir = Path(out)
@@ -620,6 +627,9 @@ def _top(counter: Mapping[str, int], k: int = 10) -> list[tuple[str, int]]:
 
 def corpus_analytics(records: Iterable) -> dict[str, Any]:
     """Usage tables of the episodes among `records`, folded in one pass."""
+    import statistics
+    from array import array
+
     n_episodes = 0
     intent_counts: dict[str, int] = {}
     mcp_counts: dict[str, int] = {}

@@ -35,6 +35,8 @@ Vec3 = tuple[float, float, float]
 
 @dataclass(frozen=True)
 class KinematicState:
+    """Position (m) and velocity (m/s) of the vehicle, z up, with its heading."""
+
     position: Vec3 = (0.0, 0.0, 0.0)
     velocity: Vec3 = (0.0, 0.0, 0.0)
     yaw: float = 0.0  # heading [rad], reported but never changed
@@ -46,6 +48,8 @@ class KinematicState:
 
 @dataclass(frozen=True)
 class VehicleParams:
+    """Mass, thrust limit and cruise speed of one vehicle; each must be positive."""
+
     mass_kg: float = 2.0
     max_thrust_n: float = 60.0
     cruise_speed_mps: float = 15.0
@@ -92,6 +96,8 @@ class DisturbanceModel:
 
 @dataclass(frozen=True)
 class Geofence:
+    """A no-fly cylinder: its centre (x, y) and radius, in metres."""
+
     center: tuple[float, float]
     radius_m: float
 
@@ -102,6 +108,8 @@ class Geofence:
 
 @dataclass(frozen=True)
 class Airspace:
+    """Altitude band, no-fly zones and peer separation margin of a scenario."""
+
     z_min_m: float
     z_max_m: float
     geofences: tuple[Geofence, ...] = ()
@@ -116,6 +124,8 @@ class Airspace:
 
 @dataclass(frozen=True)
 class SafetyFlags:
+    """The safety violations an episode has raised so far."""
+
     altitude_violation: bool = False
     nfz_violation: bool = False
     separation_breach: bool = False
@@ -132,6 +142,8 @@ class NavCommand:
 
 @dataclass(frozen=True)
 class UavState:
+    """Everything the physics step reads and writes for one vehicle."""
+
     kinematics: KinematicState = KinematicState()
     battery_pct: float = 100.0
     flags: SafetyFlags = SafetyFlags()
@@ -141,6 +153,8 @@ class UavState:
 
 @dataclass(frozen=True)
 class GeofenceCheck:
+    """Whether a position is clear of every no-fly zone, and its least clearance."""
+
     compliant: bool
     min_clearance_m: float
 

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Union
 
 from .errors import ParseError
@@ -44,12 +44,16 @@ CODE_ATTEMPTS = "attempts_exceeded"
 
 @dataclass(frozen=True)
 class McpCall:
+    """A tool call: the tool's name and its arguments."""
+
     name: str
     args: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class A2aTask:
+    """A task sent to a peer agent, with its payload."""
+
     task: str
     to: str
     payload: Mapping[str, Any] = field(default_factory=dict)
@@ -60,12 +64,16 @@ Action = Union[McpCall, A2aTask]
 
 @dataclass(frozen=True)
 class McpResult:
+    """A tool's answer to an McpCall."""
+
     tool: str
     result: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class A2aAck:
+    """A peer agent's acknowledgement of an A2aTask."""
+
     task: str
     from_agent: str
     status: str  # ok | degraded | failed
@@ -77,6 +85,8 @@ Observation = Union[McpResult, A2aAck]
 
 @dataclass(frozen=True)
 class Turn:
+    """One dialogue turn: who spoke, what it did and saw, and the network it saw."""
+
     role: str
     intent: str
     action: Action | None
@@ -90,6 +100,8 @@ class Turn:
 
 @dataclass(frozen=True)
 class FinalState:
+    """The vehicle's state and safety flags at the end of an episode."""
+
     position: tuple[float, float, float]
     velocity: float
     yaw: float
@@ -111,6 +123,8 @@ class FinalState:
 
 @dataclass(frozen=True)
 class EpisodeMetadata:
+    """Who made an episode, from which seed, and at what cost in time and tokens."""
+
     model: str
     seed: int
     scenario_id: str
@@ -124,6 +138,8 @@ class EpisodeMetadata:
 
 @dataclass(frozen=True)
 class Episode:
+    """One recorded episode: its metadata, turns and final state."""
+
     episode_id: str
     metadata: EpisodeMetadata
     turns: tuple[Turn, ...]
@@ -132,6 +148,8 @@ class Episode:
 
 @dataclass(frozen=True)
 class FailureStub:
+    """The record of a job whose attempts all failed."""
+
     episode_id: str
     scenario_id: str
     model: str
@@ -143,6 +161,8 @@ class FailureStub:
 
 @dataclass(frozen=True)
 class Violation:
+    """One broken schema or semantic rule, and the turn it concerns."""
+
     code: str
     turn_index: int  # -1 when not tied to a turn
     message: str
@@ -150,6 +170,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The verdict on one record, with every violation found."""
+
     valid: bool
     violations: tuple[Violation, ...]
 
@@ -456,8 +478,8 @@ def loads_document(data: bytes | str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 def load_schema() -> dict[str, Any]:
-    text = resources.files("skybench.data").joinpath("episode_schema.json").read_text("utf-8")
-    return json.loads(text)
+    path = Path(__file__).with_name("data") / "episode_schema.json"
+    return json.loads(path.read_text("utf-8"))
 
 
 # The schema check: one table per $defs object of data/episode_schema.json,

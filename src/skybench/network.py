@@ -59,6 +59,8 @@ VERIFY_SEED = 7
 
 @dataclass(frozen=True)
 class NetworkState:
+    """One sample of the link: slice, latency, jitter, loss, throughput and edge load."""
+
     slice: str
     latency_ms: float
     jitter_ms: float
@@ -108,6 +110,8 @@ class FieldModel:
 
 @dataclass(frozen=True)
 class SliceModel:
+    """The distribution of each link field on one network slice."""
+
     latency: FieldModel
     jitter: FieldModel
     loss: FieldModel
@@ -120,6 +124,8 @@ class SliceModel:
 
 @dataclass(frozen=True)
 class SliceCalibration:
+    """A model per slice and the per-turn chance that the slice changes."""
+
     slices: Mapping[str, SliceModel]
     slice_switch_prob: float = 0.05
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -24,6 +23,8 @@ from .tools import SwarmContext
 
 @dataclass(frozen=True)
 class MissionSpec:
+    """Where the vehicle must go, how close counts as arrived, and what it must capture."""
+
     target: tuple[float, float, float]
     arrival_tolerance_m: float = 5.0
     capture_sensor: str | None = None
@@ -31,6 +32,8 @@ class MissionSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One mission: airspace, vehicle, start state, disturbance, network and dialogue."""
+
     scenario_id: str
     description: str
     airspace: Airspace
@@ -200,6 +203,5 @@ def scenario_files(path: str | Path) -> list[Path]:
 
 
 def builtin_scenarios() -> tuple[Scenario, ...]:
-    root = resources.files("skybench.data").joinpath("scenarios")
-    entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
-    return tuple(load_scenario(json.loads(e.read_text("utf-8"))) for e in entries)
+    files = scenario_files(Path(__file__).with_name("data") / "scenarios")
+    return tuple(load_scenario(json.loads(f.read_text("utf-8"))) for f in files)

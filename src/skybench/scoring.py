@@ -60,6 +60,8 @@ def clamp01(x: float) -> float:
 
 @dataclass(frozen=True)
 class ScoringContext:
+    """What scoring one episode needs from the whole corpus: t_opt, its reference turn count."""
+
     t_opt: int = T_OPT_FALLBACK
 
     def __post_init__(self) -> None:
@@ -69,6 +71,8 @@ class ScoringContext:
 
 @dataclass(frozen=True)
 class PillarScores:
+    """The six pillar scores of one episode and their weighted alpha3."""
+
     task_outcome: float
     safety_policy: float
     tool_consistency: float
@@ -93,6 +97,8 @@ class PillarScores:
 
 @dataclass(frozen=True)
 class ModelAggregate:
+    """One model's leaderboard figures over its episode budget."""
+
     model: str
     n: int
     n_fail: int

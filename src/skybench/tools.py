@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ArgSpec:
+    """One argument of a tool: its name, JSON type, whether required, and allowed values."""
+
     name: str
     kind: str  # number | integer | string | boolean
     required: bool = True
@@ -40,6 +42,8 @@ class ArgSpec:
 
 @dataclass(frozen=True)
 class ToolSpec:
+    """A tool an agent may call: its name, battery class and arguments."""
+
     name: str
     action_class: str  # battery class, one of environment.ACTION_CLASSES
     args: tuple[ArgSpec, ...] = ()

@@ -39,7 +39,8 @@ def registry():
 @pytest.fixture
 def fresh_python():
     """Run a Python script in a fresh interpreter that imports skybench from
-    this checkout; returns (exit code, stdout, stderr).
+    this checkout, with any interpreter `flags`; returns (exit code, stdout,
+    stderr).
 
     The interpreter gets a session of its own, and the whole session, with
     any child it started, is killed when the script ends or overruns
@@ -47,9 +48,9 @@ def fresh_python():
     """
     env = {**os.environ, "PYTHONPATH": str(Path(skybench.__file__).resolve().parents[1])}
 
-    def run(script: str, timeout: float = 60.0) -> tuple[int, str, str]:
+    def run(script: str, timeout: float = 60.0, flags: tuple[str, ...] = ()) -> tuple[int, str, str]:
         proc = subprocess.Popen(
-            [sys.executable, "-c", script], env=env, text=True,
+            [sys.executable, *flags, "-c", script], env=env, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
         )
         try:

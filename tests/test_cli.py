@@ -371,6 +371,25 @@ def test_builtin_corpus_bytes_are_pinned(tmp_path):
     assert digest == BUILTIN_PIN
 
 
+# sha256 of what the later stages write for that same run.
+DOWNSTREAM_PINS = {
+    MANIFEST_NAME: "9cd33c2acd6f6c9179309cc7c521f67be2ea5765f3434fec3ae5d4492f2750d7",
+    SCORES_NAME: "73e1e1b975301e2816630fd0d350146345afe949acfa24d9c3eff16289b71aa2",
+    "scoring_meta.json": "4c037636b03a5f79f0be75ab4f9edb443b4ca8eb23053176e63d0595d19f26d3",
+    LEADERBOARD_NAME: "bdcba9f4383d7bdce4a4e05cc789e780c88a1bfc4fee9b45ff66a0f0d86abe44",
+    "analytics.json": "51aba979c3bdfd8d4b8257cf7e64b362da2deb7f01e565e9d8308a673f5cb1b8",
+}
+
+
+def test_builtin_downstream_bytes_are_pinned(tmp_path):
+    out = str(tmp_path / "pin")
+    assert main(["generate", "--canonical", "--episodes-per-scenario", "2", "--out", out]) == EXIT_OK
+    for stage in ("score", "aggregate", "analytics"):
+        assert main([stage, "--out", out]) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / "pin" / name).read_bytes()).hexdigest() for name in DOWNSTREAM_PINS}
+    assert digests == DOWNSTREAM_PINS
+
+
 def test_parallel_corpus_bytes_match_the_serial_pin(tmp_path, fresh_python):
     # A fresh interpreter, so that numpy is first imported in a forked worker.
     code, _, err = fresh_python(

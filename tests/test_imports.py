@@ -1,8 +1,10 @@
 """Only generate loads numpy, and no stage loads jsonschema: the read side
-starts without either, and jsonschema is a test oracle only.
+starts without either, and jsonschema is a test oracle only.  Likewise each
+standard-library module that only some commands use is loaded on their path
+alone, never at import.
 
 Each case runs in a fresh interpreter, since this test process has long
-since imported both.
+since imported them all.
 """
 
 from __future__ import annotations
@@ -23,6 +25,24 @@ print(json.dumps([code, "numpy" in sys.modules, "jsonschema" in sys.modules]))
 """
 
 READ_SIDE = ["score", "aggregate", "analytics", "validate"]
+
+# Prints the modules that {body} adds to sys.modules.
+ADDED_PROBE = """
+import json
+import sys
+before = set(sys.modules)
+{body}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# Standard-library modules that import and setup leave unloaded: each serves
+# only some commands (or, for importlib.resources, none).
+DEFERRED = {
+    "subprocess", "selectors", "statistics", "csv", "hashlib", "datetime", "signal", "array",
+    "importlib.resources",
+}
+# Of those, the ones only generate or an external policy uses.
+GENERATE_ONLY = {"subprocess", "selectors", "hashlib", "datetime"}
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +77,38 @@ def test_import_and_setup_leave_numpy_and_jsonschema_unloaded(fresh_python):
     )
     assert code == 0, err
     assert out.strip() == "False False"
+
+
+def _added(fresh_python, body: str) -> set[str]:
+    """The modules `body` adds to a fresh interpreter's sys.modules.
+
+    Under -S no site hook (a .pth file) loads anything before `body` runs.
+    """
+    code, out, err = fresh_python(ADDED_PROBE.format(body=body), flags=("-S",))
+    assert code == 0, err
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_import_and_setup_leave_deferred_modules_unloaded(fresh_python):
+    added = _added(
+        fresh_python,
+        "import skybench.cli\n"
+        "from skybench.network import default_calibration\n"
+        "from skybench.scenarios import builtin_scenarios\n"
+        "default_calibration()\n"
+        "builtin_scenarios()",
+    )
+    assert "skybench.cli" in added
+    assert added & DEFERRED == set()
+
+
+@pytest.mark.parametrize("command", READ_SIDE)
+def test_read_side_commands_leave_generate_only_modules_unloaded(fresh_python, clean_run, tmp_path, command):
+    out = tmp_path / "run"
+    shutil.copytree(clean_run, out)
+    added = _added(fresh_python, f"from skybench.cli import main\nassert main({_argv(command, out)!r}) == 0")
+    assert "skybench.cli" in added
+    assert added & GENERATE_ONLY == set()
 
 
 @pytest.mark.parametrize("command", READ_SIDE)
