@@ -83,7 +83,7 @@ EXIT_INTERNAL = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -169,7 +169,7 @@ class RunConfig:
             raise ScenarioError(f"the agent list names an agent twice: {list(self.agents)}")
 
     def config_hash(self, scenario_docs: Sequence[Any], calibration_targets: Any, tools_doc: Any) -> str:
-        """Hash of every setting but where the run writes and how many threads
+        """Hash of every setting but where the run writes and how many processes
         it uses, which change no corpus byte, with the parsed input documents
         in place of their paths; CORPUS_VERSION covers the built-in inputs."""
         import hashlib
@@ -808,38 +808,48 @@ def cmd_validate(path: str, strict: bool = True) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+_COMMANDS = ("generate", "score", "aggregate", "analytics", "validate")
+
+
+def _build_parser(only: str | None = None) -> _Parser:
+    """The parser of every command, or with `only` of that command alone."""
     parser = _Parser(prog="skybench", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Usage lines name every command, whichever subparsers were built.
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
 
-    gen = sub.add_parser("generate", help="generate a corpus of episodes")
-    gen.add_argument("--config", default=None, help="JSON config file")
-    gen.add_argument("--scenarios", default=None, help="'builtin', a scenario file, or a directory")
-    gen.add_argument("--agents", default=None, help="comma-separated agent names")
-    gen.add_argument("--episodes-per-scenario", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--out", default=None)
-    gen.add_argument("--parallel", type=int, default=None)
-    gen.add_argument("--calibration", default=None, help="JSON calibration targets file")
-    gen.add_argument("--tools", default=None, help="JSON tool-registry extension file")
-    gen.add_argument("--canonical", action="store_true", default=None, help="normalize timestamps")
+    if only in (None, "generate"):
+        gen = sub.add_parser("generate", help="generate a corpus of episodes")
+        gen.add_argument("--config", default=None, help="JSON config file")
+        gen.add_argument("--scenarios", default=None, help="'builtin', a scenario file, or a directory")
+        gen.add_argument("--agents", default=None, help="comma-separated agent names")
+        gen.add_argument("--episodes-per-scenario", type=int, default=None)
+        gen.add_argument("--seed", type=int, default=None)
+        gen.add_argument("--out", default=None)
+        gen.add_argument("--parallel", type=int, default=None)
+        gen.add_argument("--calibration", default=None, help="JSON calibration targets file")
+        gen.add_argument("--tools", default=None, help="JSON tool-registry extension file")
+        gen.add_argument("--canonical", action="store_true", default=None, help="normalize timestamps")
 
-    score = sub.add_parser("score", help="score a corpus into a JSONL sidecar")
-    score.add_argument("--out", default=None)
-    score.add_argument("--corpus", default=None)
-    _add_strictness(score)
+    if only in (None, "score"):
+        score = sub.add_parser("score", help="score a corpus into a JSONL sidecar")
+        score.add_argument("--out", default=None)
+        score.add_argument("--corpus", default=None)
+        _add_strictness(score)
 
-    agg = sub.add_parser("aggregate", help="aggregate scores into a leaderboard CSV")
-    agg.add_argument("--out", default=None)
-    agg.add_argument("--episode-budget", type=int, default=None)
+    if only in (None, "aggregate"):
+        agg = sub.add_parser("aggregate", help="aggregate scores into a leaderboard CSV")
+        agg.add_argument("--out", default=None)
+        agg.add_argument("--episode-budget", type=int, default=None)
 
-    ana = sub.add_parser("analytics", help="corpus usage statistics")
-    ana.add_argument("--out", default=None)
-    ana.add_argument("--corpus", default=None)
+    if only in (None, "analytics"):
+        ana = sub.add_parser("analytics", help="corpus usage statistics")
+        ana.add_argument("--out", default=None)
+        ana.add_argument("--corpus", default=None)
 
-    val = sub.add_parser("validate", help="validate an episode file or corpus")
-    val.add_argument("path")
-    _add_strictness(val)
+    if only in (None, "validate"):
+        val = sub.add_parser("validate", help="validate an episode file or corpus")
+        val.add_argument("path")
+        _add_strictness(val)
     return parser
 
 
@@ -893,7 +903,10 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call builds only its own command's parser; any other first
+    # argument, or none, builds them all.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -233,6 +234,128 @@ def test_validate_names_the_fields_a_record_breaks(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [line for line in expected if "x_vendor" not in line]
 
 
+FULL_USAGE = "usage: skybench [-h] {generate,score,aggregate,analytics,validate} ...\n"
+# The help text as argparse prints it at 80 columns.
+TOP_HELP = FULL_USAGE + """
+Command-line orchestration: generate, score, aggregate, analytics, validate.
+Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error. Each
+run setting comes from its flag, else its SKYBENCH_<NAME> environment
+variable, else the JSON config file, else its default.
+
+positional arguments:
+  {generate,score,aggregate,analytics,validate}
+    generate            generate a corpus of episodes
+    score               score a corpus into a JSONL sidecar
+    aggregate           aggregate scores into a leaderboard CSV
+    analytics           corpus usage statistics
+    validate            validate an episode file or corpus
+
+options:
+  -h, --help            show this help message and exit
+"""
+COMMAND_HELP = {
+    "generate": """usage: skybench generate [-h] [--config CONFIG] [--scenarios SCENARIOS]
+                         [--agents AGENTS]
+                         [--episodes-per-scenario EPISODES_PER_SCENARIO]
+                         [--seed SEED] [--out OUT] [--parallel PARALLEL]
+                         [--calibration CALIBRATION] [--tools TOOLS]
+                         [--canonical]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file
+  --scenarios SCENARIOS
+                        'builtin', a scenario file, or a directory
+  --agents AGENTS       comma-separated agent names
+  --episodes-per-scenario EPISODES_PER_SCENARIO
+  --seed SEED
+  --out OUT
+  --parallel PARALLEL
+  --calibration CALIBRATION
+                        JSON calibration targets file
+  --tools TOOLS         JSON tool-registry extension file
+  --canonical           normalize timestamps
+""",
+    "score": """usage: skybench score [-h] [--out OUT] [--corpus CORPUS]
+                      [--strict | --lenient]
+
+options:
+  -h, --help       show this help message and exit
+  --out OUT
+  --corpus CORPUS
+  --strict
+  --lenient
+""",
+    "aggregate": """usage: skybench aggregate [-h] [--out OUT] [--episode-budget EPISODE_BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --episode-budget EPISODE_BUDGET
+""",
+    "analytics": """usage: skybench analytics [-h] [--out OUT] [--corpus CORPUS]
+
+options:
+  -h, --help       show this help message and exit
+  --out OUT
+  --corpus CORPUS
+""",
+    "validate": """usage: skybench validate [-h] [--strict | --lenient] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help  show this help message and exit
+  --strict
+  --lenient
+""",
+}
+
+
+@pytest.mark.parametrize("argv", [["-h"]] + [[command, "--help"] for command in COMMAND_HELP])
+def test_help_text_is_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == (COMMAND_HELP.get(argv[0], TOP_HELP), "")
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["validate", str(tmp_path / "missing.json")]) == EXIT_INPUT
+    assert built == ["validate"]
+    # No command, help, an unknown word or a leading option: every command.
+    for argv in ([], ["-h"], ["bogus"], ["--out", "x"]):
+        built.clear()
+        main(argv)
+        assert built == list(COMMAND_HELP)
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]])
+def test_no_command_or_an_unknown_one_prints_the_full_usage(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage + "\n" == FULL_USAGE and error.startswith("skybench: error: ")
+
+
+@pytest.mark.parametrize("argv, usage, error", [
+    (["score", "--bogus"], FULL_USAGE, "skybench: error: unrecognized arguments: --bogus"),
+    (["generate", "--parallel", "x"], COMMAND_HELP["generate"].split("\n\n")[0] + "\n",
+     "skybench generate: error: argument --parallel: invalid int value: 'x'"),
+], ids=["score", "generate"])
+def test_usage_errors_name_the_bad_argument(monkeypatch, capsys, argv, usage, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", usage + error + "\n")
+
+
 def test_lenient_flag_scores_foreign_metadata(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
@@ -333,7 +456,7 @@ def test_config_hash_is_pinned():
     assert every_setting.config_hash(*builtin_inputs) == "05ce1dc75cf94bc7"
     inputs = ([{"a": 1.5}], DEFAULT_TARGETS, {"tools": []})
     assert every_setting.config_hash(*inputs) == "4b4ac1d4647f4c21"
-    # Where a run writes and how many threads it uses are not part of it.
+    # Where a run writes and how many processes it uses are not part of it.
     assert RunConfig(out="x", parallel=3).config_hash(*builtin_inputs) == "10e21ff35400d79a"
 
 
