@@ -335,6 +335,33 @@ def _forked_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) ->
             raise RuntimeError("a generate worker did not exit cleanly")
 
 
+def _vouched_counts(manifest: Mapping[str, Any], corpus_path: Path) -> dict[str, int] | None:
+    """The manifest's counts when its corpus_sha256 is the digest of the
+    corpus file's bytes, else None.  The file is hashed in chunks, so a
+    finished corpus of any size is never held in memory."""
+    import hashlib
+
+    counts = manifest.get("counts")
+    if not (
+        isinstance(manifest.get("corpus_sha256"), str)
+        and isinstance(counts, dict)
+        and all(_is_int(counts.get(key)) for key in ("jobs", "episodes", "failure_stubs"))
+    ):
+        return None
+    digest = hashlib.sha256()
+    with open(corpus_path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return counts if digest.hexdigest() == manifest["corpus_sha256"] else None
+
+
+def _print_written(counts: Mapping[str, int], corpus_path: Path) -> None:
+    print(
+        f"wrote {counts['jobs']} records ({counts['episodes']} episodes, "
+        f"{counts['failure_stubs']} stubs) to {corpus_path}"
+    )
+
+
 def cmd_generate(config: RunConfig) -> int:
     # Each input document is read once: the run is built from the parsed
     # documents and config_hash covers the same values.
@@ -362,9 +389,18 @@ def cmd_generate(config: RunConfig) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / CORPUS_NAME
+    partial_path = out_dir / (CORPUS_NAME + ".partial")
     # Resume only when the previous run used the same configuration.
+    previous = _read_manifest(out_dir) if corpus_path.exists() else {}
     existing: dict[str, tuple[str, bool]] = {}
-    if corpus_path.exists() and _read_manifest(out_dir).get("config_hash") == config_hash:
+    if previous.get("config_hash") == config_hash:
+        counts = _vouched_counts(previous, corpus_path)
+        if counts is not None:
+            # The manifest vouches for these very bytes: a finished run of
+            # this configuration, so there is nothing to parse or write.
+            partial_path.unlink(missing_ok=True)
+            _print_written(counts, corpus_path)
+            return EXIT_OK
         for _, line in _corpus_lines(corpus_path):
             try:
                 doc = loads_document(line)
@@ -393,15 +429,19 @@ def cmd_generate(config: RunConfig) -> int:
         min(config.parallel, len(todo)),
     )
 
-    # Lines stream to a side file in job order; the corpus is replaced only
-    # once every line is written, so a failed run leaves the old one whole.
-    partial_path = out_dir / (CORPUS_NAME + ".partial")
+    # Lines stream to a side file in job order, hashed as they go; the corpus
+    # is replaced only once every line is written, so a failed run leaves the
+    # old one whole.
+    import hashlib
+
+    digest = hashlib.sha256()
     stubs = 0
-    with closing(made), open(partial_path, "w", encoding="utf-8") as fh:
+    with closing(made), open(partial_path, "wb") as fh:
         for episode_id in jobs:
             line, is_stub = existing.get(episode_id) or next(made)
-            fh.write(line)
-            fh.write("\n")
+            data = line.encode("utf-8") + b"\n"
+            fh.write(data)
+            digest.update(data)
             stubs += is_stub
     # No manifest may vouch for a corpus it does not describe: if writing the
     # new one fails, the next run finds none and regenerates.
@@ -422,6 +462,7 @@ def cmd_generate(config: RunConfig) -> int:
         "episode_seed_set": list(config.episode_seed_set),
         "episode_budget_per_model": len(scenarios) * config.episodes_per_scenario,
         "counts": {"jobs": len(jobs), "episodes": episodes, "failure_stubs": stubs},
+        "corpus_sha256": digest.hexdigest(),
         "seed_derivation": (
             "episode seed = seed_set[index mod len(seed_set)]; RNG stream = "
             "SeedSequence(global seed, episode seed, sha256(scenario|agent|index)[:16])"
@@ -429,7 +470,7 @@ def cmd_generate(config: RunConfig) -> int:
         "generated_at": timestamp,
     }
     (out_dir / MANIFEST_NAME).write_text(dumps_pretty(manifest) + "\n", "utf-8")
-    print(f"wrote {len(jobs)} records ({episodes} episodes, {stubs} stubs) to {corpus_path}")
+    _print_written(manifest["counts"], corpus_path)
     return EXIT_OK
 
 
@@ -553,6 +594,24 @@ def _infer_budget(out_dir: Path, by_model: Mapping[str, Mapping[str, Any]]) -> i
     return max((len(slot["scores"]) + slot["fails"] for slot in by_model.values()), default=1)
 
 
+# A score-record field's allowed types, matched exactly: a parsed JSON value
+# is never of a subclass, so a bool is no number.
+_NUMBER = (int, float)
+_TYPE_NAMES = {(str,): "a string", (int,): "an integer", (bool,): "true or false", (dict,): "an object",
+               _NUMBER: "a number"}
+
+
+def _score_field(doc: Mapping[str, Any], key: str, types: tuple[type, ...]) -> Any:
+    """doc[key], which must be of one of `types`; raises ParseError otherwise."""
+    try:
+        value = doc[key]
+    except KeyError:
+        raise ParseError(f"missing field {key!r}") from None
+    if type(value) not in types:
+        raise ParseError(f"field {key!r} must be {_TYPE_NAMES[types]}, got {value!r}")
+    return value
+
+
 def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
     import csv
 
@@ -563,23 +622,26 @@ def cmd_aggregate(out: str, episode_budget: int | None = None) -> int:
     if not scores_path.exists():
         raise ScenarioError(f"score sidecar not found: {scores_path} (run `skybench score` first)")
     by_model: dict[str, dict[str, Any]] = {}
-    for _, line in _corpus_lines(scores_path):
-        doc = loads_document(line)
-        model = str(doc.get("model", "unknown"))
-        slot = by_model.setdefault(
-            model, {"scores": [], "fails": 0, "attempts": 0, "times": [], "tokens": [], "success": []}
-        )
-        slot["attempts"] += int(doc.get("attempts_used", 0))
-        if doc.get("kind") == "failure_stub" or doc.get("valid") is False:
-            slot["fails"] += 1
-            continue
-        pillars = doc["pillars"]
-        slot["scores"].append(
-            PillarScores(*(float(pillars[k]) for k in PILLAR_KEYS), alpha3=float(pillars["alpha3"]))
-        )
-        slot["times"].append(float(doc["gen_time_s"]))
-        slot["tokens"].append(float(doc["total_tokens"]))
-        slot["success"].append(bool(doc["mission_completed"]))
+    for lineno, line in _corpus_lines(scores_path):
+        try:
+            doc = loads_document(line)
+            slot = by_model.setdefault(
+                _score_field(doc, "model", (str,)),
+                {"scores": [], "fails": 0, "attempts": 0, "times": [], "tokens": [], "success": []},
+            )
+            slot["attempts"] += _score_field(doc, "attempts_used", (int,))
+            if doc.get("kind") == "failure_stub" or doc.get("valid") is False:
+                slot["fails"] += 1
+                continue
+            pillars = _score_field(doc, "pillars", (dict,))
+            slot["scores"].append(
+                PillarScores(*[float(_score_field(pillars, k, _NUMBER)) for k in (*PILLAR_KEYS, "alpha3")])
+            )
+            slot["times"].append(float(_score_field(doc, "gen_time_s", _NUMBER)))
+            slot["tokens"].append(float(_score_field(doc, "total_tokens", _NUMBER)))
+            slot["success"].append(_score_field(doc, "mission_completed", (bool,)))
+        except ParseError as exc:
+            raise ParseError(f"{scores_path} line {lineno}: {exc}") from None
     budget = episode_budget or _infer_budget(out_dir, by_model)
 
     aggregates = [

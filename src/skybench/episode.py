@@ -183,14 +183,24 @@ class ValidationReport:
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
+# Six significant digits: the one float rule of every record.
+_FLOAT_SPEC = ".6g"
+
+
 def format_float(x: float) -> str:
-    """The six-significant-digit text of x: the one float rule of every record."""
-    return format(float(x), ".6g")
+    """The text of x under the float rule."""
+    return format(float(x), _FLOAT_SPEC)
 
 
 def canonical_float(x: float) -> float:
-    """Quantize to six significant digits; idempotent under re-serialization."""
-    return float(format_float(x))
+    """x quantized by the float rule (the float of format_float's text, made
+    here without the extra call); idempotent under re-serialization."""
+    return float(format(float(x), _FLOAT_SPEC))
+
+
+def _quantized(x: Any) -> Any:
+    """canonical_float of a float; an int, as _canonize does, stays as it is."""
+    return canonical_float(x) if isinstance(x, float) else x
 
 
 def _canonize(obj: Any) -> Any:
@@ -255,11 +265,11 @@ def observation_to_doc(obs: Observation | None) -> dict[str, Any] | None:
 def network_to_doc(n: NetworkState) -> dict[str, Any]:
     return {
         "slice": n.slice,
-        "latency_ms": _canonize(n.latency_ms),
-        "jitter_ms": _canonize(n.jitter_ms),
-        "loss_pct": _canonize(n.loss_pct),
-        "throughput_mbps": _canonize(n.throughput_mbps),
-        "edge_load": _canonize(n.edge_load),
+        "latency_ms": _quantized(n.latency_ms),
+        "jitter_ms": _quantized(n.jitter_ms),
+        "loss_pct": _quantized(n.loss_pct),
+        "throughput_mbps": _quantized(n.throughput_mbps),
+        "edge_load": _quantized(n.edge_load),
     }
 
 
@@ -284,7 +294,7 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
             "model": m.model,
             "seed": m.seed,
             "scenario_id": m.scenario_id,
-            "gen_time_s": _canonize(m.gen_time_s),
+            "gen_time_s": _quantized(m.gen_time_s),
             "attempts_used": m.attempts_used,
             "prompt_tokens": m.prompt_tokens,
             "completion_tokens": m.completion_tokens,
@@ -293,10 +303,10 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
         },
         "turns": turns,
         "final_state": {
-            "position": _canonize(f.position),
-            "velocity": _canonize(f.velocity),
-            "yaw": _canonize(f.yaw),
-            "battery": _canonize(f.battery),
+            "position": [_quantized(c) for c in f.position],
+            "velocity": _quantized(f.velocity),
+            "yaw": _quantized(f.yaw),
+            "battery": _quantized(f.battery),
             "mission_completed": f.mission_completed,
             "altitude_violation": f.altitude_violation,
             "nfz_violation": f.nfz_violation,

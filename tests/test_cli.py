@@ -96,6 +96,88 @@ def test_generate_resumes_from_partial_corpus(tmp_path):
         assert (out / "corpus.jsonl").read_bytes() == full
 
 
+def _count_corpus_parses(monkeypatch) -> list:
+    """The arguments of every loads_document call that generate makes."""
+    import skybench.cli as cli
+
+    calls = []
+    loads_document = cli.loads_document
+
+    def counting(data):
+        calls.append(data)
+        return loads_document(data)
+
+    monkeypatch.setattr(cli, "loads_document", counting)
+    return calls
+
+
+def test_a_rerun_over_a_finished_corpus_parses_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    out, config = tmp_path / "run", tmp_path / "config.json"
+    config.write_text(json.dumps({"external_agents": {"dead": [sys.executable, "-c", "pass"]}}))
+    argv = ["generate", "--config", str(config), "--agents", "safe_pilot,dead", "--episodes-per-scenario", "2",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.startswith("wrote 12 records (6 episodes, 6 stubs) to ")
+    corpus, manifest = out / "corpus.jsonl", out / MANIFEST_NAME
+    before = {path: (path.read_bytes(), path.stat().st_ino) for path in (corpus, manifest)}
+    (out / "corpus.jsonl.partial").write_text("a killed run's leftover\n")
+    calls = _count_corpus_parses(monkeypatch)
+    monkeypatch.setattr(os, "replace", None)  # any rename would fail the run
+    monkeypatch.setattr(Path, "write_text", None)
+    assert main(argv) == EXIT_OK
+    # Only the manifest is parsed; the corpus is hashed, not read as records.
+    assert calls == [before[manifest][0]]
+    assert capsys.readouterr().out == printed
+    assert {path: (path.read_bytes(), path.stat().st_ino) for path in before} == before
+    assert not (out / "corpus.jsonl.partial").exists()
+    # Without --canonical the no-op keeps the first run's generated_at.
+    assert json.loads(before[manifest][0])["generated_at"] != "1970-01-01T00:00:00Z"
+
+
+@pytest.mark.parametrize("change", ["edited line", "older manifest"])
+def test_a_corpus_the_manifest_does_not_vouch_for_takes_the_full_path(tmp_path, capsys, monkeypatch, change):
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--canonical", "--out"]
+    fresh, out = tmp_path / "fresh", tmp_path / "run"
+    assert main(argv + [str(fresh)]) == EXIT_OK
+    assert main(argv + [str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out.replace(str(fresh), str(out)).splitlines()[0] + "\n"
+    corpus, manifest = out / "corpus.jsonl", out / MANIFEST_NAME
+    if change == "edited line":
+        lines = corpus.read_text().splitlines()
+        lines[3] = lines[3][:-1]  # a half-written line: malformed, so made again
+        corpus.write_text("\n".join(lines) + "\n")
+    else:  # as written before the manifest held the corpus digest
+        doc = json.loads(manifest.read_text())
+        del doc["corpus_sha256"]
+        manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    calls = _count_corpus_parses(monkeypatch)
+    assert main(argv + [str(out)]) == EXIT_OK
+    assert len(calls) == 1 + 6  # the manifest and every corpus line
+    assert capsys.readouterr().out == printed
+    for name in ("corpus.jsonl", MANIFEST_NAME):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_the_manifest_holds_the_corpus_digest(tmp_path):
+    def digests(out: Path) -> tuple[str, str]:
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        return manifest["corpus_sha256"], hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest()
+
+    for parallel in (1, 2, 8):
+        out = tmp_path / f"p{parallel}"
+        cmd_generate(tiny_config(out, parallel=parallel))
+        written, actual = digests(out)
+        assert written == actual
+    assert len({digests(tmp_path / f"p{parallel}")[0] for parallel in (1, 2, 8)}) == 1
+    # After a resume from a partial corpus, the digest is that of the whole.
+    out = tmp_path / "p1"
+    lines = (out / "corpus.jsonl").read_text().splitlines()
+    (out / "corpus.jsonl").write_text("\n".join(lines[:7]) + "\n")
+    cmd_generate(tiny_config(out, parallel=2))
+    assert digests(out) == (written, written)
+
+
 def test_score_sidecar_counts_and_idempotence(tmp_path):
     out = tmp_path / "run"
     cmd_generate(tiny_config(out))
@@ -165,6 +247,40 @@ def test_aggregate_requires_sidecar(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     assert main(["aggregate", "--out", str(out)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("pillars"), "missing field 'pillars'"),
+    (lambda doc: doc["pillars"].update(TO="high"), "field 'TO' must be a number, got 'high'"),
+    (lambda doc: doc.update(mission_completed=1), "field 'mission_completed' must be true or false, got 1"),
+    (lambda doc: doc.update(attempts_used=True), "field 'attempts_used' must be an integer, got True"),
+    (lambda doc: doc.pop("model"), "missing field 'model'"),
+], ids=["missing", "string-pillar", "int-flag", "bool-count", "no-model"])
+def test_aggregate_names_the_line_of_a_bad_score_record(tmp_path, capsys, edit, message):
+    out = tmp_path / "run"
+    cmd_generate(tiny_config(out))
+    cmd_score(str(out))
+    lines = (out / SCORES_NAME).read_text().splitlines()
+    doc = json.loads(lines[2])
+    edit(doc)
+    lines[2] = json.dumps(doc)
+    (out / SCORES_NAME).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["aggregate", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {out / SCORES_NAME} line 3: {message}\n"
+    assert not (out / LEADERBOARD_NAME).exists()
+
+
+def test_aggregate_names_the_line_of_a_malformed_score_record(tmp_path, capsys):
+    out = tmp_path / "run"
+    cmd_generate(tiny_config(out))
+    cmd_score(str(out))
+    lines = (out / SCORES_NAME).read_text().splitlines()
+    lines[4] = lines[4][:-1]
+    (out / SCORES_NAME).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["aggregate", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {out / SCORES_NAME} line 5: not well-formed JSON: ")
 
 
 def test_analytics_hand_tally(tmp_path):
@@ -496,7 +612,7 @@ def test_builtin_corpus_bytes_are_pinned(tmp_path):
 
 # sha256 of what the later stages write for that same run.
 DOWNSTREAM_PINS = {
-    MANIFEST_NAME: "9cd33c2acd6f6c9179309cc7c521f67be2ea5765f3434fec3ae5d4492f2750d7",
+    MANIFEST_NAME: "9fd2e3bf3d4782c822c6c158eaa3813f4cb0423bfbd5bf1ae22ed4895d1f7d60",
     SCORES_NAME: "73e1e1b975301e2816630fd0d350146345afe949acfa24d9c3eff16289b71aa2",
     "scoring_meta.json": "4c037636b03a5f79f0be75ab4f9edb443b4ca8eb23053176e63d0595d19f26d3",
     LEADERBOARD_NAME: "bdcba9f4383d7bdce4a4e05cc789e780c88a1bfc4fee9b45ff66a0f0d86abe44",

@@ -133,6 +133,35 @@ def test_canonical_float_six_significant_digits():
     assert (format_float(1.23456789), format_float(1234567.89), format_float(2)) == ("1.23457", "1.23457e+06", "2")
 
 
+def test_document_builders_quantize_floats_and_keep_ints():
+    from dataclasses import replace
+
+    from skybench.episode import dumps_document
+    from skybench.network import NetworkState
+
+    episode = random_episode(np.random.default_rng(8))
+    network = NetworkState("eMBB", 12, 1.23456789, 0, np.float64(250.123456789), 0.5)
+    episode = replace(
+        episode,
+        metadata=replace(episode.metadata, gen_time_s=7),
+        turns=(replace(episode.turns[0], network=network), *episode.turns[1:]),
+        final_state=replace(
+            episode.final_state, position=(1, 2.3456789, np.float64(30.0)), velocity=0, yaw=1.23456789, battery=88
+        ),
+    )
+    doc = episode_to_doc(episode)
+    # Each float is quantized, and an int stays an int, as the generic walk
+    # of dumps_canonical keeps it.
+    assert dumps_document(doc["turns"][0]["network"]) == (
+        '{"edge_load":0.5,"jitter_ms":1.23457,"latency_ms":12,"loss_pct":0,'
+        '"slice":"eMBB","throughput_mbps":250.123}'
+    )
+    final = {key: doc["final_state"][key] for key in ("position", "velocity", "yaw", "battery")}
+    assert dumps_document(final) == '{"battery":88,"position":[1,2.34568,30.0],"velocity":0,"yaw":1.23457}'
+    assert doc["metadata"]["gen_time_s"] == 7 and type(doc["metadata"]["gen_time_s"]) is int
+    assert dumps_document(doc) == dumps_canonical(doc)
+
+
 def test_lenient_mode_ignores_unknown_fields():
     rng = np.random.default_rng(8)
     doc = valid_doc(rng)
