@@ -29,7 +29,7 @@ from .agents import (
 from .episode import (
     Episode,
     FailureStub,
-    doc_to_episode,
+    doc_to_episode,  # noqa: F401  (perfbench traces it at this lookup site)
     doc_to_stub,
     dumps_canonical,
     dumps_pretty,
@@ -54,9 +54,11 @@ from .scoring import (
     ScoringContext,
     aggregate_model,
     compute_t_opt,
+    episode_terms,
+    finish_scores,
     generation_efficiency,
     leaderboard_rows,
-    score_episode,
+    score_episode,  # noqa: F401  (perfbench traces it at this lookup site)
 )
 
 ENV_PREFIX = "SKYBENCH_"
@@ -480,9 +482,9 @@ def cmd_generate(config: RunConfig) -> int:
 
 def _check_doc(doc: Mapping[str, Any], strict: bool) -> dict[str, Any] | tuple:
     """The score record of a failure stub or an invalid episode, which t_opt
-    does not change; for a valid episode, its identity keys, report and
-    episode, which _finish scores.  Raises ParseError for a stub that lacks
-    a field."""
+    does not change; for a valid episode, its identity keys and the
+    EpisodeTerms read from its validated document, which _finish scores.
+    Raises ParseError for a stub that lacks a field."""
     if doc.get("kind") == "failure_stub":
         stub = doc_to_stub(doc)
         return {
@@ -494,43 +496,46 @@ def _check_doc(doc: Mapping[str, Any], strict: bool) -> dict[str, Any] | tuple:
             "error_kind": stub.error_kind,
             "scored": False,
         }
-    # Validate the raw document: strict mode must see fields that the typed
-    # episode value would drop.
+    # Validate the raw document: strict mode must see every field it holds.
     report = validate_episode(doc, strict=strict)
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), Mapping) else {}
+    # aggregate reads the model and the attempts by exact type, so a value of
+    # any other type is written as a missing one is.
+    model = meta.get("model")
+    attempts = meta.get("attempts_used")
     base: dict[str, Any] = {
         "episode_id": doc.get("episode_id", ""),
-        "model": meta.get("model", "unknown"),
+        "model": model if type(model) is str else "unknown",
         "scenario_id": meta.get("scenario_id", ""),
         "seed": meta.get("seed", 0),
-        "attempts_used": meta.get("attempts_used", 0),
+        "attempts_used": attempts if type(attempts) is int else 0,
     }
     if not report.valid:
         base.update(valid=False, alpha3=0.0, violations=sorted(set(report.codes())))
         return base
-    return base, report, doc_to_episode(doc)
+    return base, episode_terms(doc, report)
 
 
 def _finish(entry: dict[str, Any] | tuple, ctx: ScoringContext) -> dict[str, Any]:
     """The score record of a _check_doc result."""
     if isinstance(entry, dict):
         return entry
-    base, report, episode = entry
-    scores = score_episode(episode, report, ctx)
+    base, terms = entry
+    scores = finish_scores(terms, ctx)
     try:
-        ge_time, ge_tokens = generation_efficiency(episode, scores.alpha3)
+        ge_time, ge_tokens = generation_efficiency(scores.alpha3, terms.gen_time_s, terms.total_tokens)
     except DegenerateInput:
         ge_time = ge_tokens = 0.0
     base.update(
         valid=True,
-        turns=len(episode.turns),
+        turns=terms.turns,
         pillars=scores.as_dict(),
         alpha3=scores.alpha3,
         ge_per_sec=ge_time,
         ge_per_1k=ge_tokens,
-        mission_completed=episode.final_state.mission_completed,
-        gen_time_s=episode.metadata.gen_time_s,
-        total_tokens=episode.metadata.total_tokens,
+        mission_completed=terms.mission_completed,
+        gen_time_s=terms.gen_time_s,
+        total_tokens=terms.total_tokens,
     )
     return base
 
@@ -545,8 +550,9 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
     corpus_path = Path(corpus) if corpus else out_dir / CORPUS_NAME
     if not corpus_path.exists():
         raise ScenarioError(f"corpus not found: {corpus_path}")
-    # Each record is validated and built once, and its document dropped;
-    # t_opt needs every valid episode before any of them can be scored.
+    # One pass: each record is validated and its document dropped, keeping
+    # only what t_opt does not change; t_opt needs every valid episode before
+    # any of them can be finished.
     entries = []
     malformed = 0
     for _, line in _corpus_lines(corpus_path):
@@ -554,8 +560,8 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
             entries.append(_check_doc(loads_document(line), strict))
         except ParseError:
             malformed += 1
-    valid_episodes = [entry[2] for entry in entries if isinstance(entry, tuple)]
-    t_opt = compute_t_opt(valid_episodes)
+    valid_terms = [entry[1] for entry in entries if isinstance(entry, tuple)]
+    t_opt = compute_t_opt(valid_terms)
     ctx = ScoringContext(t_opt=t_opt)
     out_dir.mkdir(parents=True, exist_ok=True)
     scores_path = out_dir / SCORES_NAME
@@ -567,7 +573,7 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
         "t_opt": t_opt,
         "strict": strict,
         "records": len(entries),
-        "valid_episodes": len(valid_episodes),
+        "valid_episodes": len(valid_terms),
         "malformed_lines": malformed,
         "weights": list(WEIGHTS),
         "budgets": {"token_budget": TOKEN_BUDGET, "tool_budget": TOOL_BUDGET},

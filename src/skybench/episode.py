@@ -112,14 +112,6 @@ class FinalState:
     separation_breach: bool = False
     battery_depleted: bool = False
 
-    def any_violation(self) -> bool:
-        return (
-            self.altitude_violation
-            or self.nfz_violation
-            or self.separation_breach
-            or self.battery_depleted
-        )
-
 
 @dataclass(frozen=True)
 class EpisodeMetadata:
@@ -284,10 +276,23 @@ def turn_to_doc(t: Turn) -> dict[str, Any]:
     return doc
 
 
+def final_state_to_doc(f: FinalState) -> dict[str, Any]:
+    return {
+        "position": [_quantized(c) for c in f.position],
+        "velocity": _quantized(f.velocity),
+        "yaw": _quantized(f.yaw),
+        "battery": _quantized(f.battery),
+        "mission_completed": f.mission_completed,
+        "altitude_violation": f.altitude_violation,
+        "nfz_violation": f.nfz_violation,
+        "separation_breach": f.separation_breach,
+        "battery_depleted": f.battery_depleted,
+    }
+
+
 def episode_to_doc(e: Episode) -> dict[str, Any]:
     turns = [turn_to_doc(t) for t in e.turns]
     m = e.metadata
-    f = e.final_state
     return {
         "episode_id": e.episode_id,
         "metadata": {
@@ -302,17 +307,7 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
             "timestamp": m.timestamp,
         },
         "turns": turns,
-        "final_state": {
-            "position": [_quantized(c) for c in f.position],
-            "velocity": _quantized(f.velocity),
-            "yaw": _quantized(f.yaw),
-            "battery": _quantized(f.battery),
-            "mission_completed": f.mission_completed,
-            "altitude_violation": f.altitude_violation,
-            "nfz_violation": f.nfz_violation,
-            "separation_breach": f.separation_breach,
-            "battery_depleted": f.battery_depleted,
-        },
+        "final_state": final_state_to_doc(e.final_state),
     }
 
 

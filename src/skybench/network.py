@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import CalibrationError
@@ -326,11 +327,18 @@ def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.G
     return NetworkState(prev.slice, *mixed)
 
 
-def classify_hard(n: NetworkState) -> bool:
-    """True when the vector breaches any degradation threshold."""
+_HARD_FIELDS = ("latency_ms", "loss_pct", "throughput_mbps", "edge_load")
+_state_hard_fields = attrgetter(*_HARD_FIELDS)
+_doc_hard_fields = itemgetter(*_HARD_FIELDS)
+
+
+def classify_hard(n: NetworkState | Mapping[str, float]) -> bool:
+    """True when the vector, a NetworkState or its document, breaches any
+    degradation threshold."""
+    latency, loss, throughput, edge = (_doc_hard_fields if type(n) is dict else _state_hard_fields)(n)
     return (
-        n.latency_ms > HARD_LATENCY_MS
-        or n.loss_pct >= HARD_LOSS_PCT
-        or n.throughput_mbps < HARD_THROUGHPUT_MBPS
-        or n.edge_load > HARD_EDGE_LOAD
+        latency > HARD_LATENCY_MS
+        or loss >= HARD_LOSS_PCT
+        or throughput < HARD_THROUGHPUT_MBPS
+        or edge > HARD_EDGE_LOAD
     )

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .episode import (
-    A2aAck,
-    A2aTask,
     Episode,
     FinalState,
-    McpCall,
-    McpResult,
     ROLE_AGENT,
-    Turn,
     ValidationReport,
+    episode_to_doc,
+    final_state_to_doc,
     format_float,
 )
 from .errors import DegenerateInput
@@ -117,88 +114,117 @@ class ModelAggregate:
     success_rate: float
 
 
-def _structured_turns(e: Episode) -> list[Turn]:
-    return [t for t in e.turns if t.structured]
+class EpisodeTerms(NamedTuple):
+    """What the scores of one episode need that t_opt does not change: five
+    pillars, the alternation and grounding terms of IQ, and the episode facts
+    a score record copies."""
+
+    task_outcome: float
+    safety_policy: float
+    tool_consistency: float
+    alternation: float
+    grounding: float
+    network_robustness: float
+    communication_cost: float
+    turns: int
+    mission_completed: bool
+    gen_time_s: float
+    total_tokens: int
+
+
+def _doc(e: Episode | Mapping[str, Any]) -> Mapping[str, Any]:
+    """The document every pillar reads; an Episode is read through episode_to_doc."""
+    return episode_to_doc(e) if isinstance(e, Episode) else e
+
+
+def _structured_turns(turns: Sequence[Mapping[str, Any]]) -> list[Mapping[str, Any]]:
+    return [t for t in turns if t.get("action") is not None]
 
 
 # ---------------------------------------------------------------------------
 # Pillars
+#
+# Each pillar reads the episode document, which for a valid record is the
+# validated one: a document holds only plain JSON values.
 # ---------------------------------------------------------------------------
 
-def score_task_outcome(e: Episode, report: ValidationReport) -> float:
+_VIOLATION_FLAGS = ("altitude_violation", "nfz_violation", "separation_breach", "battery_depleted")
+
+
+def score_task_outcome(e: Episode | Mapping[str, Any], report: ValidationReport) -> float:
     """1 only for a valid episode that completed with clean safety flags."""
-    ok = report.valid and e.final_state.mission_completed and not e.final_state.any_violation()
+    f = _doc(e)["final_state"]
+    ok = report.valid and f["mission_completed"] and not any(f[k] for k in _VIOLATION_FLAGS)
     return 1.0 if ok else 0.0
 
 
-def score_safety_policy(flags: FinalState) -> float:
+def score_safety_policy(flags: FinalState | Mapping[str, Any]) -> float:
+    """Additive penalties over a final state or its document."""
+    if isinstance(flags, FinalState):
+        flags = final_state_to_doc(flags)
     score = (
         1.0
-        - PENALTY_ALTITUDE * flags.altitude_violation
-        - PENALTY_NFZ * flags.nfz_violation
-        - PENALTY_SEPARATION * flags.separation_breach
-        - PENALTY_BATTERY * flags.battery_depleted
+        - PENALTY_ALTITUDE * flags["altitude_violation"]
+        - PENALTY_NFZ * flags["nfz_violation"]
+        - PENALTY_SEPARATION * flags["separation_breach"]
+        - PENALTY_BATTERY * flags["battery_depleted"]
     )
     return clamp01(score)
 
 
-def score_tool_consistency(e: Episode) -> float:
-    structured = _structured_turns(e)
+def score_tool_consistency(e: Episode | Mapping[str, Any]) -> float:
+    structured = _structured_turns(_doc(e)["turns"])
     if not structured:
         return 1.0
-    matched = sum(1 for t in structured if match_action_observation(t.action, t.observation))
+    matched = sum(1 for t in structured if match_action_observation(t["action"], t.get("observation")))
     return matched / len(structured)
 
 
 _TURN_REF = re.compile(r"\bturn\s+(\d+)\b", re.IGNORECASE)
 
 
-def _observation_tokens(obs) -> set[str]:
-    """Searchable references carried by one observation: its tool or task
-    name plus formatted field values (short bare digits are skipped as
-    too ambiguous to count as grounding)."""
-    tokens: set[str] = set()
-
-    def add_value(value) -> None:
-        if isinstance(value, bool) or value is None:
-            return
-        if isinstance(value, str):
+def _observation_tokens(obs: Mapping[str, Any]) -> set[str]:
+    """Searchable references carried by one observation document: its tool
+    or task name plus formatted field values (short bare digits are skipped
+    as too ambiguous to count as grounding).  The values are walked with one
+    flat stack, each matched by its exact JSON type."""
+    if "tool" in obs:
+        tokens = {str(obs["tool"])}
+        stack = [obs.get("result")]
+    else:
+        tokens = {str(obs["task"])}
+        stack = [obs.get("payload")]
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is str:
             if len(value) >= 3:
                 tokens.add(value)
-        elif isinstance(value, (int, float)):
+        elif kind is float or kind is int:
             text = format_float(value)
             if len(text.replace("-", "")) >= 2:
                 tokens.add(text)
-        elif isinstance(value, dict):
-            for v in value.values():
-                add_value(v)
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                add_value(v)
-
-    if isinstance(obs, McpResult):
-        tokens.add(obs.tool)
-        add_value(dict(obs.result))
-    elif isinstance(obs, A2aAck):
-        tokens.add(obs.task)
-        add_value(dict(obs.payload))
+        elif kind is dict:
+            stack.extend(value.values())
+        elif kind is list:
+            stack.extend(value)
     return tokens
 
 
-def _is_grounded(turn: Turn, turn_number: int, prior_tokens: set[str]) -> bool:
-    text = turn.intent
+def _is_grounded(turn: Mapping[str, Any], turn_number: int, prior_tokens: set[str]) -> bool:
+    text = turn["intent"]
     for match in _TURN_REF.finditer(text):
         if int(match.group(1)) < turn_number:
             return True
     haystack = text
-    if isinstance(turn.action, McpCall):
-        haystack += " " + " ".join(str(v) for v in turn.action.args.values())
-    elif isinstance(turn.action, A2aTask):
-        haystack += " " + " ".join(str(v) for v in turn.action.payload.values())
+    action = turn.get("action")
+    if action is not None:
+        values = action["args"] if action["protocol"] == "mcp" else action["payload"]
+        haystack += " " + " ".join(str(v) for v in values.values())
     return any(token in haystack for token in prior_tokens)
 
 
-def grounding_fraction(e: Episode) -> float:
+def grounding_fraction(e: Episode | Mapping[str, Any]) -> float:
     """Share of agent turns that reference prior observations.
 
     Agent turns before any observation exists are vacuously excluded from the
@@ -207,33 +233,42 @@ def grounding_fraction(e: Episode) -> float:
     prior: set[str] = set()
     eligible = 0
     grounded = 0
-    for index, turn in enumerate(e.turns):
-        if turn.role == ROLE_AGENT and prior:
+    for index, turn in enumerate(_doc(e)["turns"]):
+        if turn["role"] == ROLE_AGENT and prior:
             eligible += 1
             if _is_grounded(turn, index + 1, prior):
                 grounded += 1
-        if turn.observation is not None:
-            prior |= _observation_tokens(turn.observation)
+        obs = turn.get("observation")
+        if obs is not None:
+            prior |= _observation_tokens(obs)
     if eligible == 0:
         return 1.0
     return grounded / eligible
 
 
-def alternation_holds(turns: Sequence[Turn]) -> bool:
-    return all(turns[i].role != turns[i - 1].role for i in range(1, len(turns)))
+def alternation_holds(turns: Sequence[Mapping[str, Any]]) -> bool:
+    return all(turns[i]["role"] != turns[i - 1]["role"] for i in range(1, len(turns)))
 
 
-def score_interaction_quality(e: Episode, ctx: ScoringContext) -> float:
-    n_turns = len(e.turns)
-    turn_ratio = min(1.0, ctx.t_opt / max(n_turns, 1))
-    alt = 1.0 if alternation_holds(e.turns) else 0.0
-    return (turn_ratio + alt + grounding_fraction(e)) / 3.0
+def _interaction_quality(n_turns: int, alternation: float, grounding: float, ctx: ScoringContext) -> float:
+    return (min(1.0, ctx.t_opt / max(n_turns, 1)) + alternation + grounding) / 3.0
 
 
-def _nr_components(e: Episode, ctx: ScoringContext) -> tuple[float, float, float, float]:
-    turns = e.turns
+def score_interaction_quality(e: Episode | Mapping[str, Any], ctx: ScoringContext) -> float:
+    doc = _doc(e)
+    turns = doc["turns"]
+    alternation = 1.0 if alternation_holds(turns) else 0.0
+    return _interaction_quality(len(turns), alternation, grounding_fraction(doc), ctx)
+
+
+def _nr_components(
+    e: Episode | Mapping[str, Any], ctx: ScoringContext | None = None
+) -> tuple[float, float, float, float]:
+    """NR's base, adaptation, slice-awareness and bonus terms; t_opt plays no part."""
+    doc = _doc(e)
+    turns = doc["turns"]
     total = len(turns)
-    hard = [classify_hard(t.network) for t in turns]
+    hard = [classify_hard(t["network"]) for t in turns]
     n_hard = sum(hard)
     hard_fraction = n_hard / max(total, 1)
     base = 1.0 - hard_fraction
@@ -243,34 +278,35 @@ def _nr_components(e: Episode, ctx: ScoringContext) -> tuple[float, float, float
         slice_aware = 1.0
     else:
         n_normal = total - n_hard
-        acts_hard = sum(1 for t, h in zip(turns, hard) if h and t.structured)
-        acts_normal = sum(1 for t, h in zip(turns, hard) if not h and t.structured)
+        acts_hard = sum(1 for t, h in zip(turns, hard) if h and t.get("action") is not None)
+        acts_normal = sum(1 for t, h in zip(turns, hard) if not h and t.get("action") is not None)
         rate_hard = acts_hard / n_hard
         rate_normal = acts_normal / n_normal if n_normal else 0.0
         if rate_normal == 0.0:
             adapt = 0.0 if rate_hard > 0 else 1.0
         else:
             adapt = clamp01(1.0 - rate_hard / rate_normal)
-        slice_aware = sum(1 for t, h in zip(turns, hard) if h and t.network.slice != EMBB) / n_hard
+        slice_aware = sum(1 for t, h in zip(turns, hard) if h and t["network"]["slice"] != EMBB) / n_hard
 
     bonus = (
         NR_BONUS
-        if e.final_state.mission_completed and hard_fraction >= NR_BONUS_MIN_HARD_FRACTION
+        if doc["final_state"]["mission_completed"] and hard_fraction >= NR_BONUS_MIN_HARD_FRACTION
         else 0.0
     )
     return base, adapt, slice_aware, bonus
 
 
-def score_network_robustness(e: Episode, ctx: ScoringContext) -> float:
+def score_network_robustness(e: Episode | Mapping[str, Any], ctx: ScoringContext | None = None) -> float:
     base, adapt, slice_aware, bonus = _nr_components(e, ctx)
     return clamp01(
         NR_BASE_WEIGHT * base + NR_ADAPT_WEIGHT * adapt + NR_SLICE_WEIGHT * slice_aware + bonus
     )
 
 
-def score_communication_cost(e: Episode) -> float:
-    tokens = e.metadata.total_tokens
-    tools = len(_structured_turns(e))
+def score_communication_cost(e: Episode | Mapping[str, Any]) -> float:
+    doc = _doc(e)
+    tokens = doc["metadata"]["total_tokens"]
+    tools = len(_structured_turns(doc["turns"]))
     token_term = clamp01(TOKEN_BUDGET / max(tokens, 1))
     tool_term = clamp01(TOOL_BUDGET / max(tools, 1))
     return 0.5 * (token_term + tool_term)
@@ -282,37 +318,62 @@ def composite(pillars: Sequence[float]) -> float:
     return float(sum(w * p for w, p in zip(WEIGHTS, pillars)))
 
 
-def score_episode(e: Episode, report: ValidationReport, ctx: ScoringContext) -> PillarScores:
+def episode_terms(e: Episode | Mapping[str, Any], report: ValidationReport) -> EpisodeTerms:
+    """Everything of an episode's scores that comes before t_opt, read from
+    its document once."""
+    doc = _doc(e)
+    turns = doc["turns"]
+    meta = doc["metadata"]
+    final = doc["final_state"]
+    return EpisodeTerms(
+        score_task_outcome(doc, report),
+        score_safety_policy(final),
+        score_tool_consistency(doc),
+        1.0 if alternation_holds(turns) else 0.0,
+        grounding_fraction(doc),
+        score_network_robustness(doc),
+        score_communication_cost(doc),
+        len(turns),
+        bool(final["mission_completed"]),
+        float(meta["gen_time_s"]),
+        int(meta["total_tokens"]),
+    )
+
+
+def finish_scores(terms: EpisodeTerms, ctx: ScoringContext) -> PillarScores:
+    """The six pillars and alpha3 of an episode once t_opt is known."""
     pillars = (
-        score_task_outcome(e, report),
-        score_safety_policy(e.final_state),
-        score_tool_consistency(e),
-        score_interaction_quality(e, ctx),
-        score_network_robustness(e, ctx),
-        score_communication_cost(e),
+        terms.task_outcome,
+        terms.safety_policy,
+        terms.tool_consistency,
+        _interaction_quality(terms.turns, terms.alternation, terms.grounding, ctx),
+        terms.network_robustness,
+        terms.communication_cost,
     )
     return PillarScores(*pillars, alpha3=composite(pillars))
+
+
+def score_episode(e: Episode | Mapping[str, Any], report: ValidationReport, ctx: ScoringContext) -> PillarScores:
+    return finish_scores(episode_terms(e, report), ctx)
 
 
 # ---------------------------------------------------------------------------
 # Corpus-level quantities
 # ---------------------------------------------------------------------------
 
-def compute_t_opt(episodes: Iterable[Episode]) -> int:
+def compute_t_opt(terms: Iterable[EpisodeTerms]) -> int:
     """Lower median turn count over completed episodes; fallback when none."""
-    counts = sorted(len(e.turns) for e in episodes if e.final_state.mission_completed)
+    counts = sorted(t.turns for t in terms if t.mission_completed)
     if not counts:
         return T_OPT_FALLBACK
     return counts[(len(counts) - 1) // 2]
 
 
-def generation_efficiency(e: Episode, alpha3: float) -> tuple[float, float]:
+def generation_efficiency(alpha3: float, gen_time_s: float, total_tokens: float) -> tuple[float, float]:
     """Per-episode efficiency: composite per second and per thousand tokens."""
-    gen_time = e.metadata.gen_time_s
-    tokens = e.metadata.total_tokens
-    if gen_time <= 0 or tokens <= 0:
+    if gen_time_s <= 0 or total_tokens <= 0:
         raise DegenerateInput("generation efficiency needs positive gen_time_s and total_tokens")
-    return alpha3 / gen_time, alpha3 / (tokens / 1000.0)
+    return alpha3 / gen_time_s, alpha3 / (total_tokens / 1000.0)
 
 
 def aggregate_model(

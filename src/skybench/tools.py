@@ -22,7 +22,7 @@ from .environment import (
     VehicleParams,
     check_geofence,
 )
-from .episode import A2aAck, A2aTask, Action, McpCall, McpResult, Observation
+from .episode import A2aAck, A2aTask, Action, McpCall, McpResult, Observation, action_to_doc, observation_to_doc
 from .errors import ParseError
 from .network import NetworkState, SLICES, SliceCalibration, classify_hard, sample_network_state
 
@@ -165,17 +165,25 @@ def validate_args(spec: ToolSpec, args: Mapping[str, Any]) -> str | None:
     return None
 
 
-def match_action_observation(action: Action | None, observation: Observation | None) -> bool:
-    """Structural pairing rule used by tool-consistency scoring."""
-    if isinstance(action, McpCall):
-        return isinstance(observation, McpResult) and observation.tool == action.name
-    if isinstance(action, A2aTask):
-        return (
-            isinstance(observation, A2aAck)
-            and observation.task == action.task
-            and observation.from_agent == action.to
-        )
-    return False
+def match_action_observation(action: Action | Mapping[str, Any] | None,
+                             observation: Observation | Mapping[str, Any] | None) -> bool:
+    """Structural pairing rule used by tool-consistency scoring, over the
+    documents of an action and its observation; a typed value is read
+    through its document.  An observation with a tool field is a tool
+    result, as doc_to_episode reads it."""
+    if action is not None and type(action) is not dict:
+        action = action_to_doc(action)
+    if observation is not None and type(observation) is not dict:
+        observation = observation_to_doc(observation)
+    if action is None or observation is None:
+        return False
+    if action["protocol"] == "mcp":
+        return "tool" in observation and str(observation["tool"]) == action["name"]
+    return (
+        "tool" not in observation
+        and observation.get("task") == action["task"]
+        and observation.get("from") == action["to"]
+    )
 
 
 @dataclass(frozen=True)

@@ -1453,7 +1453,7 @@ def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):
     out.mkdir()
     rng = np.random.default_rng(12)
     docs = [episode_to_doc(random_episode(rng)) for _ in range(5)]
-    docs[1]["turns"] = docs[1]["turns"][:7]  # invalid, so never built
+    docs[1]["turns"] = docs[1]["turns"][:7]  # invalid
     stub = stub_to_doc(make_failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal"))
     (out / "corpus.jsonl").write_text("".join(dumps_canonical(d) + "\n" for d in docs + [stub]))
     calls = {"validate_episode": 0, "doc_to_episode": 0}
@@ -1464,9 +1464,64 @@ def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, name, counting)
     assert cmd_score(str(out)) == EXIT_OK
-    assert calls == {"validate_episode": 5, "doc_to_episode": 4}
+    assert calls == {"validate_episode": 5, "doc_to_episode": 0}
     scores = [json.loads(line) for line in (out / SCORES_NAME).read_text().splitlines()]
     assert [s.get("valid") for s in scores] == [True, False, True, True, True, None]
+
+
+@pytest.mark.parametrize("field, value", [("model", 5), ("attempts_used", "x"), ("attempts_used", True)])
+def test_aggregate_reads_the_score_of_an_episode_with_mistyped_metadata(tmp_path, field, value):
+    out = tmp_path / "run"
+    out.mkdir()
+    rng = np.random.default_rng(16)
+    bad = episode_to_doc(random_episode(rng))
+    bad["metadata"][field] = value
+    lines = [record_to_line(random_episode(rng)), json.dumps(bad)]
+    (out / "corpus.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["score", "--out", str(out)]) == EXIT_OK
+    record = json.loads((out / SCORES_NAME).read_text().splitlines()[1])
+    assert record["valid"] is False and "schema_invalid" in record["violations"]
+    # The fallbacks of a missing field; the other identity keys are copied.
+    assert (record["model"], record["attempts_used"]) == (
+        ("unknown", bad["metadata"]["attempts_used"]) if field == "model" else ("random_model", 0)
+    )
+    assert (record["episode_id"], record["seed"]) == (bad["episode_id"], bad["metadata"]["seed"])
+    assert main(["aggregate", "--out", str(out)]) == EXIT_OK
+
+
+def test_lenient_score_scores_an_acknowledgement_with_foreign_tool_fields(tmp_path):
+    # Lenient validation accepts an acknowledgement that also carries "tool"
+    # and a non-object "result"; such a record is scored, not skipped as
+    # malformed.
+    out = tmp_path / "run"
+    out.mkdir()
+    rng = np.random.default_rng(18)
+    doc = episode_to_doc(random_episode(rng, structured_prob=1.0))
+    ack = next(t["observation"] for t in doc["turns"] if "from" in t.get("observation", {}))
+    ack.update(tool="thirdparty", result=5)
+    (out / "corpus.jsonl").write_text(json.dumps(doc) + "\n")
+    assert main(["score", "--out", str(out), "--lenient"]) == EXIT_OK
+    meta = json.loads((out / "scoring_meta.json").read_text())
+    assert (meta["records"], meta["valid_episodes"], meta["malformed_lines"]) == (1, 1, 0)
+
+
+def test_score_keeps_a_compact_entry_per_record(tmp_path):
+    import tracemalloc
+
+    out = tmp_path / "run"
+    cmd_generate(tiny_config(out))
+    lines = (out / "corpus.jsonl").read_text().splitlines()
+    lines *= -(-2000 // len(lines))
+    (out / "corpus.jsonl").write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        assert cmd_score(str(out)) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About 1.4 KB per record; holding a typed Episode per record until t_opt
+    # is known took about 12.6 KB.
+    assert peak / len(lines) < 4_000
 
 
 def test_validate_lists_malformed_lines_and_goes_on(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import replace
 
@@ -8,12 +9,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from generators import build_episode, dialogue, fixed_network, random_episode
+from skybench.cli import RunConfig, _score_doc, cmd_generate
 from skybench.episode import (
     FinalState,
     McpCall,
     McpResult,
     Turn,
     ValidationReport,
+    doc_to_episode,
+    dumps_canonical,
+    episode_to_doc,
+    loads_document,
     validate_episode,
 )
 from skybench.errors import DegenerateInput
@@ -27,6 +33,7 @@ from skybench.scoring import (
     aggregate_model,
     composite,
     compute_t_opt,
+    episode_terms,
     generation_efficiency,
     grounding_fraction,
     score_communication_cost,
@@ -290,28 +297,31 @@ def _with_turn_count(rng, n, completed=True):
     return random_episode(rng, n_turns=n, completed=completed)
 
 
+def _t_opt(episodes):
+    return compute_t_opt(episode_terms(e, VALID) for e in episodes)
+
+
 def test_t_opt_median_rules():
     rng = np.random.default_rng(3)
     episodes = [_with_turn_count(rng, n) for n in (8, 10, 12)]
-    assert compute_t_opt(episodes) == 10
+    assert _t_opt(episodes) == 10
     episodes = [_with_turn_count(rng, n) for n in (8, 8, 12, 12)]
-    assert compute_t_opt(episodes) == 8
-    assert compute_t_opt([]) == 10
+    assert _t_opt(episodes) == 8
+    assert _t_opt([]) == 10
     failures = [_with_turn_count(rng, 12, completed=False)]
-    assert compute_t_opt(failures) == 10
+    assert _t_opt(failures) == 10
 
 
 def test_generation_efficiency_published_row():
-    episode = build_episode(dialogue([(False, True, URLLC)] * 8), total_tokens=4032, gen_time_s=10.581)
     # total_tokens is integral; the published per-1k figure uses 4032.1.
-    per_sec, per_1k = generation_efficiency(episode, 0.976)
+    per_sec, per_1k = generation_efficiency(0.976, 10.581, 4032)
     assert per_sec == pytest.approx(0.092, abs=1e-3)
     assert per_1k == pytest.approx(0.242, abs=1e-3)
-    zero = generation_efficiency(episode, 0.0)
-    assert zero == (0.0, 0.0)
-    broken = build_episode(dialogue([(False, True, URLLC)] * 8), gen_time_s=0.0)
+    assert generation_efficiency(0.0, 10.581, 4032) == (0.0, 0.0)
     with pytest.raises(DegenerateInput):
-        generation_efficiency(broken, 0.5)
+        generation_efficiency(0.5, 0.0, 4032)
+    with pytest.raises(DegenerateInput):
+        generation_efficiency(0.5, 10.581, 0)
 
 
 def _flat_scores(n, alpha3=0.976):
@@ -375,3 +385,46 @@ def test_every_pillar_in_unit_interval_on_random_episodes():
         for value in scores.pillars() + (scores.alpha3,):
             assert 0.0 <= value <= 1.0
         assert scores.alpha3 == pytest.approx(composite(scores.pillars()), abs=1e-12)
+
+
+# -- one scorer, over the document ---------------------------------------------
+
+def _integral(doc: dict) -> dict:
+    """doc with integral numbers where a generated line has floats, and an
+    integral float where it has an int: still a valid episode."""
+    doc = copy.deepcopy(doc)
+    meta = doc["metadata"]
+    meta["gen_time_s"] = max(1, round(meta["gen_time_s"]))
+    meta["total_tokens"] = float(meta["total_tokens"])
+    for turn in doc["turns"]:
+        turn["network"]["latency_ms"] = max(1, round(turn["network"]["latency_ms"]))
+    return doc
+
+
+def test_an_episode_scores_as_its_stored_line(tmp_path):
+    rng = np.random.default_rng(16)
+    docs = [episode_to_doc(random_episode(rng, mismatch_prob=0.3, hard_prob=0.4)) for _ in range(300)]
+    cmd_generate(RunConfig(episodes_per_scenario=4, out=str(tmp_path), canonical=True))
+    builtin = [loads_document(line) for line in (tmp_path / "corpus.jsonl").read_text().splitlines()]
+    docs += [doc for doc in builtin if doc.get("kind") != "failure_stub"]
+    docs += [_integral(doc) for doc in docs]
+    for doc in docs:
+        stored = loads_document(dumps_canonical(doc))
+        episode = doc_to_episode(stored)
+        report = validate_episode(stored)
+        assert report.valid
+        for t_opt in (8, 10, 12):
+            ctx = ScoringContext(t_opt=t_opt)
+            assert score_episode(episode, report, ctx) == score_episode(stored, report, ctx)
+
+
+def test_a_score_record_copies_the_typed_episode_facts():
+    # The record holds gen_time_s as a float and total_tokens as an int,
+    # whichever of the two forms the document uses.
+    doc = _integral(episode_to_doc(random_episode(np.random.default_rng(17))))
+    record = _score_doc(loads_document(dumps_canonical(doc)), CTX, strict=True)
+    assert record["valid"] is True
+    assert type(record["gen_time_s"]) is float and type(record["total_tokens"]) is int
+    line = dumps_canonical(record)
+    assert f'"gen_time_s":{doc["metadata"]["gen_time_s"]}.0,' in line
+    assert f'"total_tokens":{int(doc["metadata"]["total_tokens"])}' in line
