@@ -13,7 +13,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .environment import BATTERY_DEPLETED_PCT, evolve_state
 from .episode import (
@@ -520,12 +520,41 @@ def run_episode(
     receives the canonical JSON line of the accepted episode: the exact bytes
     that were validated, ready to be stored.
     """
+    record = run_attempts(
+        agent, user, scenario, calibration=calibration, registry=registry,
+        global_seed=global_seed, episode_seed=episode_seed, index=index, timestamp=timestamp,
+    )
+    if isinstance(record, FailureStub):
+        return record
+    if on_accept is not None:
+        on_accept(dumps_document(record))
+    return doc_to_episode(record)
+
+
+def run_attempts(
+    agent,
+    user: UserSimulator,
+    scenario: Scenario,
+    *,
+    calibration: SliceCalibration,
+    registry: Mapping[str, ToolSpec] | None = None,
+    global_seed: int = 42,
+    episode_seed: int = 42,
+    index: int = 0,
+    timestamp: str = EPOCH_TIMESTAMP,
+) -> dict[str, Any] | FailureStub:
+    """run_episode's attempt loop: the validated document of the accepted
+    episode, or the failure stub.  The document is canonical as built, so
+    dumps_document gives its stored line; generate stores that line and
+    builds no Episode."""
     import numpy as np
 
     registry = dict(registry) if registry is not None else default_registry()
     episode_id = episode_id_for(scenario.scenario_id, agent.name, index)
-    root = np.random.SeedSequence([global_seed, episode_seed, stream_digest(scenario.scenario_id, agent.name, index)])
-    children = root.spawn(3)
+    # Exactly SeedSequence(entropy).spawn(3), without mixing the parent's
+    # pool, which no stream draws from.
+    entropy = [global_seed, episode_seed, stream_digest(scenario.scenario_id, agent.name, index)]
+    children = [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(3)]
 
     gen_time = 0.0
     prompt_tokens = 0
@@ -556,14 +585,11 @@ def run_episode(
         )
         episode = Episode(episode_id=episode_id, metadata=metadata, turns=tuple(turns), final_state=final_state)
         # The document is canonical as built: it equals its stored line
-        # parsed back, so the line, the validation and the returned value
-        # all come from it.
+        # parsed back, so the line and the validation both come from it.
         doc = episode_to_doc(episode)
         report = validate_episode(doc)
         if report.valid:
-            if on_accept is not None:
-                on_accept(dumps_document(doc))
-            return doc_to_episode(doc)
+            return doc
         last_report = report
     error_kind = stub_error_kind(last_report) if last_report is not None else "internal"
     return make_failure_stub(episode_id, scenario.scenario_id, agent.name, episode_seed, error_kind, timestamp=timestamp)

@@ -24,7 +24,8 @@ from .agents import (
     episode_id_for,
     episode_seed_for,
     make_agent,
-    run_episode,
+    run_attempts,
+    run_episode,  # noqa: F401  (perfbench traces it at this lookup site)
 )
 from .episode import (
     Episode,
@@ -32,8 +33,10 @@ from .episode import (
     doc_to_episode,  # noqa: F401  (perfbench traces it at this lookup site)
     doc_to_stub,
     dumps_canonical,
+    dumps_document,
     dumps_pretty,
     format_float,
+    integer_value,
     line_to_record,
     loads_document,
     loads_json,
@@ -250,9 +253,8 @@ def _generate_line(
     else:
         agent = make_agent(agent_name, scenario)
     user = UserSimulator(prompts=scenario.user_prompts)
-    accepted: list[str] = []
     try:
-        record = run_episode(
+        record = run_attempts(
             agent,
             user,
             scenario,
@@ -262,14 +264,13 @@ def _generate_line(
             episode_seed=episode_seed_for(index, config.episode_seed_set),
             index=index,
             timestamp=timestamp,
-            on_accept=accepted.append,
         )
     finally:
         if isinstance(agent, SubprocessPolicy):
             agent.close()
     if isinstance(record, FailureStub):
         return record_to_line(record), True
-    return accepted[0], False
+    return dumps_document(record), False
 
 
 def _forked_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterator[Any]:
@@ -500,15 +501,16 @@ def _check_doc(doc: Mapping[str, Any], strict: bool) -> dict[str, Any] | tuple:
     report = validate_episode(doc, strict=strict)
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), Mapping) else {}
     # aggregate reads the model and the attempts by exact type, so a value of
-    # any other type is written as a missing one is.
+    # any other type is written as a missing one is; an integral float is
+    # the integer the schema takes it for.
     model = meta.get("model")
-    attempts = meta.get("attempts_used")
+    attempts = integer_value(meta.get("attempts_used"))
     base: dict[str, Any] = {
         "episode_id": doc.get("episode_id", ""),
         "model": model if type(model) is str else "unknown",
         "scenario_id": meta.get("scenario_id", ""),
         "seed": meta.get("seed", 0),
-        "attempts_used": attempts if type(attempts) is int else 0,
+        "attempts_used": 0 if attempts is None else attempts,
     }
     if not report.valid:
         base.update(valid=False, alpha3=0.0, violations=sorted(set(report.codes())))

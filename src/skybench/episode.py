@@ -510,6 +510,13 @@ def _integer(x: Any) -> bool:
     return not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and x.is_integer()))
 
 
+def integer_value(x: Any) -> int | None:
+    """The integer the schema takes x for (an integral float is one), else None."""
+    if type(x) is int:
+        return x
+    return int(x) if _integer(x) else None
+
+
 def _at_least(low: int) -> _Rule:
     return (lambda v: (type(v) is float or _number(v)) and not v < low, f"must be a number at least {low}")
 
@@ -715,16 +722,18 @@ def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
                 out.append(Violation(CODE_BATTERY_RANGE, -1, f"battery {battery} outside [0, 100]"))
     meta = doc.get("metadata")
     if _is_mapping(meta):
-        prompt, completion, total = meta.get("prompt_tokens"), meta.get("completion_tokens"), meta.get("total_tokens")
-        if all(isinstance(v, int) and not isinstance(v, bool) for v in (prompt, completion, total)):
-            if prompt + completion != total:
-                out.append(
-                    Violation(CODE_TOKEN_MISMATCH, -1, f"total_tokens {total} != prompt {prompt} + completion {completion}")
-                )
-        attempts = meta.get("attempts_used")
-        if isinstance(attempts, int) and not isinstance(attempts, bool):
-            if not 1 <= attempts <= MAX_ATTEMPTS:
-                out.append(Violation(CODE_ATTEMPTS, -1, f"attempts_used {attempts} outside [1, {MAX_ATTEMPTS}]"))
+        # The counts are checked as the integers the schema accepts, so 7.0
+        # breaks the attempts range as 7 does.
+        prompt, completion, total = map(
+            integer_value, (meta.get("prompt_tokens"), meta.get("completion_tokens"), meta.get("total_tokens"))
+        )
+        if None not in (prompt, completion, total) and prompt + completion != total:
+            out.append(
+                Violation(CODE_TOKEN_MISMATCH, -1, f"total_tokens {total} != prompt {prompt} + completion {completion}")
+            )
+        attempts = integer_value(meta.get("attempts_used"))
+        if attempts is not None and not 1 <= attempts <= MAX_ATTEMPTS:
+            out.append(Violation(CODE_ATTEMPTS, -1, f"attempts_used {attempts} outside [1, {MAX_ATTEMPTS}]"))
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import CalibrationError
@@ -77,27 +77,23 @@ class NetworkState:
 class FieldModel:
     """One scalar field: distribution family, parameters, and clip range."""
 
-    family: str  # "lognormal" | "exponential" | "beta"
+    family: str  # "lognormal" | "exponential" | "beta": the Generator method that draws it
     params: tuple[float, ...]
     clip: tuple[float, float]
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if self.family == "lognormal":
-            mu, sigma = self.params
-            raw = rng.lognormal(mean=mu, sigma=sigma, size=size)
-        elif self.family == "exponential":
-            (scale,) = self.params
-            raw = rng.exponential(scale=scale, size=size)
-        elif self.family == "beta":
-            a, b = self.params
-            raw = rng.beta(a, b, size=size)
-        else:
+    def __post_init__(self) -> None:
+        if self.family not in ("lognormal", "exponential", "beta"):
             raise ValueError(f"unknown field family: {self.family}")
+        # The family's draw, resolved once rather than on each of an
+        # episode's scalar draws: draw(rng) is rng.<family>(*params).
+        object.__setattr__(self, "draw", methodcaller(self.family, *self.params))
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
         if size is not None:
             import numpy as np
 
-            return np.clip(raw, self.clip[0], self.clip[1])
-        return float(min(max(raw, self.clip[0]), self.clip[1]))
+            return np.clip(getattr(rng, self.family)(*self.params, size=size), self.clip[0], self.clip[1])
+        return float(min(max(self.draw(rng), self.clip[0]), self.clip[1]))
 
     def analytic_mean(self) -> float:
         if self.family == "lognormal":
@@ -118,6 +114,11 @@ class SliceModel:
     loss: FieldModel
     throughput: FieldModel
     edge_load: FieldModel
+
+    def __post_init__(self) -> None:
+        # (draw, low, high) per field, in NetworkState.scalars() order: the
+        # table evolve_network steps through on every turn.
+        object.__setattr__(self, "draws", tuple((f.draw, *f.clip) for f in self.fields()))
 
     def fields(self) -> tuple[FieldModel, ...]:
         return (self.latency, self.jitter, self.loss, self.throughput, self.edge_load)
@@ -318,12 +319,10 @@ def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.G
         others = [s for s in SLICES if s != prev.slice]
         new_slice = others[int(rng.integers(0, len(others)))]
         return sample_network_state(new_slice, calib, rng)
-    model = calib.model(prev.slice)
     mixed = []
-    for old, field in zip(prev.scalars(), model.fields()):
-        fresh = field.sample(rng)
-        value = old + MIXING_WEIGHT * (fresh - old)
-        mixed.append(min(max(value, field.clip[0]), field.clip[1]))
+    for old, (draw, low, high) in zip(prev.scalars(), calib.model(prev.slice).draws):
+        fresh = min(max(draw(rng), low), high)
+        mixed.append(min(max(old + MIXING_WEIGHT * (fresh - old), low), high))
     return NetworkState(prev.slice, *mixed)
 
 

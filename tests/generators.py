@@ -219,6 +219,16 @@ def corrupted_docs(rng: np.random.Generator) -> list[tuple[str, dict[str, Any], 
     doc["turns"][1]["network"]["latency_ms"] = "fast"
     cases.append(("latency_wrong_type", doc, "schema_invalid"))
 
+    # The schema's integer type takes an integral float, so the count rules
+    # read one as that integer.
+    doc = valid_doc(rng)
+    doc["metadata"]["attempts_used"] = 7.0
+    cases.append(("seven_attempts_as_float", doc, "attempts_exceeded"))
+
+    doc = valid_doc(rng)
+    doc["metadata"]["total_tokens"] = float(doc["metadata"]["total_tokens"] + 5)
+    cases.append(("token_mismatch_as_float", doc, "token_mismatch"))
+
     return cases
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from skybench import agents
@@ -17,6 +18,7 @@ from skybench.agents import (
     _apply_strictness,
     episode_seed_for,
     make_agent,
+    run_attempts,
     run_episode,
     simulate_user_turn,
     stream_digest,
@@ -84,6 +86,28 @@ def test_episode_window_and_alternation_by_construction(scenarios, calibration):
                 assert turns[0].role == "user"
                 assert all(turns[i].role != turns[i - 1].role for i in range(1, len(turns)))
                 assert 1 <= record.metadata.attempts_used <= 3
+
+
+def test_streams_are_the_children_of_the_episode_entropy(scenarios, calibration, monkeypatch):
+    # The network, physics and tool streams start where the three children
+    # spawned from SeedSequence(global seed, episode seed, digest) start.
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        rng = default_rng(seed)
+        made.append(rng.bit_generator.state)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    for scenario in scenarios:
+        for index in (0, 112_999):
+            made.clear()
+            run_attempts(make_agent("safe_pilot", scenario), UserSimulator(), scenario,
+                         calibration=calibration, global_seed=7, episode_seed=77, index=index)
+            entropy = [7, 77, stream_digest(scenario.scenario_id, "safe_pilot", index)]
+            spawned = [default_rng(child).bit_generator.state for child in np.random.SeedSequence(entropy).spawn(3)]
+            assert made[:3] == spawned, (scenario.scenario_id, index)
 
 
 def test_determinism_identical_except_timestamp(scenario_by_id, calibration):

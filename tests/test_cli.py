@@ -880,15 +880,15 @@ def test_a_run_that_faults_midway_leaves_the_previous_output_whole(tmp_path, cap
     assert main(argv) == EXIT_OK
     before = {name: (out / name).read_bytes() for name in ("corpus.jsonl", MANIFEST_NAME)}
     calls = []
-    run_episode = cli.run_episode
+    run_attempts = cli.run_attempts
 
     def fault_from_the_third_job_on(*args, **kwargs):
         calls.append(None)
         if len(calls) >= 3:
             raise RuntimeError("physics bug")
-        return run_episode(*args, **kwargs)
+        return run_attempts(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_episode", fault_from_the_third_job_on)
+    monkeypatch.setattr(cli, "run_attempts", fault_from_the_third_job_on)
     assert main(argv + ["--seed", "7", "--parallel", parallel]) == 3
     assert capsys.readouterr().err == "internal error: physics bug\n"
     assert {name: (out / name).read_bytes() for name in before} == before
@@ -902,14 +902,14 @@ def test_a_fault_in_a_forked_worker_exits_as_at_parallel_1(tmp_path, capsys, mon
     import skybench.cli as cli
 
     generator = os.getpid()
-    run_episode = cli.run_episode
+    run_attempts = cli.run_attempts
 
     def fault_in_a_worker(*args, **kwargs):
         if os.getpid() != generator:
             raise fault
-        return run_episode(*args, **kwargs)
+        return run_attempts(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_episode", fault_in_a_worker)
+    monkeypatch.setattr(cli, "run_attempts", fault_in_a_worker)
     out = tmp_path / "run"
     argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--canonical", "--out", str(out)]
     assert main(argv + ["--parallel", "2"]) == code
@@ -924,14 +924,14 @@ def test_a_worker_that_dies_is_an_internal_error(tmp_path, capsys, monkeypatch):
     import skybench.cli as cli
 
     generator = os.getpid()
-    run_episode = cli.run_episode
+    run_attempts = cli.run_attempts
 
     def die_in_a_worker(*args, **kwargs):
         if os.getpid() != generator:
             os._exit(9)
-        return run_episode(*args, **kwargs)
+        return run_attempts(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_episode", die_in_a_worker)
+    monkeypatch.setattr(cli, "run_attempts", die_in_a_worker)
     out = tmp_path / "run"
     argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--parallel", "3", "--out", str(out)]
     assert main(argv) == EXIT_INTERNAL
@@ -1469,6 +1469,26 @@ def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):
     assert [s.get("valid") for s in scores] == [True, False, True, True, True, None]
 
 
+def test_generate_validates_each_episode_once_and_builds_none(tmp_path, monkeypatch):
+    import skybench.agents as agents
+    import skybench.cli as cli
+    import skybench.episode as episode
+
+    calls = {"validate_episode": 0, "doc_to_episode": 0}
+    for module in (cli, agents, episode):
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    out = tmp_path / "run"
+    assert main(["generate", "--canonical", "--out", str(out)]) == EXIT_OK
+    lines = (out / "corpus.jsonl").read_text().splitlines()
+    attempts = sum(json.loads(line)["metadata"]["attempts_used"] for line in lines)
+    assert calls == {"validate_episode": attempts, "doc_to_episode": 0}
+
+
 @pytest.mark.parametrize("field, value", [("model", 5), ("attempts_used", "x"), ("attempts_used", True)])
 def test_aggregate_reads_the_score_of_an_episode_with_mistyped_metadata(tmp_path, field, value):
     out = tmp_path / "run"
@@ -1487,6 +1507,26 @@ def test_aggregate_reads_the_score_of_an_episode_with_mistyped_metadata(tmp_path
     )
     assert (record["episode_id"], record["seed"]) == (bad["episode_id"], bad["metadata"]["seed"])
     assert main(["aggregate", "--out", str(out)]) == EXIT_OK
+
+
+def test_an_integral_float_attempt_count_scores_as_its_integer(tmp_path):
+    # The schema takes 2.0 for the integer 2, so score and aggregate count
+    # the attempts of such a record as they count those of 2.
+    rng = np.random.default_rng(17)
+    docs = [episode_to_doc(random_episode(rng)) for _ in range(3)]
+    outputs = []
+    for number in (int, float):
+        out = tmp_path / number.__name__
+        out.mkdir()
+        for doc in docs:
+            doc["metadata"]["attempts_used"] = number(2)
+        (out / "corpus.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        assert main(["score", "--out", str(out)]) == EXIT_OK
+        assert main(["aggregate", "--out", str(out), "--episode-budget", "3"]) == EXIT_OK
+        outputs.append([(out / name).read_bytes() for name in (SCORES_NAME, "leaderboard.csv")])
+    scores = [json.loads(line) for line in outputs[1][0].decode().splitlines()]
+    assert [(s["valid"], s["attempts_used"]) for s in scores] == [(True, 2)] * 3
+    assert outputs[0] == outputs[1]
 
 
 def test_lenient_score_scores_an_acknowledgement_with_foreign_tool_fields(tmp_path):
