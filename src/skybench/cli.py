@@ -28,8 +28,8 @@ from .agents import (
     run_episode,  # noqa: F401  (perfbench traces it at this lookup site)
 )
 from .episode import (
-    Episode,
     FailureStub,
+    check_episode_doc,
     doc_to_episode,  # noqa: F401  (perfbench traces it at this lookup site)
     doc_to_stub,
     dumps_canonical,
@@ -37,7 +37,6 @@ from .episode import (
     dumps_pretty,
     format_float,
     integer_value,
-    line_to_record,
     loads_document,
     loads_json,
     record_to_line,
@@ -695,8 +694,13 @@ def _top(counter: Mapping[str, int], k: int = 10) -> list[tuple[str, int]]:
     return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
-def corpus_analytics(records: Iterable) -> dict[str, Any]:
-    """Usage tables of the episodes among `records`, folded in one pass."""
+def corpus_analytics(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Usage tables of the episode documents `docs`, folded in one pass.
+
+    Each document must pass check_episode_doc, and each value read from it
+    gets the conversion doc_to_episode would give it, so the tables are
+    those of the Episodes the documents build, and none is built.
+    """
     import statistics
     from array import array
 
@@ -713,37 +717,44 @@ def corpus_analytics(records: Iterable) -> dict[str, Any]:
         for lo, hi in LATENCY_BINS
     ]
 
-    for episode in records:
-        if not isinstance(episode, Episode):
-            continue
+    for doc in docs:
         n_episodes += 1
         saw_a2a = False
-        for turn in episode.turns:
-            if turn.role == "agent":
-                intent_counts[turn.intent] = intent_counts.get(turn.intent, 0) + 1
-            action = turn.action
+        for turn in doc["turns"]:
+            intent = str(turn["intent"]) if str(turn["role"]) == "agent" else None
+            if intent is not None:
+                intent_counts[intent] = intent_counts.get(intent, 0) + 1
+            network = turn["network"]
+            slice_name = str(network["slice"])
+            latency = float(network["latency_ms"])
+            action = turn.get("action")
             action_name = None
-            if action is not None and hasattr(action, "name"):
-                action_name = action.name
+            if action is not None and action["protocol"] == "mcp":
+                action_name = str(action["name"])
                 mcp_counts[action_name] = mcp_counts.get(action_name, 0) + 1
                 per_slice = mcp_slice.setdefault(action_name, {})
-                per_slice[turn.network.slice] = per_slice.get(turn.network.slice, 0) + 1
+                per_slice[slice_name] = per_slice.get(slice_name, 0) + 1
             elif action is not None:
-                action_name = action.task
-                a2a_counts[action.task] = a2a_counts.get(action.task, 0) + 1
+                action_name = str(action["task"])
+                a2a_counts[action_name] = a2a_counts.get(action_name, 0) + 1
                 a2a_total += 1
                 saw_a2a = True
-                if classify_hard(turn.network):
+                hard_fields = {
+                    "latency_ms": latency,
+                    "loss_pct": float(network["loss_pct"]),
+                    "throughput_mbps": float(network["throughput_mbps"]),
+                    "edge_load": float(network["edge_load"]),
+                }
+                if classify_hard(hard_fields):
                     a2a_degraded += 1
-            latency = turn.network.latency_ms
             for (lo, hi), slot in zip(LATENCY_BINS, bins):
                 if lo <= latency < hi:
                     slot["values"].append(latency)
-                    slot["slices"][turn.network.slice] = slot["slices"].get(turn.network.slice, 0) + 1
+                    slot["slices"][slice_name] = slot["slices"].get(slice_name, 0) + 1
                     if action_name:
                         slot["actions"][action_name] = slot["actions"].get(action_name, 0) + 1
-                    if turn.role == "agent":
-                        slot["intents"][turn.intent] = slot["intents"].get(turn.intent, 0) + 1
+                    if intent is not None:
+                        slot["intents"][intent] = slot["intents"].get(intent, 0) + 1
                     break
         if saw_a2a:
             episodes_with_a2a += 1
@@ -804,15 +815,23 @@ def cmd_analytics(out: str, corpus: str | None = None) -> int:
         raise ScenarioError(f"corpus not found: {corpus_path}")
     malformed = 0
 
-    def records() -> Iterator[Episode | FailureStub]:
+    def episode_docs() -> Iterator[dict[str, Any]]:
+        """The buildable episode documents of the corpus; a stub is checked
+        and skipped, and a line that builds no record counts as malformed."""
         nonlocal malformed
         for _, line in _corpus_lines(corpus_path):
             try:
-                yield line_to_record(line)
+                doc = loads_document(line)
+                if doc.get("kind") == "failure_stub":
+                    doc_to_stub(doc)
+                    continue
+                check_episode_doc(doc)
             except ParseError:
                 malformed += 1
+                continue
+            yield doc
 
-    report = corpus_analytics(records())
+    report = corpus_analytics(episode_docs())
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / ANALYTICS_NAME).write_text(dumps_pretty(report) + "\n", "utf-8")
     print(f"episodes analyzed: {report['episodes']}")

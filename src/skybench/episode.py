@@ -357,77 +357,153 @@ def _doc_network(doc: Mapping[str, Any]) -> NetworkState:
     )
 
 
-def doc_to_episode(doc: Mapping[str, Any]) -> Episode:
-    """Build an Episode from a parsed document.
+def _check_dict(value: Any) -> None:
+    """Raise as dict(value) does: a plain dict needs no copy to pass."""
+    if type(value) is not dict:
+        dict(value)
 
-    Raises ParseError when the document cannot be built at all; semantic rule
-    breaches (bad roles, turn counts, ...) survive construction and are left
-    to validate_episode.
+
+def _check_action(doc: Mapping[str, Any]) -> None:
+    protocol = doc.get("protocol")
+    if protocol == "mcp":
+        str(doc["name"])
+        _check_dict(doc.get("args", {}))
+    elif protocol == "a2a":
+        str(doc["task"]), str(doc["to"])
+        _check_dict(doc.get("payload", {}))
+    else:
+        raise ParseError(f"unknown action protocol: {protocol!r}")
+
+
+def _check_observation(doc: Mapping[str, Any]) -> None:
+    if "tool" in doc:
+        str(doc["tool"])
+        _check_dict(doc.get("result", {}))
+    elif "task" in doc:
+        str(doc["task"]), str(doc.get("from", "")), str(doc.get("status", ""))
+        _check_dict(doc.get("payload", {}))
+    else:
+        raise ParseError("observation is neither a tool result nor an acknowledgement")
+
+
+def check_episode_doc(doc: Mapping[str, Any]) -> None:
+    """Raise ParseError unless doc_to_episode can build an Episode from doc.
+
+    This is the one definition of a buildable episode document:
+    doc_to_episode runs it first, and analytics folds exactly the documents
+    it passes.  It makes each conversion the build makes, in the same
+    order and on the same values (str, int, float, bool, dict and len),
+    and keeps none of them, so the build cannot fail after it.  Semantic
+    rule breaches are left to validate_episode.
     """
     try:
-        turns = []
         for t in doc["turns"]:
-            action = doc_to_action(t["action"]) if "action" in t and t["action"] is not None else None
-            obs = _doc_observation(t["observation"]) if "observation" in t and t["observation"] is not None else None
-            turns.append(
-                Turn(
-                    role=str(t["role"]),
-                    intent=str(t["intent"]),
-                    action=action,
-                    observation=obs,
-                    network=_doc_network(t["network"]),
-                )
-            )
+            if "action" in t and t["action"] is not None:
+                _check_action(t["action"])
+            if "observation" in t and t["observation"] is not None:
+                _check_observation(t["observation"])
+            str(t["role"]), str(t["intent"])
+            n = t["network"]
+            str(n["slice"])
+            float(n["latency_ms"]), float(n["jitter_ms"]), float(n["loss_pct"])
+            float(n["throughput_mbps"]), float(n["edge_load"])
         m = doc["metadata"]
         f = doc["final_state"]
         position = f["position"]
         if len(position) != 3:
             raise ParseError("final_state.position must have three components")
-        return Episode(
-            episode_id=str(doc["episode_id"]),
-            metadata=EpisodeMetadata(
-                model=str(m["model"]),
-                seed=int(m["seed"]),
-                scenario_id=str(m["scenario_id"]),
-                gen_time_s=float(m["gen_time_s"]),
-                attempts_used=int(m["attempts_used"]),
-                prompt_tokens=int(m["prompt_tokens"]),
-                completion_tokens=int(m["completion_tokens"]),
-                total_tokens=int(m["total_tokens"]),
-                timestamp=str(m["timestamp"]),
-            ),
-            turns=tuple(turns),
-            final_state=FinalState(
-                position=(float(position[0]), float(position[1]), float(position[2])),
-                velocity=float(f["velocity"]),
-                yaw=float(f["yaw"]),
-                battery=float(f["battery"]),
-                mission_completed=bool(f["mission_completed"]),
-                altitude_violation=bool(f["altitude_violation"]),
-                nfz_violation=bool(f["nfz_violation"]),
-                separation_breach=bool(f["separation_breach"]),
-                battery_depleted=bool(f["battery_depleted"]),
-            ),
-        )
+        str(doc["episode_id"])
+        str(m["model"]), int(m["seed"]), str(m["scenario_id"]), float(m["gen_time_s"])
+        int(m["attempts_used"]), int(m["prompt_tokens"]), int(m["completion_tokens"])
+        int(m["total_tokens"]), str(m["timestamp"])
+        float(position[0]), float(position[1]), float(position[2])
+        float(f["velocity"]), float(f["yaw"]), float(f["battery"])
+        bool(f["mission_completed"]), bool(f["altitude_violation"]), bool(f["nfz_violation"])
+        bool(f["separation_breach"]), bool(f["battery_depleted"])
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    # An AttributeError is an action that is not an object, which has no .get.
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ParseError(f"cannot build episode from document: {exc}") from exc
 
 
-def doc_to_stub(doc: Mapping[str, Any]) -> FailureStub:
-    try:
-        return FailureStub(
-            episode_id=str(doc["episode_id"]),
-            scenario_id=str(doc["scenario_id"]),
-            model=str(doc["model"]),
-            seed=int(doc["seed"]),
-            attempts_used=int(doc["attempts_used"]),
-            error_kind=str(doc["error_kind"]),
-            timestamp=str(doc["timestamp"]),
+def doc_to_episode(doc: Mapping[str, Any]) -> Episode:
+    """Build an Episode from a parsed document.
+
+    Raises ParseError when check_episode_doc refuses the document; semantic
+    rule breaches (bad roles, turn counts, ...) survive construction and are
+    left to validate_episode.
+    """
+    check_episode_doc(doc)
+    turns = []
+    for t in doc["turns"]:
+        action = doc_to_action(t["action"]) if "action" in t and t["action"] is not None else None
+        obs = _doc_observation(t["observation"]) if "observation" in t and t["observation"] is not None else None
+        turns.append(
+            Turn(
+                role=str(t["role"]),
+                intent=str(t["intent"]),
+                action=action,
+                observation=obs,
+                network=_doc_network(t["network"]),
+            )
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"cannot build failure stub from document: {exc}") from exc
+    m = doc["metadata"]
+    f = doc["final_state"]
+    position = f["position"]
+    return Episode(
+        episode_id=str(doc["episode_id"]),
+        metadata=EpisodeMetadata(
+            model=str(m["model"]),
+            seed=int(m["seed"]),
+            scenario_id=str(m["scenario_id"]),
+            gen_time_s=float(m["gen_time_s"]),
+            attempts_used=int(m["attempts_used"]),
+            prompt_tokens=int(m["prompt_tokens"]),
+            completion_tokens=int(m["completion_tokens"]),
+            total_tokens=int(m["total_tokens"]),
+            timestamp=str(m["timestamp"]),
+        ),
+        turns=tuple(turns),
+        final_state=FinalState(
+            position=(float(position[0]), float(position[1]), float(position[2])),
+            velocity=float(f["velocity"]),
+            yaw=float(f["yaw"]),
+            battery=float(f["battery"]),
+            mission_completed=bool(f["mission_completed"]),
+            altitude_violation=bool(f["altitude_violation"]),
+            nfz_violation=bool(f["nfz_violation"]),
+            separation_breach=bool(f["separation_breach"]),
+            battery_depleted=bool(f["battery_depleted"]),
+        ),
+    )
+
+
+def doc_to_stub(doc: Mapping[str, Any]) -> FailureStub:
+    """Build a FailureStub from a parsed stub document.
+
+    Raises ParseError unless the ids, model and timestamp are strings, the
+    error kind is one of ERROR_KINDS, and the seed and attempt count are
+    integers (an integral float is the integer the schema takes it for).
+    """
+    try:
+        stub = FailureStub(
+            episode_id=doc["episode_id"],
+            scenario_id=doc["scenario_id"],
+            model=doc["model"],
+            seed=integer_value(doc["seed"]),
+            error_kind=doc["error_kind"],
+            timestamp=doc["timestamp"],
+            attempts_used=integer_value(doc["attempts_used"]),
+        )
+    except KeyError as exc:
+        raise ParseError(f"failure stub lacks the field {exc}") from exc
+    names = (stub.episode_id, stub.scenario_id, stub.model, stub.timestamp)
+    if not all(type(name) is str for name in names) or stub.error_kind not in ERROR_KINDS:
+        raise ParseError(f"failure stub names or error kind are not of the stub's types: {stub}")
+    if stub.seed is None or stub.attempts_used is None:
+        raise ParseError(f"failure stub seed and attempts_used must be integers: {stub}")
+    return stub
 
 
 def _finite_float(text: str) -> float:
