@@ -29,6 +29,7 @@ from .agents import (
 )
 from .episode import (
     FailureStub,
+    canonical_float,
     check_episode_doc,
     doc_to_episode,  # noqa: F401  (perfbench traces it at this lookup site)
     doc_to_stub,
@@ -518,7 +519,9 @@ def _check_doc(doc: Mapping[str, Any], strict: bool) -> dict[str, Any] | tuple:
 
 
 def _finish(entry: dict[str, Any] | tuple, ctx: ScoringContext) -> dict[str, Any]:
-    """The score record of a _check_doc result."""
+    """The score record of a _check_doc result.  A valid episode's record is
+    built from canonical values (its floats quantized, an int left as it is),
+    so dumps_document writes it as dumps_canonical would."""
     if isinstance(entry, dict):
         return entry
     base, terms = entry
@@ -527,15 +530,17 @@ def _finish(entry: dict[str, Any] | tuple, ctx: ScoringContext) -> dict[str, Any
         ge_time, ge_tokens = generation_efficiency(scores.alpha3, terms.gen_time_s, terms.total_tokens)
     except DegenerateInput:
         ge_time = ge_tokens = 0.0
+    seed = base["seed"]  # an integer, or the integral float the schema takes for one
     base.update(
+        seed=canonical_float(seed) if type(seed) is float else seed,
         valid=True,
         turns=terms.turns,
-        pillars=scores.as_dict(),
-        alpha3=scores.alpha3,
-        ge_per_sec=ge_time,
-        ge_per_1k=ge_tokens,
+        pillars={key: canonical_float(value) for key, value in scores.as_dict().items()},
+        alpha3=canonical_float(scores.alpha3),
+        ge_per_sec=canonical_float(ge_time),
+        ge_per_1k=canonical_float(ge_tokens),
         mission_completed=terms.mission_completed,
-        gen_time_s=terms.gen_time_s,
+        gen_time_s=canonical_float(terms.gen_time_s),
         total_tokens=terms.total_tokens,
     )
     return base
@@ -568,7 +573,8 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
     scores_path = out_dir / SCORES_NAME
     with open(scores_path, "w", encoding="utf-8") as fh:
         for entry in entries:
-            fh.write(dumps_canonical(_finish(entry, ctx)))
+            dumps = dumps_document if isinstance(entry, tuple) else dumps_canonical
+            fh.write(dumps(_finish(entry, ctx)))
             fh.write("\n")
     meta = {
         "t_opt": t_opt,

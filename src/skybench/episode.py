@@ -8,6 +8,7 @@ codes.  All types are immutable values; every function is pure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -386,18 +387,25 @@ def _check_observation(doc: Mapping[str, Any]) -> None:
         raise ParseError("observation is neither a tool result nor an acknowledgement")
 
 
+_FLAGS = ("mission_completed", "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted")
+
+
 def check_episode_doc(doc: Mapping[str, Any]) -> None:
     """Raise ParseError unless doc_to_episode can build an Episode from doc.
 
     This is the one definition of a buildable episode document:
     doc_to_episode runs it first, and analytics folds exactly the documents
-    it passes.  It makes each conversion the build makes, in the same
-    order and on the same values (str, int, float, bool, dict and len),
-    and keeps none of them, so the build cannot fail after it.  Semantic
-    rule breaches are left to validate_episode.
+    it passes.  The turns and the position must be lists and the five
+    final-state flags booleans, as they are in the schema; every other
+    value gets the conversion the build gives it (str, int, float, dict
+    and len), and none is kept, so the build cannot fail after it.
+    Semantic rule breaches are left to validate_episode.
     """
     try:
-        for t in doc["turns"]:
+        turns = doc["turns"]
+        if not isinstance(turns, list):
+            raise ParseError("turns must be a list")
+        for t in turns:
             if "action" in t and t["action"] is not None:
                 _check_action(t["action"])
             if "observation" in t and t["observation"] is not None:
@@ -410,16 +418,16 @@ def check_episode_doc(doc: Mapping[str, Any]) -> None:
         m = doc["metadata"]
         f = doc["final_state"]
         position = f["position"]
-        if len(position) != 3:
-            raise ParseError("final_state.position must have three components")
+        if not isinstance(position, list) or len(position) != 3:
+            raise ParseError("final_state.position must be a list of three components")
         str(doc["episode_id"])
         str(m["model"]), int(m["seed"]), str(m["scenario_id"]), float(m["gen_time_s"])
         int(m["attempts_used"]), int(m["prompt_tokens"]), int(m["completion_tokens"])
         int(m["total_tokens"]), str(m["timestamp"])
         float(position[0]), float(position[1]), float(position[2])
         float(f["velocity"]), float(f["yaw"]), float(f["battery"])
-        bool(f["mission_completed"]), bool(f["altitude_violation"]), bool(f["nfz_violation"])
-        bool(f["separation_breach"]), bool(f["battery_depleted"])
+        if not all(isinstance(f[flag], bool) for flag in _FLAGS):
+            raise ParseError("final_state flags must be true or false")
     except ParseError:
         raise
     # An AttributeError is an action that is not an object, which has no .get.
@@ -470,11 +478,7 @@ def doc_to_episode(doc: Mapping[str, Any]) -> Episode:
             velocity=float(f["velocity"]),
             yaw=float(f["yaw"]),
             battery=float(f["battery"]),
-            mission_completed=bool(f["mission_completed"]),
-            altitude_violation=bool(f["altitude_violation"]),
-            nfz_violation=bool(f["nfz_violation"]),
-            separation_breach=bool(f["separation_breach"]),
-            battery_depleted=bool(f["battery_depleted"]),
+            **{flag: f[flag] for flag in _FLAGS},
         ),
     )
 
@@ -565,17 +569,18 @@ def load_schema() -> dict[str, Any]:
 
 # The schema check: one table per $defs object of data/episode_schema.json,
 # mapping each field to its check and the rule a failing value breaks.  The
-# same tables decide (fits, on every record) and explain (explain, only on a
-# rejected one), so no rule is judged in one place and worded in another.
-# The checks read draft 2020-12 as a reference validator does: bool is
-# neither number nor integer, an integral float is an integer, and NaN passes
-# every bound.  Lenient mode opens every additionalProperties.  A number
-# check tests for a float, which nearly every number field holds, before it
-# calls _number.  A schema change must update the tables;
-# tests/test_fast_validation.py holds them to a reference validator's
-# verdicts and error paths.
-
-_Rule = tuple[Callable[[Any], bool], str]
+# same tables decide (schema_accepts, on every record) and explain
+# (explain, only on a rejected one), so no rule is judged in one place and
+# worded in another.  A check is a Python expression of the field value v:
+# schema_accepts runs it inline, in straight-line code generated from the
+# tables at import, and explain calls it as a function.  The checks read
+# draft 2020-12 as a reference validator does: bool is neither number nor
+# integer, an integral float is an integer, and NaN passes every bound.
+# Lenient mode opens every additionalProperties.  A number check tests for
+# a float (an integer check for an int), which nearly every such field
+# holds, before it calls _number (_integer).  A schema change must update
+# the tables; tests/test_fast_validation.py holds them to a reference
+# validator's verdicts and error paths.
 
 
 def _number(x: Any) -> bool:
@@ -593,29 +598,42 @@ def integer_value(x: Any) -> int | None:
     return int(x) if _integer(x) else None
 
 
+# A field's check, as an expression of its value v, and the rule a failing
+# value breaks.
+_Rule = tuple[str, str]
+# The names a check may read besides builtins.
+_CHECK_NAMES = {"_number": _number, "_integer": _integer}
+
+
+@functools.cache
+def _check(expr: str) -> Callable[[Any], bool]:
+    """A check as a function, for explain: one compile per distinct check."""
+    return eval(f"lambda v: {expr}", _CHECK_NAMES)
+
+
+_NUMERIC = "(type(v) is float or _number(v))"
+_INTEGRAL = "(type(v) is int or _integer(v))"
+
+
 def _at_least(low: int) -> _Rule:
-    return (lambda v: (type(v) is float or _number(v)) and not v < low, f"must be a number at least {low}")
+    return (f"{_NUMERIC} and not v < {low}", f"must be a number at least {low}")
 
 
 def _between(low: int, high: int) -> _Rule:
-    return (
-        lambda v: (type(v) is float or _number(v)) and not (v < low or v > high),
-        f"must be a number from {low} to {high}",
-    )
+    return (f"{_NUMERIC} and not (v < {low} or v > {high})", f"must be a number from {low} to {high}")
 
 
 def _one_of(*values: str) -> _Rule:
-    allowed = frozenset(values)
-    return (lambda v: isinstance(v, str) and v in allowed, f"must be {' or '.join(values)}")
+    return (f"isinstance(v, str) and v in {{{', '.join(map(repr, values))}}}", f"must be {' or '.join(values)}")
 
 
-_TEXT: _Rule = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
-_STRING: _Rule = (lambda v: isinstance(v, str), "must be a string")
-_OBJECT: _Rule = (lambda v: isinstance(v, dict), "must be an object")
-_FLAG: _Rule = (lambda v: isinstance(v, bool), "must be true or false")
-_NUMBER: _Rule = (lambda v: type(v) is float or _number(v), "must be a number")
-_INTEGER: _Rule = (_integer, "must be an integer")
-_COUNT: _Rule = (lambda v: _integer(v) and not v < 0, "must be an integer at least 0")
+_TEXT: _Rule = ('isinstance(v, str) and v != ""', "must be a non-empty string")
+_STRING: _Rule = ("isinstance(v, str)", "must be a string")
+_OBJECT: _Rule = ("isinstance(v, dict)", "must be an object")
+_FLAG: _Rule = ("isinstance(v, bool)", "must be true or false")
+_NUMBER: _Rule = (_NUMERIC, "must be a number")
+_INTEGER: _Rule = (_INTEGRAL, "must be an integer")
+_COUNT: _Rule = (f"{_INTEGRAL} and not v < 0", "must be an integer at least 0")
 
 
 class _Object:
@@ -625,24 +643,10 @@ class _Object:
 
     def __init__(self, rules: dict[str, _Rule], parts: dict[str, Any] | None = None, optional=frozenset()) -> None:
         self.rules = rules
-        self.checks = tuple((name, check) for name, (check, _) in rules.items())
         self.parts = tuple((parts or {}).items())
         self.fields = frozenset(rules) | frozenset(parts or ())
         self.required = self.fields - optional
-
-    def fits(self, obj: Any, strict: bool) -> bool:
-        if not isinstance(obj, dict):
-            return False
-        keys = obj.keys()
-        if not keys >= self.required or (strict and not keys <= self.fields):
-            return False
-        for name, check in self.checks:
-            if not check(obj[name]):
-                return False
-        for name, part in self.parts:
-            if name in obj and not part.fits(obj[name], strict):
-                return False
-        return True
+        self.checks = [(name, _check(expr), rule) for name, (expr, rule) in rules.items()]
 
     def explain(self, obj: Any, path: tuple, strict: bool, out: list) -> None:
         if not isinstance(obj, dict):
@@ -651,7 +655,7 @@ class _Object:
         out.extend((path + (name,), "is required") for name in self.required - obj.keys())
         if strict:
             out.extend((path + (name,), "is not a field of the schema") for name in obj.keys() - self.fields)
-        for name, (check, rule) in self.rules.items():
+        for name, check, rule in self.checks:
             if name in obj and not check(obj[name]):
                 out.append((path + (name,), rule))
         for name, part in self.parts:
@@ -664,14 +668,6 @@ class _Items(NamedTuple):
 
     item: _Object
 
-    def fits(self, value: Any, strict: bool) -> bool:
-        if not isinstance(value, list):
-            return False
-        for entry in value:
-            if not self.item.fits(entry, strict):
-                return False
-        return True
-
     def explain(self, value: Any, path: tuple, strict: bool, out: list) -> None:
         if not isinstance(value, list):
             out.append((path, "must be a list"))
@@ -680,26 +676,67 @@ class _Items(NamedTuple):
             self.item.explain(entry, path + (i,), strict, out)
 
 
-class _OneOf(NamedTuple):
-    """A value that must fit exactly one of two forms (a oneOf)."""
+class _OneOf:
+    """A value that must fit exactly one of two forms (a oneOf); each form's
+    fits(value, strict) is compiled from its table."""
 
-    rule: str
-    first: _Object
-    second: _Object
-
-    def fits(self, value: Any, strict: bool) -> bool:
-        # Lenient mode opens both forms, so a value carrying the fields of
-        # both can fit both, which oneOf rejects.
-        return self.first.fits(value, strict) != self.second.fits(value, strict)
+    def __init__(self, rule: str, first: _Object, second: _Object) -> None:
+        self.rule = rule
+        self.fits = (_compile_fits(first), _compile_fits(second))
 
     def explain(self, value: Any, path: tuple, strict: bool, out: list) -> None:
-        if not self.fits(value, strict):
+        # Lenient mode opens both forms, so a value carrying the fields of
+        # both can fit both, which oneOf rejects.
+        first, second = self.fits
+        if first(value, strict) == second(value, strict):
             out.append((path, self.rule))
+
+
+def _fits_code(node: Any, var: str, pad: str, out: list[str], env: dict[str, Any]) -> None:
+    """Append to out the statements that return False unless the value
+    named var fits node, a part of a table; env gets the names they read.
+    Objects and lists are checked inline, each field by its rule's
+    expression; a oneOf calls its two compiled forms."""
+    n = len(env)  # grows with every name added, so each name is new
+    if isinstance(node, _OneOf):
+        env[f"_first{n}"], env[f"_second{n}"] = node.fits
+        out.append(f"{pad}if _first{n}({var}, strict) == _second{n}({var}, strict): return False")
+    elif isinstance(node, _Items):
+        item = f"item{len(out)}"
+        out += [f"{pad}if not isinstance({var}, list): return False", f"{pad}for {item} in {var}:"]
+        _fits_code(node.item, item, pad + "    ", out, env)
+    else:
+        env[f"_required{n}"], env[f"_fields{n}"] = node.required, node.fields
+        out += [
+            f"{pad}if not isinstance({var}, dict): return False",
+            f"{pad}keys = {var}.keys()",
+            f"{pad}if not keys >= _required{n} or (strict and not keys <= _fields{n}): return False",
+        ]
+        for name, (expr, _) in node.rules.items():
+            out += [f"{pad}v = {var}[{name!r}]", f"{pad}if not ({expr}): return False"]
+        for name, part in node.parts:
+            sub = f"part{len(out)}"
+            if name in node.required:
+                out.append(f"{pad}{sub} = {var}[{name!r}]")
+                _fits_code(part, sub, pad, out, env)
+            else:
+                out += [f"{pad}if {name!r} in {var}:", f"{pad}    {sub} = {var}[{name!r}]"]
+                _fits_code(part, sub, pad + "    ", out, env)
+
+
+def _compile_fits(node: _Object) -> Callable[[Any, bool], bool]:
+    """fits(value, strict) of node: True when the value fits its table."""
+    env: dict[str, Any] = dict(_CHECK_NAMES)
+    out = ["def fits(obj, strict):"]
+    _fits_code(node, "obj", "    ", out, env)
+    out.append("    return True")
+    exec("\n".join(out), env)
+    return env["fits"]
 
 
 _NETWORK = _Object({
     "slice": _one_of(*SLICES),
-    "latency_ms": (lambda v: (type(v) is float or _number(v)) and not v <= 0, "must be a number above 0"),
+    "latency_ms": (f"{_NUMERIC} and not v <= 0", "must be a number above 0"),
     "jitter_ms": _at_least(0),
     "loss_pct": _between(0, 100),
     "throughput_mbps": _at_least(0),
@@ -727,25 +764,24 @@ _METADATA = _Object({
 })
 _FINAL_STATE = _Object({
     "position": (
-        lambda v: isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1]) and _number(v[2]),
+        "isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1]) and _number(v[2])",
         "must be a list of three numbers",
     ),
     "velocity": _at_least(0),
     "yaw": _NUMBER,
     "battery": _NUMBER,
-    **dict.fromkeys(
-        ("mission_completed", "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted"), _FLAG
-    ),
+    **dict.fromkeys(_FLAGS, _FLAG),
 })
 _EPISODE = _Object(
     {"episode_id": _TEXT},
     {"metadata": _METADATA, "turns": _Items(_TURN), "final_state": _FINAL_STATE},
 )
+_EPISODE_FITS = _compile_fits(_EPISODE)
 
 
 def schema_accepts(doc: Any, strict: bool = True) -> bool:
     """True when the shipped schema (relaxed when not strict) accepts doc."""
-    return _EPISODE.fits(doc, strict)
+    return _EPISODE_FITS(doc, strict)
 
 
 def _schema_violations(doc: Mapping[str, Any], strict: bool) -> list[Violation]:

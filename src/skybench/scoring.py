@@ -183,17 +183,13 @@ def score_tool_consistency(e: Episode | Mapping[str, Any]) -> float:
 _TURN_REF = re.compile(r"\bturn\s+(\d+)\b", re.IGNORECASE)
 
 
-def _observation_tokens(obs: Mapping[str, Any]) -> set[str]:
-    """Searchable references carried by one observation document: its tool
-    or task name plus formatted field values (short bare digits are skipped
-    as too ambiguous to count as grounding).  The values are walked with one
-    flat stack, each matched by its exact JSON type."""
-    if "tool" in obs:
-        tokens = {str(obs["tool"])}
-        stack = [obs.get("result")]
-    else:
-        tokens = {str(obs["task"])}
-        stack = [obs.get("payload")]
+def _add_value_tokens(roots: list[Any], tokens: set[str]) -> None:
+    """Add to tokens the searchable values under the observation results or
+    payloads in roots, emptying roots: strings of three characters or more
+    and formatted numbers (short bare digits are skipped as too ambiguous to
+    count as grounding).  The values are walked with one flat stack, each
+    matched by its exact JSON type."""
+    stack = roots
     while stack:
         value = stack.pop()
         kind = type(value)
@@ -208,10 +204,14 @@ def _observation_tokens(obs: Mapping[str, Any]) -> set[str]:
             stack.extend(value.values())
         elif kind is list:
             stack.extend(value)
-    return tokens
 
 
-def _is_grounded(turn: Mapping[str, Any], turn_number: int, prior_tokens: set[str]) -> bool:
+def _is_grounded(
+    turn: Mapping[str, Any], turn_number: int, names: set[str], values: set[str], unwalked: list[Any]
+) -> bool:
+    """Whether an agent turn refers to an earlier turn or names a prior
+    observation's tool, task or value; the unwalked observation values are
+    added to values only when no reference or name grounds the turn."""
     text = turn["intent"]
     for match in _TURN_REF.finditer(text):
         if int(match.group(1)) < turn_number:
@@ -219,28 +219,40 @@ def _is_grounded(turn: Mapping[str, Any], turn_number: int, prior_tokens: set[st
     haystack = text
     action = turn.get("action")
     if action is not None:
-        values = action["args"] if action["protocol"] == "mcp" else action["payload"]
-        haystack += " " + " ".join(str(v) for v in values.values())
-    return any(token in haystack for token in prior_tokens)
+        args = action["args"] if action["protocol"] == "mcp" else action["payload"]
+        haystack += " " + " ".join(str(v) for v in args.values())
+    if any(name in haystack for name in names):
+        return True
+    _add_value_tokens(unwalked, values)
+    return any(token in haystack for token in values)
 
 
 def grounding_fraction(e: Episode | Mapping[str, Any]) -> float:
     """Share of agent turns that reference prior observations.
 
     Agent turns before any observation exists are vacuously excluded from the
-    denominator; with no eligible turns the score is 1.
+    denominator; with no eligible turns the score is 1.  The names are kept
+    as each observation passes; the values, which cost a format per number,
+    are walked only when neither a reference nor a name grounds a turn.
     """
-    prior: set[str] = set()
+    names: set[str] = set()
+    values: set[str] = set()
+    unwalked: list[Any] = []
     eligible = 0
     grounded = 0
     for index, turn in enumerate(_doc(e)["turns"]):
-        if turn["role"] == ROLE_AGENT and prior:
+        if turn["role"] == ROLE_AGENT and names:
             eligible += 1
-            if _is_grounded(turn, index + 1, prior):
+            if _is_grounded(turn, index + 1, names, values, unwalked):
                 grounded += 1
         obs = turn.get("observation")
         if obs is not None:
-            prior |= _observation_tokens(obs)
+            if "tool" in obs:
+                names.add(str(obs["tool"]))
+                unwalked.append(obs.get("result"))
+            else:
+                names.add(str(obs["task"]))
+                unwalked.append(obs.get("payload"))
     if eligible == 0:
         return 1.0
     return grounded / eligible

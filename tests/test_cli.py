@@ -1697,6 +1697,40 @@ def test_analytics_skips_a_line_exactly_when_it_builds_no_record(tmp_path, capsy
         assert json.loads((out / "analytics.json").read_text())["episodes"] == int(buildable)
 
 
+@pytest.mark.parametrize(
+    "part, key, value",
+    [
+        (None, "turns", ""),
+        (None, "turns", {}),
+        ("final_state", "position", "123"),
+        ("final_state", "mission_completed", "no"),
+        ("final_state", "altitude_violation", 1),
+        ("final_state", "nfz_violation", None),
+        ("final_state", "separation_breach", []),
+        ("final_state", "battery_depleted", "false"),
+    ],
+)
+def test_an_episode_with_a_mistyped_list_or_flag_builds_nothing(tmp_path, capsys, part, key, value):
+    # Each value once converted: "" and {} to no turns, "123" to a position
+    # (1.0, 2.0, 3.0), "no" to True; analytics counted the record as an
+    # episode while score and validate called it invalid.
+    doc = episode_to_doc(random_episode(np.random.default_rng(26)))
+    valid_line = json.dumps(doc)
+    (doc[part] if part else doc)[key] = value
+    with pytest.raises(ParseError):
+        line_to_record(json.dumps(doc))
+    out = tmp_path / "run"
+    out.mkdir()
+    corpus = out / "corpus.jsonl"
+    corpus.write_text(valid_line + "\n" + json.dumps(doc) + "\n")
+    capsys.readouterr()
+    assert main(["analytics", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: 1 malformed lines skipped\n"
+    assert json.loads((out / "analytics.json").read_text())["episodes"] == 1
+    assert main(["validate", str(corpus)]) == EXIT_INPUT
+    assert capsys.readouterr().out.splitlines()[0].startswith("line 2: INVALID (")
+
+
 def test_analytics_folds_values_as_an_episode_holds_them(tmp_path):
     # A number written as a string or an integer folds as the float the
     # built episode holds, so the tables match those of the float form.
@@ -1726,6 +1760,7 @@ def _integral_line(line: str) -> str:
     if doc.get("kind") != "failure_stub":
         doc["metadata"]["gen_time_s"] = max(1, round(doc["metadata"]["gen_time_s"]))
         doc["metadata"]["total_tokens"] = float(doc["metadata"]["total_tokens"])
+        doc["metadata"]["seed"] = float(doc["metadata"]["seed"])
         for turn in doc["turns"]:
             turn["network"]["latency_ms"] = max(1, round(turn["network"]["latency_ms"]))
     return json.dumps(doc, sort_keys=True)
@@ -1753,18 +1788,57 @@ ANALYTICS_PINS = {
 }
 
 
-@pytest.mark.parametrize("corpus", sorted(ANALYTICS_PINS))
-def test_analytics_bytes_are_pinned(tmp_path, capsys, corpus):
-    out = tmp_path / "pin"
+def _pinned_corpus(out: Path, corpus: str) -> None:
+    """The corpus `corpus` of ANALYTICS_PINS, written to out/corpus.jsonl."""
     assert main(["generate", "--canonical", "--episodes-per-scenario", "2", "--out", str(out)]) == EXIT_OK
     lines = [_integral_line(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
     if corpus == "mutants":
         lines += _mutant_lines()
     (out / "corpus.jsonl").write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("corpus", sorted(ANALYTICS_PINS))
+def test_analytics_bytes_are_pinned(tmp_path, capsys, corpus):
+    out = tmp_path / "pin"
+    _pinned_corpus(out, corpus)
     capsys.readouterr()
     assert main(["analytics", "--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256((out / "analytics.json").read_bytes()).hexdigest()
     assert (digest, capsys.readouterr().err) == ANALYTICS_PINS[corpus]
+
+
+# sha256 of scores.jsonl and scoring_meta.json, strict and lenient, over the
+# two corpora of ANALYTICS_PINS: integral-float seeds and counts, extra
+# fields under --lenient and invalid records.  Computed before score built
+# a valid record from canonical values.
+SCORE_PINS = {
+    ("integral", "--strict"): (
+        "feb48221cfb2801d43a50f1fdf89975cdf87127389c708a4909789b5a6817c2f",
+        "4c037636b03a5f79f0be75ab4f9edb443b4ca8eb23053176e63d0595d19f26d3",
+    ),
+    ("integral", "--lenient"): (
+        "feb48221cfb2801d43a50f1fdf89975cdf87127389c708a4909789b5a6817c2f",
+        "7b07b5123eafd44f511896a14266f67f1f0dd30d2742904e7d033d9a3456cb12",
+    ),
+    ("mutants", "--strict"): (
+        "a7f5ab5b0b66d52253b3c1402510e7f31fdacd2f1c9ee9eb40e3d1a87b02d2f8",
+        "4dd601b73956b70eb268f36415383dec661294d432b15911949a122cb01418f4",
+    ),
+    ("mutants", "--lenient"): (
+        "fb417f8dd64a03ffa4f3c516a90bbe0579c37897e0eba63b4132cf1220af710d",
+        "41750dff8a158c744d8a845e9e4c3d64593ba65e800a4ca2b1f4c2c9d551395c",
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(ANALYTICS_PINS))
+def test_score_bytes_are_pinned(tmp_path, corpus):
+    out = tmp_path / "pin"
+    _pinned_corpus(out, corpus)
+    for mode in ("--strict", "--lenient"):
+        assert main(["score", mode, "--out", str(out)]) == EXIT_OK
+        files = (out / SCORES_NAME, out / "scoring_meta.json")
+        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == SCORE_PINS[corpus, mode]
 
 
 _STUB = {

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,9 @@ from skybench.episode import (
     ValidationReport,
     doc_to_episode,
     dumps_canonical,
+    dumps_document,
     episode_to_doc,
+    format_float,
     loads_document,
     validate_episode,
 )
@@ -175,6 +178,110 @@ def test_grounding_matcher_variants():
     episode = build_episode(turns)
     # Three eligible agent turns (the first has no prior observation), two grounded.
     assert grounding_fraction(episode) == pytest.approx(2 / 3)
+
+
+# The eager definition of grounding: every prior observation's name and
+# formatted values gathered before each agent turn is judged.  It is the
+# reference grounding_fraction is held to.
+
+_TURN_REF = re.compile(r"\bturn\s+(\d+)\b", re.IGNORECASE)
+
+
+def _observation_tokens(obs: dict) -> set[str]:
+    if "tool" in obs:
+        tokens = {str(obs["tool"])}
+        stack = [obs.get("result")]
+    else:
+        tokens = {str(obs["task"])}
+        stack = [obs.get("payload")]
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is str:
+            if len(value) >= 3:
+                tokens.add(value)
+        elif kind is float or kind is int:
+            text = format_float(value)
+            if len(text.replace("-", "")) >= 2:
+                tokens.add(text)
+        elif kind is dict:
+            stack.extend(value.values())
+        elif kind is list:
+            stack.extend(value)
+    return tokens
+
+
+def _is_grounded(turn: dict, turn_number: int, prior_tokens: set[str]) -> bool:
+    text = turn["intent"]
+    for match in _TURN_REF.finditer(text):
+        if int(match.group(1)) < turn_number:
+            return True
+    haystack = text
+    action = turn.get("action")
+    if action is not None:
+        values = action["args"] if action["protocol"] == "mcp" else action["payload"]
+        haystack += " " + " ".join(str(v) for v in values.values())
+    return any(token in haystack for token in prior_tokens)
+
+
+def _eager_grounding(doc: dict) -> float:
+    prior: set[str] = set()
+    eligible = grounded = 0
+    for index, turn in enumerate(doc["turns"]):
+        if turn["role"] == "agent" and prior:
+            eligible += 1
+            grounded += _is_grounded(turn, index + 1, prior)
+        if turn.get("observation") is not None:
+            prior |= _observation_tokens(turn["observation"])
+    return grounded / eligible if eligible else 1.0
+
+
+def _hand_grounding_docs() -> list[tuple[dict, float]]:
+    """Documents whose one eligible agent turn is grounded only by a value
+    in its intent or its action's arguments, a name, a turn reference or an
+    empty tool name, or by nothing."""
+    net = fixed_network(False)
+    seen = McpResult("read_telemetry", {"battery_pct": 87.4, "mode": ["hover", 7]})
+
+    def doc(intent: str, observation=seen, action=None) -> dict:
+        turns = [
+            Turn("user", "begin", None, None, net),
+            Turn("agent", "first move", McpCall("read_telemetry", {}), observation, net),
+            Turn("user", "continue", None, None, net),
+            Turn("agent", intent, action, None, net),
+        ]
+        return episode_to_doc(build_episode(turns))
+
+    return [
+        (doc("battery holding at 87.4 percent"), 1.0),
+        (doc("still in hover"), 1.0),
+        (doc("holding", action=McpCall("set_altitude", {"altitude_m": 87.4})), 1.0),
+        (doc("read_telemetry says all is well"), 1.0),
+        (doc("as seen in turn 2, link is stable"), 1.0),
+        (doc("as planned for turn 9"), 0.0),
+        (doc("nothing to report", observation=McpResult("", {})), 1.0),
+        (doc("nothing to report"), 0.0),
+    ]
+
+
+def test_grounding_matches_its_eager_definition(tmp_path):
+    from generators import corrupted_docs
+
+    rng = np.random.default_rng(31)
+    docs = [
+        episode_to_doc(random_episode(rng, structured_prob=structured, mismatch_prob=mismatch))
+        for structured in (0.0, 0.3, 0.7, 1.0)
+        for mismatch in (0.0, 0.3, 1.0)
+        for _ in range(40)
+    ]
+    docs += [doc for _, doc, _ in corrupted_docs(rng)]
+    cmd_generate(RunConfig(out=str(tmp_path), canonical=True))
+    docs += [doc for doc in map(loads_document, (tmp_path / "corpus.jsonl").read_text().splitlines())
+             if doc.get("kind") != "failure_stub"]
+    for doc in docs:
+        assert grounding_fraction(doc) == _eager_grounding(doc)
+    for doc, expected in _hand_grounding_docs():
+        assert grounding_fraction(doc) == _eager_grounding(doc) == expected
 
 
 # -- network robustness ------------------------------------------------------
@@ -428,3 +535,20 @@ def test_a_score_record_copies_the_typed_episode_facts():
     line = dumps_canonical(record)
     assert f'"gen_time_s":{doc["metadata"]["gen_time_s"]}.0,' in line
     assert f'"total_tokens":{int(doc["metadata"]["total_tokens"])}' in line
+
+
+def test_a_valid_score_record_holds_canonical_values():
+    # score writes a valid episode's record with dumps_document, so the
+    # record must already be what dumps_canonical would make of it.
+    rng = np.random.default_rng(18)
+    docs = [episode_to_doc(random_episode(rng, mismatch_prob=0.3, hard_prob=0.4)) for _ in range(50)]
+    docs += [_integral(doc) for doc in docs]
+    for seed in (42.0, 1234567.0):
+        docs.append(copy.deepcopy(docs[0]))
+        docs[-1]["metadata"]["seed"] = seed
+    for doc in docs:
+        for t_opt in (8, 10, 12):
+            record = _score_doc(loads_document(dumps_canonical(doc)), ScoringContext(t_opt=t_opt), strict=True)
+            assert record["valid"] is True
+            assert dumps_document(record) == dumps_canonical(record)
+
