@@ -13,7 +13,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .environment import BATTERY_DEPLETED_PCT, evolve_state
 from .episode import (
@@ -32,8 +32,8 @@ from .episode import (
     Turn,
     doc_to_action,
     doc_to_episode,
+    doc_to_stub,
     dumps_canonical,
-    dumps_document,
     episode_to_doc,
     network_to_doc,
     turn_to_doc,
@@ -43,6 +43,7 @@ from .episode import (
     loads_json,
     make_failure_stub,
     stub_error_kind,
+    stub_to_doc,
     validate_episode,
 )
 from .network import (
@@ -508,7 +509,6 @@ def run_episode(
     episode_seed: int = 42,
     index: int = 0,
     timestamp: str = EPOCH_TIMESTAMP,
-    on_accept: Callable[[str], None] | None = None,
 ) -> Episode | FailureStub:
     """Generate one episode with up to MAX_ATTEMPTS validation-gated attempts.
 
@@ -516,19 +516,14 @@ def run_episode(
     (1: registry-known tools only, 2: adaptive subset only).  The recorded
     generation time spans every attempt; after the final failure a stub
     carrying the terminal error kind is returned.  An exception the agent
-    raises fails its attempt; any other propagates.  ``on_accept``, when given,
-    receives the canonical JSON line of the accepted episode: the exact bytes
-    that were validated, ready to be stored.
+    raises fails its attempt; any other propagates.  The value is built
+    from run_attempts' document, so it is the record of the stored line.
     """
-    record = run_attempts(
+    doc = run_attempts(
         agent, user, scenario, calibration=calibration, registry=registry,
         global_seed=global_seed, episode_seed=episode_seed, index=index, timestamp=timestamp,
     )
-    if isinstance(record, FailureStub):
-        return record
-    if on_accept is not None:
-        on_accept(dumps_document(record))
-    return doc_to_episode(record)
+    return doc_to_stub(doc) if doc.get("kind") == "failure_stub" else doc_to_episode(doc)
 
 
 def run_attempts(
@@ -542,11 +537,11 @@ def run_attempts(
     episode_seed: int = 42,
     index: int = 0,
     timestamp: str = EPOCH_TIMESTAMP,
-) -> dict[str, Any] | FailureStub:
-    """run_episode's attempt loop: the validated document of the accepted
-    episode, or the failure stub.  The document is canonical as built, so
-    dumps_document gives its stored line; generate stores that line and
-    builds no Episode."""
+) -> dict[str, Any]:
+    """run_episode's attempt loop: the record's document, which is the
+    validated document of the accepted episode or the failure stub's.  It
+    is canonical as built, so dumps_document gives its stored line; generate
+    stores that line and builds no record."""
     import numpy as np
 
     registry = dict(registry) if registry is not None else default_registry()
@@ -592,7 +587,9 @@ def run_attempts(
             return doc
         last_report = report
     error_kind = stub_error_kind(last_report) if last_report is not None else "internal"
-    return make_failure_stub(episode_id, scenario.scenario_id, agent.name, episode_seed, error_kind, timestamp=timestamp)
+    return stub_to_doc(
+        make_failure_stub(episode_id, scenario.scenario_id, agent.name, episode_seed, error_kind, timestamp=timestamp)
+    )
 
 
 def _run_attempt(

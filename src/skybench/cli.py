@@ -28,7 +28,6 @@ from .agents import (
     run_episode,  # noqa: F401  (perfbench traces it at this lookup site)
 )
 from .episode import (
-    FailureStub,
     canonical_float,
     check_episode_doc,
     doc_to_episode,  # noqa: F401  (perfbench traces it at this lookup site)
@@ -40,7 +39,6 @@ from .episode import (
     integer_value,
     loads_document,
     loads_json,
-    record_to_line,
     validate_episode,
 )
 from .errors import DegenerateInput, ParseError, ScenarioError, SkybenchError
@@ -254,7 +252,7 @@ def _generate_line(
         agent = make_agent(agent_name, scenario)
     user = UserSimulator(prompts=scenario.user_prompts)
     try:
-        record = run_attempts(
+        doc = run_attempts(
             agent,
             user,
             scenario,
@@ -268,9 +266,7 @@ def _generate_line(
     finally:
         if isinstance(agent, SubprocessPolicy):
             agent.close()
-    if isinstance(record, FailureStub):
-        return record_to_line(record), True
-    return dumps_document(record), False
+    return dumps_document(doc), doc.get("kind") == "failure_stub"
 
 
 def _forked_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterator[Any]:

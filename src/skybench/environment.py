@@ -151,14 +151,6 @@ class UavState:
     command: NavCommand = NavCommand()
 
 
-@dataclass(frozen=True)
-class GeofenceCheck:
-    """Whether a position is clear of every no-fly zone, and its least clearance."""
-
-    compliant: bool
-    min_clearance_m: float
-
-
 def _norm3(v: Sequence[float]) -> float:
     """Euclidean length of a 3-vector, rounded as sqrt(fma(z, z, fma(y, y, x*x))).
 
@@ -208,16 +200,13 @@ def apply_disturbance(k: KinematicState, model: DisturbanceModel, rng: np.random
     return KinematicState((px + n[0], py + n[1], pz + n[2]), (vx + n[3], vy + n[4], vz + n[5]), k.yaw)
 
 
-def check_geofence(position: Sequence[float], airspace: Airspace) -> GeofenceCheck:
-    """Horizontal clearance against every fence; the boundary itself is compliant."""
-    if not airspace.geofences:
-        return GeofenceCheck(compliant=True, min_clearance_m=math.inf)
-    clearances = [
-        math.hypot(position[0] - g.center[0], position[1] - g.center[1]) - g.radius_m
-        for g in airspace.geofences
-    ]
-    worst = min(clearances)
-    return GeofenceCheck(compliant=worst >= 0.0, min_clearance_m=worst)
+def check_geofence(position: Sequence[float], airspace: Airspace) -> float:
+    """The least horizontal clearance from any fence (inf with none); a
+    position is compliant when it is >= 0, so the boundary itself is."""
+    return min(
+        (math.hypot(position[0] - g.center[0], position[1] - g.center[1]) - g.radius_m for g in airspace.geofences),
+        default=math.inf,
+    )
 
 
 def check_altitude(position: Sequence[float], airspace: Airspace) -> bool:
@@ -289,7 +278,7 @@ def evolve_state(
     f = state.flags
     flags = SafetyFlags(
         altitude_violation=f.altitude_violation or not check_altitude(position, airspace),
-        nfz_violation=f.nfz_violation or not check_geofence(position, airspace).compliant,
+        nfz_violation=f.nfz_violation or not check_geofence(position, airspace) >= 0.0,
         separation_breach=f.separation_breach
         or not check_separation(position, peer_positions, airspace.separation_margin_m),
         battery_depleted=f.battery_depleted or battery < BATTERY_DEPLETED_PCT,

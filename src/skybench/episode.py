@@ -198,8 +198,8 @@ def _quantized(x: Any) -> Any:
 
 def _canonize(obj: Any) -> Any:
     """The canonical document of obj: floats quantized, tuples made lists,
-    keys made strings.  Plain dicts, lists and tuples are matched by exact
-    type before the slow typing.Mapping check."""
+    keys made strings.  Containers are plain dicts, lists and tuples,
+    matched by exact type."""
     if isinstance(obj, float):
         return canonical_float(obj)
     t = type(obj)
@@ -209,17 +209,14 @@ def _canonize(obj: Any) -> Any:
         return [_canonize(v) for v in obj]
     if obj is None or isinstance(obj, (int, str)):  # bool included
         return obj
-    if isinstance(obj, Mapping):
-        return {str(k): _canonize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonize(v) for v in obj]
     raise TypeError(f"value not representable in an episode document: {type(obj).__name__}")
 
 
 def dumps_document(doc: Mapping[str, Any]) -> str:
     """The line of a document that is already canonical, such as one built
-    by episode_to_doc or stub_to_doc: sorted keys, no whitespace."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    by episode_to_doc or stub_to_doc: sorted keys, no whitespace.  A NaN or
+    infinite float raises ValueError: no written line may hold one."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def dumps_canonical(doc: Mapping[str, Any]) -> str:
@@ -228,7 +225,7 @@ def dumps_canonical(doc: Mapping[str, Any]) -> str:
 
 
 def dumps_pretty(doc: Mapping[str, Any]) -> str:
-    return json.dumps(_canonize(doc), sort_keys=True, indent=2)
+    return json.dumps(_canonize(doc), sort_keys=True, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +794,6 @@ def _schema_violations(doc: Mapping[str, Any], strict: bool) -> list[Violation]:
     ]
 
 
-def _is_mapping(x: Any) -> bool:
-    # A typing.Mapping check is slow; documents hold plain dicts.
-    return type(x) is dict or isinstance(x, Mapping)
-
-
 def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
     out: list[Violation] = []
     turns = doc.get("turns")
@@ -811,7 +803,7 @@ def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
             out.append(Violation(CODE_TURN_BOUNDS, -1, f"episode has {n} turns, expected {MIN_TURNS}..{MAX_TURNS}"))
         prev_role: Any = None
         for i, turn in enumerate(turns):
-            if not _is_mapping(turn):
+            if not isinstance(turn, dict):
                 continue
             role = turn.get("role")
             if isinstance(role, str) and role not in ROLES:
@@ -827,13 +819,13 @@ def _semantic_violations(doc: Mapping[str, Any]) -> list[Violation]:
             if role == ROLE_USER and ("action" in turn or "observation" in turn):
                 out.append(Violation(CODE_USER_STRUCTURED, i, "user turns carry no action or observation"))
     final = doc.get("final_state")
-    if _is_mapping(final):
+    if isinstance(final, dict):
         battery = final.get("battery")
         if isinstance(battery, (int, float)) and not isinstance(battery, bool):
             if not 0.0 <= float(battery) <= 100.0:
                 out.append(Violation(CODE_BATTERY_RANGE, -1, f"battery {battery} outside [0, 100]"))
     meta = doc.get("metadata")
-    if _is_mapping(meta):
+    if isinstance(meta, dict):
         # The counts are checked as the integers the schema accepts, so 7.0
         # breaks the attempts range as 7 does.
         prompt, completion, total = map(

@@ -84,16 +84,12 @@ class FieldModel:
     def __post_init__(self) -> None:
         if self.family not in ("lognormal", "exponential", "beta"):
             raise ValueError(f"unknown field family: {self.family}")
-        # The family's draw, resolved once rather than on each of an
-        # episode's scalar draws: draw(rng) is rng.<family>(*params).
-        object.__setattr__(self, "draw", methodcaller(self.family, *self.params))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is not None:
-            import numpy as np
+    def sample(self, rng: np.random.Generator, size: int):
+        """`size` clipped draws, as an array."""
+        import numpy as np
 
-            return np.clip(getattr(rng, self.family)(*self.params, size=size), self.clip[0], self.clip[1])
-        return float(min(max(self.draw(rng), self.clip[0]), self.clip[1]))
+        return np.clip(getattr(rng, self.family)(*self.params, size=size), self.clip[0], self.clip[1])
 
     def analytic_mean(self) -> float:
         if self.family == "lognormal":
@@ -117,8 +113,10 @@ class SliceModel:
 
     def __post_init__(self) -> None:
         # (draw, low, high) per field, in NetworkState.scalars() order: the
-        # table evolve_network steps through on every turn.
-        object.__setattr__(self, "draws", tuple((f.draw, *f.clip) for f in self.fields()))
+        # table every scalar draw steps through.  draw(rng) is
+        # rng.<family>(*params), resolved once rather than on each draw.
+        draws = tuple((methodcaller(f.family, *f.params), *f.clip) for f in self.fields())
+        object.__setattr__(self, "draws", draws)
 
     def fields(self) -> tuple[FieldModel, ...]:
         return (self.latency, self.jitter, self.loss, self.throughput, self.edge_load)
@@ -296,15 +294,8 @@ def sample_fields(slice_name: str, calib: SliceCalibration, rng: np.random.Gener
 
 def sample_network_state(slice_name: str, calib: SliceCalibration, rng: np.random.Generator) -> NetworkState:
     """Independent draw of a full network vector for the given slice."""
-    model = calib.model(slice_name)
-    return NetworkState(
-        slice=slice_name,
-        latency_ms=model.latency.sample(rng),
-        jitter_ms=model.jitter.sample(rng),
-        loss_pct=model.loss.sample(rng),
-        throughput_mbps=model.throughput.sample(rng),
-        edge_load=model.edge_load.sample(rng),
-    )
+    draws = calib.model(slice_name).draws
+    return NetworkState(slice_name, *[min(max(draw(rng), low), high) for draw, low, high in draws])
 
 
 def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.Generator) -> NetworkState:

@@ -71,10 +71,10 @@ def _check_finite(value: Any, what: str) -> None:
             _check_finite(item, f"{what}[{i}]")
 
 
-def _vec3(raw: Any, what: str) -> tuple[float, float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ScenarioError(f"{what} must be a 3-vector")
-    return (_finite(raw[0], what), _finite(raw[1], what), _finite(raw[2], what))
+def _vec(raw: Any, n: int, what: str) -> tuple[float, ...]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != n:
+        raise ScenarioError(f"{what} must be a {n}-vector")
+    return tuple(_finite(x, what) for x in raw)
 
 
 def _section(doc: Mapping[str, Any], key: str, required: bool = False) -> dict[str, Any]:
@@ -93,10 +93,7 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
     try:
         air = _section(doc, "airspace", required=True)
         fences = tuple(
-            Geofence(
-                center=(_finite(g["center"][0], "geofence center"), _finite(g["center"][1], "geofence center")),
-                radius_m=float(g["radius_m"]),
-            )
+            Geofence(center=_vec(g["center"], 2, "geofence center"), radius_m=float(g["radius_m"]))
             for g in air.get("geofences", [])
         )
         airspace = Airspace(
@@ -113,18 +110,19 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         )
         init = _section(doc, "initial_state", required=True)
         kinematics = KinematicState(
-            position=_vec3(init["position"], "initial position"),
-            velocity=_vec3(init.get("velocity", [0.0, 0.0, 0.0]), "initial velocity"),
+            position=_vec(init["position"], 3, "initial position"),
+            velocity=_vec(init.get("velocity", [0.0, 0.0, 0.0]), 3, "initial velocity"),
             yaw=_finite(init.get("yaw_rad", 0.0), "initial_state.yaw_rad"),
         )
         sensors = init.get("sensors", ["IMU"])
         if not isinstance(sensors, list) or not all(isinstance(x, str) for x in sensors):
             raise ScenarioError("initial_state.sensors must be a list of strings")
-        state = UavState(
-            kinematics=kinematics,
-            battery_pct=_finite(init.get("battery_pct", 100.0), "initial_state.battery_pct"),
-            sensors=frozenset(sensors),
-        )
+        battery = _finite(init.get("battery_pct", 100.0), "initial_state.battery_pct")
+        # A final battery above 100 breaks the battery_range rule, so such a
+        # start would turn every job into a failure stub.
+        if not 0.0 <= battery <= 100.0:
+            raise ScenarioError(f"initial_state.battery_pct must lie in [0, 100], got {battery!r}")
+        state = UavState(kinematics=kinematics, battery_pct=battery, sensors=frozenset(sensors))
         dist = _section(doc, "disturbance")
         clip = dist.get("clip_sigmas", 3.0)
         disturbance = DisturbanceModel(
@@ -142,7 +140,7 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         if not tolerance > 0:  # NaN fails too
             raise ScenarioError(f"mission.arrival_tolerance_m must be positive, got {tolerance!r}")
         mission = MissionSpec(
-            target=_vec3(mission_doc["target"], "mission target"),
+            target=_vec(mission_doc["target"], 3, "mission target"),
             arrival_tolerance_m=tolerance,
             capture_sensor=sensor,
         )
@@ -159,7 +157,7 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         for pid, track in _section(doc, "peers").items():
             if not isinstance(track, list) or not track:
                 raise ScenarioError(f"peer {pid} must have a non-empty list of positions")
-            peers[str(pid)] = tuple(_vec3(p, f"peer {pid} position") for p in track)
+            peers[str(pid)] = tuple(_vec(p, 3, f"peer {pid} position") for p in track)
         # Peers hand the weather back in acknowledgements, which records hold.
         weather = _section(doc, "weather")
         _check_finite(weather, "weather")
@@ -171,8 +169,12 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         tags = doc.get("tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
             raise ScenarioError("tags must be a list of strings")
+        # Every record's metadata.scenario_id must be a non-empty string.
+        scenario_id = doc["scenario_id"]
+        if not (isinstance(scenario_id, str) and scenario_id):
+            raise ScenarioError(f"scenario_id must be a non-empty string, got {scenario_id!r}")
         return Scenario(
-            scenario_id=str(doc["scenario_id"]),
+            scenario_id=scenario_id,
             description=str(doc.get("description", "")),
             airspace=airspace,
             params=params,

@@ -8,6 +8,7 @@ awareness / completion bonus), and communication cost (budget ratios).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
@@ -385,7 +386,11 @@ def generation_efficiency(alpha3: float, gen_time_s: float, total_tokens: float)
     """Per-episode efficiency: composite per second and per thousand tokens."""
     if gen_time_s <= 0 or total_tokens <= 0:
         raise DegenerateInput("generation efficiency needs positive gen_time_s and total_tokens")
-    return alpha3 / gen_time_s, alpha3 / (total_tokens / 1000.0)
+    per_sec, per_1k = alpha3 / gen_time_s, alpha3 / (total_tokens / 1000.0)
+    # A subnormal time (1e-320) overflows the quotient; no record holds Infinity.
+    if not (math.isfinite(per_sec) and math.isfinite(per_1k)):
+        raise DegenerateInput("generation efficiency is not finite")
+    return per_sec, per_1k
 
 
 def aggregate_model(

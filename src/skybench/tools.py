@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .environment import (
     ACTION_CLASSES,
@@ -22,7 +22,7 @@ from .environment import (
     VehicleParams,
     check_geofence,
 )
-from .episode import A2aAck, A2aTask, Action, McpCall, McpResult, Observation, action_to_doc, observation_to_doc
+from .episode import A2aAck, A2aTask, McpCall, McpResult
 from .errors import ParseError
 from .network import NetworkState, SLICES, SliceCalibration, classify_hard, sample_network_state
 
@@ -88,9 +88,12 @@ def default_registry() -> dict[str, ToolSpec]:
     return {spec.name: spec for spec in DEFAULT_TOOLS}
 
 
-def load_registry_extension(doc: Mapping[str, Any] | Sequence[Mapping[str, Any]]) -> dict[str, ToolSpec]:
-    """Parse extra tool specs from a registry-extension document."""
-    entries = doc.get("tools", []) if isinstance(doc, Mapping) else doc
+def load_registry_extension(doc: Any) -> dict[str, ToolSpec]:
+    """Parse extra tool specs from a tool file's document: an object whose
+    "tools" (none when absent) is a list of tool entries."""
+    entries = doc.get("tools", []) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ParseError("a tool file must be an object whose tools is a list")
     registry = default_registry()
     for entry in entries:
         if not isinstance(entry, Mapping):
@@ -165,16 +168,10 @@ def validate_args(spec: ToolSpec, args: Mapping[str, Any]) -> str | None:
     return None
 
 
-def match_action_observation(action: Action | Mapping[str, Any] | None,
-                             observation: Observation | Mapping[str, Any] | None) -> bool:
+def match_action_observation(action: Mapping[str, Any] | None, observation: Mapping[str, Any] | None) -> bool:
     """Structural pairing rule used by tool-consistency scoring, over the
-    documents of an action and its observation; a typed value is read
-    through its document.  An observation with a tool field is a tool
-    result, as doc_to_episode reads it."""
-    if action is not None and type(action) is not dict:
-        action = action_to_doc(action)
-    if observation is not None and type(observation) is not dict:
-        observation = observation_to_doc(observation)
+    documents of an action and its observation.  An observation with a tool
+    field is a tool result, as doc_to_episode reads it."""
     if action is None or observation is None:
         return False
     if action["protocol"] == "mcp":
@@ -273,8 +270,7 @@ class ToolExecutor:
     def _tool_set_waypoint(self, call, state, network, rng):
         return self._set_target(call, state, network, (call.args["x"], call.args["y"], call.args["z"]))
 
-    def _tool_navigate_to(self, call, state, network, rng):
-        return self._set_target(call, state, network, (call.args["x"], call.args["y"], call.args["z"]))
+    _tool_navigate_to = _tool_set_waypoint
 
     def _tool_set_altitude(self, call, state, network, rng):
         base = state.command.target or state.kinematics.position
@@ -303,11 +299,10 @@ class ToolExecutor:
         return McpResult(call.name, {"status": "switched", "slice": target}), state, fresh
 
     def _tool_check_geofence(self, call, state, network, rng):
-        check = check_geofence(state.kinematics.position, self.airspace)
-        clearance = check.min_clearance_m
+        clearance = check_geofence(state.kinematics.position, self.airspace)
         result = {
-            "compliant": check.compliant,
-            "min_clearance_m": clearance if clearance != float("inf") else 1e9,
+            "compliant": clearance >= 0.0,
+            "min_clearance_m": clearance if clearance != math.inf else 1e9,
         }
         return McpResult(call.name, result), state, network
 

@@ -33,6 +33,7 @@ from skybench.episode import (
     McpResult,
     doc_to_episode,
     dumps_canonical,
+    dumps_document,
     episode_to_doc,
     record_to_line,
     validate_episode,
@@ -197,27 +198,25 @@ def test_faulty_agent_recovers_on_second_attempt(scenario_by_id, calibration, mo
 
 
 def test_accepted_line_is_the_records_serialization(scenarios, calibration, monkeypatch):
-    # generate stores the line handed to on_accept in place of re-serializing
-    # the returned episode, so the two must be the same bytes.
+    # generate stores dumps_document of run_attempts' document in place of
+    # serializing run_episode's value, so the two must be the same bytes.
+    def both(name, scenario, failing, **kwargs):
+        made = []
+        for run in (run_attempts, run_episode):
+            break_documents(monkeypatch, failing)
+            made.append(run(make_agent(name, scenario), UserSimulator(), scenario, calibration=calibration, **kwargs))
+        return made
+
     for scenario in scenarios:
         for name in ("adaptive_pilot", "greedy_streamer", "safe_pilot"):
             for failing in (0, 1):
-                break_documents(monkeypatch, failing)
-                lines = []
-                record = run_episode(
-                    make_agent(name, scenario), UserSimulator(), scenario,
-                    calibration=calibration, index=3, on_accept=lines.append,
-                )
+                doc, record = both(name, scenario, failing, index=3)
                 assert isinstance(record, Episode)
                 assert record.metadata.attempts_used == failing + 1
-                assert lines == [record_to_line(record)]
-    break_documents(monkeypatch)
-    lines = []
-    stub = run_episode(
-        make_agent("safe_pilot", scenarios[0]), UserSimulator(), scenarios[0],
-        calibration=calibration, on_accept=lines.append,
-    )
-    assert isinstance(stub, FailureStub) and lines == []
+                assert dumps_document(doc) == record_to_line(record)
+    doc, stub = both("safe_pilot", scenarios[0], MAX_ATTEMPTS)
+    assert isinstance(stub, FailureStub) and doc["kind"] == "failure_stub"
+    assert dumps_document(doc) == record_to_line(stub)
 
 
 # -- one pass from episode to line ---------------------------------------------
@@ -248,8 +247,9 @@ def _typed(value):
 
 
 def test_validated_document_is_the_stored_line(scenarios, calibration, monkeypatch):
-    # run_episode validates the document it builds, not its line parsed back,
-    # and returns the value built from that document: the three must agree.
+    # run_attempts validates the document it builds, not its line parsed
+    # back, and returns it for generate to store; run_episode returns the
+    # value built from that document: the three must agree.
     validated = []
 
     def recording_validate(doc, **kwargs):
@@ -269,18 +269,20 @@ def test_validated_document_is_the_stored_line(scenarios, calibration, monkeypat
     for scenario in scenarios:
         for agent_type in (SafePilot, AdaptivePilot, agents.GreedyStreamer, EchoPilot):
             for index in range(6):
-                lines, validated[:] = [], []
-                record = run_episode(
-                    agent_type(scenario), UserSimulator(), scenario, calibration=calibration,
-                    episode_seed=episode_seed_for(index, (42, 77, 101, 2025, 1337)), index=index,
-                    on_accept=lines.append,
+                kwargs = dict(
+                    calibration=calibration, episode_seed=episode_seed_for(index, (42, 77, 101, 2025, 1337)), index=index,
                 )
-                assert isinstance(record, Episode), (scenario.scenario_id, agent_type.name, index)
+                validated[:] = []
+                stored = run_attempts(agent_type(scenario), UserSimulator(), scenario, **kwargs)
+                line = dumps_document(stored)
                 doc, snapshot = validated[-1]
-                assert _typed(doc) == _typed(snapshot) == _typed(json.loads(lines[0]))
-                assert record == doc_to_episode(json.loads(lines[0]))
-                assert record_to_line(record) == lines[0]
-                assert dumps_canonical(json.loads(lines[0])) == lines[0]
+                assert stored is doc
+                record = run_episode(agent_type(scenario), UserSimulator(), scenario, **kwargs)
+                assert isinstance(record, Episode), (scenario.scenario_id, agent_type.name, index)
+                assert _typed(doc) == _typed(snapshot) == _typed(json.loads(line))
+                assert record == doc_to_episode(json.loads(line))
+                assert record_to_line(record) == line
+                assert dumps_canonical(json.loads(line)) == line
                 results += [t["observation"] for t in doc["turns"] if "observation" in t]
     clearances = [o["result"]["min_clearance_m"] for o in results if o.get("tool") == "check_geofence"]
     assert 1e9 in clearances and any(c != 1e9 for c in clearances)

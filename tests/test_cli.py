@@ -1121,6 +1121,15 @@ def _assert_scenario_rejected(scenario: dict, path: Path, err: str, message: str
         (lambda doc: doc["airspace"].update(z_max_m=float("inf")), "airspace.z_max_m must be finite, got inf"),
         (lambda doc: doc["airspace"].update(geofences=[{"center": [float("inf"), 0.0], "radius_m": 5.0}]), "geofence center must be finite, got inf"),
         (lambda doc: doc["airspace"].update(geofences=[{"center": [50.0, 50.0], "radius_m": float("nan")}]), "malformed scenario document: geofence radius must be positive, got nan"),
+        (lambda doc: doc["airspace"].update(geofences=[{"center": [1], "radius_m": 5.0}]), "geofence center must be a 2-vector"),
+        (lambda doc: doc["airspace"].update(geofences=[{"center": [1.0, 2.0, 3.0], "radius_m": 5.0}]), "geofence center must be a 2-vector"),
+        (lambda doc: doc.update(scenario_id=""), "scenario_id must be a non-empty string, got ''"),
+        (lambda doc: doc.update(scenario_id=7), "scenario_id must be a non-empty string, got 7"),
+        (lambda doc: doc.update(scenario_id=["S01"]), "scenario_id must be a non-empty string, got ['S01']"),
+        (lambda doc: doc["initial_state"].update(battery_pct=101), "initial_state.battery_pct must lie in [0, 100], got 101.0"),
+        (lambda doc: doc["initial_state"].update(battery_pct=150.0), "initial_state.battery_pct must lie in [0, 100], got 150.0"),
+        (lambda doc: doc["initial_state"].update(battery_pct=1e308), "initial_state.battery_pct must lie in [0, 100], got 1e+308"),
+        (lambda doc: doc["initial_state"].update(battery_pct=-1.0), "initial_state.battery_pct must lie in [0, 100], got -1.0"),
         (lambda doc: doc["airspace"].update(separation_margin_m=-1.0), "malformed scenario document: separation_margin_m must be finite and at least 0, got -1.0"),
         (lambda doc: doc["airspace"].update(separation_margin_m=float("nan")), "malformed scenario document: separation_margin_m must be finite and at least 0, got nan"),
         (lambda doc: doc["airspace"].update(separation_margin_m=float("inf")), "malformed scenario document: separation_margin_m must be finite and at least 0, got inf"),
@@ -1367,6 +1376,64 @@ def test_generate_rejects_bad_tool_file(tmp_path, capsys, entry, message):
     ]) == EXIT_INPUT
     assert message in capsys.readouterr().err
     assert not (out / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"tools": 5}, 5, {"tools": {"name": "deploy_beacon"}}, [{"name": "deploy_beacon", "action_class": "transmit"}]],
+    ids=["tools a number", "a number", "tools an object", "a bare list"],
+)
+def test_a_tool_file_is_an_object_whose_tools_is_a_list(tmp_path, capsys, doc):
+    tools = tmp_path / "tools.json"
+    tools.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--tools", str(tools), "--episodes-per-scenario", "1",
+        "--agents", "safe_pilot", "--out", str(out), "--canonical",
+    ]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: a tool file must be an object whose tools is a list\n"
+    assert not (out / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["initial_state"].update(velocity=[1e160, 0.0, 0.0]),
+        lambda doc: doc["mission"].update(target=[1e308, 0.0, 60.0]),
+    ],
+    ids=["speed overflows", "target overflows"],
+)
+def test_a_record_that_would_hold_nan_or_infinity_stops_generate(tmp_path, capsys, edit, parallel):
+    # Finite inputs whose physics overflows: a line holding NaN or Infinity
+    # is no JSON, so the fault stops the run before any corpus is written.
+    scenario = _builtin_scenario_doc()
+    edit(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--scenarios", str(path), "--episodes-per-scenario", "1",
+        "--canonical", "--parallel", parallel, "--out", str(out),
+    ]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: Out of range float values are not JSON compliant\n"
+    assert not (out / "corpus.jsonl").exists()
+
+
+def test_a_subnormal_generation_time_scores_zero_efficiency(tmp_path):
+    out = tmp_path / "run"
+    assert main(["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--canonical", "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "corpus.jsonl").read_text().splitlines()[0])
+    doc["metadata"]["gen_time_s"] = 1e-320
+    corpus = tmp_path / "tiny.jsonl"
+    corpus.write_text(json.dumps(doc) + "\n")
+    assert main(["score", "--out", str(out), "--corpus", str(corpus)]) == EXIT_OK
+    text = (out / SCORES_NAME).read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    record = json.loads(text)
+    assert record["valid"] and record["alpha3"] > 0
+    assert record["ge_per_sec"] == 0.0 and record["ge_per_1k"] == 0.0
+    assert main(["aggregate", "--out", str(out)]) == EXIT_OK
 
 
 def test_malformed_corpus_lines_counted_not_fatal(tmp_path):

@@ -121,23 +121,21 @@ def test_disturbance_respects_clip_bounds():
 # -- airspace checks ---------------------------------------------------------
 
 def test_geofence_no_fences_infinite_clearance():
-    check = check_geofence((0.0, 0.0, 50.0), AIRSPACE)
-    assert check.compliant
-    assert check.min_clearance_m == math.inf
+    assert check_geofence((0.0, 0.0, 50.0), AIRSPACE) == math.inf
 
 
 def test_geofence_boundary_is_compliant():
     airspace = replace(AIRSPACE, geofences=(Geofence(center=(0.0, 0.0), radius_m=100.0),))
-    check = check_geofence((100.0, 0.0, 50.0), airspace)
-    assert check.compliant
-    assert check.min_clearance_m == pytest.approx(0.0)
+    clearance = check_geofence((100.0, 0.0, 50.0), airspace)
+    assert clearance >= 0.0
+    assert clearance == pytest.approx(0.0)
 
 
 def test_geofence_intrusion_clearance():
     airspace = replace(AIRSPACE, geofences=(Geofence(center=(0.0, 0.0), radius_m=100.0),))
-    check = check_geofence((50.0, 0.0, 30.0), airspace)
-    assert not check.compliant
-    assert check.min_clearance_m == pytest.approx(-50.0)
+    clearance = check_geofence((50.0, 0.0, 30.0), airspace)
+    assert not clearance >= 0.0
+    assert clearance == pytest.approx(-50.0)
 
 
 def test_geofence_matches_grid_oracle():
@@ -149,7 +147,7 @@ def test_geofence_matches_grid_oracle():
         expected = all(
             math.hypot(p[0] - f.center[0], p[1] - f.center[1]) >= f.radius_m for f in fences
         )
-        assert check_geofence(p, airspace).compliant is expected
+        assert (check_geofence(p, airspace) >= 0.0) is expected
 
 
 def test_altitude_bounds_inclusive():

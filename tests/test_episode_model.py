@@ -162,6 +162,16 @@ def test_document_builders_quantize_floats_and_keep_ints():
     assert dumps_document(doc) == dumps_canonical(doc)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_no_written_line_holds_nan_or_infinity(value):
+    from skybench.episode import dumps_document, dumps_pretty
+
+    doc = {"position": [1.0, value, 3.0]}
+    for dumps in (dumps_document, dumps_canonical, dumps_pretty):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            dumps(doc)
+
+
 def test_lenient_mode_ignores_unknown_fields():
     rng = np.random.default_rng(8)
     doc = valid_doc(rng)

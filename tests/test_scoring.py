@@ -429,6 +429,11 @@ def test_generation_efficiency_published_row():
         generation_efficiency(0.5, 0.0, 4032)
     with pytest.raises(DegenerateInput):
         generation_efficiency(0.5, 10.581, 0)
+    # A quotient that overflows is as degenerate as a zero divisor.
+    with pytest.raises(DegenerateInput):
+        generation_efficiency(0.5, 1e-320, 4032)
+    with pytest.raises(DegenerateInput):
+        generation_efficiency(float("inf"), 10.581, 4032)
 
 
 def _flat_scores(n, alpha3=0.976):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skybench.environment import Airspace, KinematicState, UavState, VehicleParams
-from skybench.episode import A2aAck, A2aTask, McpCall, McpResult
+from skybench.episode import A2aAck, A2aTask, McpCall, McpResult, action_to_doc, observation_to_doc
 from skybench.network import NetworkState, URLLC, EMBB, classify_hard
 from skybench.tools import (
     SwarmContext,
@@ -188,16 +188,15 @@ def test_a2a_never_degrades_under_normal_network(calibration):
 
 
 def test_match_action_observation_cases():
-    assert match_action_observation(McpCall("read_telemetry"), McpResult("read_telemetry", {}))
-    assert not match_action_observation(McpCall("set_waypoint"), McpResult("read_telemetry", {}))
-    assert match_action_observation(
-        A2aTask("collision_avoidance", "P2", {}), A2aAck("collision_avoidance", "P2", "ok", {})
-    )
-    assert not match_action_observation(
-        A2aTask("collision_avoidance", "P2", {}), A2aAck("collision_avoidance", "P3", "ok", {})
-    )
-    assert not match_action_observation(None, McpResult("read_telemetry", {}))
-    assert not match_action_observation(McpCall("read_telemetry"), None)
+    def match(action, observation):
+        return match_action_observation(action_to_doc(action), observation_to_doc(observation))
+
+    assert match(McpCall("read_telemetry"), McpResult("read_telemetry", {}))
+    assert not match(McpCall("set_waypoint"), McpResult("read_telemetry", {}))
+    assert match(A2aTask("collision_avoidance", "P2", {}), A2aAck("collision_avoidance", "P2", "ok", {}))
+    assert not match(A2aTask("collision_avoidance", "P2", {}), A2aAck("collision_avoidance", "P3", "ok", {}))
+    assert not match(None, McpResult("read_telemetry", {}))
+    assert not match(McpCall("read_telemetry"), None)
 
 
 def test_mcp_execution_deterministic(calibration):
