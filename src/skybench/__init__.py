@@ -22,15 +22,7 @@ from .environment import (
     step_kinematics,
 )
 from .episode import (
-    A2aAck,
-    A2aTask,
-    Episode,
-    EpisodeMetadata,
     FailureStub,
-    FinalState,
-    McpCall,
-    McpResult,
-    Turn,
     ValidationReport,
     line_to_record,
     make_failure_stub,
@@ -68,3 +60,12 @@ from .scoring import (
 from .tools import SwarmContext, ToolExecutor, ToolSpec, default_registry, match_action_observation
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The typed record classes, created on first use (see skybench.episode)."""
+    from . import episode
+
+    if name in episode.RECORD_CLASSES:
+        return getattr(episode, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,33 +17,24 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .environment import BATTERY_DEPLETED_PCT, evolve_state
 from .episode import (
-    A2aAck,
-    A2aTask,
-    Action,
-    Episode,
-    FailureStub,
     MAX_ATTEMPTS,
     MAX_TURNS,
     MIN_TURNS,
-    McpCall,
-    McpResult,
     ROLE_AGENT,
     ROLE_USER,
-    Turn,
-    doc_to_action,
+    action_to_doc,
+    canonical_float,
+    canonical_value,
     doc_to_episode,
     doc_to_stub,
     dumps_canonical,
-    episode_to_doc,
-    network_to_doc,
-    turn_to_doc,
-    FinalState,
-    EpisodeMetadata,
     format_float,
     loads_json,
     make_failure_stub,
+    network_to_doc,
     stub_error_kind,
     stub_to_doc,
+    turn_doc,
     validate_episode,
 )
 from .network import (
@@ -54,7 +45,7 @@ from .network import (
     evolve_network,
     sample_network_state,
 )
-from .errors import ScenarioError
+from .errors import ParseError, ScenarioError
 from .scenarios import Scenario
 from .tools import ToolExecutor, ToolSpec, default_registry
 
@@ -62,6 +53,14 @@ if TYPE_CHECKING:
     import subprocess
 
     import numpy as np
+
+    from .episode import Action, Episode, FailureStub
+
+# A turn's document, as turn_doc builds it, and an action's document, as a
+# policy returns it: {"protocol": "mcp", "name", "args"} or
+# {"protocol": "a2a", "task", "to", "payload"}.
+TurnDoc = dict[str, Any]
+ActionDoc = dict[str, Any]
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -91,13 +90,16 @@ POLICY_TURN_TIMEOUT_S = 60.0
 class AdaptiveActionFilter:
     """Communication-safe action subset enforced under a degraded link."""
 
-    def degraded(self, network: NetworkState) -> bool:
+    def degraded(self, network: NetworkState | Mapping[str, Any]) -> bool:
         return classify_hard(network)
 
-    def permits(self, action: Action | None, network: NetworkState) -> bool:
+    def permits(self, action: ActionDoc | Action | None, network: NetworkState | Mapping[str, Any]) -> bool:
+        """Whether the action, a document or a typed value, may be sent on
+        the network, a NetworkState or its document."""
         if action is None or not self.degraded(network):
             return True
-        return isinstance(action, McpCall) and action.name in SAFE_TOOLS
+        doc = action if isinstance(action, Mapping) else action_to_doc(action)
+        return doc["protocol"] == "mcp" and doc["name"] in SAFE_TOOLS
 
 
 @dataclass
@@ -162,39 +164,45 @@ def simulate_user_turn(
     scenario: Scenario,
     status: MissionStatus,
     network: NetworkState,
-) -> Turn:
-    """Build the supervisor turn for the given dialogue position."""
-    intent = user.intent(turn_index // 2, scenario, status)
-    return Turn(role=ROLE_USER, intent=intent, action=None, observation=None, network=network)
+) -> TurnDoc:
+    """The document of the supervisor turn at the given dialogue position."""
+    return turn_doc(ROLE_USER, user.intent(turn_index // 2, scenario, status), network)
 
 
 # ---------------------------------------------------------------------------
 # Scripted reference agents
+#
+# A policy's next_turn(history, state, network, strictness) reads the turn
+# documents so far, which it must not change, and returns its intent and an
+# action document or None.
 # ---------------------------------------------------------------------------
 
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.dist(tuple(a), tuple(b))
 
 
-def _last_observation_name(history: Sequence[Turn]) -> str | None:
+def _mcp(name: str, **args: Any) -> ActionDoc:
+    return {"protocol": "mcp", "name": name, "args": args}
+
+
+def _last_observation_name(history: Sequence[TurnDoc]) -> str | None:
     for turn in reversed(history):
-        if isinstance(turn.observation, McpResult):
-            return turn.observation.tool
-        if isinstance(turn.observation, A2aAck):
-            return turn.observation.task
+        obs = turn.get("observation")
+        if obs is not None:
+            return obs["tool"] if "tool" in obs else obs["task"]
     return None
 
 
-def _has_result(history: Sequence[Turn], tool: str) -> bool:
-    return any(isinstance(t.observation, McpResult) and t.observation.tool == tool for t in history)
+def _has_result(history: Sequence[TurnDoc], tool: str) -> bool:
+    return any(t.get("observation", {}).get("tool") == tool for t in history)
 
 
-def _has_ack(history: Sequence[Turn], task: str) -> bool:
-    return any(isinstance(t.observation, A2aAck) and t.observation.task == task for t in history)
+def _has_ack(history: Sequence[TurnDoc], task: str) -> bool:
+    return any(t.get("observation", {}).get("task") == task for t in history)
 
 
-def _agent_turns(history: Sequence[Turn]) -> int:
-    return sum(1 for t in history if t.role == ROLE_AGENT)
+def _agent_turns(history: Sequence[TurnDoc]) -> int:
+    return sum(1 for t in history if t["role"] == ROLE_AGENT)
 
 
 class ScriptedAgent:
@@ -209,55 +217,55 @@ class ScriptedAgent:
         self.scenario = scenario
 
     # hook: behaviour while the link is hard
-    def _hard_response(self, cite: str, network: NetworkState) -> tuple[str, Action | None]:
+    def _hard_response(self, cite: str, network: NetworkState) -> tuple[str, ActionDoc | None]:
         if network.slice != URLLC:
             intent = (
                 f"{cite}link degraded ({format_float(network.latency_ms)} ms, "
                 f"{format_float(network.loss_pct)}% loss) on {network.slice}; switching slice to URLLC"
             )
-            return intent, McpCall("switch_network_slice", {"slice": URLLC})
-        return f"{cite}link still constrained; monitoring telemetry only", McpCall("read_telemetry")
+            return intent, _mcp("switch_network_slice", slice=URLLC)
+        return f"{cite}link still constrained; monitoring telemetry only", _mcp("read_telemetry")
 
     # hook: optional step once on station, before capture
-    def _on_station_step(self, cite: str, history: Sequence[Turn]) -> tuple[str, Action | None] | None:
+    def _on_station_step(self, cite: str, history: Sequence[TurnDoc]) -> tuple[str, ActionDoc | None] | None:
         return None
 
     def next_turn(
         self,
-        history: Sequence[Turn],
+        history: Sequence[TurnDoc],
         state,
         network: NetworkState,
         strictness: int = 0,
-    ) -> tuple[str, Action | None]:
+    ) -> tuple[str, ActionDoc | None]:
         mission = self.scenario.mission
         position = state.kinematics.position
         last = _last_observation_name(history)
         cite = f"{last} confirms status; " if last else ""
         if state.battery_pct < LOW_BATTERY_PCT and not state.command.landing:
-            return f"{cite}battery at {format_float(state.battery_pct)}%; landing immediately", McpCall("land")
+            return f"{cite}battery at {format_float(state.battery_pct)}%; landing immediately", _mcp("land")
         if classify_hard(network):
             return self._hard_response(cite, network)
         if not _has_result(history, "read_telemetry"):
-            return "running a preflight telemetry sweep before departure", McpCall("read_telemetry")
+            return "running a preflight telemetry sweep before departure", _mcp("read_telemetry")
         target = mission.target
         if state.command.target is None and not state.command.landing:
             x, y, z = (format_float(v) for v in target)
             intent = f"{cite}telemetry nominal; setting waypoint ({x}, {y}, {z})"
-            return intent, McpCall("set_waypoint", {"x": target[0], "y": target[1], "z": target[2]})
+            return intent, _mcp("set_waypoint", x=target[0], y=target[1], z=target[2])
         distance = _distance(position, target)
         if distance > mission.arrival_tolerance_m and not state.command.landing:
             en_route = f"{cite}en route, {format_float(distance)} m to go"
             if _agent_turns(history) % 2 == 0:
-                return f"{en_route}; verifying exclusion-zone clearance", McpCall("check_geofence")
-            return f"{en_route}; refreshing telemetry", McpCall("read_telemetry")
+                return f"{en_route}; verifying exclusion-zone clearance", _mcp("check_geofence")
+            return f"{en_route}; refreshing telemetry", _mcp("read_telemetry")
         station = self._on_station_step(cite, history)
         if station is not None:
             return station
         if mission.capture_sensor and not _has_result(history, "capture_image"):
             intent = f"{cite}on station at the survey point; capturing {mission.capture_sensor} imagery"
-            return intent, McpCall("capture_image", {"sensor": mission.capture_sensor})
+            return intent, _mcp("capture_image", sensor=mission.capture_sensor)
         if not state.command.landing:
-            return f"{cite}objective complete; landing at the survey point", McpCall("land")
+            return f"{cite}objective complete; landing at the survey point", _mcp("land")
         return f"{cite}holding on the pad; mission wrapped up", None
 
 
@@ -276,21 +284,22 @@ class AdaptivePilot(ScriptedAgent):
     prompt_tokens_per_turn = 180
     completion_tokens_per_turn = 320
 
-    def _hard_response(self, cite: str, network: NetworkState) -> tuple[str, Action | None]:
+    def _hard_response(self, cite: str, network: NetworkState) -> tuple[str, ActionDoc | None]:
         if network.slice != URLLC:
             intent = (
                 f"{cite}degradation detected ({format_float(network.latency_ms)} ms on {network.slice}); "
                 "switching slice to URLLC"
             )
-            return intent, McpCall("switch_network_slice", {"slice": URLLC})
+            return intent, _mcp("switch_network_slice", slice=URLLC)
         return f"{cite}link still hard; deferring sensing and holding pattern", None
 
-    def _on_station_step(self, cite: str, history: Sequence[Turn]) -> tuple[str, Action | None] | None:
+    def _on_station_step(self, cite: str, history: Sequence[TurnDoc]) -> tuple[str, ActionDoc | None] | None:
         peers = self.scenario.swarm.peer_ids()
         if peers and not _has_ack(history, "collision_avoidance"):
             peer = peers[0]
             intent = f"{cite}on station; requesting deconfliction from {peer} before sensing"
-            return intent, A2aTask("collision_avoidance", peer, {"intent": "hold_at_objective"})
+            payload = {"intent": "hold_at_objective"}
+            return intent, {"protocol": "a2a", "task": "collision_avoidance", "to": peer, "payload": payload}
         return None
 
 
@@ -304,24 +313,26 @@ class GreedyStreamer(ScriptedAgent):
 
     def next_turn(
         self,
-        history: Sequence[Turn],
+        history: Sequence[TurnDoc],
         state,
         network: NetworkState,
         strictness: int = 0,
-    ) -> tuple[str, Action | None]:
+    ) -> tuple[str, ActionDoc | None]:
         segment = _agent_turns(history) + 1
         intent = f"streaming segment {segment}: pushing full-rate imagery to the archive feed"
-        return intent, McpCall("capture_image", {"sensor": "RGB"})
+        return intent, _mcp("capture_image", sensor="RGB")
 
 
 class SubprocessPolicy:
     """Line-protocol adapter for out-of-process policies (LLM backends, etc.).
 
-    Each request is one JSON line carrying the full dialogue history, a
-    vehicle-state view, the current network vector, and the strictness level;
-    the reply must be one JSON line shaped {"intent": str, "action": {...}|null}.
-    The child should treat every request as self-contained (history is resent
-    each turn) so retries stay deterministic.
+    Each request is one JSON line carrying the full dialogue history (the
+    turn documents as the record holds them), a vehicle-state view, the
+    current network vector, and the strictness level; the reply must be one
+    JSON line shaped {"intent": str, "action": {...}|null}, read as
+    _read_reply reads it.  The child should treat every request as
+    self-contained (history is resent each turn) so retries stay
+    deterministic.
     """
 
     latency_factor = 1.0
@@ -350,14 +361,14 @@ class SubprocessPolicy:
 
     def next_turn(
         self,
-        history: Sequence[Turn],
+        history: Sequence[TurnDoc],
         state,
         network: NetworkState,
         strictness: int = 0,
-    ) -> tuple[str, Action | None]:
+    ) -> tuple[str, ActionDoc | None]:
         proc = self._process()
         request = {
-            "history": [turn_to_doc(t) for t in history],
+            "history": history,
             "state": {
                 "position": list(state.kinematics.position),
                 "speed_mps": state.kinematics.speed,
@@ -377,11 +388,7 @@ class SubprocessPolicy:
         proc.stdin.flush()
         # A record holds the action as sent, so the reply is read as strictly
         # as a corpus line; a ParseError fails the attempt.
-        reply = loads_json(self._read_line(proc))
-        intent = str(reply["intent"])
-        action_doc = reply.get("action")
-        action = doc_to_action(action_doc) if action_doc else None
-        return intent, action
+        return _read_reply(loads_json(self._read_line(proc)))
 
     def _read_line(self, proc: subprocess.Popen) -> bytes:
         """The child's next reply line, due within POLICY_TURN_TIMEOUT_S.
@@ -430,6 +437,39 @@ class SubprocessPolicy:
         self.close()
 
 
+# The fields of each action protocol that a reply must give as strings, and
+# the one it may give as an object (left out, it is {}).
+_REPLY_FORMS = {"mcp": (("name",), "args"), "a2a": (("task", "to"), "payload")}
+
+
+def _read_reply(reply: Any) -> tuple[str, ActionDoc | None]:
+    """The intent and action document of an external policy's reply.
+
+    Nothing is coerced: the intent must be a string, and the action null,
+    left out, or an mcp or a2a object whose names are strings and whose
+    args or payload is an object.  Raises ParseError otherwise.  Fields of
+    no protocol are dropped.
+    """
+    if not isinstance(reply, dict) or not isinstance(reply.get("intent"), str):
+        raise ParseError(f"a policy reply must be an object whose intent is a string, got {reply!r}")
+    action = reply.get("action")
+    if action is None:
+        return reply["intent"], None
+    protocol = action.get("protocol") if isinstance(action, dict) else None
+    if protocol not in ("mcp", "a2a"):
+        raise ParseError(f"a reply's action must be null or an mcp or a2a object, got {action!r}")
+    names, part = _REPLY_FORMS[protocol]
+    doc = {"protocol": protocol}
+    for name in names:
+        if not isinstance(action.get(name), str):
+            raise ParseError(f"a reply's {protocol} action needs a string {name}, got {action!r}")
+        doc[name] = action[name]
+    doc[part] = action.get(part, {})
+    if not isinstance(doc[part], dict):
+        raise ParseError(f"a reply's {protocol} {part} must be an object, got {action!r}")
+    return reply["intent"], doc
+
+
 AGENT_TYPES: dict[str, type[ScriptedAgent]] = {
     SafePilot.name: SafePilot,
     AdaptivePilot.name: AdaptivePilot,
@@ -465,35 +505,33 @@ def episode_id_for(scenario_id: str, agent_name: str, index: int) -> str:
 
 
 def _apply_strictness(
-    action: Action | None,
+    action: ActionDoc | None,
     strictness: int,
     registry: Mapping[str, ToolSpec],
-) -> Action | None:
+) -> ActionDoc | None:
     if action is None or strictness <= 0:
         return action
-    if isinstance(action, McpCall) and action.name not in registry:
+    mcp = action["protocol"] == "mcp"
+    if mcp and action["name"] not in registry:
         return None
-    if strictness >= 2:
-        if isinstance(action, A2aTask):
-            return None
-        if isinstance(action, McpCall) and action.name not in SAFE_TOOLS:
-            return None
+    if strictness >= 2 and not (mcp and action["name"] in SAFE_TOOLS):
+        return None
     return action
 
 
-def _action_class(action: Action | None, registry: Mapping[str, ToolSpec]) -> str:
-    if isinstance(action, McpCall):
-        spec = registry.get(action.name)
+def _action_class(action: ActionDoc | None, registry: Mapping[str, ToolSpec]) -> str:
+    if action is None:
+        return "hover"
+    if action["protocol"] == "mcp":
+        spec = registry.get(action["name"])
         return spec.action_class if spec is not None else "transmit"
-    if isinstance(action, A2aTask):
-        return "transmit"
-    return "hover"
+    return "transmit"
 
 
-def _token_usage(agent, turns: Sequence[Turn]) -> tuple[int, int]:
+def _token_usage(agent, turns: Sequence[TurnDoc]) -> tuple[int, int]:
     prompt = 120 + len(turns) * agent.prompt_tokens_per_turn
     completion = sum(
-        agent.completion_tokens_per_turn + len(t.intent) // 4 for t in turns if t.role == ROLE_AGENT
+        agent.completion_tokens_per_turn + len(t["intent"]) // 4 for t in turns if t["role"] == ROLE_AGENT
     )
     return prompt, completion
 
@@ -539,12 +577,18 @@ def run_attempts(
     timestamp: str = EPOCH_TIMESTAMP,
 ) -> dict[str, Any]:
     """run_episode's attempt loop: the record's document, which is the
-    validated document of the accepted episode or the failure stub's.  It
-    is canonical as built, so dumps_document gives its stored line; generate
-    stores that line and builds no record."""
+    validated document of the accepted episode or the failure stub's.  Each
+    attempt builds its document as it runs, canonical as built, so
+    dumps_document gives its stored line; generate stores that line and
+    builds no record."""
     import numpy as np
 
-    registry = dict(registry) if registry is not None else default_registry()
+    calib = calibration
+    if scenario.slice_switch_prob is not None:
+        calib = replace(calibration, slice_switch_prob=scenario.slice_switch_prob)
+    executor = ToolExecutor(
+        default_registry() if registry is None else registry, calib, scenario.airspace, scenario.params, scenario.swarm
+    )
     episode_id = episode_id_for(scenario.scenario_id, agent.name, index)
     # Exactly SeedSequence(entropy).spawn(3), without mixing the parent's
     # pool, which no stream draws from.
@@ -557,7 +601,7 @@ def run_attempts(
     last_report = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         strictness = attempt - 1
-        attempt_result = _run_attempt(agent, user, scenario, calibration, registry, children, strictness)
+        attempt_result = _run_attempt(agent, user, scenario, calib, executor, children, strictness)
         if attempt_result is None:
             gen_time += GEN_BASE_S
             last_report = None
@@ -567,21 +611,24 @@ def run_attempts(
         p_tokens, c_tokens = _token_usage(agent, turns)
         prompt_tokens += p_tokens
         completion_tokens += c_tokens
-        metadata = EpisodeMetadata(
-            model=agent.name,
-            seed=episode_seed,
-            scenario_id=scenario.scenario_id,
-            gen_time_s=gen_time,
-            attempts_used=attempt,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            total_tokens=prompt_tokens + completion_tokens,
-            timestamp=timestamp,
-        )
-        episode = Episode(episode_id=episode_id, metadata=metadata, turns=tuple(turns), final_state=final_state)
+        doc = {
+            "episode_id": episode_id,
+            "metadata": {
+                "model": agent.name,
+                "seed": episode_seed,
+                "scenario_id": scenario.scenario_id,
+                "gen_time_s": canonical_float(gen_time),
+                "attempts_used": attempt,
+                "prompt_tokens": prompt_tokens,
+                "completion_tokens": completion_tokens,
+                "total_tokens": prompt_tokens + completion_tokens,
+                "timestamp": timestamp,
+            },
+            "turns": turns,
+            "final_state": final_state,
+        }
         # The document is canonical as built: it equals its stored line
         # parsed back, so the line and the validation both come from it.
-        doc = episode_to_doc(episode)
         report = validate_episode(doc)
         if report.valid:
             return doc
@@ -596,59 +643,53 @@ def _run_attempt(
     agent,
     user: UserSimulator,
     scenario: Scenario,
-    calibration: SliceCalibration,
-    registry: Mapping[str, ToolSpec],
+    calib: SliceCalibration,
+    executor: ToolExecutor,
     children: Sequence[np.random.SeedSequence],
     strictness: int,
-) -> tuple[list[Turn], FinalState] | None:
-    """The turns and final state of one attempt, or None when the agent
-    failed a turn.  Any other exception is a fault of the simulator and
-    propagates."""
+) -> tuple[list[TurnDoc], dict[str, Any]] | None:
+    """The turn documents and final-state document of one attempt, or None
+    when the agent failed a turn.  Any other exception is a fault of the
+    simulator and propagates."""
     import numpy as np
 
     net_rng = np.random.default_rng(children[0])
     phys_rng = np.random.default_rng(children[1])
     tool_rng = np.random.default_rng(children[2])
-    calib = calibration
-    if scenario.slice_switch_prob is not None:
-        calib = replace(calibration, slice_switch_prob=scenario.slice_switch_prob)
-    executor = ToolExecutor(registry, calib, scenario.airspace, scenario.params, scenario.swarm)
+    registry = executor.registry
 
     state = scenario.initial_state
     if state.battery_pct < BATTERY_DEPLETED_PCT:
         state = replace(state, flags=replace(state.flags, battery_depleted=True))
     network = sample_network_state(scenario.initial_slice, calib, net_rng)
     status = MissionStatus()
-    turns: list[Turn] = []
+    turns: list[TurnDoc] = []
 
     while True:
-        user_turn = simulate_user_turn(user, len(turns), scenario, status, network)
-        turns.append(user_turn)
+        turns.append(simulate_user_turn(user, len(turns), scenario, status, network))
         status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
         network = evolve_network(network, calib, net_rng)
 
         try:
-            intent, action = agent.next_turn(tuple(turns), state, network, strictness)
+            intent, action = agent.next_turn(turns, state, network, strictness)
         except Exception:  # a policy error or an external child's bad reply
             return None
         action = _apply_strictness(action, strictness, registry)
         observation = None
         post_network = network
-        if isinstance(action, McpCall):
+        if action is not None and action["protocol"] == "mcp":
             observation, state, post_network = executor.execute_mcp(action, state, network, tool_rng)
-        elif isinstance(action, A2aTask):
+            # Only a capture the tool carried out counts; a rejected call does not.
+            if (
+                action["name"] == "capture_image"
+                and observation["result"].get("status") in ("captured", "captured_cold")
+                and status.arrived
+            ):
+                status.captured = True
+        elif action is not None:
             observation = executor.execute_a2a(action, network, tool_rng, turn_index=len(turns) // 2)
-        turns.append(Turn(role=ROLE_AGENT, intent=intent, action=action, observation=observation, network=network))
+        turns.append(turn_doc(ROLE_AGENT, intent, network, action, observation))
         status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
-
-        # Only a capture the tool carried out counts; a rejected call does not.
-        if (
-            isinstance(action, McpCall)
-            and action.name == "capture_image"
-            and observation.result.get("status") in ("captured", "captured_cold")
-            and status.arrived
-        ):
-            status.captured = True
 
         step_index = len(turns) // 2 - 1
         state = evolve_state(
@@ -680,16 +721,16 @@ def _run_attempt(
         if n_turns >= MIN_TURNS and (status.completed or status.aborted is not None):
             break
 
-    k = state.kinematics
-    final_state = FinalState(
-        position=k.position,
-        velocity=k.speed,
-        yaw=k.yaw,
-        battery=state.battery_pct,
-        mission_completed=status.completed,
-        altitude_violation=state.flags.altitude_violation,
-        nfz_violation=state.flags.nfz_violation,
-        separation_breach=state.flags.separation_breach,
-        battery_depleted=state.flags.battery_depleted,
-    )
+    k, flags = state.kinematics, state.flags
+    final_state = canonical_value({
+        "position": k.position,
+        "velocity": k.speed,
+        "yaw": k.yaw,
+        "battery": state.battery_pct,
+        "mission_completed": status.completed,
+        "altitude_violation": flags.altitude_violation,
+        "nfz_violation": flags.nfz_violation,
+        "separation_breach": flags.separation_breach,
+        "battery_depleted": flags.battery_depleted,
+    })
     return turns, final_state

@@ -275,12 +275,17 @@ def evolve_state(
     kin = apply_disturbance(step_kinematics(state.kinematics, thrust, params, dt), disturbance, rng)
     position = kin.position
     battery = max(0.0, state.battery_pct - BATTERY_DRAW[action_class] * dt)
-    f = state.flags
-    flags = SafetyFlags(
-        altitude_violation=f.altitude_violation or not check_altitude(position, airspace),
-        nfz_violation=f.nfz_violation or not check_geofence(position, airspace) >= 0.0,
-        separation_breach=f.separation_breach
-        or not check_separation(position, peer_positions, airspace.separation_margin_m),
-        battery_depleted=f.battery_depleted or battery < BATTERY_DEPLETED_PCT,
-    )
+    flags = f = state.flags
+    altitude = f.altitude_violation or not check_altitude(position, airspace)
+    nfz = f.nfz_violation or not check_geofence(position, airspace) >= 0.0
+    separation = f.separation_breach or not check_separation(position, peer_positions, airspace.separation_margin_m)
+    depleted = f.battery_depleted or battery < BATTERY_DEPLETED_PCT
+    # Most steps raise no flag: the flags are then the same values, kept.
+    if not (
+        altitude is f.altitude_violation
+        and nfz is f.nfz_violation
+        and separation is f.separation_breach
+        and depleted is f.battery_depleted
+    ):
+        flags = SafetyFlags(altitude, nfz, separation, depleted)
     return UavState(kin, battery, flags, state.sensors, state.command)

@@ -44,102 +44,6 @@ CODE_ATTEMPTS = "attempts_exceeded"
 
 
 @dataclass(frozen=True)
-class McpCall:
-    """A tool call: the tool's name and its arguments."""
-
-    name: str
-    args: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class A2aTask:
-    """A task sent to a peer agent, with its payload."""
-
-    task: str
-    to: str
-    payload: Mapping[str, Any] = field(default_factory=dict)
-
-
-Action = Union[McpCall, A2aTask]
-
-
-@dataclass(frozen=True)
-class McpResult:
-    """A tool's answer to an McpCall."""
-
-    tool: str
-    result: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class A2aAck:
-    """A peer agent's acknowledgement of an A2aTask."""
-
-    task: str
-    from_agent: str
-    status: str  # ok | degraded | failed
-    payload: Mapping[str, Any] = field(default_factory=dict)
-
-
-Observation = Union[McpResult, A2aAck]
-
-
-@dataclass(frozen=True)
-class Turn:
-    """One dialogue turn: who spoke, what it did and saw, and the network it saw."""
-
-    role: str
-    intent: str
-    action: Action | None
-    observation: Observation | None
-    network: NetworkState
-
-    @property
-    def structured(self) -> bool:
-        return isinstance(self.action, (McpCall, A2aTask))
-
-
-@dataclass(frozen=True)
-class FinalState:
-    """The vehicle's state and safety flags at the end of an episode."""
-
-    position: tuple[float, float, float]
-    velocity: float
-    yaw: float
-    battery: float
-    mission_completed: bool
-    altitude_violation: bool = False
-    nfz_violation: bool = False
-    separation_breach: bool = False
-    battery_depleted: bool = False
-
-
-@dataclass(frozen=True)
-class EpisodeMetadata:
-    """Who made an episode, from which seed, and at what cost in time and tokens."""
-
-    model: str
-    seed: int
-    scenario_id: str
-    gen_time_s: float
-    attempts_used: int
-    prompt_tokens: int
-    completion_tokens: int
-    total_tokens: int
-    timestamp: str
-
-
-@dataclass(frozen=True)
-class Episode:
-    """One recorded episode: its metadata, turns and final state."""
-
-    episode_id: str
-    metadata: EpisodeMetadata
-    turns: tuple[Turn, ...]
-    final_state: FinalState
-
-
-@dataclass(frozen=True)
 class FailureStub:
     """The record of a job whose attempts all failed."""
 
@@ -172,6 +76,128 @@ class ValidationReport:
         return tuple(v.code for v in self.violations)
 
 
+# The typed record model.  generate writes documents and the read paths fold
+# documents, so no CLI stage needs these classes, and creating a frozen
+# dataclass costs a millisecond or more of every start-up.  They are created
+# on first use instead: by importing one of RECORD_CLASSES from this module
+# (the module __getattr__ below) or by doc_to_episode.
+RECORD_CLASSES = ("McpCall", "A2aTask", "McpResult", "A2aAck", "Turn", "FinalState", "EpisodeMetadata", "Episode")
+# The unions over them, made with them.
+_RECORD_UNIONS = ("Action", "Observation", "Record")
+
+
+def _create_record_classes() -> None:
+    """Create the typed record classes and bind them, and the unions over
+    them, as globals of this module.  Each class is named as if it were
+    defined at module level, so its repr and pickle find it here."""
+    if "Episode" in globals():
+        return
+
+    @dataclass(frozen=True)
+    class McpCall:
+        """A tool call: the tool's name and its arguments."""
+
+        name: str
+        args: Mapping[str, Any] = field(default_factory=dict)
+
+    @dataclass(frozen=True)
+    class A2aTask:
+        """A task sent to a peer agent, with its payload."""
+
+        task: str
+        to: str
+        payload: Mapping[str, Any] = field(default_factory=dict)
+
+    @dataclass(frozen=True)
+    class McpResult:
+        """A tool's answer to an McpCall."""
+
+        tool: str
+        result: Mapping[str, Any] = field(default_factory=dict)
+
+    @dataclass(frozen=True)
+    class A2aAck:
+        """A peer agent's acknowledgement of an A2aTask."""
+
+        task: str
+        from_agent: str
+        status: str  # ok | degraded | failed
+        payload: Mapping[str, Any] = field(default_factory=dict)
+
+    @dataclass(frozen=True)
+    class Turn:
+        """One dialogue turn: who spoke, what it did and saw, and the network it saw."""
+
+        role: str
+        intent: str
+        action: Action | None
+        observation: Observation | None
+        network: NetworkState
+
+        @property
+        def structured(self) -> bool:
+            return isinstance(self.action, (McpCall, A2aTask))
+
+    @dataclass(frozen=True)
+    class FinalState:
+        """The vehicle's state and safety flags at the end of an episode."""
+
+        position: tuple[float, float, float]
+        velocity: float
+        yaw: float
+        battery: float
+        mission_completed: bool
+        altitude_violation: bool = False
+        nfz_violation: bool = False
+        separation_breach: bool = False
+        battery_depleted: bool = False
+
+    @dataclass(frozen=True)
+    class EpisodeMetadata:
+        """Who made an episode, from which seed, and at what cost in time and tokens."""
+
+        model: str
+        seed: int
+        scenario_id: str
+        gen_time_s: float
+        attempts_used: int
+        prompt_tokens: int
+        completion_tokens: int
+        total_tokens: int
+        timestamp: str
+
+    @dataclass(frozen=True)
+    class Episode:
+        """One recorded episode: its metadata, turns and final state."""
+
+        episode_id: str
+        metadata: EpisodeMetadata
+        turns: tuple[Turn, ...]
+        final_state: FinalState
+
+    made = {}
+    for cls in (McpCall, A2aTask, McpResult, A2aAck, Turn, FinalState, EpisodeMetadata, Episode):
+        cls.__qualname__ = cls.__name__
+        made[cls.__name__] = cls
+    made["Action"] = Union[McpCall, A2aTask]
+    made["Observation"] = Union[McpResult, A2aAck]
+    made["Record"] = Union[Episode, FailureStub]
+    globals().update(made)
+
+
+def __getattr__(name: str) -> Any:
+    if name in RECORD_CLASSES or name in _RECORD_UNIONS:
+        _create_record_classes()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def is_episode(value: Any) -> bool:
+    """True when value is an Episode; none exists before the class does."""
+    cls = globals().get("Episode")
+    return cls is not None and isinstance(value, cls)
+
+
 # ---------------------------------------------------------------------------
 # Canonical JSON
 # ---------------------------------------------------------------------------
@@ -192,21 +218,26 @@ def canonical_float(x: float) -> float:
 
 
 def _quantized(x: Any) -> Any:
-    """canonical_float of a float; an int, as _canonize does, stays as it is."""
+    """canonical_float of a float; an int, as canonical_value does, stays as
+    it is.  A plain float, the common case, is quantized inline."""
+    if type(x) is float:
+        return float(format(x, _FLOAT_SPEC))
     return canonical_float(x) if isinstance(x, float) else x
 
 
-def _canonize(obj: Any) -> Any:
+def canonical_value(obj: Any) -> Any:
     """The canonical document of obj: floats quantized, tuples made lists,
     keys made strings.  Containers are plain dicts, lists and tuples,
     matched by exact type."""
+    t = type(obj)
+    if t is float:  # as canonical_float does, without the calls
+        return float(format(obj, _FLOAT_SPEC))
     if isinstance(obj, float):
         return canonical_float(obj)
-    t = type(obj)
     if t is dict:
-        return {str(k): _canonize(v) for k, v in obj.items()}
+        return {str(k): canonical_value(v) for k, v in obj.items()}
     if t is list or t is tuple:
-        return [_canonize(v) for v in obj]
+        return [canonical_value(v) for v in obj]
     if obj is None or isinstance(obj, (int, str)):  # bool included
         return obj
     raise TypeError(f"value not representable in an episode document: {type(obj).__name__}")
@@ -221,11 +252,11 @@ def dumps_document(doc: Mapping[str, Any]) -> str:
 
 def dumps_canonical(doc: Mapping[str, Any]) -> str:
     """Compact canonical form of any document: sorted keys, 6-significant-digit floats."""
-    return dumps_document(_canonize(doc))
+    return dumps_document(canonical_value(doc))
 
 
 def dumps_pretty(doc: Mapping[str, Any]) -> str:
-    return json.dumps(_canonize(doc), sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(canonical_value(doc), sort_keys=True, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +271,16 @@ def action_to_doc(action: Action | None) -> dict[str, Any] | None:
     if action is None:
         return None
     if isinstance(action, McpCall):
-        return {"protocol": "mcp", "name": action.name, "args": _canonize(action.args)}
-    return {"protocol": "a2a", "task": action.task, "to": action.to, "payload": _canonize(action.payload)}
+        return {"protocol": "mcp", "name": action.name, "args": canonical_value(action.args)}
+    return {"protocol": "a2a", "task": action.task, "to": action.to, "payload": canonical_value(action.payload)}
 
 
 def observation_to_doc(obs: Observation | None) -> dict[str, Any] | None:
     if obs is None:
         return None
     if isinstance(obs, McpResult):
-        return {"tool": obs.tool, "result": _canonize(obs.result)}
-    return {"task": obs.task, "from": obs.from_agent, "status": obs.status, "payload": _canonize(obs.payload)}
+        return {"tool": obs.tool, "result": canonical_value(obs.result)}
+    return {"task": obs.task, "from": obs.from_agent, "status": obs.status, "payload": canonical_value(obs.payload)}
 
 
 def network_to_doc(n: NetworkState) -> dict[str, Any]:
@@ -263,15 +294,27 @@ def network_to_doc(n: NetworkState) -> dict[str, Any]:
     }
 
 
-def turn_to_doc(t: Turn) -> dict[str, Any]:
-    doc: dict[str, Any] = {"role": t.role, "intent": t.intent, "network": network_to_doc(t.network)}
-    action = action_to_doc(t.action)
+def turn_doc(
+    role: str,
+    intent: str,
+    network: NetworkState,
+    action: Mapping[str, Any] | None = None,
+    observation: Mapping[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The canonical document of a turn made from its raw parts: the action
+    document a policy sent and the observation document a tool returned,
+    floats unquantized and tuples kept.  Each part is copied as it is
+    quantized, so the turn shares nothing with them."""
+    doc: dict[str, Any] = {"role": role, "intent": intent, "network": network_to_doc(network)}
     if action is not None:
-        doc["action"] = action
-    obs = observation_to_doc(t.observation)
-    if obs is not None:
-        doc["observation"] = obs
+        doc["action"] = canonical_value(action)
+    if observation is not None:
+        doc["observation"] = canonical_value(observation)
     return doc
+
+
+def turn_to_doc(t: Turn) -> dict[str, Any]:
+    return turn_doc(t.role, t.intent, t.network, action_to_doc(t.action), observation_to_doc(t.observation))
 
 
 def final_state_to_doc(f: FinalState) -> dict[str, Any]:
@@ -323,6 +366,7 @@ def stub_to_doc(s: FailureStub) -> dict[str, Any]:
 
 
 def doc_to_action(doc: Mapping[str, Any]) -> Action:
+    _create_record_classes()
     protocol = doc.get("protocol")
     if protocol == "mcp":
         return McpCall(name=str(doc["name"]), args=dict(doc.get("args", {})))
@@ -440,6 +484,7 @@ def doc_to_episode(doc: Mapping[str, Any]) -> Episode:
     left to validate_episode.
     """
     check_episode_doc(doc)
+    _create_record_classes()
     turns = []
     for t in doc["turns"]:
         action = doc_to_action(t["action"]) if "action" in t and t["action"] is not None else None
@@ -847,7 +892,7 @@ def validate_episode(doc: Mapping[str, Any] | Episode, *, strict: bool = True) -
     Accepts a parsed document or an Episode value.  Total: every problem
     becomes a listed violation, never an exception.
     """
-    if isinstance(doc, Episode):
+    if is_episode(doc):
         doc = episode_to_doc(doc)
     schema = [] if schema_accepts(doc, strict) else _schema_violations(doc, strict)
     violations = schema + _semantic_violations(doc)
@@ -890,9 +935,6 @@ def make_failure_stub(
 # ---------------------------------------------------------------------------
 # Corpus files (JSONL; stubs share the file, tagged kind=failure_stub)
 # ---------------------------------------------------------------------------
-
-Record = Union[Episode, FailureStub]
-
 
 def record_to_line(record: Record) -> str:
     return dumps_document(stub_to_doc(record) if isinstance(record, FailureStub) else episode_to_doc(record))

@@ -292,10 +292,22 @@ def sample_fields(slice_name: str, calib: SliceCalibration, rng: np.random.Gener
     }
 
 
+def clamp(x: float, low: float, high: float) -> float:
+    """min(max(x, low), high), NaN and signed zeros included: max keeps x
+    unless low > x, and min keeps that unless high < it.  The scalar draws
+    write it inline, which saves a call per field."""
+    x = low if low > x else x
+    return high if high < x else x
+
+
 def sample_network_state(slice_name: str, calib: SliceCalibration, rng: np.random.Generator) -> NetworkState:
     """Independent draw of a full network vector for the given slice."""
-    draws = calib.model(slice_name).draws
-    return NetworkState(slice_name, *[min(max(draw(rng), low), high) for draw, low, high in draws])
+    values = []
+    for draw, low, high in calib.model(slice_name).draws:
+        x = draw(rng)
+        x = low if low > x else x  # clamp(x, low, high)
+        values.append(high if high < x else x)
+    return NetworkState(slice_name, *values)
 
 
 def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.Generator) -> NetworkState:
@@ -312,8 +324,13 @@ def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.G
         return sample_network_state(new_slice, calib, rng)
     mixed = []
     for old, (draw, low, high) in zip(prev.scalars(), calib.model(prev.slice).draws):
-        fresh = min(max(draw(rng), low), high)
-        mixed.append(min(max(old + MIXING_WEIGHT * (fresh - old), low), high))
+        # Each clamp is clamp(x, low, high), written inline.
+        fresh = draw(rng)
+        fresh = low if low > fresh else fresh
+        fresh = high if high < fresh else fresh
+        x = old + MIXING_WEIGHT * (fresh - old)
+        x = low if low > x else x
+        mixed.append(high if high < x else x)
     return NetworkState(prev.slice, *mixed)
 
 

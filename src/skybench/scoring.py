@@ -11,20 +11,22 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .episode import (
-    Episode,
-    FinalState,
     ROLE_AGENT,
     ValidationReport,
     episode_to_doc,
     final_state_to_doc,
     format_float,
+    is_episode,
 )
 from .errors import DegenerateInput
 from .network import EMBB, classify_hard
 from .tools import match_action_observation
+
+if TYPE_CHECKING:
+    from .episode import Episode, FinalState
 
 PILLAR_KEYS = ("TO", "SP", "TC", "IQ", "NR", "CC")
 
@@ -135,7 +137,7 @@ class EpisodeTerms(NamedTuple):
 
 def _doc(e: Episode | Mapping[str, Any]) -> Mapping[str, Any]:
     """The document every pillar reads; an Episode is read through episode_to_doc."""
-    return episode_to_doc(e) if isinstance(e, Episode) else e
+    return episode_to_doc(e) if is_episode(e) else e
 
 
 def _structured_turns(turns: Sequence[Mapping[str, Any]]) -> list[Mapping[str, Any]]:
@@ -161,7 +163,7 @@ def score_task_outcome(e: Episode | Mapping[str, Any], report: ValidationReport)
 
 def score_safety_policy(flags: FinalState | Mapping[str, Any]) -> float:
     """Additive penalties over a final state or its document."""
-    if isinstance(flags, FinalState):
+    if not isinstance(flags, Mapping):
         flags = final_state_to_doc(flags)
     score = (
         1.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .environment import (
@@ -22,9 +22,8 @@ from .environment import (
     VehicleParams,
     check_geofence,
 )
-from .episode import A2aAck, A2aTask, McpCall, McpResult
 from .errors import ParseError
-from .network import NetworkState, SLICES, SliceCalibration, classify_hard, sample_network_state
+from .network import NetworkState, SLICES, SliceCalibration, clamp, classify_hard, sample_network_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -226,27 +225,34 @@ class ToolExecutor:
 
     def execute_mcp(
         self,
-        call: McpCall,
+        call: Mapping[str, Any],
         state: UavState,
         network: NetworkState,
         rng: np.random.Generator,
-    ) -> tuple[McpResult, UavState, NetworkState]:
-        spec = self.registry.get(call.name)
+    ) -> tuple[dict[str, Any], UavState, NetworkState]:
+        """The observation document of an mcp action document, with the
+        state and network it leaves.  The tool reads the arguments as sent."""
+        name, args = call["name"], call["args"]
+        spec = self.registry.get(name)
         if spec is None:
-            return McpResult(call.name, {"status": "failed", "error": "unknown_tool"}), state, network
-        error = validate_args(spec, call.args)
+            return {"tool": name, "result": {"status": "failed", "error": "unknown_tool"}}, state, network
+        error = validate_args(spec, args)
         if error is not None:
-            return McpResult(call.name, {"status": "failed", "error": f"bad_args: {error}"}), state, network
-        handler = getattr(self, f"_tool_{call.name}", None)
+            return {"tool": name, "result": {"status": "failed", "error": f"bad_args: {error}"}}, state, network
+        handler = getattr(self, f"_tool_{name}", None)
         if handler is None:
             # Registered extension tool without bespoke semantics: payload echo.
-            return McpResult(call.name, {"status": "ok", "args": dict(call.args)}), state, network
-        return handler(call, state, network, rng)
+            return {"tool": name, "result": {"status": "ok", "args": dict(args)}}, state, network
+        result, state, network = handler(args, state, network, rng)
+        return {"tool": name, "result": result}, state, network
+
+    # Each handler takes the validated arguments and gives the result, the
+    # state and the network.
 
     def _clamp_altitude(self, z: float) -> float:
-        return min(max(z, self.airspace.z_min_m), self.airspace.z_max_m)
+        return clamp(z, self.airspace.z_min_m, self.airspace.z_max_m)
 
-    def _tool_read_telemetry(self, call, state, network, rng):
+    def _tool_read_telemetry(self, args, state, network, rng):
         k = state.kinematics
         result = {
             "position": list(k.position),
@@ -260,29 +266,30 @@ class ToolExecutor:
                 "throughput_mbps": network.throughput_mbps,
             },
         }
-        return McpResult(call.name, result), state, network
+        return result, state, network
 
-    def _set_target(self, call, state, network, target):
+    def _set_target(self, state, network, target):
         clamped = (float(target[0]), float(target[1]), self._clamp_altitude(float(target[2])))
-        next_state = replace(state, command=NavCommand(target=clamped, landing=state.command.landing))
-        return McpResult(call.name, {"status": "accepted", "target": list(clamped)}), next_state, network
+        command = NavCommand(target=clamped, landing=state.command.landing)
+        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, command)
+        return {"status": "accepted", "target": list(clamped)}, next_state, network
 
-    def _tool_set_waypoint(self, call, state, network, rng):
-        return self._set_target(call, state, network, (call.args["x"], call.args["y"], call.args["z"]))
+    def _tool_set_waypoint(self, args, state, network, rng):
+        return self._set_target(state, network, (args["x"], args["y"], args["z"]))
 
     _tool_navigate_to = _tool_set_waypoint
 
-    def _tool_set_altitude(self, call, state, network, rng):
+    def _tool_set_altitude(self, args, state, network, rng):
         base = state.command.target or state.kinematics.position
-        return self._set_target(call, state, network, (base[0], base[1], call.args["z"]))
+        return self._set_target(state, network, (base[0], base[1], args["z"]))
 
-    def _tool_activate_sensor(self, call, state, network, rng):
-        sensor = call.args["sensor"]
-        next_state = replace(state, sensors=state.sensors | {sensor})
-        return McpResult(call.name, {"status": "active", "sensor": sensor}), next_state, network
+    def _tool_activate_sensor(self, args, state, network, rng):
+        sensor = args["sensor"]
+        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors | {sensor}, state.command)
+        return {"status": "active", "sensor": sensor}, next_state, network
 
-    def _tool_capture_image(self, call, state, network, rng):
-        sensor = call.args.get("sensor", "RGB")
+    def _tool_capture_image(self, args, state, network, rng):
+        sensor = args.get("sensor", "RGB")
         # Payload quality reflects link loss plus bounded sensor noise.
         quality = max(0.0, 0.95 - 0.4 * network.loss_pct / 100.0 - 0.05 * float(rng.random()))
         result = {
@@ -291,69 +298,70 @@ class ToolExecutor:
             "frame_id": int(rng.integers(0, 1_000_000)),
             "quality": quality,
         }
-        return McpResult(call.name, result), state, network
+        return result, state, network
 
-    def _tool_switch_network_slice(self, call, state, network, rng):
-        target = call.args["slice"]
+    def _tool_switch_network_slice(self, args, state, network, rng):
+        target = args["slice"]
         fresh = sample_network_state(target, self.calibration, rng)
-        return McpResult(call.name, {"status": "switched", "slice": target}), state, fresh
+        return {"status": "switched", "slice": target}, state, fresh
 
-    def _tool_check_geofence(self, call, state, network, rng):
+    def _tool_check_geofence(self, args, state, network, rng):
         clearance = check_geofence(state.kinematics.position, self.airspace)
         result = {
             "compliant": clearance >= 0.0,
             "min_clearance_m": clearance if clearance != math.inf else 1e9,
         }
-        return McpResult(call.name, result), state, network
+        return result, state, network
 
-    def _tool_execute_maneuver(self, call, state, network, rng):
-        return McpResult(call.name, {"status": "executing", "maneuver": call.args["maneuver"]}), state, network
+    def _tool_execute_maneuver(self, args, state, network, rng):
+        return {"status": "executing", "maneuver": args["maneuver"]}, state, network
 
-    def _tool_land(self, call, state, network, rng):
+    def _tool_land(self, args, state, network, rng):
         p = state.kinematics.position
-        target = (p[0], p[1], self.airspace.z_min_m)
-        next_state = replace(state, command=NavCommand(target=target, landing=True))
-        result = {"status": "landing", "target_altitude_m": self.airspace.z_min_m}
-        return McpResult(call.name, result), next_state, network
+        command = NavCommand(target=(p[0], p[1], self.airspace.z_min_m), landing=True)
+        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, command)
+        return {"status": "landing", "target_altitude_m": self.airspace.z_min_m}, next_state, network
 
-    def _tool_hover(self, call, state, network, rng):
-        next_state = replace(state, command=NavCommand(target=None, landing=False))
-        return McpResult(call.name, {"status": "holding"}), next_state, network
+    def _tool_hover(self, args, state, network, rng):
+        command = NavCommand(target=None, landing=False)
+        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, command)
+        return {"status": "holding"}, next_state, network
 
     # -- A2A ---------------------------------------------------------------
 
     def execute_a2a(
         self,
-        task: A2aTask,
+        task: Mapping[str, Any],
         network: NetworkState,
         rng: np.random.Generator,
         turn_index: int = 0,
-    ) -> A2aAck:
-        """Cooperative acknowledgement; never touches the local vehicle state.
+    ) -> dict[str, Any]:
+        """The acknowledgement document of an a2a action document; never
+        touches the local vehicle state.
 
         Under a hard network state the ack degrades with probability equal to
         the packet-loss fraction.
         """
-        if task.to not in self.swarm.peers:
-            return A2aAck(task.task, task.to, "failed", {"error": "unknown_peer"})
+        name, peer = task["task"], task["to"]
+        if peer not in self.swarm.peers:
+            return {"task": name, "from": peer, "status": "failed", "payload": {"error": "unknown_peer"}}
         status = "ok"
         if classify_hard(network) and float(rng.random()) < network.loss_pct / 100.0:
             status = "degraded"
-        payload = self._a2a_payload(task, turn_index)
-        return A2aAck(task.task, task.to, status, payload)
+        return {"task": name, "from": peer, "status": status, "payload": self._a2a_payload(task, turn_index)}
 
-    def _a2a_payload(self, task: A2aTask, turn_index: int) -> dict[str, Any]:
-        peer = task.to
+    def _a2a_payload(self, task: Mapping[str, Any], turn_index: int) -> dict[str, Any]:
+        name, peer = task["task"], task["to"]
         position = self.swarm.peer_position(peer, turn_index)
-        if task.task == "collision_avoidance":
+        if name == "collision_avoidance":
             return {
                 "peer_position": list(position),
                 "advisory": "maintain_heading",
                 "separation_ok": True,
             }
-        if task.task == "swarm_status_check":
+        if name == "swarm_status_check":
             return {"peer": peer, "position": list(position), "status": "nominal"}
-        if task.task == "request_weather_update":
+        if name == "request_weather_update":
             return dict(self.swarm.weather)
         # Cooperative peers answer unlisted coordination tasks with an echo.
-        return {"task": task.task, "echo": json.loads(json.dumps(dict(task.payload)))}
+        return {"task": name, "echo": json.loads(json.dumps(dict(task["payload"])))}

@@ -24,20 +24,20 @@ from skybench.agents import (
     stream_digest,
 )
 from skybench.episode import (
-    A2aAck,
     A2aTask,
     Episode,
     FailureStub,
     MAX_ATTEMPTS,
     McpCall,
-    McpResult,
+    action_to_doc,
     doc_to_episode,
     dumps_canonical,
     dumps_document,
-    episode_to_doc,
+    network_to_doc,
     record_to_line,
     validate_episode,
 )
+from skybench.errors import ParseError
 from skybench.network import NetworkState, URLLC
 from skybench.tools import ToolExecutor
 FILTER = AdaptiveActionFilter()
@@ -151,16 +151,16 @@ def test_safe_pilot_lands_below_battery_threshold(scenario_by_id, calibration):
 
 def break_documents(monkeypatch, failing=MAX_ATTEMPTS):
     """Make run_episode's next `failing` episode documents give turn 3 a
-    disallowed role, as a faulty policy's output would."""
+    disallowed role before they are validated, as a faulty policy's output
+    would."""
     built = itertools.count()
 
-    def broken(episode):
-        doc = episode_to_doc(episode)
+    def broken(doc, **kwargs):
         if next(built) < failing:
             doc["turns"][3]["role"] = "system"
-        return doc
+        return validate_episode(doc, **kwargs)
 
-    monkeypatch.setattr(agents, "episode_to_doc", broken)
+    monkeypatch.setattr(agents, "validate_episode", broken)
 
 
 def test_faulty_agent_exhausts_attempts_to_stub(scenario_by_id, calibration, monkeypatch):
@@ -229,10 +229,11 @@ class EchoPilot(AdaptivePilot):
 
     def _on_station_step(self, cite, history):
         peers = self.scenario.swarm.peer_ids()
-        synced = any(isinstance(t.observation, A2aAck) and t.observation.task == "formation_sync" for t in history)
+        synced = any(t.get("observation", {}).get("task") == "formation_sync" for t in history)
         if peers and not synced:
             payload = {"offset_m": (1.25, -0.5, 3.0), "gain": 0.123456789, "mode": ("hold", 2)}
-            return f"{cite}syncing formation with {peers[0]}", A2aTask("formation_sync", peers[0], payload)
+            action = {"protocol": "a2a", "task": "formation_sync", "to": peers[0], "payload": payload}
+            return f"{cite}syncing formation with {peers[0]}", action
         return None
 
 
@@ -258,10 +259,10 @@ def test_validated_document_is_the_stored_line(scenarios, calibration, monkeypat
 
     real_telemetry = ToolExecutor._tool_read_telemetry
 
-    def tuple_telemetry(self, call, state, network, rng):
-        obs, state, network = real_telemetry(self, call, state, network, rng)
-        result = dict(obs.result, position=tuple(state.kinematics.position), span=((0.1234567, 2), (-1e-7, 3.5)))
-        return McpResult(obs.tool, result), state, network
+    def tuple_telemetry(self, args, state, network, rng):
+        result, state, network = real_telemetry(self, args, state, network, rng)
+        result = dict(result, position=tuple(state.kinematics.position), span=((0.1234567, 2), (-1e-7, 3.5)))
+        return result, state, network
 
     monkeypatch.setattr(agents, "validate_episode", recording_validate)
     monkeypatch.setattr(ToolExecutor, "_tool_read_telemetry", tuple_telemetry)
@@ -314,9 +315,10 @@ def test_crashing_agent_becomes_internal_stub(scenario_by_id, calibration):
 def test_user_opener_matches_template(scenario_by_id):
     user = UserSimulator()
     turn = simulate_user_turn(user, 0, scenario_by_id["S01"], MissionStatus(), clean_net())
-    assert turn.role == "user"
-    assert turn.action is None and turn.observation is None
-    assert turn.intent.startswith("initiate mission and check telemetry")
+    assert turn["role"] == "user"
+    assert "action" not in turn and "observation" not in turn
+    assert turn["intent"].startswith("initiate mission and check telemetry")
+    assert turn["network"] == network_to_doc(clean_net())
     again = simulate_user_turn(user, 0, scenario_by_id["S01"], MissionStatus(), clean_net())
     assert turn == again
 
@@ -348,22 +350,34 @@ def test_filter_degraded_predicate_boundaries():
     assert FILTER.degraded(NetworkState("eMBB", 10.0, 1.0, 0.0, 50.0, 0.81))
 
 
+def mcp(name, **args):
+    return {"protocol": "mcp", "name": name, "args": args}
+
+
 def test_filter_permits_only_safe_subset_when_degraded():
-    net = degraded_net()
-    assert FILTER.permits(McpCall("switch_network_slice", {"slice": "URLLC"}), net)
-    assert FILTER.permits(McpCall("read_telemetry"), net)
-    assert FILTER.permits(McpCall("land"), net)
-    assert FILTER.permits(None, net)
-    assert not FILTER.permits(McpCall("capture_image", {"sensor": "RGB"}), net)
-    assert not FILTER.permits(A2aTask("swarm_status_check", "P1", {}), net)
+    # Typed actions and action documents get the same verdicts, on a
+    # NetworkState and on its document.
+    cases = [
+        (McpCall("switch_network_slice", {"slice": "URLLC"}), True),
+        (McpCall("read_telemetry"), True),
+        (McpCall("land"), True),
+        (None, True),
+        (McpCall("capture_image", {"sensor": "RGB"}), False),
+        (A2aTask("swarm_status_check", "P1", {}), False),
+    ]
+    for net in (degraded_net(), network_to_doc(degraded_net())):
+        for action, permitted in cases:
+            assert FILTER.permits(action, net) is permitted, action
+            assert FILTER.permits(action_to_doc(action), net) is permitted, action
     assert FILTER.permits(McpCall("capture_image", {"sensor": "RGB"}), clean_net())
+    assert FILTER.permits(mcp("capture_image", sensor="RGB"), clean_net())
 
 
 def test_strictness_ladder(registry):
-    unknown = McpCall("warp_drive", {})
-    capture = McpCall("capture_image", {"sensor": "RGB"})
-    telemetry = McpCall("read_telemetry")
-    a2a = A2aTask("swarm_status_check", "P1", {})
+    unknown = mcp("warp_drive")
+    capture = mcp("capture_image", sensor="RGB")
+    telemetry = mcp("read_telemetry")
+    a2a = {"protocol": "a2a", "task": "swarm_status_check", "to": "P1", "payload": {}}
     assert _apply_strictness(unknown, 0, registry) is unknown
     assert _apply_strictness(unknown, 1, registry) is None
     assert _apply_strictness(capture, 1, registry) is capture
@@ -495,3 +509,107 @@ def test_subprocess_policy_failure_becomes_internal_stub(scenario_by_id, calibra
                              calibration=calibration, episode_seed=42, index=0)
     assert isinstance(record, FailureStub)
     assert record.error_kind == "internal"
+
+
+# A reply is read as sent: a value of the wrong type fails the attempt
+# instead of being coerced into a valid-looking record.
+def _run_constant_policy(reply, scenario, calibration):
+    """run_episode of an external policy that answers every request with `reply`."""
+    import sys
+
+    from skybench.agents import SubprocessPolicy
+
+    script = f"import sys\nfor line in sys.stdin:\n    print({json.dumps(reply)!r}, flush=True)\n"
+    with SubprocessPolicy([sys.executable, "-c", script], name="constant") as agent:
+        return run_episode(agent, UserSimulator(), scenario, calibration=calibration, episode_seed=42, index=0)
+
+
+def test_external_reply_with_a_null_intent_fails_every_attempt(scenario_by_id, calibration):
+    # It was stored as the text "None" in a valid episode.
+    record = _run_constant_policy({"intent": None, "action": None}, scenario_by_id["S01"], calibration)
+    assert isinstance(record, FailureStub) and record.error_kind == "internal"
+
+
+@pytest.mark.parametrize("action", [0, False, "", [], {}], ids=["zero", "false", "empty_text", "empty_list", "empty_object"])
+def test_external_reply_with_a_falsy_non_null_action_fails_every_attempt(scenario_by_id, calibration, action):
+    # It was read as no action at all.
+    record = _run_constant_policy({"intent": "hold", "action": action}, scenario_by_id["S01"], calibration)
+    assert isinstance(record, FailureStub) and record.error_kind == "internal"
+
+
+def test_external_reply_with_args_as_pairs_fails_every_attempt(scenario_by_id, calibration):
+    # The pairs were stored as an object.
+    action = {"protocol": "mcp", "name": "set_waypoint", "args": [["x", 1.0], ["y", 2.0], ["z", 50.0]]}
+    record = _run_constant_policy({"intent": "go", "action": action}, scenario_by_id["S01"], calibration)
+    assert isinstance(record, FailureStub) and record.error_kind == "internal"
+
+
+# Logs every request line to the file named by its argument, and answers
+# with one of each kind of action, then with none.
+LOGGING_POLICY = r"""
+import json, sys
+log = open(sys.argv[1], "a")
+for line in sys.stdin:
+    log.write(line); log.flush()
+    request = json.loads(line)
+    n = sum(1 for t in request["history"] if t["role"] == "agent")
+    replies = [
+        {"protocol": "mcp", "name": "read_telemetry", "args": {}},
+        {"protocol": "mcp", "name": "set_waypoint", "args": {"x": 12.3456789, "y": -4.0, "z": 55.5}},
+        {"protocol": "a2a", "task": "formation_sync", "to": "P1", "payload": {"gain": 0.123456789, "mode": ["hold", 2]}},
+        {"protocol": "mcp", "name": "capture_image", "args": {"sensor": "RGB"}},
+        {"protocol": "mcp", "name": "check_geofence", "args": {}},
+    ]
+    action = replies[n] if n < len(replies) else None
+    print(json.dumps({"intent": f"step {n} at {request['state']['battery_pct']}", "action": action}), flush=True)
+"""
+
+# sha256 of the request lines an external policy is sent for one built-in
+# job, and of the episode's line.
+REQUEST_PIN = "f84c92e4e084e25262b8b17bf1e8d4c6ea10cbc23a4d257e2581a5db07690e98"
+EPISODE_PIN = "daaeb79379dd2b389e4b4b979bf250bf1fc092ab5b946297d3fb40fec90c17e2"
+
+
+def test_external_policy_requests_are_pinned(scenario_by_id, calibration, tmp_path):
+    import hashlib
+    import sys
+
+    from skybench.agents import SubprocessPolicy
+
+    log = tmp_path / "requests.jsonl"
+    with SubprocessPolicy([sys.executable, "-c", LOGGING_POLICY, str(log)], name="pinned") as agent:
+        doc = run_attempts(agent, UserSimulator(), scenario_by_id["S02"], calibration=calibration, episode_seed=42, index=3)
+    requests = log.read_bytes()
+    assert len(requests.splitlines()) == 6
+    assert hashlib.sha256(requests).hexdigest() == REQUEST_PIN
+    assert hashlib.sha256(dumps_document(doc).encode()).hexdigest() == EPISODE_PIN
+
+
+@pytest.mark.parametrize("reply", [
+    [], "hold", {"action": None}, {"intent": 5, "action": None},
+    {"intent": "x", "action": {"protocol": "http", "name": "land", "args": {}}},
+    {"intent": "x", "action": {"name": "land", "args": {}}},
+    {"intent": "x", "action": {"protocol": ["mcp"], "name": "land", "args": {}}},
+    {"intent": "x", "action": {"protocol": "mcp", "name": 7, "args": {}}},
+    {"intent": "x", "action": {"protocol": "mcp", "name": "land", "args": None}},
+    {"intent": "x", "action": {"protocol": "a2a", "task": "sync", "to": None, "payload": {}}},
+    {"intent": "x", "action": {"protocol": "a2a", "task": "sync", "to": "P1", "payload": [1]}},
+])
+def test_read_reply_refuses_what_it_would_have_to_coerce(reply):
+    with pytest.raises(ParseError):
+        agents._read_reply(reply)
+
+
+def test_read_reply_keeps_the_action_as_sent():
+    args = {"x": 1.5, "y": [1, 2]}
+    assert agents._read_reply({"intent": "go", "action": {"protocol": "mcp", "name": "set_waypoint", "args": args}}) == (
+        "go", {"protocol": "mcp", "name": "set_waypoint", "args": args},
+    )
+    # A left-out args or payload is {}, and a field of no protocol is dropped.
+    assert agents._read_reply({"intent": "hold"}) == ("hold", None)
+    assert agents._read_reply({"intent": "", "action": {"protocol": "mcp", "name": "land", "note": 1}}) == (
+        "", {"protocol": "mcp", "name": "land", "args": {}},
+    )
+    assert agents._read_reply({"intent": "sync", "action": {"protocol": "a2a", "task": "t", "to": "P1"}}) == (
+        "sync", {"protocol": "a2a", "task": "t", "to": "P1", "payload": {}},
+    )

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import statistics
 import sys
 from importlib import resources
 from pathlib import Path
@@ -1989,3 +1990,25 @@ def test_changed_config_invalidates_resume(tmp_path):
     # Same altered config again reproduces the altered corpus exactly.
     cmd_generate(tiny_config(out, seed=7))
     assert (out / "corpus.jsonl").read_bytes() == second
+
+
+def test_analytics_reads_latencies_near_float_max(tmp_path):
+    # A valid record may hold any latency above 0; near float max fmean's
+    # sum overflowed, and analytics exited 3 on a corpus validate accepts.
+    out = tmp_path / "run"
+    assert main(["generate", "--canonical", "--episodes-per-scenario", "1", "--out", str(out)]) == EXIT_OK
+    docs = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()[:2]]
+    huge = (1.7e308, 1.6e308, 9e307)
+    latencies = []
+    for doc in docs:
+        for i, turn in enumerate(doc["turns"]):
+            turn["network"]["latency_ms"] = huge[i % 3]
+            latencies.append(huge[i % 3])
+    (out / "corpus.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert main(["validate", str(out / "corpus.jsonl")]) == EXIT_OK
+    assert main(["analytics", "--out", str(out)]) == EXIT_OK
+    top = json.loads((out / "analytics.json").read_text())["latency_bins"][-1]
+    assert top["samples"] == len(latencies)
+    # The report keeps six significant digits of each value.
+    assert top["mean_ms"] == pytest.approx(statistics.mean(latencies), rel=1e-5)
+    assert top["std_ms"] == pytest.approx(statistics.pstdev(latencies), rel=1e-5)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from skybench.environment import (
+    BATTERY_DEPLETED_PCT,
     BATTERY_DRAW,
     Airspace,
     DisturbanceModel,
@@ -20,6 +21,7 @@ from skybench.environment import (
     check_altitude,
     check_geofence,
     check_separation,
+    _control_thrust,
     evolve_state,
     step_kinematics,
 )
@@ -297,3 +299,55 @@ def test_separation_breach_flag_from_peers():
         action_class="hover", peer_positions=((2.0, 0.0, 50.0),),
     )
     assert out.flags.separation_breach
+
+
+ACTION_CYCLE = tuple(BATTERY_DRAW)
+
+
+def _rebuilding_evolve_state(state, airspace, params, disturbance, rng, dt, *, action_class, peer_positions):
+    """evolve_state as it was written before it kept unchanged flags: every
+    step builds new SafetyFlags."""
+    thrust = _control_thrust(state.kinematics, state.command, params, dt)
+    kin = apply_disturbance(step_kinematics(state.kinematics, thrust, params, dt), disturbance, rng)
+    battery = max(0.0, state.battery_pct - BATTERY_DRAW[action_class] * dt)
+    f = state.flags
+    flags = SafetyFlags(
+        altitude_violation=f.altitude_violation or not check_altitude(kin.position, airspace),
+        nfz_violation=f.nfz_violation or not check_geofence(kin.position, airspace) >= 0.0,
+        separation_breach=f.separation_breach
+        or not check_separation(kin.position, peer_positions, airspace.separation_margin_m),
+        battery_depleted=f.battery_depleted or battery < BATTERY_DEPLETED_PCT,
+    )
+    return UavState(kin, battery, flags, state.sensors, state.command)
+
+
+def test_evolve_state_equals_the_rebuilding_form():
+    # Random starts near every flag's threshold, with random sticky flags,
+    # walked on for a dozen steps by both forms from equal streams.
+    airspace = Airspace(20.0, 60.0, geofences=(Geofence((15.0, 0.0), 8.0),), separation_margin_m=6.0)
+    model = DisturbanceModel(2.0, 1.0, 3.0)
+    pick = np.random.default_rng(12)
+    kept = rebuilt = 0
+    for case in range(200):
+        flags = SafetyFlags(*(bool(b) for b in pick.random(4) < 0.2))
+        target = tuple(pick.uniform((-10.0, -10.0, 10.0), (30.0, 10.0, 70.0)).tolist()) if case % 4 else None
+        state = UavState(
+            kinematics=KinematicState(tuple(pick.uniform((-5.0, -5.0, 15.0), (20.0, 5.0, 65.0)).tolist())),
+            battery_pct=float(pick.uniform(0.0, 12.0)),
+            flags=flags,
+            command=NavCommand(target=target, landing=bool(case % 3 == 0)),
+        )
+        peers = (tuple(pick.uniform((-5.0, -5.0, 15.0), (20.0, 5.0, 65.0)).tolist()),)
+        ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+        for step in range(12):
+            action_class = ACTION_CYCLE[(case + step) % len(ACTION_CYCLE)]
+            a = evolve_state(state, airspace, PARAMS, model, ours, 1.0, action_class=action_class, peer_positions=peers)
+            b = _rebuilding_evolve_state(state, airspace, PARAMS, model, theirs, 1.0, action_class=action_class, peer_positions=peers)
+            assert a == b, (case, step)
+            if a.flags is state.flags:
+                kept += 1
+            else:
+                assert a.flags != state.flags
+                rebuilt += 1
+            state = a
+    assert kept > 0 and rebuilt > 0

@@ -257,3 +257,54 @@ def test_validation_total_on_pathological_documents():
     for doc in pathological:
         report = validate_episode(doc)
         assert not report.valid
+
+
+def test_turn_doc_is_turn_to_doc_of_the_same_parts():
+    from skybench.episode import A2aAck, A2aTask, McpCall, McpResult, Turn, turn_doc, turn_to_doc
+    from skybench.network import NetworkState
+
+    network = NetworkState("eMBB", 12.3456789, 1.0, 0, 250.123456789, 0.5)
+    args = {"x": 1.23456789, "path": ((1, 2.5e-7), [3.0])}
+    result = {"position": (1.0, 2.0, 3.33333333), "ok": True, "note": None}
+    for action, observation in (
+        (McpCall("set_waypoint", args), McpResult("set_waypoint", result)),
+        (A2aTask("sync", "P1", args), A2aAck("sync", "P1", "degraded", result)),
+        (None, None),
+    ):
+        action_doc = observation_doc = None
+        if isinstance(action, McpCall):
+            action_doc = {"protocol": "mcp", "name": action.name, "args": args}
+            observation_doc = {"tool": observation.tool, "result": result}
+        elif action is not None:
+            action_doc = {"protocol": "a2a", "task": action.task, "to": action.to, "payload": args}
+            observation_doc = {"task": "sync", "from": "P1", "status": "degraded", "payload": result}
+        doc = turn_doc("agent", "intent", network, action_doc, observation_doc)
+        assert doc == turn_to_doc(Turn("agent", "intent", action, observation, network))
+        assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        if action_doc is not None:
+            assert doc["action"] is not action_doc and doc["observation"] is not observation_doc
+    assert args == {"x": 1.23456789, "path": ((1, 2.5e-7), [3.0])}  # the raw parts are left as they were
+
+
+def test_record_classes_are_created_on_first_use():
+    import pickle
+
+    import skybench
+    import skybench.episode as episode
+
+    assert episode.RECORD_CLASSES == (
+        "McpCall", "A2aTask", "McpResult", "A2aAck", "Turn", "FinalState", "EpisodeMetadata", "Episode",
+    )
+    for name in episode.RECORD_CLASSES:
+        cls = getattr(episode, name)
+        assert cls is getattr(skybench, name)
+        assert (cls.__name__, cls.__qualname__, cls.__module__) == (name, name, "skybench.episode")
+    call = episode.McpCall("land")
+    assert repr(call) == "McpCall(name='land', args={})"
+    assert pickle.loads(pickle.dumps(call)) == call
+    record = random_episode(np.random.default_rng(3))
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError):
+        episode.NoSuchRecord
+    with pytest.raises(AttributeError):
+        skybench.NoSuchRecord

@@ -1,7 +1,7 @@
 """Only generate loads numpy, and no stage loads jsonschema: the read side
 starts without either, and jsonschema is a test oracle only.  Likewise each
 standard-library module that only some commands use is loaded on their path
-alone, never at import.
+alone, never at import, and no stage creates the typed record classes.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported them all.
@@ -138,3 +138,39 @@ def test_rejecting_a_record_leaves_jsonschema_unloaded(fresh_python, clean_run, 
 def test_generate_loads_numpy_but_not_jsonschema(fresh_python, tmp_path):
     argv = ["generate", "--canonical", "--episodes-per-scenario", "1", "--agents", "safe_pilot", "--out", str(tmp_path / "run")]
     assert _probe(fresh_python, argv) == (EXIT_OK, True, False)
+
+
+# Prints main(argv)'s exit code and the typed record classes created by then.
+RECORD_PROBE = """
+import json
+import skybench.episode as episode
+from skybench.cli import main
+{setup}
+code = main({argv!r}) if {argv!r} else 0
+print(json.dumps([code, [name for name in episode.RECORD_CLASSES if name in vars(episode)]]))
+"""
+
+
+def test_import_and_setup_create_no_record_class(fresh_python):
+    setup = (
+        "from skybench.network import default_calibration\n"
+        "from skybench.scenarios import builtin_scenarios\n"
+        "default_calibration()\n"
+        "builtin_scenarios()"
+    )
+    code, out, err = fresh_python(RECORD_PROBE.format(setup=setup, argv=[]))
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1]) == [EXIT_OK, []]
+
+
+@pytest.mark.parametrize("command", ["generate", *READ_SIDE])
+def test_no_stage_creates_a_record_class(fresh_python, clean_run, tmp_path, command):
+    out = tmp_path / "run"
+    if command == "generate":
+        argv = ["generate", "--canonical", "--episodes-per-scenario", "1", "--out", str(out)]
+    else:
+        shutil.copytree(clean_run, out)
+        argv = _argv(command, out)
+    code, stdout, err = fresh_python(RECORD_PROBE.format(setup="", argv=argv))
+    assert code == 0, err
+    assert json.loads(stdout.splitlines()[-1]) == [EXIT_OK, []]

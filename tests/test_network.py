@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,13 @@ from skybench.errors import CalibrationError
 from skybench.network import (
     DEFAULT_TARGETS,
     EMBB,
+    MIXING_WEIGHT,
     MMTC,
     NetworkState,
     SLICES,
     URLLC,
     calibrate,
+    clamp,
     classify_hard,
     evolve_network,
     fit_lognormal_quantiles,
@@ -188,3 +191,59 @@ def test_slice_switch_redraws_from_new_slice(calibration):
     state = sample_network_state(URLLC, calib, rng)
     evolved = evolve_network(state, calib, rng)
     assert evolved.slice in (EMBB, MMTC)
+
+
+# -- the conditional clamps ----------------------------------------------------
+
+def _bits(x: float) -> bytes:
+    """x's IEEE bytes: tells -0.0 from 0.0 and matches NaN with NaN."""
+    return struct.pack("<d", x)
+
+
+def test_clamp_is_min_of_max_on_nan_signed_zeros_infinities_and_bounds():
+    rng = np.random.default_rng(31)
+    specials = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 1e-300, -1e-300, 5e-324]
+    bounds = [(0.0, 1.0), (-0.0, 0.0), (0.0, -0.0), (0.01, 1000.0), (-1.0, -1.0), (2.0, 1.0),
+              (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)]
+    for low, high in bounds:
+        values = specials + [low, high, *rng.normal(0.0, 100.0, 50).tolist(), *rng.uniform(-2.0, 1002.0, 50).tolist()]
+        for x in values:
+            assert _bits(clamp(x, low, high)) == _bits(min(max(x, low), high)), (x, low, high)
+
+
+def _reference_sample(slice_name, calib, rng):
+    """sample_network_state as min(max(...)) clamps write it."""
+    return NetworkState(slice_name, *[min(max(draw(rng), low), high) for draw, low, high in calib.model(slice_name).draws])
+
+
+def _reference_evolve(prev, calib, rng):
+    """evolve_network as min(max(...)) clamps write it."""
+    if rng.random() < calib.slice_switch_prob:
+        others = [s for s in SLICES if s != prev.slice]
+        return _reference_sample(others[int(rng.integers(0, len(others)))], calib, rng)
+    mixed = []
+    for old, (draw, low, high) in zip(prev.scalars(), calib.model(prev.slice).draws):
+        fresh = min(max(draw(rng), low), high)
+        mixed.append(min(max(old + MIXING_WEIGHT * (fresh - old), low), high))
+    return NetworkState(prev.slice, *mixed)
+
+
+def _state_bits(n: NetworkState) -> tuple:
+    return (n.slice, *map(_bits, n.scalars()))
+
+
+def test_network_draws_equal_the_min_of_max_form(calibration):
+    # Every field starts at each special value, and at random values within
+    # and past its range, and walks on for a few steps.
+    calib = replace(calibration, slice_switch_prob=0.2)
+    pick = np.random.default_rng(8)
+    specials = [math.nan, 0.0, -0.0, math.inf, -math.inf, -5.0, 1e6]
+    for case in range(300):
+        values = [float(v) if case % 3 else specials[pick.integers(len(specials))] for v in pick.uniform(-10.0, 2000.0, 5)]
+        prev = NetworkState(SLICES[case % 3], *values)
+        ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+        assert _state_bits(sample_network_state(prev.slice, calib, ours)) == _state_bits(_reference_sample(prev.slice, calib, theirs))
+        a = b = prev
+        for _ in range(4):
+            a, b = evolve_network(a, calib, ours), _reference_evolve(b, calib, theirs)
+            assert _state_bits(a) == _state_bits(b), (case, prev)

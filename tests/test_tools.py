@@ -21,6 +21,16 @@ AIRSPACE = Airspace(z_min_m=20.0, z_max_m=120.0)
 PARAMS = VehicleParams()
 
 
+def mcp(name, args=None):
+    """An mcp action document, as a policy sends it."""
+    return {"protocol": "mcp", "name": name, "args": {} if args is None else args}
+
+
+def a2a(task, to, payload=None):
+    """An a2a action document, as a policy sends it."""
+    return {"protocol": "a2a", "task": task, "to": to, "payload": {} if payload is None else payload}
+
+
 def make_executor(calibration, peers=None):
     swarm = SwarmContext(peers=peers or {"P2": ((5.0, 5.0, 50.0),)}, weather={"conditions": "clear", "wind_mps": 3.0})
     return ToolExecutor(default_registry(), calibration, AIRSPACE, PARAMS, swarm)
@@ -41,13 +51,13 @@ def base_state():
 def test_read_telemetry_is_pure_projection(calibration):
     executor = make_executor(calibration)
     state = base_state()
-    obs, new_state, net = executor.execute_mcp(McpCall("read_telemetry"), state, normal_net(), np.random.default_rng(0))
+    obs, new_state, net = executor.execute_mcp(mcp("read_telemetry"), state, normal_net(), np.random.default_rng(0))
     assert new_state == state
     assert net == normal_net()
-    assert obs.tool == "read_telemetry"
-    assert obs.result["battery_pct"] == 87.4
-    assert obs.result["position"] == [10.0, 20.0, 55.0]
-    assert obs.result["network"]["slice"] == EMBB
+    assert obs["tool"] == "read_telemetry"
+    assert obs["result"]["battery_pct"] == 87.4
+    assert obs["result"]["position"] == [10.0, 20.0, 55.0]
+    assert obs["result"]["network"]["slice"] == EMBB
 
 
 def test_switch_network_slice_resamples_target_slice(calibration):
@@ -55,24 +65,24 @@ def test_switch_network_slice_resamples_target_slice(calibration):
     state = base_state()
     before = normal_net(EMBB)
     obs, new_state, net = executor.execute_mcp(
-        McpCall("switch_network_slice", {"slice": URLLC}), state, before, np.random.default_rng(1)
+        mcp("switch_network_slice", {"slice": URLLC}), state, before, np.random.default_rng(1)
     )
     assert new_state == state  # vehicle untouched
     assert net.slice == URLLC
     assert net != before
-    assert obs.result["status"] == "switched"
+    assert obs["result"]["status"] == "switched"
 
 
 def test_set_altitude_clamps_to_envelope(calibration):
     executor = make_executor(calibration)
     state = base_state()
     obs, new_state, _ = executor.execute_mcp(
-        McpCall("set_altitude", {"z": AIRSPACE.z_max_m + 50.0}), state, normal_net(), np.random.default_rng(2)
+        mcp("set_altitude", {"z": AIRSPACE.z_max_m + 50.0}), state, normal_net(), np.random.default_rng(2)
     )
     assert new_state.command.target[2] == AIRSPACE.z_max_m
-    assert obs.result["target"][2] == AIRSPACE.z_max_m
+    assert obs["result"]["target"][2] == AIRSPACE.z_max_m
     obs, new_state, _ = executor.execute_mcp(
-        McpCall("set_altitude", {"z": 1.0}), state, normal_net(), np.random.default_rng(2)
+        mcp("set_altitude", {"z": 1.0}), state, normal_net(), np.random.default_rng(2)
     )
     assert new_state.command.target[2] == AIRSPACE.z_min_m
 
@@ -80,31 +90,31 @@ def test_set_altitude_clamps_to_envelope(calibration):
 def test_set_waypoint_stores_clamped_target(calibration):
     executor = make_executor(calibration)
     obs, state, _ = executor.execute_mcp(
-        McpCall("set_waypoint", {"x": 5.0, "y": -3.0, "z": 500.0}), base_state(), normal_net(), np.random.default_rng(3)
+        mcp("set_waypoint", {"x": 5.0, "y": -3.0, "z": 500.0}), base_state(), normal_net(), np.random.default_rng(3)
     )
     assert state.command.target == (5.0, -3.0, AIRSPACE.z_max_m)
-    assert obs.result["status"] == "accepted"
+    assert obs["result"]["status"] == "accepted"
 
 
 def test_activate_sensor_and_payload_tools_do_not_move_the_vehicle(calibration):
     executor = make_executor(calibration)
     state = base_state()
     obs, with_sensor, _ = executor.execute_mcp(
-        McpCall("activate_sensor", {"sensor": "Thermal"}), state, normal_net(), np.random.default_rng(4)
+        mcp("activate_sensor", {"sensor": "Thermal"}), state, normal_net(), np.random.default_rng(4)
     )
     assert "Thermal" in with_sensor.sensors
     assert with_sensor.kinematics == state.kinematics
     obs, after_capture, _ = executor.execute_mcp(
-        McpCall("capture_image", {"sensor": "Thermal"}), with_sensor, normal_net(), np.random.default_rng(5)
+        mcp("capture_image", {"sensor": "Thermal"}), with_sensor, normal_net(), np.random.default_rng(5)
     )
     assert after_capture.kinematics == state.kinematics
-    assert obs.result["status"] == "captured"
-    assert 0.0 <= obs.result["quality"] <= 1.0
+    assert obs["result"]["status"] == "captured"
+    assert 0.0 <= obs["result"]["quality"] <= 1.0
 
 
 def test_land_sets_floor_target_and_marker(calibration):
     executor = make_executor(calibration)
-    obs, state, _ = executor.execute_mcp(McpCall("land"), base_state(), normal_net(), np.random.default_rng(6))
+    obs, state, _ = executor.execute_mcp(mcp("land"), base_state(), normal_net(), np.random.default_rng(6))
     assert state.command.landing
     assert state.command.target == (10.0, 20.0, AIRSPACE.z_min_m)
 
@@ -112,9 +122,9 @@ def test_land_sets_floor_target_and_marker(calibration):
 def test_unknown_tool_degrades_not_raises(calibration):
     executor = make_executor(calibration)
     state = base_state()
-    obs, new_state, net = executor.execute_mcp(McpCall("warp_drive"), state, normal_net(), np.random.default_rng(7))
-    assert obs.tool == "warp_drive"
-    assert obs.result["status"] == "failed"
+    obs, new_state, net = executor.execute_mcp(mcp("warp_drive"), state, normal_net(), np.random.default_rng(7))
+    assert obs["tool"] == "warp_drive"
+    assert obs["result"]["status"] == "failed"
     assert new_state == state and net == normal_net()
 
 
@@ -122,13 +132,13 @@ def test_bad_args_degrade(calibration):
     executor = make_executor(calibration)
     state = base_state()
     for call in (
-        McpCall("set_waypoint", {"x": 1.0, "y": 2.0}),  # missing z
-        McpCall("set_waypoint", {"x": "far", "y": 2.0, "z": 3.0}),  # wrong type
-        McpCall("switch_network_slice", {"slice": "6G"}),  # bad enum
-        McpCall("read_telemetry", {"extra": 1}),  # unexpected arg
+        mcp("set_waypoint", {"x": 1.0, "y": 2.0}),  # missing z
+        mcp("set_waypoint", {"x": "far", "y": 2.0, "z": 3.0}),  # wrong type
+        mcp("switch_network_slice", {"slice": "6G"}),  # bad enum
+        mcp("read_telemetry", {"extra": 1}),  # unexpected arg
     ):
         obs, new_state, _ = executor.execute_mcp(call, state, normal_net(), np.random.default_rng(8))
-        assert obs.result["status"] == "failed", call
+        assert obs["result"]["status"] == "failed", call
         assert new_state == state
 
 
@@ -148,20 +158,20 @@ def test_validate_args_refuses_numbers_a_float_cannot_hold(x):
 
 def test_a2a_ok_and_payload_positions(calibration):
     executor = make_executor(calibration, peers={"P2": ((5.0, 5.0, 50.0), (6.0, 5.0, 50.0))})
-    ack = executor.execute_a2a(A2aTask("collision_avoidance", "P2", {}), normal_net(), np.random.default_rng(9), turn_index=1)
-    assert ack.status == "ok"
-    assert ack.from_agent == "P2"
-    assert ack.payload["peer_position"] == [6.0, 5.0, 50.0]
-    status = executor.execute_a2a(A2aTask("swarm_status_check", "P2", {}), normal_net(), np.random.default_rng(10))
-    assert status.payload["status"] == "nominal"
-    weather = executor.execute_a2a(A2aTask("request_weather_update", "P2", {}), normal_net(), np.random.default_rng(11))
-    assert weather.payload["conditions"] == "clear"
+    ack = executor.execute_a2a(a2a("collision_avoidance", "P2", {}), normal_net(), np.random.default_rng(9), turn_index=1)
+    assert ack["status"] == "ok"
+    assert ack["from"] == "P2"
+    assert ack["payload"]["peer_position"] == [6.0, 5.0, 50.0]
+    status = executor.execute_a2a(a2a("swarm_status_check", "P2", {}), normal_net(), np.random.default_rng(10))
+    assert status["payload"]["status"] == "nominal"
+    weather = executor.execute_a2a(a2a("request_weather_update", "P2", {}), normal_net(), np.random.default_rng(11))
+    assert weather["payload"]["conditions"] == "clear"
 
 
 def test_a2a_unknown_peer_fails(calibration):
     executor = make_executor(calibration)
-    ack = executor.execute_a2a(A2aTask("collision_avoidance", "P9", {}), normal_net(), np.random.default_rng(12))
-    assert ack.status == "failed"
+    ack = executor.execute_a2a(a2a("collision_avoidance", "P9", {}), normal_net(), np.random.default_rng(12))
+    assert ack["status"] == "failed"
 
 
 def test_a2a_degraded_fraction_matches_loss(calibration):
@@ -171,7 +181,7 @@ def test_a2a_degraded_fraction_matches_loss(calibration):
     assert classify_hard(net)
     n = 10_000
     degraded = sum(
-        executor.execute_a2a(A2aTask("swarm_status_check", "P2", {}), net, rng).status == "degraded"
+        executor.execute_a2a(a2a("swarm_status_check", "P2", {}), net, rng)["status"] == "degraded"
         for _ in range(n)
     )
     assert degraded / n == pytest.approx(0.50, abs=0.02)
@@ -182,7 +192,7 @@ def test_a2a_never_degrades_under_normal_network(calibration):
     rng = np.random.default_rng(14)
     net = normal_net()
     assert all(
-        executor.execute_a2a(A2aTask("swarm_status_check", "P2", {}), net, rng).status == "ok"
+        executor.execute_a2a(a2a("swarm_status_check", "P2", {}), net, rng)["status"] == "ok"
         for _ in range(500)
     )
 
@@ -205,7 +215,7 @@ def test_mcp_execution_deterministic(calibration):
 
     def capture(seed):
         return executor.execute_mcp(
-            McpCall("capture_image", {"sensor": "RGB"}), state, normal_net(), np.random.default_rng(seed)
+            mcp("capture_image", {"sensor": "RGB"}), state, normal_net(), np.random.default_rng(seed)
         )[0]
 
     assert capture(99) == capture(99)
@@ -221,15 +231,15 @@ def test_registry_extension_roundtrip(calibration):
     # A registered tool with no handler of its own echoes its arguments.
     executor = ToolExecutor(registry, calibration, AIRSPACE, PARAMS)
     state, net = base_state(), normal_net()
-    obs, after, net_after = executor.execute_mcp(McpCall("ping_relay", {"peer": "P2"}), state, net, np.random.default_rng(0))
-    assert obs == McpResult("ping_relay", {"status": "ok", "args": {"peer": "P2"}})
+    obs, after, net_after = executor.execute_mcp(mcp("ping_relay", {"peer": "P2"}), state, net, np.random.default_rng(0))
+    assert obs == {"tool": "ping_relay", "result": {"status": "ok", "args": {"peer": "P2"}}}
     assert (after, net_after) == (state, net)
 
 
 def test_every_registered_mcp_tool_yields_schema_valid_observation(calibration):
     from jsonschema import Draft202012Validator
 
-    from skybench.episode import load_schema, observation_to_doc
+    from skybench.episode import canonical_value, load_schema
 
     schema = load_schema()
     observation_schema = {"$ref": "#/$defs/observation", "$defs": schema["$defs"]}
@@ -251,13 +261,11 @@ def test_every_registered_mcp_tool_yields_schema_valid_observation(calibration):
     registry = default_registry()
     assert set(valid_args) == set(registry)
     for name, args in valid_args.items():
-        obs, _, _ = executor.execute_mcp(McpCall(name, args), base_state(), normal_net(), np.random.default_rng(1))
-        errors = list(validator.iter_errors(observation_to_doc(obs)))
+        obs, _, _ = executor.execute_mcp(mcp(name, args), base_state(), normal_net(), np.random.default_rng(1))
+        errors = list(validator.iter_errors(canonical_value(obs)))
         assert not errors, (name, errors)
-    ack = executor.execute_a2a(A2aTask("swarm_status_check", "P2", {}), normal_net(), np.random.default_rng(2))
-    from skybench.episode import observation_to_doc as to_doc
-
-    assert not list(validator.iter_errors(to_doc(ack)))
+    ack = executor.execute_a2a(a2a("swarm_status_check", "P2", {}), normal_net(), np.random.default_rng(2))
+    assert not list(validator.iter_errors(canonical_value(ack)))
 
 
 def test_registry_file_loading(tmp_path):
