@@ -85,6 +85,9 @@ GEN_PER_TURN_S = 0.25
 # Seconds an external policy has to answer one request; past it the attempt
 # fails and the child is stopped.
 POLICY_TURN_TIMEOUT_S = 60.0
+# Seconds a stopped external policy has to exit after SIGTERM; past it the
+# child is killed.
+POLICY_STOP_GRACE_S = 5.0
 
 
 class AdaptiveActionFilter:
@@ -427,7 +430,13 @@ class SubprocessPolicy:
             pass
         if proc.poll() is None:
             proc.terminate()
-        proc.wait(timeout=5)
+        import subprocess
+
+        try:
+            proc.wait(timeout=POLICY_STOP_GRACE_S)
+        except subprocess.TimeoutExpired:  # a child that ignores SIGTERM
+            proc.kill()
+            proc.wait()
         proc.stdout.close()  # type: ignore[union-attr]
 
     def __enter__(self) -> "SubprocessPolicy":

@@ -375,6 +375,18 @@ def cmd_generate(config: RunConfig) -> int:
     twice = sorted({i for i in ids if ids.count(i) > 1})
     if twice:
         raise ScenarioError(f"more than one scenario has the id {', '.join(map(repr, twice))}")
+    jobs: dict[str, tuple[Scenario, str, int]] = {}
+    for scenario in scenarios:
+        for agent_name in config.agents:
+            for index in range(config.episodes_per_scenario):
+                episode_id = episode_id_for(scenario.scenario_id, agent_name, index)
+                if episode_id in jobs:  # as "S01" with agent "a-b" and "S01-a" with agent "b"
+                    other, other_agent, _ = jobs[episode_id]
+                    raise ScenarioError(
+                        f"the jobs of scenario {other.scenario_id!r} with agent {other_agent!r} and of scenario "
+                        f"{scenario.scenario_id!r} with agent {agent_name!r} share the episode id {episode_id!r}"
+                    )
+                jobs[episode_id] = (scenario, agent_name, index)
     if targets is None:
         calibration = default_calibration()
     else:
@@ -414,12 +426,6 @@ def cmd_generate(config: RunConfig) -> int:
 
         timestamp = datetime.now(timezone.utc).isoformat()
 
-    jobs = {
-        episode_id_for(scenario.scenario_id, agent_name, index): (scenario, agent_name, index)
-        for scenario in scenarios
-        for agent_name in config.agents
-        for index in range(config.episodes_per_scenario)
-    }
     # Only the jobs that the resume lacks are handed to workers.
     todo = [job for episode_id, job in jobs.items() if episode_id not in existing]
     made = _forked_map(

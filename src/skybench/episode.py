@@ -14,10 +14,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Union
+from typing import Any, Callable, Mapping, Union
 
 from .errors import ParseError
-from .network import SLICES, NetworkState
+from .network import NetworkState
 
 ROLE_USER = "user"
 ROLE_AGENT = "agent"
@@ -217,14 +217,6 @@ def canonical_float(x: float) -> float:
     return float(format(float(x), _FLOAT_SPEC))
 
 
-def _quantized(x: Any) -> Any:
-    """canonical_float of a float; an int, as canonical_value does, stays as
-    it is.  A plain float, the common case, is quantized inline."""
-    if type(x) is float:
-        return float(format(x, _FLOAT_SPEC))
-    return canonical_float(x) if isinstance(x, float) else x
-
-
 def canonical_value(obj: Any) -> Any:
     """The canonical document of obj: floats quantized, tuples made lists,
     keys made strings.  Containers are plain dicts, lists and tuples,
@@ -286,11 +278,11 @@ def observation_to_doc(obs: Observation | None) -> dict[str, Any] | None:
 def network_to_doc(n: NetworkState) -> dict[str, Any]:
     return {
         "slice": n.slice,
-        "latency_ms": _quantized(n.latency_ms),
-        "jitter_ms": _quantized(n.jitter_ms),
-        "loss_pct": _quantized(n.loss_pct),
-        "throughput_mbps": _quantized(n.throughput_mbps),
-        "edge_load": _quantized(n.edge_load),
+        "latency_ms": canonical_value(n.latency_ms),
+        "jitter_ms": canonical_value(n.jitter_ms),
+        "loss_pct": canonical_value(n.loss_pct),
+        "throughput_mbps": canonical_value(n.throughput_mbps),
+        "edge_load": canonical_value(n.edge_load),
     }
 
 
@@ -319,10 +311,10 @@ def turn_to_doc(t: Turn) -> dict[str, Any]:
 
 def final_state_to_doc(f: FinalState) -> dict[str, Any]:
     return {
-        "position": [_quantized(c) for c in f.position],
-        "velocity": _quantized(f.velocity),
-        "yaw": _quantized(f.yaw),
-        "battery": _quantized(f.battery),
+        "position": [canonical_value(c) for c in f.position],
+        "velocity": canonical_value(f.velocity),
+        "yaw": canonical_value(f.yaw),
+        "battery": canonical_value(f.battery),
         "mission_completed": f.mission_completed,
         "altitude_violation": f.altitude_violation,
         "nfz_violation": f.nfz_violation,
@@ -340,7 +332,7 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
             "model": m.model,
             "seed": m.seed,
             "scenario_id": m.scenario_id,
-            "gen_time_s": _quantized(m.gen_time_s),
+            "gen_time_s": canonical_value(m.gen_time_s),
             "attempts_used": m.attempts_used,
             "prompt_tokens": m.prompt_tokens,
             "completion_tokens": m.completion_tokens,
@@ -365,27 +357,24 @@ def stub_to_doc(s: FailureStub) -> dict[str, Any]:
     }
 
 
+# doc_to_episode builds the action and the observation of a turn only after
+# check_episode_doc has passed the document: each is of one of its forms.
 def doc_to_action(doc: Mapping[str, Any]) -> Action:
     _create_record_classes()
-    protocol = doc.get("protocol")
-    if protocol == "mcp":
+    if doc.get("protocol") == "mcp":
         return McpCall(name=str(doc["name"]), args=dict(doc.get("args", {})))
-    if protocol == "a2a":
-        return A2aTask(task=str(doc["task"]), to=str(doc["to"]), payload=dict(doc.get("payload", {})))
-    raise ParseError(f"unknown action protocol: {protocol!r}")
+    return A2aTask(task=str(doc["task"]), to=str(doc["to"]), payload=dict(doc.get("payload", {})))
 
 
 def _doc_observation(doc: Mapping[str, Any]) -> Observation:
     if "tool" in doc:
         return McpResult(tool=str(doc["tool"]), result=dict(doc.get("result", {})))
-    if "task" in doc:
-        return A2aAck(
-            task=str(doc["task"]),
-            from_agent=str(doc.get("from", "")),
-            status=str(doc.get("status", "")),
-            payload=dict(doc.get("payload", {})),
-        )
-    raise ParseError("observation is neither a tool result nor an acknowledgement")
+    return A2aAck(
+        task=str(doc["task"]),
+        from_agent=str(doc.get("from", "")),
+        status=str(doc.get("status", "")),
+        payload=dict(doc.get("payload", {})),
+    )
 
 
 def _doc_network(doc: Mapping[str, Any]) -> NetworkState:
@@ -609,20 +598,21 @@ def load_schema() -> dict[str, Any]:
     return json.loads(path.read_text("utf-8"))
 
 
-# The schema check: one table per $defs object of data/episode_schema.json,
-# mapping each field to its check and the rule a failing value breaks.  The
-# same tables decide (schema_accepts, on every record) and explain
-# (explain, only on a rejected one), so no rule is judged in one place and
-# worded in another.  A check is a Python expression of the field value v:
-# schema_accepts runs it inline, in straight-line code generated from the
-# tables at import, and explain calls it as a function.  The checks read
-# draft 2020-12 as a reference validator does: bool is neither number nor
-# integer, an integral float is an integer, and NaN passes every bound.
-# Lenient mode opens every additionalProperties.  A number check tests for
-# a float (an integer check for an int), which nearly every such field
-# holds, before it calls _number (_integer).  A schema change must update
-# the tables; tests/test_fast_validation.py holds them to a reference
-# validator's verdicts and error paths.
+# The schema check, compiled at import from data/episode_schema.json, the
+# one definition of a valid record.  Each leaf field becomes a check, a
+# Python expression of the field value v, and the rule a failing value
+# breaks; a title gives the wording no keyword states.  The same checks
+# decide (schema_accepts, on every record) and explain (explain, only on a
+# rejected one), so no rule is judged in one place and worded in another.
+# schema_accepts runs them inline, in straight-line code generated at
+# import, and explain, made for each part as its code is, calls each as a
+# function.  The checks read draft 2020-12 as a reference validator does:
+# bool is neither number nor integer, an integral float is an integer, and
+# NaN passes every bound.  Lenient mode opens every additionalProperties.  A
+# number check tests for a float (an integer check for an int), which nearly
+# every such field holds, before it calls _number (_integer).  Any keyword or
+# form that the translator does not read fails the import, and
+# tests/test_fast_validation.py holds the check to a reference validator.
 
 
 def _number(x: Any) -> bool:
@@ -640,11 +630,8 @@ def integer_value(x: Any) -> int | None:
     return int(x) if _integer(x) else None
 
 
-# A field's check, as an expression of its value v, and the rule a failing
-# value breaks.
-_Rule = tuple[str, str]
-# The names a check may read besides builtins.
-_CHECK_NAMES = {"_number": _number, "_integer": _integer}
+# The names a check may read: the builtins, which eval adds anyway, and two tests.
+_CHECK_NAMES = {"__builtins__": __builtins__, "_number": _number, "_integer": _integer}
 
 
 @functools.cache
@@ -653,172 +640,157 @@ def _check(expr: str) -> Callable[[Any], bool]:
     return eval(f"lambda v: {expr}", _CHECK_NAMES)
 
 
-_NUMERIC = "(type(v) is float or _number(v))"
-_INTEGRAL = "(type(v) is int or _integer(v))"
+# Each type a leaf may have: the test of a value {}, the type whose values
+# pass it at once (a field's check tries it first), and its name in a rule.
+_TYPES = {
+    "string": ("isinstance({}, str)", None, "a string"),
+    "object": ("isinstance({}, dict)", None, "an object"),
+    "boolean": ("isinstance({}, bool)", None, "true or false"),
+    "number": ("_number({})", "float", "a number"),
+    "integer": ("_integer({})", "int", "an integer"),
+}
+# The bounds a number or integer may have: the test a value that breaks
+# them passes, and their wording.
+_BOUNDS = {
+    ("minimum",): ("v < {0}", "at least {0}"),
+    ("exclusiveMinimum",): ("v <= {0}", "above {0}"),
+    ("minimum", "maximum"): ("(v < {0} or v > {1})", "from {0} to {1}"),
+}
 
 
-def _at_least(low: int) -> _Rule:
-    return (f"{_NUMERIC} and not v < {low}", f"must be a number at least {low}")
+def _form(node: dict[str, Any], keywords: set[str], ok: bool = True) -> None:
+    """Refuse a node with a keyword outside keywords or of a form that is not
+    ok.  The annotations are allowed anywhere; $defs is read through $ref."""
+    unknown = sorted(node.keys() - keywords - {"title", "$schema", "$defs"})
+    if unknown or not ok:
+        what = f"keyword {unknown[0]!r}" if unknown else "form"
+        raise ValueError(f"episode schema: unsupported {what} in {node}")
 
 
-def _between(low: int, high: int) -> _Rule:
-    return (f"{_NUMERIC} and not (v < {low} or v > {high})", f"must be a number from {low} to {high}")
+def _leaf(node: dict[str, Any]) -> tuple[str, str]:
+    """A leaf field's check, as an expression of its value v, and the rule a
+    failing value breaks."""
+    values = node["enum"] if "enum" in node else [node["const"]] if "const" in node else None
+    if values is not None:
+        strings = isinstance(values, list) and all(type(x) is str for x in values)
+        _form(node, {"enum" if "enum" in node else "const"}, strings)
+        return (f"isinstance(v, str) and v in {{{', '.join(map(repr, values))}}}", f"must be {' or '.join(values)}")
+    if node.get("type") == "array":  # a titled list of one length and item type
+        n, item = node.get("minItems"), node.get("items", {})
+        _form(node, {"type", "items", "minItems", "maxItems"}, node.get("maxItems") == n and "title" in node)
+        _form(item, {"type"}, str(item.get("type")) in _TYPES and type(n) is int)
+        tests = [_TYPES[item["type"]][0].format(f"v[{i}]") for i in range(n)]
+        return (" and ".join([f"isinstance(v, list) and len(v) == {n}", *tests]), f"must be {node['title']}")
+    bounds = tuple(key for key in ("minimum", "exclusiveMinimum", "maximum") if key in node)
+    _form(node, {"type", "minLength", *bounds}, str(node.get("type")) in _TYPES)
+    test, exact, name = _TYPES[node["type"]]
+    expr = f"(type(v) is {exact} or {test.format('v')})" if exact else test.format("v")
+    if "minLength" in node:
+        _form(node, {"type", "minLength"}, node["type"] == "string" and node["minLength"] == 1)
+        return (f'{expr} and v != ""', "must be a non-empty string")
+    if not bounds:
+        return (expr, f"must be {name}")
+    _form(node, {"type", *bounds}, exact is not None and bounds in _BOUNDS and all(_number(node[b]) for b in bounds))
+    fail, words = _BOUNDS[bounds]
+    limits = [node[key] for key in bounds]
+    return (f"{expr} and not {fail.format(*limits)}", f"must be {name} {words.format(*limits)}")
 
 
-def _one_of(*values: str) -> _Rule:
-    return (f"isinstance(v, str) and v in {{{', '.join(map(repr, values))}}}", f"must be {' or '.join(values)}")
+def _compile(schema: dict[str, Any]) -> tuple[Callable[[Any, bool], bool], Callable[..., None]]:
+    """fits(doc, strict), True when schema accepts doc (every additionalProperties
+    opened when not strict), and explain(doc, path, strict, out), which adds to
+    out the (path, rule) of each rule doc breaks."""
+    defs = schema.get("$defs", {})
+
+    def resolve(node: dict[str, Any]) -> dict[str, Any]:
+        if "$ref" in node:
+            _form(node, {"$ref"}, str(node["$ref"]).startswith("#/$defs/") and node["$ref"][8:] in defs)
+            return defs[node["$ref"][8:]]
+        return node
+
+    def code(node: dict[str, Any], var: str, pad: str, out: list[str], env: dict[str, Any]) -> Callable[..., None]:
+        """Append to out the statements that return False unless the value
+        named var fits node, a part of the schema; env gets the names they
+        read.  Objects and lists are checked inline, each leaf field by its
+        check; a oneOf calls its two compiled forms.  Returns node's explain."""
+        n = len(env)  # grows with every name added, so each name is new
+        if "oneOf" in node:
+            forms = [resolve(form) for form in node["oneOf"]]
+            _form(node, {"oneOf"}, len(forms) == 2 and all("properties" in f and "title" in f for f in forms))
+            (first, _), (second, _) = fits_of(forms[0]), fits_of(forms[1])
+            env[f"_first{n}"], env[f"_second{n}"] = first, second
+            out.append(f"{pad}if _first{n}({var}, strict) == _second{n}({var}, strict): return False")
+            words = " or ".join(f"{f['title']} {{{', '.join(f['properties'])}}}" for f in forms)
+
+            def explain(value: Any, path: tuple, strict: bool, found: list) -> None:
+                # Lenient mode opens both forms, so a value carrying the
+                # fields of both can fit both, which oneOf rejects.
+                if first(value, strict) == second(value, strict):
+                    found.append((path, f"must match exactly one form: {words}"))
+        elif node.get("type") == "array":
+            _form(node, {"type", "items"})
+            item = f"item{len(out)}"
+            out += [f"{pad}if not isinstance({var}, list): return False", f"{pad}for {item} in {var}:"]
+            explain_item = code(resolve(node["items"]), item, pad + "    ", out, env)
+
+            def explain(value: Any, path: tuple, strict: bool, found: list) -> None:
+                if not isinstance(value, list):
+                    found.append((path, "must be a list"))
+                    return
+                for i, entry in enumerate(value):
+                    explain_item(entry, path + (i,), strict, found)
+        else:
+            fields, required = node.get("properties", {}), frozenset(node.get("required", ()))
+            closed = node.get("type") == "object" and node.get("additionalProperties") is False
+            _form(node, {"type", "properties", "required", "additionalProperties"}, closed)
+            env[f"_required{n}"], env[f"_fields{n}"] = required, frozenset(fields)
+            out += [
+                f"{pad}if not isinstance({var}, dict): return False",
+                f"{pad}keys = {var}.keys()",
+                f"{pad}if not keys >= _required{n} or (strict and not keys <= _fields{n}): return False",
+            ]
+            leaves, parts = [], []  # (name, check, rule) and (name, explain)
+            for name, sub in fields.items():
+                sub, part = resolve(sub), f"part{len(out)}"
+                at = pad if name in required else pad + "    "  # a field that may be left out, when present
+                if name not in required:
+                    out.append(f"{pad}if {name!r} in {var}:")
+                if "properties" in sub or "oneOf" in sub or sub.get("type") == "array" and "minItems" not in sub:
+                    out.append(f"{at}{part} = {var}[{name!r}]")
+                    parts.append((name, code(sub, part, at, out, env)))
+                else:
+                    expr, rule = _leaf(sub)
+                    leaves.append((name, _check(expr), rule))
+                    out += [f"{at}v = {var}[{name!r}]", f"{at}if not ({expr}): return False"]
+
+            def explain(value: Any, path: tuple, strict: bool, found: list) -> None:
+                if not isinstance(value, dict):
+                    found.append((path, "must be an object"))
+                    return
+                found.extend((path + (name,), "is required") for name in required - value.keys())
+                if strict:
+                    found.extend((path + (name,), "is not a field of the schema") for name in value.keys() - fields)
+                for name, check, rule in leaves:
+                    if name in value and not check(value[name]):
+                        found.append((path + (name,), rule))
+                for name, explain_part in parts:
+                    if name in value:
+                        explain_part(value[name], path + (name,), strict, found)
+        return explain
+
+    def fits_of(node: dict[str, Any]) -> tuple[Callable[[Any, bool], bool], Callable[..., None]]:
+        """fits(value, strict) of node, True when the value fits it, and its explain."""
+        env: dict[str, Any] = dict(_CHECK_NAMES)
+        out = ["def fits(obj, strict):"]
+        explain = code(node, "obj", "    ", out, env)
+        out.append("    return True")
+        exec("\n".join(out), env)
+        return env["fits"], explain
+
+    return fits_of(schema)
 
 
-_TEXT: _Rule = ('isinstance(v, str) and v != ""', "must be a non-empty string")
-_STRING: _Rule = ("isinstance(v, str)", "must be a string")
-_OBJECT: _Rule = ("isinstance(v, dict)", "must be an object")
-_FLAG: _Rule = ("isinstance(v, bool)", "must be true or false")
-_NUMBER: _Rule = (_NUMERIC, "must be a number")
-_INTEGER: _Rule = (_INTEGRAL, "must be an integer")
-_COUNT: _Rule = (f"{_INTEGRAL} and not v < 0", "must be an integer at least 0")
-
-
-class _Object:
-    """An object: a rule for each plain field, a nested part for each other
-    field, and the fields that may be left out.  Strict mode admits no
-    other field."""
-
-    def __init__(self, rules: dict[str, _Rule], parts: dict[str, Any] | None = None, optional=frozenset()) -> None:
-        self.rules = rules
-        self.parts = tuple((parts or {}).items())
-        self.fields = frozenset(rules) | frozenset(parts or ())
-        self.required = self.fields - optional
-        self.checks = [(name, _check(expr), rule) for name, (expr, rule) in rules.items()]
-
-    def explain(self, obj: Any, path: tuple, strict: bool, out: list) -> None:
-        if not isinstance(obj, dict):
-            out.append((path, "must be an object"))
-            return
-        out.extend((path + (name,), "is required") for name in self.required - obj.keys())
-        if strict:
-            out.extend((path + (name,), "is not a field of the schema") for name in obj.keys() - self.fields)
-        for name, check, rule in self.checks:
-            if name in obj and not check(obj[name]):
-                out.append((path + (name,), rule))
-        for name, part in self.parts:
-            if name in obj:
-                part.explain(obj[name], path + (name,), strict, out)
-
-
-class _Items(NamedTuple):
-    """A list whose every item is one part."""
-
-    item: _Object
-
-    def explain(self, value: Any, path: tuple, strict: bool, out: list) -> None:
-        if not isinstance(value, list):
-            out.append((path, "must be a list"))
-            return
-        for i, entry in enumerate(value):
-            self.item.explain(entry, path + (i,), strict, out)
-
-
-class _OneOf:
-    """A value that must fit exactly one of two forms (a oneOf); each form's
-    fits(value, strict) is compiled from its table."""
-
-    def __init__(self, rule: str, first: _Object, second: _Object) -> None:
-        self.rule = rule
-        self.fits = (_compile_fits(first), _compile_fits(second))
-
-    def explain(self, value: Any, path: tuple, strict: bool, out: list) -> None:
-        # Lenient mode opens both forms, so a value carrying the fields of
-        # both can fit both, which oneOf rejects.
-        first, second = self.fits
-        if first(value, strict) == second(value, strict):
-            out.append((path, self.rule))
-
-
-def _fits_code(node: Any, var: str, pad: str, out: list[str], env: dict[str, Any]) -> None:
-    """Append to out the statements that return False unless the value
-    named var fits node, a part of a table; env gets the names they read.
-    Objects and lists are checked inline, each field by its rule's
-    expression; a oneOf calls its two compiled forms."""
-    n = len(env)  # grows with every name added, so each name is new
-    if isinstance(node, _OneOf):
-        env[f"_first{n}"], env[f"_second{n}"] = node.fits
-        out.append(f"{pad}if _first{n}({var}, strict) == _second{n}({var}, strict): return False")
-    elif isinstance(node, _Items):
-        item = f"item{len(out)}"
-        out += [f"{pad}if not isinstance({var}, list): return False", f"{pad}for {item} in {var}:"]
-        _fits_code(node.item, item, pad + "    ", out, env)
-    else:
-        env[f"_required{n}"], env[f"_fields{n}"] = node.required, node.fields
-        out += [
-            f"{pad}if not isinstance({var}, dict): return False",
-            f"{pad}keys = {var}.keys()",
-            f"{pad}if not keys >= _required{n} or (strict and not keys <= _fields{n}): return False",
-        ]
-        for name, (expr, _) in node.rules.items():
-            out += [f"{pad}v = {var}[{name!r}]", f"{pad}if not ({expr}): return False"]
-        for name, part in node.parts:
-            sub = f"part{len(out)}"
-            if name in node.required:
-                out.append(f"{pad}{sub} = {var}[{name!r}]")
-                _fits_code(part, sub, pad, out, env)
-            else:
-                out += [f"{pad}if {name!r} in {var}:", f"{pad}    {sub} = {var}[{name!r}]"]
-                _fits_code(part, sub, pad + "    ", out, env)
-
-
-def _compile_fits(node: _Object) -> Callable[[Any, bool], bool]:
-    """fits(value, strict) of node: True when the value fits its table."""
-    env: dict[str, Any] = dict(_CHECK_NAMES)
-    out = ["def fits(obj, strict):"]
-    _fits_code(node, "obj", "    ", out, env)
-    out.append("    return True")
-    exec("\n".join(out), env)
-    return env["fits"]
-
-
-_NETWORK = _Object({
-    "slice": _one_of(*SLICES),
-    "latency_ms": (f"{_NUMERIC} and not v <= 0", "must be a number above 0"),
-    "jitter_ms": _at_least(0),
-    "loss_pct": _between(0, 100),
-    "throughput_mbps": _at_least(0),
-    "edge_load": _between(0, 1),
-})
-_ACTION = _OneOf(
-    "must match exactly one form: an mcp call {protocol, name, args} or an a2a task {protocol, task, to, payload}",
-    _Object({"protocol": _one_of("mcp"), "name": _TEXT, "args": _OBJECT}),
-    _Object({"protocol": _one_of("a2a"), "task": _TEXT, "to": _TEXT, "payload": _OBJECT}),
-)
-_OBSERVATION = _OneOf(
-    "must match exactly one form: a tool result {tool, result} or an acknowledgement {task, from, status, payload}",
-    _Object({"tool": _TEXT, "result": _OBJECT}),
-    _Object({"task": _TEXT, "from": _TEXT, "status": _one_of("ok", "degraded", "failed"), "payload": _OBJECT}),
-)
-_TURN = _Object(
-    {"role": _STRING, "intent": _STRING},
-    {"network": _NETWORK, "action": _ACTION, "observation": _OBSERVATION},
-    optional=frozenset({"action", "observation"}),
-)
-_METADATA = _Object({
-    "model": _TEXT, "seed": _INTEGER, "scenario_id": _TEXT, "gen_time_s": _at_least(0),
-    "attempts_used": _INTEGER, "prompt_tokens": _COUNT, "completion_tokens": _COUNT,
-    "total_tokens": _COUNT, "timestamp": _TEXT,
-})
-_FINAL_STATE = _Object({
-    "position": (
-        "isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1]) and _number(v[2])",
-        "must be a list of three numbers",
-    ),
-    "velocity": _at_least(0),
-    "yaw": _NUMBER,
-    "battery": _NUMBER,
-    **dict.fromkeys(_FLAGS, _FLAG),
-})
-_EPISODE = _Object(
-    {"episode_id": _TEXT},
-    {"metadata": _METADATA, "turns": _Items(_TURN), "final_state": _FINAL_STATE},
-)
-_EPISODE_FITS = _compile_fits(_EPISODE)
+_EPISODE_FITS, _EPISODE_EXPLAIN = _compile(load_schema())
 
 
 def schema_accepts(doc: Any, strict: bool = True) -> bool:
@@ -830,7 +802,7 @@ def _schema_violations(doc: Mapping[str, Any], strict: bool) -> list[Violation]:
     """One violation per broken rule, sorted by path; a violation under
     turns/<i> belongs to turn i."""
     found: list[tuple[tuple, str]] = []
-    _EPISODE.explain(doc, (), strict, found)
+    _EPISODE_EXPLAIN(doc, (), strict, found)
     found.sort(key=lambda item: [str(p) for p in item[0]])
     return [
         Violation(CODE_SCHEMA, path[1] if len(path) > 1 and path[0] == "turns" else -1,

@@ -511,6 +511,38 @@ def test_subprocess_policy_failure_becomes_internal_stub(scenario_by_id, calibra
     assert record.error_kind == "internal"
 
 
+def test_closing_a_policy_that_ignores_sigterm_kills_and_reaps_it(monkeypatch):
+    import os
+    import signal
+    import sys
+    import time
+
+    monkeypatch.setattr(agents, "POLICY_STOP_GRACE_S", 0.2, raising=False)
+    # It stays alive after its input closes, and SIGTERM does not stop it.
+    policy = (
+        "import signal, sys, time\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "print('ready', flush=True)\n"
+        "sys.stdin.read()\n"
+        "time.sleep(30)\n"
+    )
+    agent = agents.SubprocessPolicy([sys.executable, "-c", policy], name="stubborn")
+    proc = agent._process()
+    try:
+        assert agent._read_line(proc) == b"ready"
+        started = time.monotonic()
+        agent.close()
+        assert time.monotonic() - started < 5
+        assert proc.returncode == -signal.SIGKILL
+        assert proc.stdin.closed and proc.stdout.closed
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(proc.pid, os.WNOHANG)
+    finally:
+        if proc.returncode is None:
+            proc.kill()
+            proc.wait()
+
+
 # A reply is read as sent: a value of the wrong type fails the attempt
 # instead of being coerced into a valid-looking record.
 def _run_constant_policy(reply, scenario, calibration):

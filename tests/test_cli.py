@@ -960,6 +960,32 @@ def test_scenarios_that_share_an_id_exit_two_before_any_work(tmp_path, capsys):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+def test_jobs_that_share_an_episode_id_exit_two_before_any_work(tmp_path, capsys):
+    # Scenario S01 with agent a-b and scenario S01-a with agent b both give
+    # the episode id S01-a-b-0000, so one job would silently take the other's place.
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    s01 = _builtin_scenario_doc()
+    (scenarios / "a.json").write_text(json.dumps(s01))
+    (scenarios / "b.json").write_text(json.dumps({**s01, "scenario_id": "S01-a"}))
+    argv = [sys.executable, "-c", _ECHO_POLICY, "alpha"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "scenarios": str(scenarios),
+        "agents": ["a-b", "b"],
+        "external_agents": {"a-b": argv, "b": argv},
+        "episodes_per_scenario": 1,
+        "canonical": True,
+    }))
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: the jobs of scenario 'S01' with agent 'a-b' and of scenario 'S01-a' with agent 'b' "
+        "share the episode id 'S01-a-b-0000'\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("number", ["1" + "0" * 400, "9" * 5000, "1e999"], ids=["401 digits", "5000 digits", "1e999"])
 def test_input_file_with_a_number_no_record_can_hold_exits_two(tmp_path, capsys, number):
     scenario = _builtin_scenario_doc()
@@ -1254,6 +1280,54 @@ def test_stalled_external_policy_ends_in_an_internal_stub(tmp_path, fresh_python
     assert code == EXIT_OK, err
     (doc,) = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
     assert doc["kind"] == "failure_stub" and doc["error_kind"] == "internal"
+
+
+# An external policy that answers every request, ignores SIGTERM and keeps
+# running after its input closes; it logs its pid to the file it is given.
+_STUBBORN_POLICY = (
+    "import json, os, signal, sys, time\n"
+    "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+    "with open(sys.argv[1], 'a') as log:\n"
+    "    log.write(f'{os.getpid()}\\n')\n"
+    "for line in sys.stdin:\n"
+    "    print(json.dumps({'intent': 'monitoring pass', 'action': None}), flush=True)\n"
+    "time.sleep(30)\n"
+)
+
+
+def test_an_external_policy_that_ignores_sigterm_is_killed_when_its_job_ends(tmp_path, fresh_python):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_builtin_scenario_doc()))
+    pids = tmp_path / "pids.txt"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "agents": ["stubborn"],
+        "external_agents": {"stubborn": [sys.executable, "-c", _STUBBORN_POLICY, str(pids)]},
+        "scenarios": str(scenario),
+        "episodes_per_scenario": 1,
+        "canonical": True,
+    }))
+    out = tmp_path / "run"
+    # The script fails when a policy it started through generate still runs.
+    code, _, err = fresh_python(
+        "import os, sys\n"
+        "from skybench import agents\n"
+        "from skybench.cli import main\n"
+        "agents.POLICY_STOP_GRACE_S = 0.2\n"
+        f"code = main(['generate', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+        f"for pid in map(int, open({str(pids)!r}).read().split()):\n"
+        "    try:\n"
+        "        os.kill(pid, 0)\n"
+        "    except ProcessLookupError:\n"
+        "        continue\n"
+        "    sys.exit(f'policy {pid} still runs')\n"
+        "sys.exit(code)\n",
+        timeout=30,
+    )
+    assert code == EXIT_OK, err
+    assert sorted(path.name for path in out.iterdir()) == ["corpus.jsonl", "manifest.json"]
+    (doc,) = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    assert "kind" not in doc and doc["metadata"]["model"] == "stubborn"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reaps orphans through PR_SET_CHILD_SUBREAPER")
