@@ -22,10 +22,10 @@ from .environment import (
     step_kinematics,
 )
 from .episode import (
-    FailureStub,
     ValidationReport,
+    check_stub,
+    failure_stub,
     line_to_record,
-    make_failure_stub,
     record_to_line,
     validate_episode,
 )

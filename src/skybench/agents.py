@@ -26,14 +26,12 @@ from .episode import (
     canonical_float,
     canonical_value,
     doc_to_episode,
-    doc_to_stub,
     dumps_canonical,
+    failure_stub,
     format_float,
     loads_json,
-    make_failure_stub,
     network_to_doc,
     stub_error_kind,
-    stub_to_doc,
     turn_doc,
     validate_episode,
 )
@@ -54,7 +52,7 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-    from .episode import Action, Episode, FailureStub
+    from .episode import Action, Episode
 
 # A turn's document, as turn_doc builds it, and an action's document, as a
 # policy returns it: {"protocol": "mcp", "name", "args"} or
@@ -556,21 +554,22 @@ def run_episode(
     episode_seed: int = 42,
     index: int = 0,
     timestamp: str = EPOCH_TIMESTAMP,
-) -> Episode | FailureStub:
+) -> Episode | dict[str, Any]:
     """Generate one episode with up to MAX_ATTEMPTS validation-gated attempts.
 
     Retries re-run the same seeded streams under a stricter action regime
     (1: registry-known tools only, 2: adaptive subset only).  The recorded
-    generation time spans every attempt; after the final failure a stub
-    carrying the terminal error kind is returned.  An exception the agent
-    raises fails its attempt; any other propagates.  The value is built
-    from run_attempts' document, so it is the record of the stored line.
+    generation time spans every attempt; after the final failure the
+    document of a stub carrying the terminal error kind is returned.  An
+    exception the agent raises fails its attempt; any other propagates.  The
+    value is run_attempts' document, or the Episode built from it, so it is
+    the record of the stored line.
     """
     doc = run_attempts(
         agent, user, scenario, calibration=calibration, registry=registry,
         global_seed=global_seed, episode_seed=episode_seed, index=index, timestamp=timestamp,
     )
-    return doc_to_stub(doc) if doc.get("kind") == "failure_stub" else doc_to_episode(doc)
+    return doc if doc.get("kind") == "failure_stub" else doc_to_episode(doc)
 
 
 def run_attempts(
@@ -643,9 +642,7 @@ def run_attempts(
             return doc
         last_report = report
     error_kind = stub_error_kind(last_report) if last_report is not None else "internal"
-    return stub_to_doc(
-        make_failure_stub(episode_id, scenario.scenario_id, agent.name, episode_seed, error_kind, timestamp=timestamp)
-    )
+    return failure_stub(episode_id, scenario.scenario_id, agent.name, episode_seed, error_kind, timestamp=timestamp)
 
 
 def _run_attempt(

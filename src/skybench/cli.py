@@ -30,8 +30,8 @@ from .agents import (
 from .episode import (
     canonical_float,
     check_episode_doc,
+    check_stub,
     doc_to_episode,  # noqa: F401  (perfbench traces it at this lookup site)
-    doc_to_stub,
     dumps_canonical,
     dumps_document,
     dumps_pretty,
@@ -362,6 +362,11 @@ def _print_written(counts: Mapping[str, int], corpus_path: Path) -> None:
 
 
 def cmd_generate(config: RunConfig) -> int:
+    # The agent names need no input file, so they are checked before any is read.
+    external = dict(config.external_agents)
+    for name in config.agents:
+        if name not in AGENT_TYPES and name not in external:
+            raise ScenarioError(f"unknown agent {name!r}; known: {sorted(AGENT_TYPES)} plus external agents")
     # Each input document is read once: the run is built from the parsed
     # documents and config_hash covers the same values.
     builtin = config.scenarios == "builtin"
@@ -393,10 +398,6 @@ def cmd_generate(config: RunConfig) -> int:
         calibration = calibrate(targets)
         verify_calibration(calibration, targets)
     registry = default_registry() if tools_doc is None else load_registry_extension(tools_doc)
-    external = dict(config.external_agents)
-    for name in config.agents:
-        if name not in AGENT_TYPES and name not in external:
-            raise ScenarioError(f"unknown agent {name!r}; known: {sorted(AGENT_TYPES)} plus external agents")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / CORPUS_NAME
@@ -412,13 +413,23 @@ def cmd_generate(config: RunConfig) -> int:
             partial_path.unlink(missing_ok=True)
             _print_written(counts, corpus_path)
             return EXIT_OK
+        # A line is kept only as a record generate could have written: a
+        # stub that check_stub reads, or an episode that strict validation
+        # passes.  The job of any other line is run again.
         for _, line in _corpus_lines(corpus_path):
             try:
                 doc = loads_document(line)
+                episode_id = doc.get("episode_id")
+                if not (isinstance(episode_id, str) and episode_id in jobs):
+                    continue
+                is_stub = doc.get("kind") == "failure_stub"
+                if is_stub:
+                    check_stub(doc)
+                elif not validate_episode(doc).valid:
+                    continue
             except ParseError:
                 continue
-            if isinstance(doc.get("episode_id"), str):
-                existing[doc["episode_id"]] = (line, doc.get("kind") == "failure_stub")
+            existing[episode_id] = (line, is_stub)
     if config.canonical:
         timestamp = EPOCH_TIMESTAMP
     else:
@@ -487,18 +498,11 @@ def _check_doc(doc: Mapping[str, Any], strict: bool) -> dict[str, Any] | tuple:
     """The score record of a failure stub or an invalid episode, which t_opt
     does not change; for a valid episode, its identity keys and the
     EpisodeTerms read from its validated document, which _finish scores.
-    Raises ParseError for a stub that lacks a field."""
+    Raises ParseError for a stub that check_stub refuses."""
     if doc.get("kind") == "failure_stub":
-        stub = doc_to_stub(doc)
-        return {
-            "kind": "failure_stub",
-            "model": stub.model,
-            "scenario_id": stub.scenario_id,
-            "seed": stub.seed,
-            "attempts_used": stub.attempts_used,
-            "error_kind": stub.error_kind,
-            "scored": False,
-        }
+        stub = check_stub(doc)
+        keys = ("kind", "model", "scenario_id", "seed", "attempts_used", "error_kind")
+        return {**{key: stub[key] for key in keys}, "scored": False}
     # Validate the raw document: strict mode must see every field it holds.
     report = validate_episode(doc, strict=strict)
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), Mapping) else {}
@@ -843,7 +847,7 @@ def cmd_analytics(out: str, corpus: str | None = None) -> int:
             try:
                 doc = loads_document(line)
                 if doc.get("kind") == "failure_stub":
-                    doc_to_stub(doc)
+                    check_stub(doc)
                     continue
                 check_episode_doc(doc)
             except ParseError:
@@ -882,7 +886,12 @@ def cmd_validate(path: str, strict: bool = True) -> int:
     if not file_path.exists():
         raise ScenarioError(f"no such file: {path}")
     if file_path.suffix != ".jsonl":
-        report = validate_episode(loads_document(file_path.read_bytes()), strict=strict)
+        doc = loads_document(file_path.read_bytes())
+        if doc.get("kind") == "failure_stub":
+            check_stub(doc)  # a stub is read as in a corpus; an ill-typed one raises
+            print("valid")
+            return EXIT_OK
+        report = validate_episode(doc, strict=strict)
         if report.valid:
             print("valid")
             return EXIT_OK
@@ -895,7 +904,7 @@ def cmd_validate(path: str, strict: bool = True) -> int:
         try:
             doc = loads_document(line)
             if doc.get("kind") == "failure_stub":
-                doc_to_stub(doc)
+                check_stub(doc)
                 continue
         except ParseError:
             malformed += 1

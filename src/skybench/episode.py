@@ -44,19 +44,6 @@ CODE_ATTEMPTS = "attempts_exceeded"
 
 
 @dataclass(frozen=True)
-class FailureStub:
-    """The record of a job whose attempts all failed."""
-
-    episode_id: str
-    scenario_id: str
-    model: str
-    seed: int
-    error_kind: str
-    timestamp: str
-    attempts_used: int = MAX_ATTEMPTS
-
-
-@dataclass(frozen=True)
 class Violation:
     """One broken schema or semantic rule, and the turn it concerns."""
 
@@ -83,7 +70,7 @@ class ValidationReport:
 # (the module __getattr__ below) or by doc_to_episode.
 RECORD_CLASSES = ("McpCall", "A2aTask", "McpResult", "A2aAck", "Turn", "FinalState", "EpisodeMetadata", "Episode")
 # The unions over them, made with them.
-_RECORD_UNIONS = ("Action", "Observation", "Record")
+_RECORD_UNIONS = ("Action", "Observation")
 
 
 def _create_record_classes() -> None:
@@ -181,7 +168,6 @@ def _create_record_classes() -> None:
         made[cls.__name__] = cls
     made["Action"] = Union[McpCall, A2aTask]
     made["Observation"] = Union[McpResult, A2aAck]
-    made["Record"] = Union[Episode, FailureStub]
     globals().update(made)
 
 
@@ -237,7 +223,7 @@ def canonical_value(obj: Any) -> Any:
 
 def dumps_document(doc: Mapping[str, Any]) -> str:
     """The line of a document that is already canonical, such as one built
-    by episode_to_doc or stub_to_doc: sorted keys, no whitespace.  A NaN or
+    by episode_to_doc or failure_stub: sorted keys, no whitespace.  A NaN or
     infinite float raises ValueError: no written line may hold one."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -341,19 +327,6 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
         },
         "turns": turns,
         "final_state": final_state_to_doc(e.final_state),
-    }
-
-
-def stub_to_doc(s: FailureStub) -> dict[str, Any]:
-    return {
-        "kind": "failure_stub",
-        "episode_id": s.episode_id,
-        "scenario_id": s.scenario_id,
-        "model": s.model,
-        "seed": s.seed,
-        "attempts_used": s.attempts_used,
-        "error_kind": s.error_kind,
-        "timestamp": s.timestamp,
     }
 
 
@@ -512,33 +485,6 @@ def doc_to_episode(doc: Mapping[str, Any]) -> Episode:
             **{flag: f[flag] for flag in _FLAGS},
         ),
     )
-
-
-def doc_to_stub(doc: Mapping[str, Any]) -> FailureStub:
-    """Build a FailureStub from a parsed stub document.
-
-    Raises ParseError unless the ids, model and timestamp are strings, the
-    error kind is one of ERROR_KINDS, and the seed and attempt count are
-    integers (an integral float is the integer the schema takes it for).
-    """
-    try:
-        stub = FailureStub(
-            episode_id=doc["episode_id"],
-            scenario_id=doc["scenario_id"],
-            model=doc["model"],
-            seed=integer_value(doc["seed"]),
-            error_kind=doc["error_kind"],
-            timestamp=doc["timestamp"],
-            attempts_used=integer_value(doc["attempts_used"]),
-        )
-    except KeyError as exc:
-        raise ParseError(f"failure stub lacks the field {exc}") from exc
-    names = (stub.episode_id, stub.scenario_id, stub.model, stub.timestamp)
-    if not all(type(name) is str for name in names) or stub.error_kind not in ERROR_KINDS:
-        raise ParseError(f"failure stub names or error kind are not of the stub's types: {stub}")
-    if stub.seed is None or stub.attempts_used is None:
-        raise ParseError(f"failure stub seed and attempts_used must be integers: {stub}")
-    return stub
 
 
 def _finite_float(text: str) -> float:
@@ -883,7 +829,7 @@ def stub_error_kind(report: ValidationReport) -> str:
     return "schema_invalid"
 
 
-def make_failure_stub(
+def failure_stub(
     episode_id: str,
     scenario_id: str,
     model: str,
@@ -891,29 +837,53 @@ def make_failure_stub(
     error_kind: str,
     *,
     timestamp: str = "",
-) -> FailureStub:
+) -> dict[str, Any]:
+    """The document of a job whose attempts all failed: the one form of a failure stub."""
     if error_kind not in ERROR_KINDS:
         raise ValueError(f"unknown error kind: {error_kind!r}")
-    return FailureStub(
-        episode_id=episode_id,
-        scenario_id=scenario_id,
-        model=model,
-        seed=seed,
-        error_kind=error_kind,
-        timestamp=timestamp,
-    )
+    return {
+        "kind": "failure_stub",
+        "episode_id": episode_id,
+        "scenario_id": scenario_id,
+        "model": model,
+        "seed": seed,
+        "attempts_used": MAX_ATTEMPTS,
+        "error_kind": error_kind,
+        "timestamp": timestamp,
+    }
+
+
+def check_stub(doc: Mapping[str, Any]) -> dict[str, Any]:
+    """The document of doc, a parsed failure stub, with its seed and attempt
+    count as integers (an integral float is the integer the schema takes it
+    for) and no field but a stub's.  Raises ParseError unless the ids, model
+    and timestamp are strings, the error kind is one of ERROR_KINDS, and the
+    seed and attempt count are integers."""
+    keys = ("episode_id", "scenario_id", "model", "seed", "error_kind", "timestamp", "attempts_used")
+    try:
+        stub = {"kind": "failure_stub", **{key: doc[key] for key in keys}}
+    except KeyError as exc:
+        raise ParseError(f"failure stub lacks the field {exc}") from exc
+    names = (stub["episode_id"], stub["scenario_id"], stub["model"], stub["timestamp"])
+    if not all(type(name) is str for name in names) or stub["error_kind"] not in ERROR_KINDS:
+        raise ParseError(f"failure stub names or error kind are not of the stub's types: {stub}")
+    seed, attempts = integer_value(stub["seed"]), integer_value(stub["attempts_used"])
+    if seed is None or attempts is None:
+        raise ParseError(f"failure stub seed and attempts_used must be integers: {stub}")
+    stub.update(seed=seed, attempts_used=attempts)
+    return stub
 
 
 # ---------------------------------------------------------------------------
 # Corpus files (JSONL; stubs share the file, tagged kind=failure_stub)
 # ---------------------------------------------------------------------------
 
-def record_to_line(record: Record) -> str:
-    return dumps_document(stub_to_doc(record) if isinstance(record, FailureStub) else episode_to_doc(record))
+def record_to_line(record: Episode | dict[str, Any]) -> str:
+    """The line of an Episode or of a failure stub's document."""
+    return dumps_document(episode_to_doc(record) if is_episode(record) else record)
 
 
-def line_to_record(line: str | bytes) -> Record:
+def line_to_record(line: str | bytes) -> Episode | dict[str, Any]:
+    """The Episode of a line, or the document of a stub's line, checked."""
     doc = loads_document(line)
-    if doc.get("kind") == "failure_stub":
-        return doc_to_stub(doc)
-    return doc_to_episode(doc)
+    return check_stub(doc) if doc.get("kind") == "failure_stub" else doc_to_episode(doc)

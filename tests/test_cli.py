@@ -37,10 +37,9 @@ from skybench.episode import (
     Turn,
     dumps_canonical,
     episode_to_doc,
+    failure_stub,
     line_to_record,
-    make_failure_stub,
     record_to_line,
-    stub_to_doc,
 )
 from skybench.errors import ParseError, ScenarioError, SkybenchError
 from skybench.network import DEFAULT_TARGETS, MMTC, URLLC
@@ -96,6 +95,27 @@ def test_generate_resumes_from_partial_corpus(tmp_path):
         (out / "corpus.jsonl").write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         cmd_generate(tiny_config(out, parallel=parallel))
         assert (out / "corpus.jsonl").read_bytes() == full
+
+
+def test_a_resume_runs_again_the_jobs_of_lines_that_are_no_record(tmp_path, capsys):
+    # A stub whose seed is not an integer and a line holding nothing but an
+    # episode id were kept, and the new manifest vouched for them.
+    out = tmp_path / "run"
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "2", "--canonical", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    full = (out / "corpus.jsonl").read_bytes()
+    manifest = (out / MANIFEST_NAME).read_bytes()
+    lines = full.decode().splitlines()
+    assert len(lines) == 6
+    stub = failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal", timestamp="1970-01-01T00:00:00Z")
+    lines[0] = json.dumps({**stub, "seed": 4.9})
+    lines[1] = json.dumps({"episode_id": "S01-safe_pilot-0001"})
+    (out / "corpus.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert (out / "corpus.jsonl").read_bytes() == full
+    assert (out / MANIFEST_NAME).read_bytes() == manifest
+    assert capsys.readouterr().out.startswith("wrote 6 records (6 episodes, 0 stubs) to ")
 
 
 def _count_corpus_parses(monkeypatch) -> list:
@@ -199,7 +219,7 @@ def test_stubs_pass_through_unscored(tmp_path):
     out.mkdir()
     rng = np.random.default_rng(0)
     episode = random_episode(rng)
-    stub = make_failure_stub(
+    stub = failure_stub(
         "S01-random_model-0000", "S01", "random_model", 42, "schema_invalid", timestamp="1970-01-01T00:00:00Z"
     )
     with open(out / "corpus.jsonl", "w") as fh:
@@ -326,6 +346,14 @@ def test_validate_command_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(dumps_canonical(doc))
     assert main(["validate", str(bad)]) == EXIT_INPUT
+
+    # A stub file is read as a stub line of a corpus is.
+    stub = failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal")
+    stub_file = tmp_path / "stub.json"
+    stub_file.write_text(record_to_line(stub))
+    assert main(["validate", str(stub_file)]) == EXIT_OK
+    stub_file.write_text(json.dumps({**stub, "seed": 4.9}))
+    assert main(["validate", str(stub_file)]) == EXIT_INPUT
 
     assert main(["validate", str(tmp_path / "missing.json")]) == EXIT_INPUT
     assert main([]) == EXIT_USAGE
@@ -1010,6 +1038,14 @@ def test_input_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_agent_is_named_before_any_input_file_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    argv = ["generate", "--agents", "nope", "--calibration", str(missing), "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: unknown agent 'nope'")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1597,7 +1633,7 @@ def test_score_validates_and_builds_each_record_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(12)
     docs = [episode_to_doc(random_episode(rng)) for _ in range(5)]
     docs[1]["turns"] = docs[1]["turns"][:7]  # invalid
-    stub = stub_to_doc(make_failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal"))
+    stub = failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal")
     (out / "corpus.jsonl").write_text("".join(dumps_canonical(d) + "\n" for d in docs + [stub]))
     calls = {"validate_episode": 0, "doc_to_episode": 0}
     for name in calls:
@@ -1727,7 +1763,7 @@ def test_validate_lists_malformed_lines_and_goes_on(tmp_path, capsys):
 
 
 def test_validate_counts_incomplete_failure_stub_as_malformed(tmp_path, capsys):
-    stub = dumps_canonical(stub_to_doc(make_failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal")))
+    stub = dumps_canonical(failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal"))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(stub + "\n")
     assert main(["validate", str(corpus)]) == EXIT_OK

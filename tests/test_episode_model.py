@@ -8,18 +8,16 @@ from hypothesis import given, strategies as st
 
 from generators import corrupted_docs, random_episode, valid_doc
 from skybench.episode import (
-    FailureStub,
     canonical_float,
+    check_stub,
     doc_to_episode,
-    doc_to_stub,
     dumps_canonical,
     episode_to_doc,
+    failure_stub,
     format_float,
     line_to_record,
-    make_failure_stub,
     record_to_line,
     stub_error_kind,
-    stub_to_doc,
     validate_episode,
 )
 from skybench.cli import _corpus_lines
@@ -181,19 +179,50 @@ def test_lenient_mode_ignores_unknown_fields():
 
 
 def test_make_failure_stub_contract():
-    stub = make_failure_stub("S17-scripted-greedy-0003", "S17", "scripted-greedy", 77, "schema_invalid")
-    assert stub.attempts_used == 3
-    assert stub.error_kind == "schema_invalid"
-    doc = stub_to_doc(stub)
-    assert doc["kind"] == "failure_stub"
-    assert doc["episode_id"] == "S17-scripted-greedy-0003"
-    assert "turns" not in doc and "final_state" not in doc
-    assert doc_to_stub(doc) == stub
+    doc = failure_stub("S17-scripted-greedy-0003", "S17", "scripted-greedy", 77, "schema_invalid")
+    assert doc == {
+        "kind": "failure_stub", "episode_id": "S17-scripted-greedy-0003", "scenario_id": "S17",
+        "model": "scripted-greedy", "seed": 77, "attempts_used": 3, "error_kind": "schema_invalid", "timestamp": "",
+    }
+    assert check_stub(doc) == doc
     del doc["episode_id"]
     with pytest.raises(ParseError):
-        doc_to_stub(doc)
+        check_stub(doc)
     with pytest.raises(ValueError):
-        make_failure_stub("S1-m-0000", "S1", "m", 1, "not_a_kind")
+        failure_stub("S1-m-0000", "S1", "m", 1, "not_a_kind")
+
+
+_STUB = failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal")
+_MISSING = object()
+# Each edit of a stub document, and the (seed, attempts_used) of the stub it
+# reads as, or None where it is refused.  An integral float reads as its
+# integer; a field a stub lacks and a missing kind are ignored, as the
+# callers tell a stub by its kind.
+_STUB_CASES = [
+    ("seed 4.9", {"seed": 4.9}, None),
+    ("seed text", {"seed": "4"}, None),
+    ("seed true", {"seed": True}, None),
+    ("seed 2.0", {"seed": 2.0}, (2, 3)),
+    ("attempts 2.5", {"attempts_used": 2.5}, None),
+    ("attempts 2.0", {"attempts_used": 2.0}, (42, 2)),
+    *((f"no {key}", {key: _MISSING}, (42, 3) if key == "kind" else None) for key in _STUB),
+    *((f"{key} 7", {key: 7}, None) for key in ("episode_id", "scenario_id", "model", "timestamp")),
+    ("unknown error kind", {"error_kind": "nope"}, None),
+    ("extra field", {"extra": 1}, (42, 3)),
+]
+
+
+@pytest.mark.parametrize("edit,expected", [case[1:] for case in _STUB_CASES], ids=[case[0] for case in _STUB_CASES])
+def test_check_stub_verdicts(edit, expected):
+    doc = {key: value for key, value in {**_STUB, **edit}.items() if value is not _MISSING}
+    if expected is None:
+        with pytest.raises(ParseError):
+            check_stub(doc)
+        return
+    stub = check_stub(doc)
+    assert (stub["seed"], stub["attempts_used"]) == expected
+    assert type(stub["seed"]) is int and type(stub["attempts_used"]) is int
+    assert stub == {**_STUB, "seed": expected[0], "attempts_used": expected[1]}
 
 
 def test_stub_error_kind_mapping():
@@ -209,13 +238,13 @@ def test_stub_error_kind_mapping():
 def test_corpus_round_trip_with_stubs(tmp_path):
     rng = np.random.default_rng(11)
     records = [random_episode(rng) for _ in range(3)]
-    records.append(make_failure_stub("S01-m-0000", "S01", "m", 42, "turn_bounds", timestamp="1970-01-01T00:00:00Z"))
+    records.append(failure_stub("S01-m-0000", "S01", "m", 42, "turn_bounds", timestamp="1970-01-01T00:00:00Z"))
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(record_to_line(record) + "\n" for record in records))
     loaded = [line_to_record(line) for _, line in _corpus_lines(path)]
     assert loaded == records
     stub_line = record_to_line(records[-1])
-    assert isinstance(line_to_record(stub_line), FailureStub)
+    assert line_to_record(stub_line) == records[-1]
 
 
 def test_validate_accepts_episode_values():
