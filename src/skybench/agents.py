@@ -103,17 +103,6 @@ class AdaptiveActionFilter:
         return doc["protocol"] == "mcp" and doc["name"] in SAFE_TOOLS
 
 
-@dataclass
-class MissionStatus:
-    """Progress of one attempt, updated in place turn by turn."""
-
-    arrived: bool = False
-    captured: bool = False
-    completed: bool = False
-    aborted: str | None = None  # None | battery_depleted | network_degraded
-    hard_run: int = 0
-
-
 # ---------------------------------------------------------------------------
 # User simulator
 # ---------------------------------------------------------------------------
@@ -128,22 +117,24 @@ class UserSimulator:
 
     prompts: tuple[str, ...] = ()
 
-    def intent(self, ordinal: int, scenario: Scenario, status: MissionStatus) -> str:
+    def intent(self, ordinal: int, scenario: Scenario, completed: bool, aborted: str | None) -> str:
+        """The supervisor's intent at its ordinal-th turn, given whether the
+        mission is completed and why it was aborted (None: it was not)."""
         if self.prompts:
             return self.prompts[min(ordinal, len(self.prompts) - 1)]
-        x, y, z = scenario.mission.target
+        x, y, z = scenario.target
         if ordinal == 0:
             return (
                 "initiate mission and check telemetry: "
                 f"{scenario.description}; survey point ({x:g}, {y:g}, {z:g})"
             )
-        if status.aborted is not None:
+        if aborted is not None:
             recovery = (
                 "abort confirmed; hold position and report status",
                 "prepare safe recovery and conserve battery",
             )
             return recovery[ordinal % len(recovery)]
-        if status.completed:
+        if completed:
             wrap = (
                 "confirm mission results and verify the final state",
                 "acknowledge completion; archive the mission log and stand by",
@@ -157,17 +148,6 @@ class UserSimulator:
             "verify sensor readiness and network conditions",
         )
         return progress[ordinal % len(progress)]
-
-
-def simulate_user_turn(
-    user: UserSimulator,
-    turn_index: int,
-    scenario: Scenario,
-    status: MissionStatus,
-    network: NetworkState,
-) -> TurnDoc:
-    """The document of the supervisor turn at the given dialogue position."""
-    return turn_doc(ROLE_USER, user.intent(turn_index // 2, scenario, status), network)
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +218,23 @@ class ScriptedAgent:
         network: NetworkState,
         strictness: int = 0,
     ) -> tuple[str, ActionDoc | None]:
-        mission = self.scenario.mission
+        scenario = self.scenario
         position = state.kinematics.position
         last = _last_observation_name(history)
         cite = f"{last} confirms status; " if last else ""
-        if state.battery_pct < LOW_BATTERY_PCT and not state.command.landing:
+        if state.battery_pct < LOW_BATTERY_PCT and not state.landing:
             return f"{cite}battery at {format_float(state.battery_pct)}%; landing immediately", _mcp("land")
         if classify_hard(network):
             return self._hard_response(cite, network)
         if not _has_result(history, "read_telemetry"):
             return "running a preflight telemetry sweep before departure", _mcp("read_telemetry")
-        target = mission.target
-        if state.command.target is None and not state.command.landing:
+        target = scenario.target
+        if state.target is None and not state.landing:
             x, y, z = (format_float(v) for v in target)
             intent = f"{cite}telemetry nominal; setting waypoint ({x}, {y}, {z})"
             return intent, _mcp("set_waypoint", x=target[0], y=target[1], z=target[2])
         distance = _distance(position, target)
-        if distance > mission.arrival_tolerance_m and not state.command.landing:
+        if distance > scenario.arrival_tolerance_m and not state.landing:
             en_route = f"{cite}en route, {format_float(distance)} m to go"
             if _agent_turns(history) % 2 == 0:
                 return f"{en_route}; verifying exclusion-zone clearance", _mcp("check_geofence")
@@ -262,10 +242,10 @@ class ScriptedAgent:
         station = self._on_station_step(cite, history)
         if station is not None:
             return station
-        if mission.capture_sensor and not _has_result(history, "capture_image"):
-            intent = f"{cite}on station at the survey point; capturing {mission.capture_sensor} imagery"
-            return intent, _mcp("capture_image", sensor=mission.capture_sensor)
-        if not state.command.landing:
+        if scenario.capture_sensor and not _has_result(history, "capture_image"):
+            intent = f"{cite}on station at the survey point; capturing {scenario.capture_sensor} imagery"
+            return intent, _mcp("capture_image", sensor=scenario.capture_sensor)
+        if not state.landing:
             return f"{cite}objective complete; landing at the survey point", _mcp("land")
         return f"{cite}holding on the pad; mission wrapped up", None
 
@@ -377,8 +357,8 @@ class SubprocessPolicy:
                 "battery_pct": state.battery_pct,
                 "sensors": sorted(state.sensors),
                 "command": {
-                    "target": list(state.command.target) if state.command.target else None,
-                    "landing": state.command.landing,
+                    "target": list(state.target) if state.target else None,
+                    "landing": state.landing,
                 },
             },
             "network": network_to_doc(network),
@@ -594,9 +574,8 @@ def run_attempts(
     calib = calibration
     if scenario.slice_switch_prob is not None:
         calib = replace(calibration, slice_switch_prob=scenario.slice_switch_prob)
-    executor = ToolExecutor(
-        default_registry() if registry is None else registry, calib, scenario.airspace, scenario.params, scenario.swarm
-    )
+    registry = default_registry() if registry is None else registry
+    executor = ToolExecutor(registry, calib, scenario.airspace, scenario.swarm)
     episode_id = episode_id_for(scenario.scenario_id, agent.name, index)
     # Exactly SeedSequence(entropy).spawn(3), without mixing the parent's
     # pool, which no stream draws from.
@@ -668,12 +647,14 @@ def _run_attempt(
     if state.battery_pct < BATTERY_DEPLETED_PCT:
         state = replace(state, flags=replace(state.flags, battery_depleted=True))
     network = sample_network_state(scenario.initial_slice, calib, net_rng)
-    status = MissionStatus()
+    arrived = captured = completed = False
+    aborted = None  # None | battery_depleted | network_degraded
+    hard_run = 0
     turns: list[TurnDoc] = []
 
     while True:
-        turns.append(simulate_user_turn(user, len(turns), scenario, status, network))
-        status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
+        turns.append(turn_doc(ROLE_USER, user.intent(len(turns) // 2, scenario, completed, aborted), network))
+        hard_run = hard_run + 1 if classify_hard(network) else 0
         network = evolve_network(network, calib, net_rng)
 
         try:
@@ -689,13 +670,13 @@ def _run_attempt(
             if (
                 action["name"] == "capture_image"
                 and observation["result"].get("status") in ("captured", "captured_cold")
-                and status.arrived
+                and arrived
             ):
-                status.captured = True
+                captured = True
         elif action is not None:
             observation = executor.execute_a2a(action, network, tool_rng, turn_index=len(turns) // 2)
         turns.append(turn_doc(ROLE_AGENT, intent, network, action, observation))
-        status.hard_run = status.hard_run + 1 if classify_hard(network) else 0
+        hard_run = hard_run + 1 if classify_hard(network) else 0
 
         step_index = len(turns) // 2 - 1
         state = evolve_state(
@@ -710,21 +691,21 @@ def _run_attempt(
         )
         network = evolve_network(post_network, calib, net_rng)
 
-        if not status.arrived and _distance(state.kinematics.position, scenario.mission.target) <= scenario.mission.arrival_tolerance_m:
-            status.arrived = True
-        if status.aborted is None:
-            if status.arrived and (status.captured or scenario.mission.capture_sensor is None):
-                status.completed = True
-        if status.aborted is None and not status.completed:
+        if not arrived and _distance(state.kinematics.position, scenario.target) <= scenario.arrival_tolerance_m:
+            arrived = True
+        if aborted is None:
+            if arrived and (captured or scenario.capture_sensor is None):
+                completed = True
+        if aborted is None and not completed:
             if state.battery_pct <= 0.0:
-                status.aborted = "battery_depleted"
-            elif status.hard_run >= DEGRADED_TERMINATION_RUN:
-                status.aborted = "network_degraded"
+                aborted = "battery_depleted"
+            elif hard_run >= DEGRADED_TERMINATION_RUN:
+                aborted = "network_degraded"
 
         n_turns = len(turns)
         if n_turns >= MAX_TURNS:
             break
-        if n_turns >= MIN_TURNS and (status.completed or status.aborted is not None):
+        if n_turns >= MIN_TURNS and (completed or aborted is not None):
             break
 
     k, flags = state.kinematics, state.flags
@@ -733,7 +714,7 @@ def _run_attempt(
         "velocity": k.speed,
         "yaw": k.yaw,
         "battery": state.battery_pct,
-        "mission_completed": status.completed,
+        "mission_completed": completed,
         "altitude_violation": flags.altitude_violation,
         "nfz_violation": flags.nfz_violation,
         "separation_breach": flags.separation_breach,

@@ -59,6 +59,7 @@ from .scoring import (
     finish_scores,
     generation_efficiency,
     leaderboard_rows,
+    scaled_on_overflow,
     score_episode,  # noqa: F401  (perfbench traces it at this lookup site)
 )
 
@@ -706,18 +707,6 @@ def _top(counter: Mapping[str, int], k: int = 10) -> list[tuple[str, int]]:
     return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
-def _scaled_on_overflow(stat: Callable[[Sequence[float]], float], values: Sequence[float]) -> float:
-    """stat(values), for a mean or a standard deviation of positive values.
-    Latencies near float max, which a valid record may hold, overflow
-    fmean's sum; then the values are divided by the largest of them, and
-    the statistic of those is multiplied back."""
-    try:
-        return stat(values)
-    except OverflowError:
-        top = max(values)
-        return stat([v / top for v in values]) * top
-
-
 def corpus_analytics(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     """Usage tables of the episode documents `docs`, folded in one pass.
 
@@ -817,8 +806,8 @@ def corpus_analytics(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
             {
                 "bin_ms": slot["bin"],
                 "samples": len(slot["values"]),
-                "mean_ms": _scaled_on_overflow(statistics.fmean, slot["values"]) if slot["values"] else 0.0,
-                "std_ms": _scaled_on_overflow(statistics.pstdev, slot["values"]) if len(slot["values"]) > 1 else 0.0,
+                "mean_ms": scaled_on_overflow(statistics.fmean, slot["values"]) if slot["values"] else 0.0,
+                "std_ms": scaled_on_overflow(statistics.pstdev, slot["values"]) if len(slot["values"]) > 1 else 0.0,
                 "slice_share_pct": {
                     name: 100.0 * count / len(slot["values"])
                     for name, count in sorted(slot["slices"].items())

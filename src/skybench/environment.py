@@ -1,8 +1,8 @@
 """UAV physics: kinematic stepping, disturbances, airspace checks, battery, flags.
 
-State evolution is a pure function of (state, command, RNG stream, dt); the
-per-turn step integrates the commanded world-frame thrust with the exact
-constant-acceleration update, so piecewise-constant commands reproduce
+State evolution is a pure function of (state, RNG stream, dt); the per-turn
+step integrates the world-frame thrust toward the state's target with the
+exact constant-acceleration update, so piecewise-constant commands reproduce
 closed-form trajectories bit-for-bit.  The heading is constant: scenarios set
 only a yaw, and nothing turns the vehicle.
 """
@@ -133,14 +133,6 @@ class SafetyFlags:
 
 
 @dataclass(frozen=True)
-class NavCommand:
-    """Actuation target stored by navigation tools; None means hold position."""
-
-    target: Vec3 | None = None
-    landing: bool = False
-
-
-@dataclass(frozen=True)
 class UavState:
     """Everything the physics step reads and writes for one vehicle."""
 
@@ -148,7 +140,8 @@ class UavState:
     battery_pct: float = 100.0
     flags: SafetyFlags = SafetyFlags()
     sensors: frozenset[str] = frozenset({"IMU"})
-    command: NavCommand = NavCommand()
+    target: Vec3 | None = None  # set by the navigation tools; None holds position
+    landing: bool = False
 
 
 def _norm3(v: Sequence[float]) -> float:
@@ -221,12 +214,12 @@ def check_separation(position: Sequence[float], peer_positions: Iterable[Sequenc
     return True
 
 
-def _control_thrust(k: KinematicState, command: NavCommand, params: VehicleParams, dt: float) -> Vec3:
-    """World-frame deadbeat thrust toward the commanded target, bounded by
-    cruise speed and available thrust."""
+def _control_thrust(k: KinematicState, target: Vec3 | None, params: VehicleParams, dt: float) -> Vec3:
+    """World-frame deadbeat thrust toward the target (None: hold position),
+    bounded by cruise speed and available thrust."""
     vx, vy, vz = k.velocity
-    if command.target is not None:
-        (tx, ty, tz), (px, py, pz) = command.target, k.position
+    if target is not None:
+        (tx, ty, tz), (px, py, pz) = target, k.position
         h = dt * dt
         ax = 2.0 * ((tx - px) - vx * dt) / h
         ay = 2.0 * ((ty - py) - vy * dt) / h
@@ -262,16 +255,16 @@ def evolve_state(
 ) -> UavState:
     """One turn of closed-loop evolution.
 
-    Integrates toward the stored navigation command, perturbs the achieved
+    Integrates toward the stored navigation target, perturbs the achieved
     kinematics, drains the battery by the action class (floored at zero), and
     re-evaluates every safety flag (sticky accumulation).  Tool-induced
-    command changes happen upstream in the tool executor.
+    target changes happen upstream in the tool executor.
     """
     if dt <= 0:
         raise InvalidInput("dt must be positive")
     if action_class not in BATTERY_DRAW:
         raise InvalidInput(f"unknown action class: {action_class!r}")
-    thrust = _control_thrust(state.kinematics, state.command, params, dt)
+    thrust = _control_thrust(state.kinematics, state.target, params, dt)
     kin = apply_disturbance(step_kinematics(state.kinematics, thrust, params, dt), disturbance, rng)
     position = kin.position
     battery = max(0.0, state.battery_pct - BATTERY_DRAW[action_class] * dt)
@@ -288,4 +281,4 @@ def evolve_state(
         and depleted is f.battery_depleted
     ):
         flags = SafetyFlags(altitude, nfz, separation, depleted)
-    return UavState(kin, battery, flags, state.sensors, state.command)
+    return UavState(kin, battery, flags, state.sensors, state.target, state.landing)

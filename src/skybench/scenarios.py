@@ -22,15 +22,6 @@ from .tools import SwarmContext
 
 
 @dataclass(frozen=True)
-class MissionSpec:
-    """Where the vehicle must go, how close counts as arrived, and what it must capture."""
-
-    target: tuple[float, float, float]
-    arrival_tolerance_m: float = 5.0
-    capture_sensor: str | None = None
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One mission: airspace, vehicle, start state, disturbance, network and dialogue."""
 
@@ -40,7 +31,9 @@ class Scenario:
     params: VehicleParams
     initial_state: UavState
     disturbance: DisturbanceModel
-    mission: MissionSpec
+    target: tuple[float, float, float]  # where the vehicle must go
+    arrival_tolerance_m: float  # how close counts as arrived
+    capture_sensor: str | None  # what it must capture, if anything
     initial_slice: str
     slice_switch_prob: float | None = None
     swarm: SwarmContext = field(default_factory=lambda: SwarmContext({}, {}))
@@ -52,8 +45,16 @@ class Scenario:
         return "degraded" not in self.tags
 
 
+def _number(raw: Any, what: str) -> float:
+    """A JSON number as a float.  Nothing is converted: a bool, a string or
+    any other value is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _finite(raw: Any, what: str) -> float:
-    value = float(raw)
+    value = _number(raw, what)
     if not math.isfinite(value):
         raise ScenarioError(f"{what} must be finite, got {value!r}")
     return value
@@ -93,20 +94,20 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
     try:
         air = _section(doc, "airspace", required=True)
         fences = tuple(
-            Geofence(center=_vec(g["center"], 2, "geofence center"), radius_m=float(g["radius_m"]))
+            Geofence(_vec(g["center"], 2, "geofence center"), _number(g["radius_m"], "geofence radius_m"))
             for g in air.get("geofences", [])
         )
         airspace = Airspace(
             z_min_m=_finite(air["z_min_m"], "airspace.z_min_m"),
             z_max_m=_finite(air["z_max_m"], "airspace.z_max_m"),
             geofences=fences,
-            separation_margin_m=float(air.get("separation_margin_m", 10.0)),
+            separation_margin_m=_number(air.get("separation_margin_m", 10.0), "airspace.separation_margin_m"),
         )
         vehicle = _section(doc, "vehicle")
         params = VehicleParams(
-            mass_kg=float(vehicle.get("mass_kg", 2.0)),
-            max_thrust_n=float(vehicle.get("max_thrust_n", 60.0)),
-            cruise_speed_mps=float(vehicle.get("cruise_speed_mps", 15.0)),
+            mass_kg=_number(vehicle.get("mass_kg", 2.0), "vehicle.mass_kg"),
+            max_thrust_n=_number(vehicle.get("max_thrust_n", 60.0), "vehicle.max_thrust_n"),
+            cruise_speed_mps=_number(vehicle.get("cruise_speed_mps", 15.0), "vehicle.cruise_speed_mps"),
         )
         init = _section(doc, "initial_state", required=True)
         kinematics = KinematicState(
@@ -126,9 +127,9 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         dist = _section(doc, "disturbance")
         clip = dist.get("clip_sigmas", 3.0)
         disturbance = DisturbanceModel(
-            sigma_pos=float(dist.get("sigma_pos_m", 0.5)),
-            sigma_vel=float(dist.get("sigma_vel_mps", 0.2)),
-            clip_sigmas=float(clip) if clip is not None else None,
+            sigma_pos=_number(dist.get("sigma_pos_m", 0.5), "disturbance.sigma_pos_m"),
+            sigma_vel=_number(dist.get("sigma_vel_mps", 0.2), "disturbance.sigma_vel_mps"),
+            clip_sigmas=_number(clip, "disturbance.clip_sigmas") if clip is not None else None,
         )
         mission_doc = _section(doc, "mission", required=True)
         # Not checked against SENSOR_TYPES: a tool file may redefine the
@@ -136,21 +137,17 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         sensor = mission_doc.get("capture_sensor")
         if sensor is not None and not (isinstance(sensor, str) and sensor.strip()):
             raise ScenarioError(f"mission.capture_sensor must be a non-blank string or null, got {sensor!r}")
-        tolerance = float(mission_doc.get("arrival_tolerance_m", 5.0))
+        tolerance = _number(mission_doc.get("arrival_tolerance_m", 5.0), "mission.arrival_tolerance_m")
         if not tolerance > 0:  # NaN fails too
             raise ScenarioError(f"mission.arrival_tolerance_m must be positive, got {tolerance!r}")
-        mission = MissionSpec(
-            target=_vec(mission_doc["target"], 3, "mission target"),
-            arrival_tolerance_m=tolerance,
-            capture_sensor=sensor,
-        )
+        target = _vec(mission_doc["target"], 3, "mission target")
         net = _section(doc, "network")
-        initial_slice = str(net.get("initial_slice", "eMBB"))
+        initial_slice = net.get("initial_slice", "eMBB")
         if initial_slice not in SLICES:
             raise ScenarioError(f"unknown slice {initial_slice!r}")
         switch = net.get("slice_switch_prob")
         if switch is not None:
-            switch = float(switch)
+            switch = _number(switch, "network.slice_switch_prob")
             if not 0.0 <= switch <= 1.0:  # NaN fails too
                 raise ScenarioError(f"network.slice_switch_prob must lie in [0, 1], got {switch!r}")
         peers = {}
@@ -169,18 +166,24 @@ def load_scenario(doc: Mapping[str, Any]) -> Scenario:
         tags = doc.get("tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
             raise ScenarioError("tags must be a list of strings")
+        # The opening user intent quotes the description.
+        description = doc.get("description", "")
+        if not isinstance(description, str):
+            raise ScenarioError(f"description must be a string, got {description!r}")
         # Every record's metadata.scenario_id must be a non-empty string.
         scenario_id = doc["scenario_id"]
         if not (isinstance(scenario_id, str) and scenario_id):
             raise ScenarioError(f"scenario_id must be a non-empty string, got {scenario_id!r}")
         return Scenario(
             scenario_id=scenario_id,
-            description=str(doc.get("description", "")),
+            description=description,
             airspace=airspace,
             params=params,
             initial_state=state,
             disturbance=disturbance,
-            mission=mission,
+            target=target,
+            arrival_tolerance_m=tolerance,
+            capture_sensor=sensor,
             initial_slice=initial_slice,
             slice_switch_prob=switch,
             swarm=swarm,

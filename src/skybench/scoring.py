@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .episode import (
     ROLE_AGENT,
@@ -395,6 +395,31 @@ def generation_efficiency(alpha3: float, gen_time_s: float, total_tokens: float)
     return per_sec, per_1k
 
 
+def scaled_on_overflow(stat: Callable[[Sequence[float]], float], values: Sequence[float]) -> float:
+    """stat(values), for a mean or a standard deviation of positive values.
+    Values near float max, which a valid record may hold, overflow a sum
+    (fsum raises, a plain sum gives inf); then the values are divided by
+    the largest of them, and the statistic of those is multiplied back."""
+    try:
+        result = stat(values)
+    except OverflowError:
+        result = math.inf
+    if math.isinf(result):
+        top = max(values)
+        result = stat([v / top for v in values]) * top
+    return result
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def _rate(value: float, per: float) -> float:
+    """value / per, or 0 when per is not positive or the quotient is not finite."""
+    rate = value / per if per > 0 else 0.0
+    return rate if math.isfinite(rate) else 0.0
+
+
 def aggregate_model(
     model: str,
     scores: Sequence[PillarScores],
@@ -411,18 +436,16 @@ def aggregate_model(
     n = len(scores)
     if total_attempt_calls < n:
         raise ValueError("total_attempt_calls cannot be below the number of valid episodes")
-    mean_alpha3 = sum(s.alpha3 for s in scores) / n if n else 0.0
+    mean_alpha3 = _mean([s.alpha3 for s in scores])
     reliability = n / (n + n_fail) if (n + n_fail) else 0.0
     coverage = min(1.0, n / episode_budget)
     call_efficiency = min(1.0, episode_budget / total_attempt_calls) if total_attempt_calls else 1.0
     alpha3_rel = mean_alpha3 * reliability * coverage * call_efficiency
-    mean_pillars = tuple(
-        (sum(s.pillars()[i] for s in scores) / n if n else 0.0) for i in range(6)
-    )
-    mean_gen_time = sum(gen_times) / len(gen_times) if gen_times else 0.0
-    mean_tokens = sum(token_counts) / len(token_counts) if token_counts else 0.0
-    per_sec = alpha3_rel / mean_gen_time if mean_gen_time > 0 else 0.0
-    per_1k = alpha3_rel / (mean_tokens / 1000.0) if mean_tokens > 0 else 0.0
+    mean_pillars = tuple(_mean([s.pillars()[i] for s in scores]) for i in range(6))
+    mean_gen_time = scaled_on_overflow(_mean, gen_times)
+    mean_tokens = scaled_on_overflow(_mean, token_counts)
+    per_sec = _rate(alpha3_rel, mean_gen_time)
+    per_1k = _rate(alpha3_rel, mean_tokens / 1000.0)
     success_rate = (
         sum(1 for flag in success_flags if flag) / len(success_flags) if success_flags else 0.0
     )

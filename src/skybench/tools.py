@@ -16,10 +16,8 @@ from typing import TYPE_CHECKING, Any, Mapping
 from .environment import (
     ACTION_CLASSES,
     Airspace,
-    NavCommand,
     SENSOR_TYPES,
     UavState,
-    VehicleParams,
     check_geofence,
 )
 from .errors import ParseError
@@ -212,13 +210,11 @@ class ToolExecutor:
         registry: Mapping[str, ToolSpec],
         calibration: SliceCalibration,
         airspace: Airspace,
-        params: VehicleParams,
         swarm: SwarmContext | None = None,
     ) -> None:
         self.registry = dict(registry)
         self.calibration = calibration
         self.airspace = airspace
-        self.params = params
         self.swarm = swarm or SwarmContext({}, {})
 
     # -- MCP ---------------------------------------------------------------
@@ -270,8 +266,7 @@ class ToolExecutor:
 
     def _set_target(self, state, network, target):
         clamped = (float(target[0]), float(target[1]), self._clamp_altitude(float(target[2])))
-        command = NavCommand(target=clamped, landing=state.command.landing)
-        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, command)
+        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, clamped, state.landing)
         return {"status": "accepted", "target": list(clamped)}, next_state, network
 
     def _tool_set_waypoint(self, args, state, network, rng):
@@ -280,12 +275,14 @@ class ToolExecutor:
     _tool_navigate_to = _tool_set_waypoint
 
     def _tool_set_altitude(self, args, state, network, rng):
-        base = state.command.target or state.kinematics.position
+        base = state.target or state.kinematics.position
         return self._set_target(state, network, (base[0], base[1], args["z"]))
 
     def _tool_activate_sensor(self, args, state, network, rng):
         sensor = args["sensor"]
-        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors | {sensor}, state.command)
+        next_state = UavState(
+            state.kinematics, state.battery_pct, state.flags, state.sensors | {sensor}, state.target, state.landing
+        )
         return {"status": "active", "sensor": sensor}, next_state, network
 
     def _tool_capture_image(self, args, state, network, rng):
@@ -318,13 +315,12 @@ class ToolExecutor:
 
     def _tool_land(self, args, state, network, rng):
         p = state.kinematics.position
-        command = NavCommand(target=(p[0], p[1], self.airspace.z_min_m), landing=True)
-        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, command)
+        target = (p[0], p[1], self.airspace.z_min_m)
+        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, target, True)
         return {"status": "landing", "target_altitude_m": self.airspace.z_min_m}, next_state, network
 
     def _tool_hover(self, args, state, network, rng):
-        command = NavCommand(target=None, landing=False)
-        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors, command)
+        next_state = UavState(state.kinematics, state.battery_pct, state.flags, state.sensors)
         return {"status": "holding"}, next_state, network
 
     # -- A2A ---------------------------------------------------------------

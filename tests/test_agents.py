@@ -12,7 +12,6 @@ from skybench import agents
 from skybench.agents import (
     AdaptiveActionFilter,
     AdaptivePilot,
-    MissionStatus,
     SafePilot,
     UserSimulator,
     _apply_strictness,
@@ -20,7 +19,6 @@ from skybench.agents import (
     make_agent,
     run_attempts,
     run_episode,
-    simulate_user_turn,
     stream_digest,
 )
 from skybench.episode import (
@@ -28,12 +26,14 @@ from skybench.episode import (
     Episode,
     MAX_ATTEMPTS,
     McpCall,
+    ROLE_USER,
     action_to_doc,
     doc_to_episode,
     dumps_canonical,
     dumps_document,
     network_to_doc,
     record_to_line,
+    turn_doc,
     validate_episode,
 )
 from skybench.errors import ParseError
@@ -313,12 +313,12 @@ def test_crashing_agent_becomes_internal_stub(scenario_by_id, calibration):
 
 def test_user_opener_matches_template(scenario_by_id):
     user = UserSimulator()
-    turn = simulate_user_turn(user, 0, scenario_by_id["S01"], MissionStatus(), clean_net())
+    turn = turn_doc(ROLE_USER, user.intent(0, scenario_by_id["S01"], False, None), clean_net())
     assert turn["role"] == "user"
     assert "action" not in turn and "observation" not in turn
     assert turn["intent"].startswith("initiate mission and check telemetry")
     assert turn["network"] == network_to_doc(clean_net())
-    again = simulate_user_turn(user, 0, scenario_by_id["S01"], MissionStatus(), clean_net())
+    again = turn_doc(ROLE_USER, user.intent(0, scenario_by_id["S01"], False, None), clean_net())
     assert turn == again
 
 

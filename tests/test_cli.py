@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import statistics
@@ -700,6 +701,37 @@ def _builtin_scenario_doc() -> dict:
     return json.loads((resources.files("skybench.data") / "scenarios" / "s01_thermal_survey.json").read_text("utf-8"))
 
 
+# sha256 of S01's corpus with the target at the start and no capture, for
+# safe_pilot and adaptive_pilot: generate --canonical --episodes-per-scenario 2.
+COMPLETED_PHASE_PIN = "652f7978790f3c7ae21438ec3106b0b248f63b54c4ac7e71e268eb2ecba89745"
+
+
+def test_supervisor_turns_after_completion_are_pinned(tmp_path):
+    # The mission completes at the first step, so every later supervisor
+    # turn comes from the completed phase, which no built-in episode reaches.
+    scenario = _builtin_scenario_doc()
+    scenario["mission"]["target"] = scenario["initial_state"]["position"]
+    del scenario["mission"]["capture_sensor"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "run"
+    assert main([
+        "generate", "--scenarios", str(path), "--agents", "safe_pilot,adaptive_pilot",
+        "--episodes-per-scenario", "2", "--canonical", "--out", str(out),
+    ]) == EXIT_OK
+    corpus = (out / "corpus.jsonl").read_bytes()
+    docs = [json.loads(line) for line in corpus.splitlines()]
+    assert len(docs) == 4
+    for doc in docs:
+        assert [t["intent"] for t in doc["turns"] if t["role"] == "user"][1:] == [
+            "acknowledge completion; archive the mission log and stand by",
+            "confirm mission results and verify the final state",
+            "acknowledge completion; archive the mission log and stand by",
+        ]
+        assert doc["final_state"]["mission_completed"]
+    assert hashlib.sha256(corpus).hexdigest() == COMPLETED_PHASE_PIN
+
+
 _ECHO_POLICY = (
     "import json, sys\n"
     "for line in sys.stdin:\n"
@@ -1207,6 +1239,26 @@ def _assert_scenario_rejected(scenario: dict, path: Path, err: str, message: str
         (lambda doc: doc["weather"].update(wind_mps=float("nan")), "weather.wind_mps must be finite, got nan"),
         (lambda doc: doc["weather"].update(visibility_km=float("-inf")), "weather.visibility_km must be finite, got -inf"),
         (lambda doc: doc["weather"].update(gusts={"peaks_mps": [4.0, float("inf")]}), "weather.gusts.peaks_mps[1] must be finite, got inf"),
+        # Numbers must be JSON numbers and the description a string: none is
+        # converted, so true is no 1 and "2" no 2.
+        (lambda doc: doc["vehicle"].update(mass_kg=True), "vehicle.mass_kg must be a number, got True"),
+        (lambda doc: doc["vehicle"].update(mass_kg="2"), "vehicle.mass_kg must be a number, got '2'"),
+        (lambda doc: doc["vehicle"].update(max_thrust_n="60"), "vehicle.max_thrust_n must be a number, got '60'"),
+        (lambda doc: doc["vehicle"].update(cruise_speed_mps=True), "vehicle.cruise_speed_mps must be a number, got True"),
+        (lambda doc: doc["mission"].update(target=[True, 8, 60]), "mission target must be a number, got True"),
+        (lambda doc: doc["mission"].update(arrival_tolerance_m=True), "mission.arrival_tolerance_m must be a number, got True"),
+        (lambda doc: doc["disturbance"].update(sigma_pos_m="0.5"), "disturbance.sigma_pos_m must be a number, got '0.5'"),
+        (lambda doc: doc["disturbance"].update(sigma_vel_mps="0.2"), "disturbance.sigma_vel_mps must be a number, got '0.2'"),
+        (lambda doc: doc["disturbance"].update(clip_sigmas="3"), "disturbance.clip_sigmas must be a number, got '3'"),
+        (lambda doc: doc["initial_state"].update(battery_pct="96"), "initial_state.battery_pct must be a number, got '96'"),
+        (lambda doc: doc["initial_state"].update(yaw_rad=False), "initial_state.yaw_rad must be a number, got False"),
+        (lambda doc: doc["initial_state"].update(velocity=[0, "0", 0]), "initial velocity must be a number, got '0'"),
+        (lambda doc: doc["airspace"].update(z_min_m="20"), "airspace.z_min_m must be a number, got '20'"),
+        (lambda doc: doc["airspace"].update(separation_margin_m="10"), "airspace.separation_margin_m must be a number, got '10'"),
+        (lambda doc: doc["airspace"].update(geofences=[{"center": [500.0, 500.0], "radius_m": "5"}]), "geofence radius_m must be a number, got '5'"),
+        (lambda doc: doc["network"].update(slice_switch_prob=True), "network.slice_switch_prob must be a number, got True"),
+        (lambda doc: doc.update(peers={"P1": [[0, 50, True]]}), "peer P1 position must be a number, got True"),
+        (lambda doc: doc.update(description=["a", "b"]), "description must be a string, got ['a', 'b']"),
     ],
 )
 def test_generate_rejects_scenario_sections_of_the_wrong_type(tmp_path, capsys, edit, message):
@@ -2122,3 +2174,42 @@ def test_analytics_reads_latencies_near_float_max(tmp_path):
     # The report keeps six significant digits of each value.
     assert top["mean_ms"] == pytest.approx(statistics.mean(latencies), rel=1e-5)
     assert top["std_ms"] == pytest.approx(statistics.pstdev(latencies), rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "metadata, cells",
+    [
+        # Each sum passes float range, so the means are taken of the values
+        # divided by their largest.
+        (
+            {"gen_time_s": 1.5e308, "prompt_tokens": 10**308, "completion_tokens": 5 * 10**307,
+             "total_tokens": 15 * 10**307},
+            {"mean_gen_time_s": "1.5e+308", "mean_total_tokens": "1.5e+308"},
+        ),
+        # A subnormal time overflows the composite per second, which then
+        # reads 0, as each record's ge_per_sec does.
+        ({"gen_time_s": 1e-310}, {"alpha3_per_sec": "0"}),
+    ],
+    ids=["sums overflow", "rate overflows"],
+)
+def test_aggregate_writes_finite_cells_for_extreme_valid_records(tmp_path, metadata, cells):
+    # Such records are valid, yet the leaderboard once read inf for them.
+    out = tmp_path / "run"
+    argv = ["generate", "--canonical", "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    docs = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    for doc in docs:
+        doc["metadata"].update(metadata)
+    (out / "corpus.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    (out / MANIFEST_NAME).unlink()
+    assert main(["validate", str(out / "corpus.jsonl")]) == EXIT_OK
+    for stage in ("score", "aggregate"):
+        assert main([stage, "--out", str(out)]) == EXIT_OK
+    with open(out / LEADERBOARD_NAME, newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert all(math.isfinite(float(row[column])) for column in LEADERBOARD_COLUMNS[1:]), row
+    assert {column: row[column] for column in cells} == cells
+    scores = [json.loads(line) for line in (out / SCORES_NAME).read_text().splitlines()]
+    assert len(scores) == len(docs)
+    if "alpha3_per_sec" in cells:
+        assert {s["ge_per_sec"] for s in scores} == {0.0}

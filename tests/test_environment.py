@@ -13,7 +13,6 @@ from skybench.environment import (
     DisturbanceModel,
     Geofence,
     KinematicState,
-    NavCommand,
     SafetyFlags,
     UavState,
     VehicleParams,
@@ -226,7 +225,7 @@ def test_evolve_reaches_waypoint_within_tolerance():
     state = UavState(
         kinematics=KinematicState(position=(0.0, 0.0, 60.0)),
         battery_pct=95.0,
-        command=NavCommand(target=(14.0, 8.0, 60.0)),
+        target=(14.0, 8.0, 60.0),
     )
     rng = quiet_rng()
     model = DisturbanceModel.none()
@@ -240,7 +239,7 @@ def test_evolve_nfz_flag_is_sticky():
     state = UavState(
         kinematics=KinematicState(position=(0.0, 0.0, 50.0)),
         battery_pct=95.0,
-        command=NavCommand(target=(30.0, 0.0, 50.0)),
+        target=(30.0, 0.0, 50.0),
     )
     rng = quiet_rng()
     model = DisturbanceModel.none()
@@ -250,7 +249,7 @@ def test_evolve_nfz_flag_is_sticky():
         flagged = flagged or state.flags.nfz_violation
     assert flagged and state.flags.nfz_violation
     # Command away from the fence; the flag must remain.
-    state = replace(state, command=NavCommand(target=(0.0, 0.0, 50.0)))
+    state = replace(state, target=(0.0, 0.0, 50.0))
     for _ in range(6):
         state = evolve_state(state, airspace, PARAMS, model, rng, 1.0, action_class="maneuver")
     assert state.flags.nfz_violation
@@ -260,7 +259,7 @@ def test_evolve_bit_for_bit_deterministic():
     state = UavState(
         kinematics=KinematicState(position=(0.0, 0.0, 50.0)),
         battery_pct=80.0,
-        command=NavCommand(target=(10.0, -5.0, 55.0)),
+        target=(10.0, -5.0, 55.0),
     )
     model = DisturbanceModel(0.5, 0.2, 3.0)
 
@@ -307,7 +306,7 @@ ACTION_CYCLE = tuple(BATTERY_DRAW)
 def _rebuilding_evolve_state(state, airspace, params, disturbance, rng, dt, *, action_class, peer_positions):
     """evolve_state as it was written before it kept unchanged flags: every
     step builds new SafetyFlags."""
-    thrust = _control_thrust(state.kinematics, state.command, params, dt)
+    thrust = _control_thrust(state.kinematics, state.target, params, dt)
     kin = apply_disturbance(step_kinematics(state.kinematics, thrust, params, dt), disturbance, rng)
     battery = max(0.0, state.battery_pct - BATTERY_DRAW[action_class] * dt)
     f = state.flags
@@ -318,7 +317,7 @@ def _rebuilding_evolve_state(state, airspace, params, disturbance, rng, dt, *, a
         or not check_separation(kin.position, peer_positions, airspace.separation_margin_m),
         battery_depleted=f.battery_depleted or battery < BATTERY_DEPLETED_PCT,
     )
-    return UavState(kin, battery, flags, state.sensors, state.command)
+    return UavState(kin, battery, flags, state.sensors, state.target, state.landing)
 
 
 def test_evolve_state_equals_the_rebuilding_form():
@@ -335,7 +334,8 @@ def test_evolve_state_equals_the_rebuilding_form():
             kinematics=KinematicState(tuple(pick.uniform((-5.0, -5.0, 15.0), (20.0, 5.0, 65.0)).tolist())),
             battery_pct=float(pick.uniform(0.0, 12.0)),
             flags=flags,
-            command=NavCommand(target=target, landing=bool(case % 3 == 0)),
+            target=target,
+            landing=bool(case % 3 == 0),
         )
         peers = (tuple(pick.uniform((-5.0, -5.0, 15.0), (20.0, 5.0, 65.0)).tolist()),)
         ours, theirs = np.random.default_rng(case), np.random.default_rng(case)

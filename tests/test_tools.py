@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from skybench.environment import Airspace, KinematicState, UavState, VehicleParams
+from skybench.environment import Airspace, KinematicState, UavState
 from skybench.episode import A2aAck, A2aTask, McpCall, McpResult, action_to_doc, observation_to_doc
 from skybench.network import NetworkState, URLLC, EMBB, classify_hard
 from skybench.tools import (
@@ -18,7 +18,6 @@ from skybench.tools import (
 )
 
 AIRSPACE = Airspace(z_min_m=20.0, z_max_m=120.0)
-PARAMS = VehicleParams()
 
 
 def mcp(name, args=None):
@@ -33,7 +32,7 @@ def a2a(task, to, payload=None):
 
 def make_executor(calibration, peers=None):
     swarm = SwarmContext(peers=peers or {"P2": ((5.0, 5.0, 50.0),)}, weather={"conditions": "clear", "wind_mps": 3.0})
-    return ToolExecutor(default_registry(), calibration, AIRSPACE, PARAMS, swarm)
+    return ToolExecutor(default_registry(), calibration, AIRSPACE, swarm)
 
 
 def normal_net(slice_name=EMBB):
@@ -79,12 +78,12 @@ def test_set_altitude_clamps_to_envelope(calibration):
     obs, new_state, _ = executor.execute_mcp(
         mcp("set_altitude", {"z": AIRSPACE.z_max_m + 50.0}), state, normal_net(), np.random.default_rng(2)
     )
-    assert new_state.command.target[2] == AIRSPACE.z_max_m
+    assert new_state.target[2] == AIRSPACE.z_max_m
     assert obs["result"]["target"][2] == AIRSPACE.z_max_m
     obs, new_state, _ = executor.execute_mcp(
         mcp("set_altitude", {"z": 1.0}), state, normal_net(), np.random.default_rng(2)
     )
-    assert new_state.command.target[2] == AIRSPACE.z_min_m
+    assert new_state.target[2] == AIRSPACE.z_min_m
 
 
 def test_set_waypoint_stores_clamped_target(calibration):
@@ -92,7 +91,7 @@ def test_set_waypoint_stores_clamped_target(calibration):
     obs, state, _ = executor.execute_mcp(
         mcp("set_waypoint", {"x": 5.0, "y": -3.0, "z": 500.0}), base_state(), normal_net(), np.random.default_rng(3)
     )
-    assert state.command.target == (5.0, -3.0, AIRSPACE.z_max_m)
+    assert state.target == (5.0, -3.0, AIRSPACE.z_max_m)
     assert obs["result"]["status"] == "accepted"
 
 
@@ -115,8 +114,8 @@ def test_activate_sensor_and_payload_tools_do_not_move_the_vehicle(calibration):
 def test_land_sets_floor_target_and_marker(calibration):
     executor = make_executor(calibration)
     obs, state, _ = executor.execute_mcp(mcp("land"), base_state(), normal_net(), np.random.default_rng(6))
-    assert state.command.landing
-    assert state.command.target == (10.0, 20.0, AIRSPACE.z_min_m)
+    assert state.landing
+    assert state.target == (10.0, 20.0, AIRSPACE.z_min_m)
 
 
 def test_unknown_tool_degrades_not_raises(calibration):
@@ -229,7 +228,7 @@ def test_registry_extension_roundtrip(calibration):
     assert "ping_relay" in registry
     assert registry["read_telemetry"].action_class == "transmit"
     # A registered tool with no handler of its own echoes its arguments.
-    executor = ToolExecutor(registry, calibration, AIRSPACE, PARAMS)
+    executor = ToolExecutor(registry, calibration, AIRSPACE)
     state, net = base_state(), normal_net()
     obs, after, net_after = executor.execute_mcp(mcp("ping_relay", {"peer": "P2"}), state, net, np.random.default_rng(0))
     assert obs == {"tool": "ping_relay", "result": {"status": "ok", "args": {"peer": "P2"}}}
