@@ -18,7 +18,28 @@ from .environment import (
 )
 from .errors import InvalidInput, ScenarioError
 from .network import SLICES
-from .tools import SwarmContext
+
+
+@dataclass(frozen=True)
+class SwarmContext:
+    """Scripted peer agents: per-turn positions and cooperative responses."""
+
+    peers: Mapping[str, tuple[tuple[float, float, float], ...]] = None  # type: ignore[assignment]
+    weather: Mapping[str, Any] = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "peers", dict(self.peers or {}))
+        object.__setattr__(self, "weather", dict(self.weather or {"conditions": "clear", "wind_mps": 3.0}))
+
+    def peer_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.peers))
+
+    def peer_position(self, peer_id: str, turn_index: int) -> tuple[float, float, float]:
+        track = self.peers[peer_id]
+        return track[min(turn_index, len(track) - 1)]
+
+    def positions_at(self, turn_index: int) -> tuple[tuple[float, float, float], ...]:
+        return tuple(self.peer_position(pid, turn_index) for pid in self.peer_ids())
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .episode import (
 )
 from .errors import DegenerateInput
 from .network import EMBB, classify_hard
-from .tools import match_action_observation
 
 if TYPE_CHECKING:
     from .episode import Episode, FinalState
@@ -173,6 +172,21 @@ def score_safety_policy(flags: FinalState | Mapping[str, Any]) -> float:
         - PENALTY_BATTERY * flags["battery_depleted"]
     )
     return clamp01(score)
+
+
+def match_action_observation(action: Mapping[str, Any] | None, observation: Mapping[str, Any] | None) -> bool:
+    """Structural pairing rule used by tool-consistency scoring, over the
+    documents of an action and its observation.  An observation with a tool
+    field is a tool result, as doc_to_episode reads it."""
+    if action is None or observation is None:
+        return False
+    if action["protocol"] == "mcp":
+        return "tool" in observation and str(observation["tool"]) == action["name"]
+    return (
+        "tool" not in observation
+        and observation.get("task") == action["task"]
+        and observation.get("from") == action["to"]
+    )
 
 
 def score_tool_consistency(e: Episode | Mapping[str, Any]) -> float:

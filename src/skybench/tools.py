@@ -22,6 +22,7 @@ from .environment import (
 )
 from .errors import ParseError
 from .network import NetworkState, SLICES, SliceCalibration, clamp, classify_hard, sample_network_state
+from .scenarios import SwarmContext
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,7 +88,8 @@ def default_registry() -> dict[str, ToolSpec]:
 
 def load_registry_extension(doc: Any) -> dict[str, ToolSpec]:
     """Parse extra tool specs from a tool file's document: an object whose
-    "tools" (none when absent) is a list of tool entries."""
+    "tools" (none when absent) is a list of tool entries.  Each value must
+    have its field's type; none is converted."""
     entries = doc.get("tools", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ParseError("a tool file must be an object whose tools is a list")
@@ -96,19 +98,12 @@ def load_registry_extension(doc: Any) -> dict[str, ToolSpec]:
         if not isinstance(entry, Mapping):
             raise ParseError(f"tool registry entry must be an object, got {entry!r}")
         try:
-            args = tuple(
-                ArgSpec(
-                    name=str(a["name"]),
-                    kind=str(a.get("kind", "string")),
-                    required=bool(a.get("required", True)),
-                    choices=tuple(a["choices"]) if "choices" in a else None,
-                )
-                for a in entry.get("args", [])
-            )
+            name = _typed(entry["name"], str, "a tool's name")
+            args = _typed(entry.get("args", []), list, f"tool {name!r}: args")
             spec = ToolSpec(
-                name=str(entry["name"]),
-                action_class=str(entry.get("action_class", "transmit")),
-                args=args,
+                name=name,
+                action_class=_typed(entry.get("action_class", "transmit"), str, f"tool {name!r}: action_class"),
+                args=tuple(_arg_spec(a, name) for a in args),
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed tool registry entry: {exc}") from exc
@@ -127,6 +122,28 @@ def load_registry_extension(doc: Any) -> dict[str, ToolSpec]:
                 )
         registry[spec.name] = spec
     return registry
+
+
+_TYPE_NAMES = {str: "a string", bool: "true or false", list: "a list"}
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """value, which must be of type `kind`; raises ParseError naming `what`."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _arg_spec(doc: Mapping[str, Any], tool: str) -> ArgSpec:
+    """The ArgSpec of one entry of a tool's args."""
+    name = _typed(doc["name"], str, f"tool {tool!r}: an argument's name")
+    where = f"tool {tool!r}: argument {name!r}:"
+    return ArgSpec(
+        name=name,
+        kind=_typed(doc.get("kind", "string"), str, f"{where} kind"),
+        required=_typed(doc.get("required", True), bool, f"{where} required"),
+        choices=tuple(_typed(doc["choices"], list, f"{where} choices")) if "choices" in doc else None,
+    )
 
 
 def _finite_number(v: Any) -> bool:
@@ -163,43 +180,6 @@ def validate_args(spec: ToolSpec, args: Mapping[str, Any]) -> str | None:
         if arg.choices is not None and value not in arg.choices:
             return f"argument {arg.name!r} must be one of {list(arg.choices)}"
     return None
-
-
-def match_action_observation(action: Mapping[str, Any] | None, observation: Mapping[str, Any] | None) -> bool:
-    """Structural pairing rule used by tool-consistency scoring, over the
-    documents of an action and its observation.  An observation with a tool
-    field is a tool result, as doc_to_episode reads it."""
-    if action is None or observation is None:
-        return False
-    if action["protocol"] == "mcp":
-        return "tool" in observation and str(observation["tool"]) == action["name"]
-    return (
-        "tool" not in observation
-        and observation.get("task") == action["task"]
-        and observation.get("from") == action["to"]
-    )
-
-
-@dataclass(frozen=True)
-class SwarmContext:
-    """Scripted peer agents: per-turn positions and cooperative responses."""
-
-    peers: Mapping[str, tuple[tuple[float, float, float], ...]] = None  # type: ignore[assignment]
-    weather: Mapping[str, Any] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "peers", dict(self.peers or {}))
-        object.__setattr__(self, "weather", dict(self.weather or {"conditions": "clear", "wind_mps": 3.0}))
-
-    def peer_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.peers))
-
-    def peer_position(self, peer_id: str, turn_index: int) -> tuple[float, float, float]:
-        track = self.peers[peer_id]
-        return track[min(turn_index, len(track) - 1)]
-
-    def positions_at(self, turn_index: int) -> tuple[tuple[float, float, float], ...]:
-        return tuple(self.peer_position(pid, turn_index) for pid in self.peer_ids())
 
 
 class ToolExecutor:

@@ -607,6 +607,13 @@ def test_config_hash_is_pinned():
     assert RunConfig(out="x", parallel=3).config_hash(*builtin_inputs) == "10e21ff35400d79a"
 
 
+def test_the_default_agents_are_every_builtin_agent():
+    # RunConfig writes the names out, so that importing the CLI loads no agent.
+    from skybench.agents import AGENT_TYPES
+
+    assert RunConfig().agents == tuple(sorted(AGENT_TYPES))
+
+
 def test_run_config_validation():
     for bad in (
         {"episodes_per_scenario": 0},
@@ -1527,6 +1534,31 @@ def test_generate_rejects_bad_calibration_file(tmp_path, capsys, targets, messag
         ({"name": "ping", "args": [{"name": "n", "kind": "float"}]}, "argument 'n' has kind 'float'"),
         ({"name": "ping", "protocol": "a2a"}, "protocol 'a2a' is not 'mcp'"),
         ({"action_class": "transmit"}, "malformed tool registry entry: 'name'"),
+        # A value of the wrong type is refused, naming its field, not converted.
+        (
+            {"name": 5, "args": [{"name": "x", "required": "false", "choices": "ab"}]},
+            "error: a tool's name must be a string, got 5\n",
+        ),
+        ({"name": "ping", "action_class": 5}, "error: tool 'ping': action_class must be a string, got 5\n"),
+        ({"name": "ping", "args": "x"}, "error: tool 'ping': args must be a list, got 'x'\n"),
+        ({"name": "ping", "args": {"name": "x"}}, "error: tool 'ping': args must be a list, got {'name': 'x'}\n"),
+        ({"name": "ping", "args": [{"name": 5}]}, "error: tool 'ping': an argument's name must be a string, got 5\n"),
+        (
+            {"name": "ping", "args": [{"name": "x", "kind": 5}]},
+            "error: tool 'ping': argument 'x': kind must be a string, got 5\n",
+        ),
+        (
+            {"name": "ping", "args": [{"name": "x", "required": "false"}]},
+            "error: tool 'ping': argument 'x': required must be true or false, got 'false'\n",
+        ),
+        (
+            {"name": "ping", "args": [{"name": "x", "required": 0}]},
+            "error: tool 'ping': argument 'x': required must be true or false, got 0\n",
+        ),
+        (
+            {"name": "ping", "args": [{"name": "x", "choices": "ab"}]},
+            "error: tool 'ping': argument 'x': choices must be a list, got 'ab'\n",
+        ),
     ],
 )
 def test_generate_rejects_bad_tool_file(tmp_path, capsys, entry, message):

@@ -1,7 +1,8 @@
 """Only generate loads numpy, and no stage loads jsonschema: the read side
 starts without either, and jsonschema is a test oracle only.  Likewise each
-standard-library module that only some commands use is loaded on their path
-alone, never at import, and no stage creates the typed record classes.
+standard-library module and each skybench module that only some commands use
+is loaded on their path alone, never at import, and no stage creates the
+typed record classes.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported them all.
@@ -79,25 +80,60 @@ def test_import_and_setup_leave_numpy_and_jsonschema_unloaded(fresh_python):
     assert out.strip() == "False False"
 
 
-def _added(fresh_python, body: str) -> set[str]:
+def _added(fresh_python, body: str, flags: tuple[str, ...] = ("-S",)) -> set[str]:
     """The modules `body` adds to a fresh interpreter's sys.modules.
 
-    Under -S no site hook (a .pth file) loads anything before `body` runs.
+    Under -S no site hook (a .pth file) loads anything before `body` runs,
+    but numpy, which generate needs, cannot be found either.
     """
-    code, out, err = fresh_python(ADDED_PROBE.format(body=body), flags=("-S",))
+    code, out, err = fresh_python(ADDED_PROBE.format(body=body), flags=flags)
     assert code == 0, err
     return set(json.loads(out.splitlines()[-1]))
 
 
+# The skybench modules each command loads: validate reads records with the
+# episode model alone, the other readers add scoring, and generate adds the
+# agents, the tools, the scenarios and the physics, but not scoring.
+READER_MODULES = {"skybench", "skybench.cli", "skybench.episode", "skybench.errors", "skybench.network"}
+COMMAND_MODULES = {
+    "validate": READER_MODULES,
+    "score": READER_MODULES | {"skybench.scoring"},
+    "aggregate": READER_MODULES | {"skybench.scoring"},
+    "analytics": READER_MODULES | {"skybench.scoring"},
+    "generate": READER_MODULES | {"skybench.agents", "skybench.tools", "skybench.scenarios", "skybench.environment"},
+}
+IMPORT_AND_SETUP = (
+    "import skybench.cli\n"
+    "from skybench.network import default_calibration\n"
+    "from skybench.scenarios import builtin_scenarios\n"
+    "default_calibration()\n"
+    "builtin_scenarios()"
+)
+
+
+def _skybench_modules(modules: set[str]) -> set[str]:
+    return {name for name in modules if name == "skybench" or name.startswith("skybench.")}
+
+
+def test_import_and_setup_load_only_the_readers_and_scenario_modules(fresh_python):
+    added = _skybench_modules(_added(fresh_python, IMPORT_AND_SETUP))
+    assert added == READER_MODULES | {"skybench.scenarios", "skybench.environment"}
+
+
+@pytest.mark.parametrize("command", ["generate", *READ_SIDE])
+def test_each_command_loads_only_its_skybench_modules(fresh_python, clean_run, tmp_path, command):
+    out = tmp_path / "run"
+    if command == "generate":
+        argv = ["generate", "--canonical", "--episodes-per-scenario", "1", "--out", str(out)]
+    else:
+        shutil.copytree(clean_run, out)
+        argv = _argv(command, out)
+    added = _added(fresh_python, f"from skybench.cli import main\nassert main({argv!r}) == 0", flags=())
+    assert _skybench_modules(added) == COMMAND_MODULES[command]
+
+
 def test_import_and_setup_leave_deferred_modules_unloaded(fresh_python):
-    added = _added(
-        fresh_python,
-        "import skybench.cli\n"
-        "from skybench.network import default_calibration\n"
-        "from skybench.scenarios import builtin_scenarios\n"
-        "default_calibration()\n"
-        "builtin_scenarios()",
-    )
+    added = _added(fresh_python, IMPORT_AND_SETUP)
     assert "skybench.cli" in added
     assert added & DEFERRED == set()
 
@@ -174,3 +210,93 @@ def test_no_stage_creates_a_record_class(fresh_python, clean_run, tmp_path, comm
     code, stdout, err = fresh_python(RECORD_PROBE.format(setup="", argv=argv))
     assert code == 0, err
     assert json.loads(stdout.splitlines()[-1]) == [EXIT_OK, []]
+
+
+# Every name the package exported while it imported all its modules, by the
+# module that defines it now.
+PACKAGE_EXPORTS = {
+    "agents": [
+        "AdaptiveActionFilter", "AdaptivePilot", "GreedyStreamer", "SafePilot", "SubprocessPolicy",
+        "UserSimulator", "make_agent", "run_episode",
+    ],
+    "environment": [
+        "Airspace", "DisturbanceModel", "Geofence", "KinematicState", "SafetyFlags", "UavState",
+        "VehicleParams", "evolve_state", "step_kinematics",
+    ],
+    "episode": [
+        "ValidationReport", "check_stub", "failure_stub", "line_to_record", "record_to_line", "validate_episode",
+    ],
+    "errors": ["CalibrationError", "DegenerateInput", "InvalidInput", "ParseError", "ScenarioError", "SkybenchError"],
+    "network": [
+        "NetworkState", "SliceCalibration", "calibrate", "classify_hard", "default_calibration",
+        "evolve_network", "sample_network_state",
+    ],
+    "scenarios": ["Scenario", "SwarmContext", "builtin_scenarios", "load_scenario"],
+    "scoring": [
+        "ModelAggregate", "PillarScores", "ScoringContext", "aggregate_model", "composite", "compute_t_opt",
+        "generation_efficiency", "match_action_observation", "score_episode",
+    ],
+    "tools": ["ToolExecutor", "ToolSpec", "default_registry"],
+}
+
+
+def test_importing_the_package_loads_none_of_its_modules(fresh_python):
+    assert _skybench_modules(_added(fresh_python, "import skybench")) == {"skybench"}
+
+
+@pytest.mark.parametrize("home", sorted(PACKAGE_EXPORTS))
+def test_each_package_export_is_its_home_modules_object(home):
+    import importlib
+
+    import skybench
+
+    module = importlib.import_module(f"skybench.{home}")
+    for name in PACKAGE_EXPORTS[home]:
+        assert getattr(skybench, name) is getattr(module, name), name
+        assert name in dir(skybench), name
+    assert skybench.__version__ == "0.1.0"
+
+
+def test_the_package_gives_the_record_classes_and_no_unknown_name():
+    import skybench
+    import skybench.episode as episode
+
+    for name in episode.RECORD_CLASSES:
+        assert getattr(skybench, name) is getattr(episode, name)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        skybench.nope
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        import skybench.cli
+
+        skybench.cli.nope
+
+
+# A name of a module that only some commands load resolves as an attribute
+# of skybench.cli before that module is loaded, and loading it keeps a value
+# set there first, as a test's patch or a tracer's wrapper.
+LOOKUP_SITE_PROBE = """
+import sys
+import skybench.cli as cli
+assert "skybench.agents" not in sys.modules
+calls = []
+def counting(*args, **kwargs):
+    from skybench.agents import run_attempts
+    calls.append(1)
+    return run_attempts(*args, **kwargs)
+cli.run_attempts = counting
+run_episode = cli.run_episode
+import skybench.agents as agents
+assert run_episode is agents.run_episode
+assert "skybench.scoring" not in sys.modules
+assert cli.main({argv!r}) == 0
+assert cli.run_attempts is counting
+print(len(calls))
+"""
+
+
+def test_a_deferred_name_resolves_in_cli_and_a_value_set_there_is_kept(fresh_python, tmp_path):
+    argv = ["generate", "--canonical", "--agents", "safe_pilot", "--episodes-per-scenario", "1",
+            "--out", str(tmp_path / "run")]
+    code, out, err = fresh_python(LOOKUP_SITE_PROBE.format(argv=argv))
+    assert code == 0, err
+    assert out.splitlines()[-1] == "3"

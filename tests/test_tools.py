@@ -8,12 +8,12 @@ import pytest
 from skybench.environment import Airspace, KinematicState, UavState
 from skybench.episode import A2aAck, A2aTask, McpCall, McpResult, action_to_doc, observation_to_doc
 from skybench.network import NetworkState, URLLC, EMBB, classify_hard
+from skybench.scenarios import SwarmContext
+from skybench.scoring import match_action_observation
 from skybench.tools import (
-    SwarmContext,
     ToolExecutor,
     default_registry,
     load_registry_extension,
-    match_action_observation,
     validate_args,
 )
 
