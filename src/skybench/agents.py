@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 from .environment import BATTERY_DEPLETED_PCT, evolve_state
 from .episode import (
@@ -36,7 +35,6 @@ from .episode import (
     validate_episode,
 )
 from .network import (
-    NetworkState,
     SliceCalibration,
     URLLC,
     classify_hard,
@@ -53,6 +51,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .episode import Action, Episode
+    from .network import NetworkState
 
 # A turn's document, as turn_doc builds it, and an action's document, as a
 # policy returns it: {"protocol": "mcp", "name", "args"} or
@@ -107,8 +106,7 @@ class AdaptiveActionFilter:
 # User simulator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UserSimulator:
+class UserSimulator(NamedTuple):
     """Deterministic supervisor turns; never emits structured actions.
 
     With ``prompts`` it replays them in order (repeating the last one);
@@ -573,7 +571,7 @@ def run_attempts(
 
     calib = calibration
     if scenario.slice_switch_prob is not None:
-        calib = replace(calibration, slice_switch_prob=scenario.slice_switch_prob)
+        calib = calibration._replace(slice_switch_prob=scenario.slice_switch_prob)
     registry = default_registry() if registry is None else registry
     executor = ToolExecutor(registry, calib, scenario.airspace, scenario.swarm)
     episode_id = episode_id_for(scenario.scenario_id, agent.name, index)
@@ -645,7 +643,7 @@ def _run_attempt(
 
     state = scenario.initial_state
     if state.battery_pct < BATTERY_DEPLETED_PCT:
-        state = replace(state, flags=replace(state.flags, battery_depleted=True))
+        state = state._replace(flags=state.flags._replace(battery_depleted=True))
     network = sample_network_state(scenario.initial_slice, calib, net_rng)
     arrived = captured = completed = False
     aborted = None  # None | battery_depleted | network_degraded

@@ -12,9 +12,8 @@ import json
 import os
 import sys
 from contextlib import closing
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .episode import (
     canonical_float,
@@ -30,7 +29,7 @@ from .episode import (
     loads_json,
     validate_episode,
 )
-from .errors import DegenerateInput, ParseError, ScenarioError, SkybenchError
+from .errors import DegenerateInput, ParseError, ScenarioError, SkybenchError, checked
 from .network import calibrate, default_calibration, classify_hard, verify_calibration
 
 if TYPE_CHECKING:
@@ -139,8 +138,8 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     """Every setting of a generate run, each with its default."""
 
     scenarios: str = "builtin"
@@ -158,7 +157,7 @@ class RunConfig:
     # name -> argv for policies attached over the subprocess line protocol
     external_agents: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> RunConfig:
         for name in ("episodes_per_scenario", "seed", "parallel"):
             if not _is_int(getattr(self, name)):
                 raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -186,6 +185,7 @@ class RunConfig:
             raise ScenarioError("the agent list is empty")
         if len(set(self.agents)) != len(self.agents):
             raise ScenarioError(f"the agent list names an agent twice: {list(self.agents)}")
+        return self
 
     def config_hash(self, scenario_docs: Sequence[Any], calibration_targets: Any, tools_doc: Any) -> str:
         """Hash of every setting but where the run writes and how many processes
@@ -193,7 +193,7 @@ class RunConfig:
         in place of their paths; CORPUS_VERSION covers the built-in inputs."""
         import hashlib
 
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out", "parallel")}
+        doc = {name: value for name, value in self._asdict().items() if name not in ("out", "parallel")}
         doc.update(
             corpus_version=CORPUS_VERSION,
             scenario_docs=scenario_docs,
@@ -391,12 +391,38 @@ def cmd_generate(config: RunConfig) -> int:
     targets = _read_json(config.calibration, "calibration") if config.calibration else None
     tools_doc = _read_json(config.tools, "tool registry") if config.tools else None
     config_hash = config.config_hash(scenario_docs, targets, tools_doc)
-    scenarios = builtin_scenarios() if builtin else tuple(load_scenario(doc) for doc in scenario_docs)
+    # The user's input files are checked before the manifest is read, so a
+    # bad one exits 2 even over a finished corpus.  The built-in inputs need
+    # no check, so they are read only when there is work to do.
+    scenarios = () if builtin else tuple(load_scenario(doc) for doc in scenario_docs)
     # Episode ids, which key the jobs and the resume, name a scenario by its id.
     ids = [s.scenario_id for s in scenarios]
     twice = sorted({i for i in ids if ids.count(i) > 1})
     if twice:
         raise ScenarioError(f"more than one scenario has the id {', '.join(map(repr, twice))}")
+    if targets is not None:
+        calibration = calibrate(targets)
+        verify_calibration(calibration, targets)
+    if tools_doc is not None:
+        registry = load_registry_extension(tools_doc)
+    out_dir = Path(config.out)
+    corpus_path = out_dir / CORPUS_NAME
+    partial_path = out_dir / (CORPUS_NAME + ".partial")
+    # Resume only when the previous run used the same configuration.
+    previous = _read_manifest(out_dir) if corpus_path.exists() else {}
+    resumable = previous.get("config_hash") == config_hash
+    if resumable and (counts := _vouched_counts(previous, corpus_path)) is not None:
+        # The manifest vouches for these very bytes: a finished run of this
+        # configuration, so there is nothing to parse or write.
+        partial_path.unlink(missing_ok=True)
+        _print_written(counts, corpus_path)
+        return EXIT_OK
+    if builtin:
+        scenarios = builtin_scenarios()
+    if targets is None:
+        calibration = default_calibration()
+    if tools_doc is None:
+        registry = default_registry()
     jobs: dict[str, tuple[Scenario, str, int]] = {}
     for scenario in scenarios:
         for agent_name in config.agents:
@@ -409,27 +435,9 @@ def cmd_generate(config: RunConfig) -> int:
                         f"{scenario.scenario_id!r} with agent {agent_name!r} share the episode id {episode_id!r}"
                     )
                 jobs[episode_id] = (scenario, agent_name, index)
-    if targets is None:
-        calibration = default_calibration()
-    else:
-        calibration = calibrate(targets)
-        verify_calibration(calibration, targets)
-    registry = default_registry() if tools_doc is None else load_registry_extension(tools_doc)
-    out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus_path = out_dir / CORPUS_NAME
-    partial_path = out_dir / (CORPUS_NAME + ".partial")
-    # Resume only when the previous run used the same configuration.
-    previous = _read_manifest(out_dir) if corpus_path.exists() else {}
     existing: dict[str, tuple[str, bool]] = {}
-    if previous.get("config_hash") == config_hash:
-        counts = _vouched_counts(previous, corpus_path)
-        if counts is not None:
-            # The manifest vouches for these very bytes: a finished run of
-            # this configuration, so there is nothing to parse or write.
-            partial_path.unlink(missing_ok=True)
-            _print_written(counts, corpus_path)
-            return EXIT_OK
+    if resumable:
         # A line is kept only as a record generate could have written: a
         # stub that check_stub reads, or an episode that strict validation
         # passes.  The job of any other line is run again.
@@ -1019,7 +1027,7 @@ def _run(args: argparse.Namespace) -> int:
         return cmd_generate(RunConfig(**given))
     if args.command == "validate":
         return cmd_validate(args.path, strict=args.strict)
-    out = _given_settings(args, {}).get("out", RunConfig.out)
+    out = _given_settings(args, {}).get("out", RunConfig._field_defaults["out"])
     if args.command == "score":
         return cmd_score(out=out, corpus=args.corpus, strict=args.strict)
     if args.command == "aggregate":

@@ -10,10 +10,9 @@ only a yaw, and nothing turns the vehicle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,8 +32,7 @@ BATTERY_DEPLETED_PCT = 5.0
 Vec3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class KinematicState:
+class KinematicState(NamedTuple):
     """Position (m) and velocity (m/s) of the vehicle, z up, with its heading."""
 
     position: Vec3 = (0.0, 0.0, 0.0)
@@ -46,22 +44,23 @@ class KinematicState:
         return _norm3(self.velocity)
 
 
-@dataclass(frozen=True)
-class VehicleParams:
+@checked
+class VehicleParams(NamedTuple):
     """Mass, thrust limit and cruise speed of one vehicle; each must be positive."""
 
     mass_kg: float = 2.0
     max_thrust_n: float = 60.0
     cruise_speed_mps: float = 15.0
 
-    def __post_init__(self) -> None:
-        for name in ("mass_kg", "max_thrust_n", "cruise_speed_mps"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise InvalidInput(f"{name} must be positive, got {getattr(self, name)!r}")
+    def _checked(self) -> VehicleParams:
+        for name, value in zip(self._fields, self):
+            if not value > 0:  # NaN fails too
+                raise InvalidInput(f"{name} must be positive, got {value!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class DisturbanceModel:
+@checked
+class DisturbanceModel(NamedTuple):
     """Independent Gaussian noise on each position (sigma_pos) and velocity
     (sigma_vel) component, clipped at clip_sigmas of its sigma (None: no clip)."""
 
@@ -69,11 +68,12 @@ class DisturbanceModel:
     sigma_vel: float
     clip_sigmas: float | None
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> DisturbanceModel:
         clip = 0.0 if self.clip_sigmas is None else self.clip_sigmas
         # The chained comparison is also false for NaN.
         if not all(0.0 <= x < math.inf for x in (self.sigma_pos, self.sigma_vel, clip)):
             raise InvalidInput("disturbance sigmas and clip_sigmas must be finite and non-negative")
+        return self
 
     @classmethod
     def none(cls) -> "DisturbanceModel":
@@ -94,20 +94,21 @@ class DisturbanceModel:
         return draw
 
 
-@dataclass(frozen=True)
-class Geofence:
+@checked
+class Geofence(NamedTuple):
     """A no-fly cylinder: its centre (x, y) and radius, in metres."""
 
     center: tuple[float, float]
     radius_m: float
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> Geofence:
         if not self.radius_m > 0:  # NaN fails too
             raise InvalidInput(f"geofence radius must be positive, got {self.radius_m!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Airspace:
+@checked
+class Airspace(NamedTuple):
     """Altitude band, no-fly zones and peer separation margin of a scenario."""
 
     z_min_m: float
@@ -115,15 +116,15 @@ class Airspace:
     geofences: tuple[Geofence, ...] = ()
     separation_margin_m: float = 10.0
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> Airspace:
         if self.z_min_m >= self.z_max_m:
             raise InvalidInput("z_min must be below z_max")
         if not 0.0 <= self.separation_margin_m < math.inf:  # NaN fails too
             raise InvalidInput(f"separation_margin_m must be finite and at least 0, got {self.separation_margin_m!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class SafetyFlags:
+class SafetyFlags(NamedTuple):
     """The safety violations an episode has raised so far."""
 
     altitude_violation: bool = False
@@ -132,8 +133,7 @@ class SafetyFlags:
     battery_depleted: bool = False
 
 
-@dataclass(frozen=True)
-class UavState:
+class UavState(NamedTuple):
     """Everything the physics step reads and writes for one vehicle."""
 
     kinematics: KinematicState = KinematicState()

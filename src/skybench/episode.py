@@ -12,12 +12,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Union
 
 from .errors import ParseError
-from .network import NetworkState
+
+if TYPE_CHECKING:
+    from .network import NetworkState
 
 ROLE_USER = "user"
 ROLE_AGENT = "agent"
@@ -43,8 +44,7 @@ CODE_TOKEN_MISMATCH = "token_mismatch"
 CODE_ATTEMPTS = "attempts_exceeded"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken schema or semantic rule, and the turn it concerns."""
 
     code: str
@@ -52,8 +52,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """The verdict on one record, with every violation found."""
 
     valid: bool
@@ -64,21 +63,27 @@ class ValidationReport:
 
 
 # The typed record model.  generate writes documents and the read paths fold
-# documents, so no CLI stage needs these classes, and creating a frozen
-# dataclass costs a millisecond or more of every start-up.  They are created
-# on first use instead: by importing one of RECORD_CLASSES from this module
-# (the module __getattr__ below) or by doc_to_episode.
+# documents, so no CLI stage needs these classes.  They stay frozen
+# dataclasses, since callers change their fields with dataclasses.replace,
+# and creating one costs about half a millisecond of start-up and loads
+# dataclasses and inspect.  They are created on first use instead: by
+# importing one of RECORD_CLASSES from this module (the module __getattr__
+# below) or by doc_to_episode.
 RECORD_CLASSES = ("McpCall", "A2aTask", "McpResult", "A2aAck", "Turn", "FinalState", "EpisodeMetadata", "Episode")
 # The unions over them, made with them.
 _RECORD_UNIONS = ("Action", "Observation")
 
 
 def _create_record_classes() -> None:
-    """Create the typed record classes and bind them, and the unions over
-    them, as globals of this module.  Each class is named as if it were
-    defined at module level, so its repr and pickle find it here."""
+    """Create the typed record classes and bind them, the unions over them
+    and NetworkState, which _doc_network builds, as globals of this module.
+    Each class is named as if it were defined at module level, so its repr
+    and pickle find it here."""
     if "Episode" in globals():
         return
+    from dataclasses import dataclass, field
+
+    from .network import NetworkState
 
     @dataclass(frozen=True)
     class McpCall:
@@ -162,7 +167,7 @@ def _create_record_classes() -> None:
         turns: tuple[Turn, ...]
         final_state: FinalState
 
-    made = {}
+    made = {"NetworkState": NetworkState}
     for cls in (McpCall, A2aTask, McpResult, A2aAck, Turn, FinalState, EpisodeMetadata, Episode):
         cls.__qualname__ = cls.__name__
         made[cls.__name__] = cls

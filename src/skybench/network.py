@@ -8,12 +8,11 @@ jitter mean, loss mean, throughput mean, edge-load mean).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter, methodcaller
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .errors import CalibrationError
+from .errors import CalibrationError, checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,32 +57,54 @@ VERIFY_SAMPLES = 200_000
 VERIFY_SEED = 7
 
 
-@dataclass(frozen=True)
-class NetworkState:
-    """One sample of the link: slice, latency, jitter, loss, throughput and edge load."""
+def _network_state() -> type:
+    """The NetworkState class, created on the first call: by importing it
+    from this module (the module __getattr__ below) or by the first draw.
+    It stays a frozen dataclass, since callers change its fields with
+    dataclasses.replace, and creating one loads dataclasses and inspect,
+    which no read-side command needs."""
+    cls = globals().get("NetworkState")
+    if cls is None:
+        from dataclasses import dataclass
 
-    slice: str
-    latency_ms: float
-    jitter_ms: float
-    loss_pct: float
-    throughput_mbps: float
-    edge_load: float
+        @dataclass(frozen=True)
+        class NetworkState:
+            """One sample of the link: slice, latency, jitter, loss, throughput and edge load."""
 
-    def scalars(self) -> tuple[float, float, float, float, float]:
-        return (self.latency_ms, self.jitter_ms, self.loss_pct, self.throughput_mbps, self.edge_load)
+            slice: str
+            latency_ms: float
+            jitter_ms: float
+            loss_pct: float
+            throughput_mbps: float
+            edge_load: float
+
+            def scalars(self) -> tuple[float, float, float, float, float]:
+                return (self.latency_ms, self.jitter_ms, self.loss_pct, self.throughput_mbps, self.edge_load)
+
+        # Named as if defined at module level, so its repr and pickle find it here.
+        NetworkState.__qualname__ = "NetworkState"
+        globals()["NetworkState"] = cls = NetworkState
+    return cls
 
 
-@dataclass(frozen=True)
-class FieldModel:
+def __getattr__(name: str):
+    if name == "NetworkState":
+        return _network_state()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@checked
+class FieldModel(NamedTuple):
     """One scalar field: distribution family, parameters, and clip range."""
 
     family: str  # "lognormal" | "exponential" | "beta": the Generator method that draws it
     params: tuple[float, ...]
     clip: tuple[float, float]
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> FieldModel:
         if self.family not in ("lognormal", "exponential", "beta"):
             raise ValueError(f"unknown field family: {self.family}")
+        return self
 
     def sample(self, rng: np.random.Generator, size: int):
         """`size` clipped draws, as an array."""
@@ -101,29 +122,28 @@ class FieldModel:
         return a / (a + b)
 
 
-@dataclass(frozen=True)
-class SliceModel:
-    """The distribution of each link field on one network slice."""
-
+class _SliceFields(NamedTuple):
     latency: FieldModel
     jitter: FieldModel
     loss: FieldModel
     throughput: FieldModel
     edge_load: FieldModel
 
-    def __post_init__(self) -> None:
-        # (draw, low, high) per field, in NetworkState.scalars() order: the
-        # table every scalar draw steps through.  draw(rng) is
-        # rng.<family>(*params), resolved once rather than on each draw.
-        draws = tuple((methodcaller(f.family, *f.params), *f.clip) for f in self.fields())
-        object.__setattr__(self, "draws", draws)
 
-    def fields(self) -> tuple[FieldModel, ...]:
-        return (self.latency, self.jitter, self.loss, self.throughput, self.edge_load)
+class SliceModel(_SliceFields):
+    """The distribution of each link field on one network slice."""
+
+    # No __slots__: the instance dict holds draws, which a value made by
+    # _replace computes afresh from its own fields.
+    @cached_property
+    def draws(self) -> tuple:
+        """(draw, low, high) per field, in NetworkState.scalars() order: the
+        table every scalar draw steps through.  draw(rng) is
+        rng.<family>(*params), resolved once rather than on each draw."""
+        return tuple((methodcaller(f.family, *f.params), *f.clip) for f in self)
 
 
-@dataclass(frozen=True)
-class SliceCalibration:
+class SliceCalibration(NamedTuple):
     """A model per slice and the per-turn chance that the slice changes."""
 
     slices: Mapping[str, SliceModel]
@@ -307,7 +327,7 @@ def sample_network_state(slice_name: str, calib: SliceCalibration, rng: np.rando
         x = draw(rng)
         x = low if low > x else x  # clamp(x, low, high)
         values.append(high if high < x else x)
-    return NetworkState(slice_name, *values)
+    return _network_state()(slice_name, *values)
 
 
 def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.Generator) -> NetworkState:
@@ -331,7 +351,7 @@ def evolve_network(prev: NetworkState, calib: SliceCalibration, rng: np.random.G
         x = old + MIXING_WEIGHT * (fresh - old)
         x = low if low > x else x
         mixed.append(high if high < x else x)
-    return NetworkState(prev.slice, *mixed)
+    return type(prev)(prev.slice, *mixed)  # a NetworkState, whose class exists by now
 
 
 _HARD_FIELDS = ("latency_ms", "loss_pct", "throughput_mbps", "edge_load")

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .environment import (
     Airspace,
@@ -16,20 +15,21 @@ from .environment import (
     UavState,
     VehicleParams,
 )
-from .errors import InvalidInput, ScenarioError
+from .errors import InvalidInput, ScenarioError, checked
 from .network import SLICES
 
 
-@dataclass(frozen=True)
-class SwarmContext:
+@checked
+class SwarmContext(NamedTuple):
     """Scripted peer agents: per-turn positions and cooperative responses."""
 
     peers: Mapping[str, tuple[tuple[float, float, float], ...]] = None  # type: ignore[assignment]
     weather: Mapping[str, Any] = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "peers", dict(self.peers or {}))
-        object.__setattr__(self, "weather", dict(self.weather or {"conditions": "clear", "wind_mps": 3.0}))
+    def _checked(self) -> SwarmContext:
+        """A copy of each mapping, with clear weather when none is given."""
+        weather = self.weather or {"conditions": "clear", "wind_mps": 3.0}
+        return tuple.__new__(SwarmContext, (dict(self.peers or {}), dict(weather)))
 
     def peer_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.peers))
@@ -42,8 +42,7 @@ class SwarmContext:
         return tuple(self.peer_position(pid, turn_index) for pid in self.peer_ids())
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One mission: airspace, vehicle, start state, disturbance, network and dialogue."""
 
     scenario_id: str
@@ -57,7 +56,7 @@ class Scenario:
     capture_sensor: str | None  # what it must capture, if anything
     initial_slice: str
     slice_switch_prob: float | None = None
-    swarm: SwarmContext = field(default_factory=lambda: SwarmContext({}, {}))
+    swarm: SwarmContext = SwarmContext()
     user_prompts: tuple[str, ...] = ()
     tags: tuple[str, ...] = ()
 

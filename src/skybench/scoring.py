@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .episode import (
@@ -21,7 +20,7 @@ from .episode import (
     format_float,
     is_episode,
 )
-from .errors import DegenerateInput
+from .errors import DegenerateInput, checked
 from .network import EMBB, classify_hard
 
 if TYPE_CHECKING:
@@ -57,19 +56,19 @@ def clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-@dataclass(frozen=True)
-class ScoringContext:
+@checked
+class ScoringContext(NamedTuple):
     """What scoring one episode needs from the whole corpus: t_opt, its reference turn count."""
 
     t_opt: int = T_OPT_FALLBACK
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> ScoringContext:
         if self.t_opt < 1:
             raise ValueError("t_opt must be at least 1")
+        return self
 
 
-@dataclass(frozen=True)
-class PillarScores:
+class PillarScores(NamedTuple):
     """The six pillar scores of one episode and their weighted alpha3."""
 
     task_outcome: float
@@ -94,8 +93,7 @@ class PillarScores:
         return dict(zip(PILLAR_KEYS, self.pillars())) | {"alpha3": self.alpha3}
 
 
-@dataclass(frozen=True)
-class ModelAggregate:
+class ModelAggregate(NamedTuple):
     """One model's leaderboard figures over its episode budget."""
 
     model: str

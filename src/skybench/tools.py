@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from .environment import (
     ACTION_CLASSES,
@@ -21,15 +20,16 @@ from .environment import (
     check_geofence,
 )
 from .errors import ParseError
-from .network import NetworkState, SLICES, SliceCalibration, clamp, classify_hard, sample_network_state
+from .network import SLICES, SliceCalibration, clamp, classify_hard, sample_network_state
 from .scenarios import SwarmContext
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .network import NetworkState
 
-@dataclass(frozen=True)
-class ArgSpec:
+
+class ArgSpec(NamedTuple):
     """One argument of a tool: its name, JSON type, whether required, and allowed values."""
 
     name: str
@@ -38,8 +38,7 @@ class ArgSpec:
     choices: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(NamedTuple):
     """A tool an agent may call: its name, battery class and arguments."""
 
     name: str

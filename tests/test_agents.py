@@ -136,7 +136,7 @@ def test_greedy_streamer_aborts_on_congested_scenario(scenario_by_id, calibratio
 
 def test_safe_pilot_lands_below_battery_threshold(scenario_by_id, calibration):
     scenario = scenario_by_id["S01"]
-    low = replace(scenario, initial_state=replace(scenario.initial_state, battery_pct=9.0))
+    low = scenario._replace(initial_state=scenario.initial_state._replace(battery_pct=9.0))
     record = run_episode(
         make_agent("safe_pilot", low), UserSimulator(), low,
         calibration=calibration, episode_seed=42, index=0,

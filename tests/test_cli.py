@@ -148,6 +148,12 @@ def test_a_rerun_over_a_finished_corpus_parses_and_writes_nothing(tmp_path, caps
     calls = _count_corpus_parses(monkeypatch)
     monkeypatch.setattr(os, "replace", None)  # any rename would fail the run
     monkeypatch.setattr(Path, "write_text", None)
+    # Nor is a built-in input read: no scenario is loaded, and neither the
+    # default calibration nor the default registry is built.
+    import skybench.cli as cli
+
+    for name in ("builtin_scenarios", "load_scenario", "default_calibration", "default_registry"):
+        monkeypatch.setattr(cli, name, None)
     assert main(argv) == EXIT_OK
     # Only the manifest is parsed; the corpus is hashed, not read as records.
     assert calls == [before[manifest][0]]
@@ -156,6 +162,39 @@ def test_a_rerun_over_a_finished_corpus_parses_and_writes_nothing(tmp_path, caps
     assert not (out / "corpus.jsonl.partial").exists()
     # Without --canonical the no-op keeps the first run's generated_at.
     assert json.loads(before[manifest][0])["generated_at"] != "1970-01-01T00:00:00Z"
+
+
+@pytest.mark.parametrize(
+    "flag, loader, edit, message",
+    [
+        ("--scenarios", "load_scenario", lambda doc: {**doc, "scenario_id": ""},
+         "error: scenario_id must be a non-empty string, got ''\n"),
+        ("--calibration", "calibrate", lambda doc: {**doc, URLLC: {**doc[URLLC], "jitter_mean_ms": 0}},
+         "error: mean must be positive\n"),
+        ("--tools", "load_registry_extension", lambda doc: {"tools": 5},
+         "error: a tool file must be an object whose tools is a list\n"),
+    ],
+)
+def test_a_refused_input_file_exits_two_over_a_finished_corpus(tmp_path, capsys, monkeypatch, flag, loader, edit,
+                                                               message):
+    # The manifest vouches for the corpus, yet a user's input file is still
+    # read and checked first: here by a loader grown stricter since the run.
+    import skybench.cli as cli
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({
+        "--scenarios": _builtin_scenario_doc(), "--calibration": DEFAULT_TARGETS, "--tools": {"tools": []},
+    }[flag]))
+    out = tmp_path / "run"
+    argv = ["generate", flag, str(path), "--agents", "safe_pilot", "--episodes-per-scenario", "1", "--canonical",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    monkeypatch.setattr(cli, loader, lambda doc, load=getattr(cli, loader): load(edit(doc)))
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == message
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("change", ["edited line", "older manifest"])

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +64,7 @@ def test_hover_thrust_holds_velocity():
 
 def test_double_hover_thrust_tenth_second():
     k = KinematicState()
-    out = step_kinematics(k, (0.0, 0.0, 2 * PARAMS.mass_kg * 9.81), replace(PARAMS, max_thrust_n=80.0), dt=0.1)
+    out = step_kinematics(k, (0.0, 0.0, 2 * PARAMS.mass_kg * 9.81), PARAMS._replace(max_thrust_n=80.0), dt=0.1)
     assert out.velocity[2] == pytest.approx(0.981)
 
 
@@ -126,14 +125,14 @@ def test_geofence_no_fences_infinite_clearance():
 
 
 def test_geofence_boundary_is_compliant():
-    airspace = replace(AIRSPACE, geofences=(Geofence(center=(0.0, 0.0), radius_m=100.0),))
+    airspace = AIRSPACE._replace(geofences=(Geofence(center=(0.0, 0.0), radius_m=100.0),))
     clearance = check_geofence((100.0, 0.0, 50.0), airspace)
     assert clearance >= 0.0
     assert clearance == pytest.approx(0.0)
 
 
 def test_geofence_intrusion_clearance():
-    airspace = replace(AIRSPACE, geofences=(Geofence(center=(0.0, 0.0), radius_m=100.0),))
+    airspace = AIRSPACE._replace(geofences=(Geofence(center=(0.0, 0.0), radius_m=100.0),))
     clearance = check_geofence((50.0, 0.0, 30.0), airspace)
     assert not clearance >= 0.0
     assert clearance == pytest.approx(-50.0)
@@ -141,7 +140,7 @@ def test_geofence_intrusion_clearance():
 
 def test_geofence_matches_grid_oracle():
     fences = (Geofence(center=(0.0, 0.0), radius_m=40.0), Geofence(center=(90.0, 10.0), radius_m=25.0))
-    airspace = replace(AIRSPACE, geofences=fences)
+    airspace = AIRSPACE._replace(geofences=fences)
     rng = np.random.default_rng(3)
     for _ in range(10_000):
         p = (float(rng.uniform(-150, 200)), float(rng.uniform(-150, 150)), 50.0)
@@ -235,7 +234,7 @@ def test_evolve_reaches_waypoint_within_tolerance():
 
 
 def test_evolve_nfz_flag_is_sticky():
-    airspace = replace(AIRSPACE, geofences=(Geofence(center=(30.0, 0.0), radius_m=10.0),))
+    airspace = AIRSPACE._replace(geofences=(Geofence(center=(30.0, 0.0), radius_m=10.0),))
     state = UavState(
         kinematics=KinematicState(position=(0.0, 0.0, 50.0)),
         battery_pct=95.0,
@@ -249,7 +248,7 @@ def test_evolve_nfz_flag_is_sticky():
         flagged = flagged or state.flags.nfz_violation
     assert flagged and state.flags.nfz_violation
     # Command away from the fence; the flag must remain.
-    state = replace(state, target=(0.0, 0.0, 50.0))
+    state = state._replace(target=(0.0, 0.0, 50.0))
     for _ in range(6):
         state = evolve_state(state, airspace, PARAMS, model, rng, 1.0, action_class="maneuver")
     assert state.flags.nfz_violation

@@ -37,13 +37,15 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 # Standard-library modules that import and setup leave unloaded: each serves
-# only some commands (or, for importlib.resources, none).
+# only some commands (or, for importlib.resources, none).  dataclasses, and
+# inspect with it, is loaded only to create NetworkState or the typed record
+# classes.
 DEFERRED = {
     "subprocess", "selectors", "statistics", "csv", "hashlib", "datetime", "signal", "array",
-    "importlib.resources",
+    "importlib.resources", "dataclasses", "inspect",
 }
 # Of those, the ones only generate or an external policy uses.
-GENERATE_ONLY = {"subprocess", "selectors", "hashlib", "datetime"}
+GENERATE_ONLY = {"subprocess", "selectors", "hashlib", "datetime", "dataclasses", "inspect"}
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +212,28 @@ def test_no_stage_creates_a_record_class(fresh_python, clean_run, tmp_path, comm
     code, stdout, err = fresh_python(RECORD_PROBE.format(setup="", argv=argv))
     assert code == 0, err
     assert json.loads(stdout.splitlines()[-1]) == [EXIT_OK, []]
+
+
+# Prints the names of the dataclasses that main(argv) creates.
+DATACLASS_PROBE = """
+import dataclasses
+made = []
+process_class = dataclasses._process_class
+def counting(cls, *args, **kwargs):
+    made.append(cls.__name__)
+    return process_class(cls, *args, **kwargs)
+dataclasses._process_class = counting
+from skybench.cli import main
+assert main({argv!r}) == 0
+print(made)
+"""
+
+
+def test_generate_creates_no_dataclass_but_network_state(fresh_python, tmp_path):
+    argv = ["generate", "--canonical", "--episodes-per-scenario", "1", "--out", str(tmp_path / "run")]
+    code, out, err = fresh_python(DATACLASS_PROBE.format(argv=argv))
+    assert code == 0, err
+    assert out.splitlines()[-1] == "['NetworkState']"
 
 
 # Every name the package exported while it imported all its modules, by the

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,7 +145,7 @@ def test_evolve_identity_with_zero_mixing(calibration, monkeypatch):
     import skybench.network as network
 
     monkeypatch.setattr(network, "MIXING_WEIGHT", 0.0)
-    calib = replace(calibration, slice_switch_prob=0.0)
+    calib = calibration._replace(slice_switch_prob=0.0)
     rng = np.random.default_rng(9)
     state = sample_network_state(EMBB, calib, rng)
     evolved = evolve_network(state, calib, rng)
@@ -154,7 +153,7 @@ def test_evolve_identity_with_zero_mixing(calibration, monkeypatch):
 
 
 def test_slice_constant_with_zero_switch_probability(calibration):
-    calib = replace(calibration, slice_switch_prob=0.0)
+    calib = calibration._replace(slice_switch_prob=0.0)
     rng = np.random.default_rng(13)
     state = sample_network_state(MMTC, calib, rng)
     for _ in range(200):
@@ -163,7 +162,7 @@ def test_slice_constant_with_zero_switch_probability(calibration):
 
 
 def test_chain_stationary_mean_matches_target(calibration):
-    calib = replace(calibration, slice_switch_prob=0.0)
+    calib = calibration._replace(slice_switch_prob=0.0)
     rng = np.random.default_rng(21)
     state = sample_network_state(URLLC, calib, rng)
     total = 0.0
@@ -186,7 +185,7 @@ def test_trace_determinism(calibration):
 
 
 def test_slice_switch_redraws_from_new_slice(calibration):
-    calib = replace(calibration, slice_switch_prob=1.0)
+    calib = calibration._replace(slice_switch_prob=1.0)
     rng = np.random.default_rng(2)
     state = sample_network_state(URLLC, calib, rng)
     evolved = evolve_network(state, calib, rng)
@@ -235,7 +234,7 @@ def _state_bits(n: NetworkState) -> tuple:
 def test_network_draws_equal_the_min_of_max_form(calibration):
     # Every field starts at each special value, and at random values within
     # and past its range, and walks on for a few steps.
-    calib = replace(calibration, slice_switch_prob=0.2)
+    calib = calibration._replace(slice_switch_prob=0.2)
     pick = np.random.default_rng(8)
     specials = [math.nan, 0.0, -0.0, math.inf, -math.inf, -5.0, 1e6]
     for case in range(300):
