@@ -50,6 +50,8 @@ if TYPE_CHECKING:
 
     import numpy as np
 
+    import numpy as np
+
     from .episode import Action, Episode
     from .network import NetworkState
 
@@ -480,6 +482,22 @@ def stream_digest(scenario_id: str, agent_name: str, index: int) -> int:
     return int.from_bytes(raw[:16], "big")
 
 
+def entropy_words(values: Sequence[int]) -> np.ndarray:
+    """The uint32 array SeedSequence makes of the entropy list `values`: each
+    int's 32-bit words, low word first (one word for 0).  Given the array,
+    SeedSequence skips its own, slower, conversion."""
+    import numpy as np
+
+    words = []
+    for value in values:
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def episode_seed_for(index: int, seed_set: Sequence[int]) -> int:
     return seed_set[index % len(seed_set)]
 
@@ -577,7 +595,7 @@ def run_attempts(
     episode_id = episode_id_for(scenario.scenario_id, agent.name, index)
     # Exactly SeedSequence(entropy).spawn(3), without mixing the parent's
     # pool, which no stream draws from.
-    entropy = [global_seed, episode_seed, stream_digest(scenario.scenario_id, agent.name, index)]
+    entropy = entropy_words([global_seed, episode_seed, stream_digest(scenario.scenario_id, agent.name, index)])
     children = [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(3)]
 
     gen_time = 0.0

@@ -7,12 +7,12 @@ variable, else the JSON config file, else its default.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from contextlib import closing
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .episode import (
@@ -33,6 +33,8 @@ from .errors import DegenerateInput, ParseError, ScenarioError, SkybenchError, c
 from .network import calibrate, default_calibration, classify_hard, verify_calibration
 
 if TYPE_CHECKING:
+    import argparse
+
     from .scenarios import Scenario
 
 # The names this module uses from the modules that only some commands run,
@@ -52,7 +54,7 @@ _DEFERRED = {
     "scoring": (
         "LEADERBOARD_COLUMNS", "PILLAR_KEYS", "TOKEN_BUDGET", "TOOL_BUDGET", "WEIGHTS", "PillarScores",
         "ScoringContext", "aggregate_model", "compute_t_opt", "episode_terms", "finish_scores",
-        "generation_efficiency", "leaderboard_rows", "scaled_on_overflow", "score_episode",
+        "generation_efficiency", "leaderboard_rows", "pstdev", "scaled_on_overflow", "score_episode",
     ),
 }
 _HOME = {name: module for module, names in _DEFERRED.items() for name in names}
@@ -94,12 +96,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -217,7 +213,7 @@ _ENV_READERS = {
 _CONFIG_ONLY = ("episode_seed_set", "external_agents")
 
 
-def _given_settings(args: argparse.Namespace, config_doc: Mapping[str, Any]) -> dict[str, Any]:
+def _given_settings(args: Any, config_doc: Mapping[str, Any]) -> dict[str, Any]:
     """Each setting the command has a flag for, from its flag, else its
     environment variable, else the config; a setting none of them gives is
     left out, for RunConfig's default."""
@@ -835,7 +831,7 @@ def corpus_analytics(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
                 "bin_ms": slot["bin"],
                 "samples": len(slot["values"]),
                 "mean_ms": scaled_on_overflow(statistics.fmean, slot["values"]) if slot["values"] else 0.0,
-                "std_ms": scaled_on_overflow(statistics.pstdev, slot["values"]) if len(slot["values"]) > 1 else 0.0,
+                "std_ms": scaled_on_overflow(pstdev, slot["values"]) if len(slot["values"]) > 1 else 0.0,
                 "slice_share_pct": {
                     name: 100.0 * count / len(slot["values"])
                     for name, count in sorted(slot["slices"].items())
@@ -943,58 +939,100 @@ def cmd_validate(path: str, strict: bool = True) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = ("generate", "score", "aggregate", "analytics", "validate")
+# Each command's help line and flags: (flag, dest, kind, help), where kind
+# is str or int for a flag that takes a value and, for a switch, the value
+# it stores.  Every dest defaults to None, but strict, which is on unless
+# --lenient is given; --strict and --lenient exclude each other.
+_STRICTNESS = (("--strict", "strict", True, None), ("--lenient", "strict", False, None))
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, str, Any, str | None], ...]]] = {
+    "generate": ("generate a corpus of episodes", (
+        ("--config", "config", str, "JSON config file"),
+        ("--scenarios", "scenarios", str, "'builtin', a scenario file, or a directory"),
+        ("--agents", "agents", str, "comma-separated agent names"),
+        ("--episodes-per-scenario", "episodes_per_scenario", int, None),
+        ("--seed", "seed", int, None),
+        ("--out", "out", str, None),
+        ("--parallel", "parallel", int, None),
+        ("--calibration", "calibration", str, "JSON calibration targets file"),
+        ("--tools", "tools", str, "JSON tool-registry extension file"),
+        ("--canonical", "canonical", True, "normalize timestamps"),
+    )),
+    "score": ("score a corpus into a JSONL sidecar", (
+        ("--out", "out", str, None), ("--corpus", "corpus", str, None), *_STRICTNESS,
+    )),
+    "aggregate": ("aggregate scores into a leaderboard CSV", (
+        ("--out", "out", str, None), ("--episode-budget", "episode_budget", int, None),
+    )),
+    "analytics": ("corpus usage statistics", (("--out", "out", str, None), ("--corpus", "corpus", str, None))),
+    "validate": ("validate an episode file or corpus", _STRICTNESS),
+}
 
 
-def _build_parser(only: str | None = None) -> _Parser:
-    """The parser of every command, or with `only` of that command alone."""
-    parser = _Parser(prog="skybench", description=__doc__)
-    # Usage lines name every command, whichever subparsers were built.
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for argv, when argv is a command followed only by
+    its exact flags, each value flag's value (a token that does not start
+    with '-'; the last one wins) and, for validate, one path; else None, and
+    argparse parses it.  --strict and --lenient may not both appear."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    flags = {flag: (dest, kind) for flag, dest, kind, _ in _COMMANDS[command][1]}
+    settings: dict[str, Any] = {"command": command}
+    settings.update((dest, True if dest == "strict" else None) for dest, _ in flags.values())
+    seen = set()
+    for token in tokens:
+        if token in flags:
+            dest, kind = flags[token]
+            seen.add(token)
+            if kind is str or kind is int:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+                try:
+                    settings[dest] = kind(value)
+                except ValueError:
+                    return None
+            else:
+                settings[dest] = kind
+        elif command == "validate" and "path" not in settings and not token.startswith("-"):
+            settings["path"] = token
+        else:
+            return None
+    if {"--strict", "--lenient"} <= seen or (command == "validate" and "path" not in settings):
+        return None
+    return SimpleNamespace(**settings)
 
-    if only in (None, "generate"):
-        gen = sub.add_parser("generate", help="generate a corpus of episodes")
-        gen.add_argument("--config", default=None, help="JSON config file")
-        gen.add_argument("--scenarios", default=None, help="'builtin', a scenario file, or a directory")
-        gen.add_argument("--agents", default=None, help="comma-separated agent names")
-        gen.add_argument("--episodes-per-scenario", type=int, default=None)
-        gen.add_argument("--seed", type=int, default=None)
-        gen.add_argument("--out", default=None)
-        gen.add_argument("--parallel", type=int, default=None)
-        gen.add_argument("--calibration", default=None, help="JSON calibration targets file")
-        gen.add_argument("--tools", default=None, help="JSON tool-registry extension file")
-        gen.add_argument("--canonical", action="store_true", default=None, help="normalize timestamps")
 
-    if only in (None, "score"):
-        score = sub.add_parser("score", help="score a corpus into a JSONL sidecar")
-        score.add_argument("--out", default=None)
-        score.add_argument("--corpus", default=None)
-        _add_strictness(score)
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, which prints help, usage and
+    usage errors (exit 1); only argv that _fast_parse declines reach it."""
+    import argparse
 
-    if only in (None, "aggregate"):
-        agg = sub.add_parser("aggregate", help="aggregate scores into a leaderboard CSV")
-        agg.add_argument("--out", default=None)
-        agg.add_argument("--episode-budget", type=int, default=None)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # argparse defaults to exit code 2
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-    if only in (None, "analytics"):
-        ana = sub.add_parser("analytics", help="corpus usage statistics")
-        ana.add_argument("--out", default=None)
-        ana.add_argument("--corpus", default=None)
-
-    if only in (None, "validate"):
-        val = sub.add_parser("validate", help="validate an episode file or corpus")
-        val.add_argument("path")
-        _add_strictness(val)
+    parser = Parser(prog="skybench", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        if command == "validate":
+            cmd.add_argument("path")
+        strictness = None
+        for flag, dest, kind, flag_help in flags:
+            if kind is str or kind is int:
+                cmd.add_argument(flag, type=kind, default=None, help=flag_help)
+            elif dest == "strict":
+                strictness = strictness or cmd.add_mutually_exclusive_group()
+                action = "store_true" if kind else "store_false"
+                strictness.add_argument(flag, dest=dest, action=action, default=True)
+            else:
+                cmd.add_argument(flag, dest=dest, action="store_true", default=None, help=flag_help)
     return parser
 
 
-def _add_strictness(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--strict", dest="strict", action="store_true", default=True)
-    group.add_argument("--lenient", dest="strict", action="store_false")
-
-
-def _run(args: argparse.Namespace) -> int:
+def _run(args: Any) -> int:
     if args.command == "generate":
         config_doc = _read_json(args.config, "config") if args.config else {}
         if not isinstance(config_doc, dict):
@@ -1039,13 +1077,12 @@ def _run(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A call builds only its own command's parser; any other first
-    # argument, or none, builds them all.
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return _run(args)
     except (SkybenchError, OSError) as exc:

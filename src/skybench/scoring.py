@@ -9,6 +9,7 @@ awareness / completion bonus), and communication cost (budget ratios).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -420,6 +421,38 @@ def scaled_on_overflow(stat: Callable[[Sequence[float]], float], values: Sequenc
         top = max(values)
         result = stat([v / top for v in values]) * top
     return result
+
+
+def pstdev(values: Sequence[float]) -> float:
+    """statistics.pstdev of floats, to the bit and about four times faster on
+    positive ones: the correctly rounded square root of the exact population
+    variance, from integer sums."""
+    low = min(values)
+    try:
+        # Times 2**k the smallest value has 53 integer bits, so each value is
+        # an integer, exactly, unless the product overflows.
+        k = 53 - math.frexp(low)[1]
+        scale = 2.0**k
+        ints = list(map(int, [v * scale for v in values])) if low > 0 else None
+    except OverflowError:
+        ints = None
+    if ints is None:  # a value not above 0, or values too far apart
+        import statistics
+
+        return statistics.pstdev(values)
+    count, total = len(ints), sum(ints)
+    # variance = n / m = (count * sum(x * x) - total**2) / count**2 / 4**k
+    n, m = count * sum(map(operator.mul, ints, ints)) - total * total, count * count
+    # As statistics does it: the root scaled to 109 bits and rounded to odd,
+    # so that its one rounding to a float is correct.
+    q = (n.bit_length() - m.bit_length() - 2 * k - 109) // 2
+    if k + q >= 0:
+        m <<= 2 * (k + q)
+    else:
+        n <<= -2 * (k + q)
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -410,6 +410,25 @@ def test_stream_digest_stable_and_distinct():
     assert stream_digest("S01", "safe_pilot", 0) != stream_digest("S02", "safe_pilot", 0)
 
 
+def test_entropy_words_seed_the_streams_the_entropy_list_seeds():
+    # Global seeds of 1 to 65 bits and 0, episode seeds up to 2**32 and
+    # 128-bit digests: each of the three streams starts in the same state.
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        bits = trial % 66
+        global_seed = (1 << bits >> 1) | int.from_bytes(rng.bytes(9), "big") >> (73 - bits) if bits else 0
+        episode_seed = int(rng.integers(0, 2**32 + 1))
+        digest = int.from_bytes(rng.bytes(16), "big")
+        entropy = [global_seed, episode_seed, digest]
+        words = agents.entropy_words(entropy)
+        for i in range(3):
+            want = np.random.SeedSequence(entropy, spawn_key=(i,)).generate_state(4, np.uint64)
+            got = np.random.SeedSequence(words, spawn_key=(i,)).generate_state(4, np.uint64)
+            assert (got == want).all(), (entropy, i)
+    with pytest.raises(ValueError):
+        agents.entropy_words([1, -1])
+
+
 def test_episode_seed_cycles_published_set():
     seeds = (42, 77, 101, 2025, 1337)
     assert [episode_seed_for(i, seeds) for i in range(7)] == [42, 77, 101, 2025, 1337, 42, 77]

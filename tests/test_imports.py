@@ -15,7 +15,7 @@ import shutil
 
 import pytest
 
-from skybench.cli import EXIT_INPUT, EXIT_OK, main
+from skybench.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 PROBE = """
 import json
@@ -39,10 +39,10 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 # Standard-library modules that import and setup leave unloaded: each serves
 # only some commands (or, for importlib.resources, none).  dataclasses, and
 # inspect with it, is loaded only to create NetworkState or the typed record
-# classes.
+# classes; argparse, and gettext with it, only for help and usage errors.
 DEFERRED = {
     "subprocess", "selectors", "statistics", "csv", "hashlib", "datetime", "signal", "array",
-    "importlib.resources", "dataclasses", "inspect",
+    "importlib.resources", "dataclasses", "inspect", "argparse", "gettext",
 }
 # Of those, the ones only generate or an external policy uses.
 GENERATE_ONLY = {"subprocess", "selectors", "hashlib", "datetime", "dataclasses", "inspect"}
@@ -176,6 +176,68 @@ def test_rejecting_a_record_leaves_jsonschema_unloaded(fresh_python, clean_run, 
 def test_generate_loads_numpy_but_not_jsonschema(fresh_python, tmp_path):
     argv = ["generate", "--canonical", "--episodes-per-scenario", "1", "--agents", "safe_pilot", "--out", str(tmp_path / "run")]
     assert _probe(fresh_python, argv) == (EXIT_OK, True, False)
+
+
+# Each command as the benchmark calls it, then as CI does, on a scored run
+# in {out}: a well-formed call parses its argv without argparse.
+STAGE_ARGVS = [
+    ["generate", "--out", "{out}", "--episodes-per-scenario", "1", "--seed", "42",
+     "--agents", "adaptive_pilot,greedy_streamer,safe_pilot", "--canonical"],
+    ["score", "--out", "{out}", "--corpus", "{out}/corpus.jsonl", "--strict"],
+    ["score", "--out", "{out}/lenient", "--corpus", "{out}/corpus.jsonl", "--lenient"],
+    ["aggregate", "--out", "{out}"],
+    ["analytics", "--out", "{out}", "--corpus", "{out}/corpus.jsonl"],
+    ["validate", "{out}/corpus.jsonl", "--strict"],
+    ["generate", "--episodes-per-scenario", "1", "--canonical", "--out", "{out}"],
+    ["score", "--out", "{out}"],
+    ["analytics", "--out", "{out}"],
+    ["validate", "{out}/corpus.jsonl"],
+]
+
+
+@pytest.mark.parametrize("argv", STAGE_ARGVS, ids=lambda argv: " ".join(argv[:2]).replace("{out}", "run"))
+def test_a_well_formed_call_leaves_argparse_unloaded(fresh_python, clean_run, tmp_path, argv):
+    out = tmp_path / "run"
+    shutil.copytree(clean_run, out)
+    argv = [token.replace("{out}", str(out)) for token in argv]
+    # generate needs numpy, which -S cannot find.
+    flags = () if argv[0] == "generate" else ("-S",)
+    added = _added(fresh_python, f"from skybench.cli import main\nassert main({argv!r}) == 0", flags=flags)
+    assert "skybench.cli" in added
+    assert added & {"argparse", "gettext"} == set()
+
+
+# Prints main(argv)'s exit code, stdout and stderr at 80 columns, and whether
+# argparse and gettext were loaded.
+USAGE_PROBE = """
+import contextlib
+import io
+import json
+import os
+import sys
+os.environ["COLUMNS"] = "80"
+from skybench.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main({argv!r})
+print(json.dumps([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules, "gettext" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["score", "--bogus"], ["generate", "--parallel", "x"]],
+                         ids=" ".join)
+def test_help_and_usage_errors_load_argparse_and_print_the_pinned_bytes(fresh_python, argv):
+    from test_cli import COMMAND_HELP, FULL_USAGE, TOP_HELP
+
+    expected = {
+        "--help": [EXIT_OK, TOP_HELP, ""],
+        "score": [EXIT_USAGE, "", FULL_USAGE + "skybench: error: unrecognized arguments: --bogus\n"],
+        "generate": [EXIT_USAGE, "", COMMAND_HELP["generate"].split("\n\n")[0] + "\n"
+                     "skybench generate: error: argument --parallel: invalid int value: 'x'\n"],
+    }[argv[0]]
+    code, out, err = fresh_python(USAGE_PROBE.format(argv=argv), flags=("-S",))
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1]) == [*expected, True, True]
 
 
 # Prints main(argv)'s exit code and the typed record classes created by then.

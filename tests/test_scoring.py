@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
+import random
 import re
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +42,8 @@ from skybench.scoring import (
     episode_terms,
     generation_efficiency,
     grounding_fraction,
+    pstdev,
+    scaled_on_overflow,
     score_communication_cost,
     score_episode,
     score_interaction_quality,
@@ -557,3 +562,42 @@ def test_a_valid_score_record_holds_canonical_values():
             assert record["valid"] is True
             assert dumps_document(record) == dumps_canonical(record)
 
+
+
+# -- the latency bins' standard deviation --------------------------------------
+
+def _same_std(values) -> None:
+    want = scaled_on_overflow(statistics.pstdev, values)
+    got = scaled_on_overflow(pstdev, values)
+    assert format_float(got) == format_float(want), values
+    assert got == want, values
+
+
+def test_pstdev_is_statistics_pstdev():
+    rng = random.Random(5)
+    bins = [(0.0, 10.0), (10.0, 20.0), (20.0, 50.0), (50.0, 100.0), (100.0, 200.0), (200.0, 1e6)]
+    # Random bins of record latencies, six significant digits as stored.
+    for _ in range(10_000):
+        lo, hi = rng.choice(bins)
+        _same_std([float(format_float(rng.uniform(lo, hi) or 1e-3)) for _ in range(rng.randint(2, 40))])
+    # Bins whose deviation sits next to a six-digit rounding boundary: the
+    # floats around d, for boundaries d from 1e-3 to 1e5.
+    for _ in range(300):
+        d = float(f"{rng.randint(100000, 999999)}5e{rng.randint(-9, 0)}")
+        center = rng.uniform(2e5, 3e5)
+        half = math.nextafter(math.nextafter(math.nextafter(d, 0.0), 0.0), 0.0)
+        for _ in range(7):
+            _same_std([center - half, center + half] * rng.randint(1, 4))
+            _same_std([half, 3 * half])
+            half = math.nextafter(half, math.inf)
+    # Constant bins: a deviation of exactly 0.
+    for value in (1e-3, 0.1, 7.0, 12.345, 199.999, 1e6, 1.7e308, 5e-324):
+        for count in (2, 3, 17):
+            assert pstdev([value] * count) == 0.0
+            _same_std([value] * count)
+    # Values near float max, where the mean needs scaled_on_overflow, values
+    # too far apart for one integer scale, and subnormal ones.
+    for values in ([1.7e308, 1.6e308], [1.7e308, 250.0, 1.7e308], [1.7976931348623157e308] * 3 + [201.0],
+                   [5e-324, 1e-310, 3e-320], [5e-324, 1e300]):
+        _same_std(values)
+    assert scaled_on_overflow(statistics.fmean, [1.7e308, 1.7e308]) == 1.7e308
