@@ -138,15 +138,13 @@ def _doc(e: Episode | Mapping[str, Any]) -> Mapping[str, Any]:
     return episode_to_doc(e) if is_episode(e) else e
 
 
-def _structured_turns(turns: Sequence[Mapping[str, Any]]) -> list[Mapping[str, Any]]:
-    return [t for t in turns if t.get("action") is not None]
-
-
 # ---------------------------------------------------------------------------
 # Pillars
 #
 # Each pillar reads the episode document, which for a valid record is the
-# validated one: a document holds only plain JSON values.
+# validated one: a document holds only plain JSON values.  The turns are
+# read by one walk, _tally, whose counts TC, IQ's alternation and grounding
+# terms, NR and CC are derived from.
 # ---------------------------------------------------------------------------
 
 _VIOLATION_FLAGS = ("altitude_violation", "nfz_violation", "separation_breach", "battery_depleted")
@@ -188,15 +186,17 @@ def match_action_observation(action: Mapping[str, Any] | None, observation: Mapp
     )
 
 
-def score_tool_consistency(e: Episode | Mapping[str, Any]) -> float:
-    structured = _structured_turns(_doc(e)["turns"])
-    if not structured:
-        return 1.0
-    matched = sum(1 for t in structured if match_action_observation(t["action"], t.get("observation")))
-    return matched / len(structured)
-
-
 _TURN_REF = re.compile(r"\bturn\s+(\d+)\b", re.IGNORECASE)
+
+
+def _number_below(digits: str, bound: int) -> bool:
+    """int(digits) < bound for a run of decimal digits of any script, with
+    leading zeros, converting no more digits than bound has: a run of any
+    length is read, not only the 4,300 digits int() takes."""
+    i, excess = 0, len(digits) - len(str(bound))
+    while i < excess and int(digits[i]) == 0:
+        i += 1
+    return i >= excess and int(digits[i:]) < bound
 
 
 def _add_value_tokens(roots: list[Any], tokens: set[str]) -> None:
@@ -227,55 +227,143 @@ def _is_grounded(
 ) -> bool:
     """Whether an agent turn refers to an earlier turn or names a prior
     observation's tool, task or value; the unwalked observation values are
-    added to values only when no reference or name grounds the turn."""
-    text = turn["intent"]
-    for match in _TURN_REF.finditer(text):
-        if int(match.group(1)) < turn_number:
+    added to values only when no reference or name grounds the turn.  The
+    names are looked for in the intent first, where most grounded turns
+    have one."""
+    haystack = turn["intent"]
+    for name in names:
+        if name in haystack:
             return True
-    haystack = text
+    for match in _TURN_REF.finditer(haystack):
+        if _number_below(match.group(1), turn_number):
+            return True
     action = turn.get("action")
     if action is not None:
         args = action["args"] if action["protocol"] == "mcp" else action["payload"]
-        haystack += " " + " ".join(str(v) for v in args.values())
-    if any(name in haystack for name in names):
-        return True
+        haystack += " " + " ".join(map(str, args.values()))
+        for name in names:
+            if name in haystack:
+                return True
     _add_value_tokens(unwalked, values)
-    return any(token in haystack for token in values)
+    for token in values:
+        if token in haystack:
+            return True
+    return False
 
 
-def grounding_fraction(e: Episode | Mapping[str, Any]) -> float:
-    """Share of agent turns that reference prior observations.
+class _Tally(NamedTuple):
+    """The counts of one walk over an episode's turns, and the pillar terms
+    derived from them."""
 
-    Agent turns before any observation exists are vacuously excluded from the
-    denominator; with no eligible turns the score is 1.  The names are kept
-    as each observation passes; the values, which cost a format per number,
-    are walked only when neither a reference nor a name grounds a turn.
+    turns: int
+    structured: int  # turns with an action
+    matched: int  # structured turns whose observation pairs with the action
+    alternates: bool  # no two consecutive turns share a role
+    hard: int  # turns whose network state is hard
+    acts_hard: int  # hard turns with an action
+    acts_normal: int  # other turns with an action
+    hard_sliced: int  # hard turns on a slice other than eMBB
+    eligible: int  # agent turns after the first observation
+    grounded: int  # eligible turns that are grounded
+
+    def tool_consistency(self) -> float:
+        return self.matched / self.structured if self.structured else 1.0
+
+    def alternation(self) -> float:
+        return 1.0 if self.alternates else 0.0
+
+    def grounding(self) -> float:
+        return self.grounded / self.eligible if self.eligible else 1.0
+
+    def nr_components(self, completed: bool) -> tuple[float, float, float, float]:
+        total, n_hard = self.turns, self.hard
+        hard_fraction = n_hard / max(total, 1)
+        base = 1.0 - hard_fraction
+        if n_hard == 0:
+            adapt = 1.0
+            slice_aware = 1.0
+        else:
+            n_normal = total - n_hard
+            rate_hard = self.acts_hard / n_hard
+            rate_normal = self.acts_normal / n_normal if n_normal else 0.0
+            if rate_normal == 0.0:
+                adapt = 0.0 if rate_hard > 0 else 1.0
+            else:
+                adapt = clamp01(1.0 - rate_hard / rate_normal)
+            slice_aware = self.hard_sliced / n_hard
+        bonus = NR_BONUS if completed and hard_fraction >= NR_BONUS_MIN_HARD_FRACTION else 0.0
+        return base, adapt, slice_aware, bonus
+
+    def network_robustness(self, completed: bool) -> float:
+        base, adapt, slice_aware, bonus = self.nr_components(completed)
+        return clamp01(NR_BASE_WEIGHT * base + NR_ADAPT_WEIGHT * adapt + NR_SLICE_WEIGHT * slice_aware + bonus)
+
+    def communication_cost(self, total_tokens: float) -> float:
+        token_term = clamp01(TOKEN_BUDGET / max(total_tokens, 1))
+        tool_term = clamp01(TOOL_BUDGET / max(self.structured, 1))
+        return 0.5 * (token_term + tool_term)
+
+
+def _tally(turns: Sequence[Mapping[str, Any]], ground: bool = True, count: bool = True) -> _Tally:
+    """Count, in one walk over the turn documents, what grounding needs when
+    ground is true and what TC, alternation, NR and CC need when count is;
+    the counts of a part not asked for stay 0.
+
+    Grounding is the share of agent turns that reference prior observations;
+    agent turns before any observation exists are not eligible.  The names
+    are kept as each observation passes; the values, which cost a format per
+    number, are walked only when neither a reference nor a name grounds a
+    turn.
     """
+    structured = matched = n_hard = acts_hard = acts_normal = hard_sliced = eligible = grounded = 0
+    alternates = True
+    previous = None
     names: set[str] = set()
     values: set[str] = set()
     unwalked: list[Any] = []
-    eligible = 0
-    grounded = 0
-    for index, turn in enumerate(_doc(e)["turns"]):
-        if turn["role"] == ROLE_AGENT and names:
-            eligible += 1
-            if _is_grounded(turn, index + 1, names, values, unwalked):
-                grounded += 1
+    for number, turn in enumerate(turns, 1):
+        role = turn["role"]
         obs = turn.get("observation")
-        if obs is not None:
-            if "tool" in obs:
-                names.add(str(obs["tool"]))
-                unwalked.append(obs.get("result"))
-            else:
-                names.add(str(obs["task"]))
-                unwalked.append(obs.get("payload"))
-    if eligible == 0:
-        return 1.0
-    return grounded / eligible
+        if count:
+            if role == previous:
+                alternates = False
+            previous = role
+            action = turn.get("action")
+            if action is not None:
+                structured += 1
+                matched += match_action_observation(action, obs)
+            network = turn["network"]
+            if classify_hard(network):
+                n_hard += 1
+                acts_hard += action is not None
+                hard_sliced += network["slice"] != EMBB
+            elif action is not None:
+                acts_normal += 1
+        if ground:
+            if role == ROLE_AGENT and names:
+                eligible += 1
+                grounded += _is_grounded(turn, number, names, values, unwalked)
+            if obs is not None:
+                if "tool" in obs:
+                    names.add(str(obs["tool"]))
+                    unwalked.append(obs.get("result"))
+                else:
+                    names.add(str(obs["task"]))
+                    unwalked.append(obs.get("payload"))
+    return _Tally(
+        len(turns), structured, matched, alternates,
+        n_hard, acts_hard, acts_normal, hard_sliced, eligible, grounded,
+    )
 
 
-def alternation_holds(turns: Sequence[Mapping[str, Any]]) -> bool:
-    return all(turns[i]["role"] != turns[i - 1]["role"] for i in range(1, len(turns)))
+def score_tool_consistency(e: Episode | Mapping[str, Any]) -> float:
+    return _tally(_doc(e)["turns"], ground=False).tool_consistency()
+
+
+def grounding_fraction(e: Episode | Mapping[str, Any]) -> float:
+    """Share of agent turns that reference prior observations; 1 with no
+    eligible turns."""
+    return _tally(_doc(e)["turns"], count=False).grounding()
 
 
 def _interaction_quality(n_turns: int, alternation: float, grounding: float, ctx: ScoringContext) -> float:
@@ -283,10 +371,8 @@ def _interaction_quality(n_turns: int, alternation: float, grounding: float, ctx
 
 
 def score_interaction_quality(e: Episode | Mapping[str, Any], ctx: ScoringContext) -> float:
-    doc = _doc(e)
-    turns = doc["turns"]
-    alternation = 1.0 if alternation_holds(turns) else 0.0
-    return _interaction_quality(len(turns), alternation, grounding_fraction(doc), ctx)
+    tally = _tally(_doc(e)["turns"])
+    return _interaction_quality(tally.turns, tally.alternation(), tally.grounding(), ctx)
 
 
 def _nr_components(
@@ -294,50 +380,17 @@ def _nr_components(
 ) -> tuple[float, float, float, float]:
     """NR's base, adaptation, slice-awareness and bonus terms; t_opt plays no part."""
     doc = _doc(e)
-    turns = doc["turns"]
-    total = len(turns)
-    hard = [classify_hard(t["network"]) for t in turns]
-    n_hard = sum(hard)
-    hard_fraction = n_hard / max(total, 1)
-    base = 1.0 - hard_fraction
-
-    if n_hard == 0:
-        adapt = 1.0
-        slice_aware = 1.0
-    else:
-        n_normal = total - n_hard
-        acts_hard = sum(1 for t, h in zip(turns, hard) if h and t.get("action") is not None)
-        acts_normal = sum(1 for t, h in zip(turns, hard) if not h and t.get("action") is not None)
-        rate_hard = acts_hard / n_hard
-        rate_normal = acts_normal / n_normal if n_normal else 0.0
-        if rate_normal == 0.0:
-            adapt = 0.0 if rate_hard > 0 else 1.0
-        else:
-            adapt = clamp01(1.0 - rate_hard / rate_normal)
-        slice_aware = sum(1 for t, h in zip(turns, hard) if h and t["network"]["slice"] != EMBB) / n_hard
-
-    bonus = (
-        NR_BONUS
-        if doc["final_state"]["mission_completed"] and hard_fraction >= NR_BONUS_MIN_HARD_FRACTION
-        else 0.0
-    )
-    return base, adapt, slice_aware, bonus
+    return _tally(doc["turns"], ground=False).nr_components(doc["final_state"]["mission_completed"])
 
 
 def score_network_robustness(e: Episode | Mapping[str, Any], ctx: ScoringContext | None = None) -> float:
-    base, adapt, slice_aware, bonus = _nr_components(e, ctx)
-    return clamp01(
-        NR_BASE_WEIGHT * base + NR_ADAPT_WEIGHT * adapt + NR_SLICE_WEIGHT * slice_aware + bonus
-    )
+    doc = _doc(e)
+    return _tally(doc["turns"], ground=False).network_robustness(doc["final_state"]["mission_completed"])
 
 
 def score_communication_cost(e: Episode | Mapping[str, Any]) -> float:
     doc = _doc(e)
-    tokens = doc["metadata"]["total_tokens"]
-    tools = len(_structured_turns(doc["turns"]))
-    token_term = clamp01(TOKEN_BUDGET / max(tokens, 1))
-    tool_term = clamp01(TOOL_BUDGET / max(tools, 1))
-    return 0.5 * (token_term + tool_term)
+    return _tally(doc["turns"], ground=False).communication_cost(doc["metadata"]["total_tokens"])
 
 
 def composite(pillars: Sequence[float]) -> float:
@@ -348,20 +401,20 @@ def composite(pillars: Sequence[float]) -> float:
 
 def episode_terms(e: Episode | Mapping[str, Any], report: ValidationReport) -> EpisodeTerms:
     """Everything of an episode's scores that comes before t_opt, read from
-    its document once."""
+    its document with one walk over its turns."""
     doc = _doc(e)
-    turns = doc["turns"]
     meta = doc["metadata"]
     final = doc["final_state"]
+    tally = _tally(doc["turns"])
     return EpisodeTerms(
         score_task_outcome(doc, report),
         score_safety_policy(final),
-        score_tool_consistency(doc),
-        1.0 if alternation_holds(turns) else 0.0,
-        grounding_fraction(doc),
-        score_network_robustness(doc),
-        score_communication_cost(doc),
-        len(turns),
+        tally.tool_consistency(),
+        tally.alternation(),
+        tally.grounding(),
+        tally.network_robustness(final["mission_completed"]),
+        tally.communication_cost(meta["total_tokens"]),
+        tally.turns,
         bool(final["mission_completed"]),
         float(meta["gen_time_s"]),
         int(meta["total_tokens"]),

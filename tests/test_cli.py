@@ -1847,6 +1847,35 @@ def test_lenient_score_scores_an_acknowledgement_with_foreign_tool_fields(tmp_pa
     assert (meta["records"], meta["valid_episodes"], meta["malformed_lines"]) == (1, 1, 0)
 
 
+def test_score_reads_a_turn_reference_of_any_length(tmp_path):
+    # A reference past the 4,300 digits int() converts is a valid intent:
+    # validate accepts it, and both scores read it as its short form.
+    out = tmp_path / "run"
+    out.mkdir()
+    base = episode_to_doc(random_episode(np.random.default_rng(19)))
+    last_agent = max(i for i, t in enumerate(base["turns"]) if t["role"] == "agent")
+    pairs = [
+        ("as seen in turn " + "0" * 5000 + "2", "as seen in turn 2"),
+        ("as seen in turn " + "٠" * 5000 + "٣", "as seen in turn 3"),
+        ("as planned for turn " + "1" * 5000, "as planned for turn 99"),
+    ]
+    lines = []
+    for intents in pairs:
+        for intent in intents:
+            doc = json.loads(json.dumps(base))
+            doc["turns"][last_agent]["intent"] = intent
+            lines.append(json.dumps(doc))
+    corpus = out / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    assert main(["validate", str(corpus)]) == EXIT_OK
+    for mode in ("--strict", "--lenient"):
+        assert main(["score", "--out", str(out), mode]) == EXIT_OK
+        records = [json.loads(line) for line in (out / SCORES_NAME).read_text().splitlines()]
+        assert [r["valid"] for r in records] == [True] * 6
+        for long_form, short_form in zip(records[::2], records[1::2]):
+            assert long_form["pillars"] == short_form["pillars"]
+
+
 def test_score_keeps_a_compact_entry_per_record(tmp_path):
     import tracemalloc
 

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import statistics
+import unicodedata
 from dataclasses import replace
 
 import numpy as np
@@ -31,9 +32,15 @@ from skybench.episode import (
 from skybench.errors import DegenerateInput
 from skybench.network import EMBB, URLLC, classify_hard
 from skybench.scoring import (
+    NR_ADAPT_WEIGHT,
+    NR_BASE_WEIGHT,
+    NR_BONUS,
+    NR_BONUS_MIN_HARD_FRACTION,
+    NR_SLICE_WEIGHT,
     TOKEN_BUDGET,
     TOOL_BUDGET,
     WEIGHTS,
+    EpisodeTerms,
     PillarScores,
     ScoringContext,
     aggregate_model,
@@ -42,6 +49,7 @@ from skybench.scoring import (
     episode_terms,
     generation_efficiency,
     grounding_fraction,
+    match_action_observation,
     pstdev,
     scaled_on_overflow,
     score_communication_cost,
@@ -51,6 +59,7 @@ from skybench.scoring import (
     score_safety_policy,
     score_task_outcome,
     score_tool_consistency,
+    _number_below,
 )
 
 VALID = ValidationReport(valid=True, violations=())
@@ -216,10 +225,19 @@ def _observation_tokens(obs: dict) -> set[str]:
     return tokens
 
 
+def _refers_back(digits: str, turn_number: int) -> bool:
+    """Whether the turn a reference's digits name comes before turn_number.
+    The digits, of any script, are read one by one (int() refuses a string of
+    more than 4,300), and numbers of as many digits compare as text."""
+    written = "".join(str(unicodedata.decimal(c)) for c in digits).lstrip("0")
+    bound = str(turn_number)
+    return (len(written), written) < (len(bound), bound)
+
+
 def _is_grounded(turn: dict, turn_number: int, prior_tokens: set[str]) -> bool:
     text = turn["intent"]
     for match in _TURN_REF.finditer(text):
-        if int(match.group(1)) < turn_number:
+        if _refers_back(match.group(1), turn_number):
             return True
     haystack = text
     action = turn.get("action")
@@ -242,9 +260,9 @@ def _eager_grounding(doc: dict) -> float:
 
 
 def _hand_grounding_docs() -> list[tuple[dict, float]]:
-    """Documents whose one eligible agent turn is grounded only by a value
-    in its intent or its action's arguments, a name, a turn reference or an
-    empty tool name, or by nothing."""
+    """Documents whose one eligible agent turn, the fourth, is grounded only
+    by a value in its intent or its action's arguments, a name, a turn
+    reference or an empty tool name, or by nothing."""
     net = fixed_network(False)
     seen = McpResult("read_telemetry", {"battery_pct": 87.4, "mode": ["hover", 7]})
 
@@ -264,29 +282,177 @@ def _hand_grounding_docs() -> list[tuple[dict, float]]:
         (doc("read_telemetry says all is well"), 1.0),
         (doc("as seen in turn 2, link is stable"), 1.0),
         (doc("as planned for turn 9"), 0.0),
+        (doc("as planned for turn 4"), 0.0),
+        (doc("as seen in turn 0003"), 1.0),
+        (doc("as planned for turn 0004"), 0.0),
+        (doc("AS SEEN IN TURN 2"), 1.0),
+        # Arabic-Indic 2 and 9, and a fullwidth 3: \d is any decimal digit.
+        (doc("as seen in turn \u0662"), 1.0),
+        (doc("as planned for turn \u0669"), 0.0),
+        (doc("as seen in turn \u0660\uff13"), 1.0),
+        # References longer than the 4,300 digits int() takes.
+        (doc("as seen in turn " + "0" * 5000 + "2"), 1.0),
+        (doc("as seen in turn " + "\u0660" * 5000 + "3"), 1.0),
+        (doc("as planned for turn " + "1" * 5000), 0.0),
+        (doc("as planned for turn " + "0" * 5000 + "10"), 0.0),
         (doc("nothing to report", observation=McpResult("", {})), 1.0),
         (doc("nothing to report"), 0.0),
     ]
 
 
-def test_grounding_matches_its_eager_definition(tmp_path):
-    from generators import corrupted_docs
-
+@pytest.fixture(scope="module")
+def random_docs() -> list[dict]:
+    """Episodes over structured, mismatch and hard probabilities."""
     rng = np.random.default_rng(31)
-    docs = [
-        episode_to_doc(random_episode(rng, structured_prob=structured, mismatch_prob=mismatch))
+    return [
+        episode_to_doc(random_episode(rng, structured_prob=structured, mismatch_prob=mismatch, hard_prob=hard))
         for structured in (0.0, 0.3, 0.7, 1.0)
         for mismatch in (0.0, 0.3, 1.0)
-        for _ in range(40)
+        for hard in (0.0, 0.4, 1.0)
+        for _ in range(15)
     ]
-    docs += [doc for _, doc, _ in corrupted_docs(rng)]
-    cmd_generate(RunConfig(out=str(tmp_path), canonical=True))
-    docs += [doc for doc in map(loads_document, (tmp_path / "corpus.jsonl").read_text().splitlines())
-             if doc.get("kind") != "failure_stub"]
+
+
+def _lenient_docs(docs: list[dict]) -> list[dict]:
+    """Copies of docs with third-party fields that only --lenient accepts: at
+    the top level, in metadata, in a turn, in a turn's network and (valid
+    either way) inside an observation's result, whose values the agent turns
+    after it may then be grounded by."""
+    rng = random.Random(32)
+    lenient = []
+    for doc in docs:
+        doc = copy.deepcopy(doc)
+        turns = doc["turns"]
+        places = rng.sample(("top", "metadata", "turn", "network", "result"), rng.randint(1, 3))
+        if "top" in places:
+            doc["x_provider"] = {"price_usd": 0.02, "region": "eu-west"}
+        if "metadata" in places:
+            doc["metadata"]["x_run"] = "batch-7"
+        if "turn" in places:
+            turns[rng.randrange(len(turns))]["x_note"] = "relayed"
+        if "network" in places:
+            turns[rng.randrange(len(turns))]["network"]["x_cell_id"] = 4021
+        if "result" in places:
+            results = [t["observation"]["result"] for t in turns
+                       if type(t.get("observation", {}).get("result")) is dict]
+            agent_words = [w for t in turns if t["role"] == "agent" for w in t["intent"].split()]
+            if results and agent_words:
+                rng.choice(results)["x_echo"] = [rng.choice(agent_words), 12.5]
+        lenient.append(doc)
+    return lenient
+
+
+@pytest.fixture(scope="module")
+def builtin_docs(tmp_path_factory) -> list[dict]:
+    """The episodes of the built-in --episodes-per-scenario 50 --canonical corpus."""
+    out = tmp_path_factory.mktemp("builtin")
+    cmd_generate(RunConfig(out=str(out), canonical=True))
+    lines = (out / "corpus.jsonl").read_text().splitlines()
+    return [doc for doc in map(loads_document, lines) if doc.get("kind") != "failure_stub"]
+
+
+@given(st.text(st.characters(categories=["Nd"]), min_size=1, max_size=40), st.integers(1, 10**6))
+def test_a_turn_reference_is_compared_as_int_reads_it(digits, turn_number):
+    assert _number_below(digits, turn_number) == (int(digits) < turn_number)
+    assert _number_below("0" * 5000 + digits, turn_number) == (int(digits) < turn_number)
+
+
+def test_grounding_matches_its_eager_definition(builtin_docs, random_docs):
+    from generators import corrupted_docs
+
+    docs = random_docs + [doc for _, doc, _ in corrupted_docs(np.random.default_rng(31))]
+    docs += builtin_docs + _lenient_docs(builtin_docs[::15])
     for doc in docs:
         assert grounding_fraction(doc) == _eager_grounding(doc)
     for doc, expected in _hand_grounding_docs():
         assert grounding_fraction(doc) == _eager_grounding(doc) == expected
+
+
+# The per-pillar definitions of the terms, each pillar walking the turns by
+# itself.  They are the reference episode_terms, which reads the turns once,
+# is held to, float for float.
+
+def _reference_tool_consistency(turns: list[dict]) -> float:
+    structured = [t for t in turns if t.get("action") is not None]
+    if not structured:
+        return 1.0
+    matched = sum(1 for t in structured if match_action_observation(t["action"], t.get("observation")))
+    return matched / len(structured)
+
+
+def _reference_network_robustness(doc: dict) -> float:
+    turns = doc["turns"]
+    total = len(turns)
+    hard = [classify_hard(t["network"]) for t in turns]
+    n_hard = sum(hard)
+    hard_fraction = n_hard / max(total, 1)
+    base = 1.0 - hard_fraction
+    if n_hard == 0:
+        adapt = 1.0
+        slice_aware = 1.0
+    else:
+        n_normal = total - n_hard
+        acts_hard = sum(1 for t, h in zip(turns, hard) if h and t.get("action") is not None)
+        acts_normal = sum(1 for t, h in zip(turns, hard) if not h and t.get("action") is not None)
+        rate_hard = acts_hard / n_hard
+        rate_normal = acts_normal / n_normal if n_normal else 0.0
+        if rate_normal == 0.0:
+            adapt = 0.0 if rate_hard > 0 else 1.0
+        else:
+            adapt = min(1.0, max(0.0, 1.0 - rate_hard / rate_normal))
+        slice_aware = sum(1 for t, h in zip(turns, hard) if h and t["network"]["slice"] != EMBB) / n_hard
+    bonus = (
+        NR_BONUS
+        if doc["final_state"]["mission_completed"] and hard_fraction >= NR_BONUS_MIN_HARD_FRACTION
+        else 0.0
+    )
+    score = NR_BASE_WEIGHT * base + NR_ADAPT_WEIGHT * adapt + NR_SLICE_WEIGHT * slice_aware + bonus
+    return min(1.0, max(0.0, score))
+
+
+def _reference_communication_cost(doc: dict) -> float:
+    tools = len([t for t in doc["turns"] if t.get("action") is not None])
+    token_term = min(1.0, max(0.0, TOKEN_BUDGET / max(doc["metadata"]["total_tokens"], 1)))
+    tool_term = min(1.0, max(0.0, TOOL_BUDGET / max(tools, 1)))
+    return 0.5 * (token_term + tool_term)
+
+
+def _reference_terms(doc: dict, report: ValidationReport) -> EpisodeTerms:
+    turns = doc["turns"]
+    meta = doc["metadata"]
+    final = doc["final_state"]
+    alternates = all(turns[i]["role"] != turns[i - 1]["role"] for i in range(1, len(turns)))
+    return EpisodeTerms(
+        score_task_outcome(doc, report),
+        score_safety_policy(final),
+        _reference_tool_consistency(turns),
+        1.0 if alternates else 0.0,
+        _eager_grounding(doc),
+        _reference_network_robustness(doc),
+        _reference_communication_cost(doc),
+        len(turns),
+        bool(final["mission_completed"]),
+        float(meta["gen_time_s"]),
+        int(meta["total_tokens"]),
+    )
+
+
+def test_episode_terms_match_the_per_pillar_walks(builtin_docs, random_docs):
+    lenient = _lenient_docs(builtin_docs[::3] + random_docs[::4])
+    assert all(validate_episode(doc, strict=False).valid for doc in lenient)
+    assert sum(not validate_episode(doc).valid for doc in lenient) > len(lenient) // 2
+    cases = [(doc, validate_episode(doc)) for doc in builtin_docs + random_docs]
+    cases += [(doc, validate_episode(doc, strict=False)) for doc in lenient]
+    cases += [(doc, VALID) for doc, _ in _hand_grounding_docs()]
+    assert all(report.valid for _, report in cases)
+    for doc, report in cases:
+        terms, reference = episode_terms(doc, report), _reference_terms(doc, report)
+        assert terms == reference
+        assert list(map(type, terms)) == list(map(type, reference))
+        assert score_tool_consistency(doc) == terms.tool_consistency
+        assert grounding_fraction(doc) == terms.grounding
+        assert score_network_robustness(doc) == terms.network_robustness
+        assert score_communication_cost(doc) == terms.communication_cost
 
 
 # -- network robustness ------------------------------------------------------
