@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from contextlib import closing
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -35,6 +36,7 @@ from .network import calibrate, default_calibration, classify_hard, verify_calib
 if TYPE_CHECKING:
     import argparse
 
+    from .episode import ValidationReport
     from .scenarios import Scenario
 
 # The names this module uses from the modules that only some commands run,
@@ -106,15 +108,15 @@ def _read_json(path: str | Path, what: str) -> Any:
 
 
 def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
-    """(line number, stripped text) for every non-blank line of a JSONL file.
-
-    A line that is not UTF-8 comes as its bytes, which loads_document rejects.
-    """
+    """(line number, text) for every non-blank line of a JSONL file, trimmed
+    only of JSON's whitespace (space, tab, CR, LF), so that a line with any
+    other, such as U+00A0, is no JSON text.  A line that is not UTF-8 comes
+    as its bytes.  loads_document rejects both."""
     # surrogateescape turns each undecodable byte into a lone surrogate, so a
     # bad byte spoils only its own line; no valid UTF-8 decodes to one.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -122,6 +124,28 @@ def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
                     line = line.encode("utf-8", "surrogateescape")
             if line:
                 yield lineno, line
+
+
+def _read_doc(doc: dict[str, Any], check: Callable[[dict[str, Any]], Any]) -> tuple[dict[str, Any], bool, Any]:
+    """(document, is a failure stub, verdict) of a parsed corpus record:
+    check_stub's document and no verdict for a stub, else doc and check(doc).
+    Raises ParseError when check_stub or check does."""
+    if doc.get("kind") == "failure_stub":
+        return check_stub(doc), True, None
+    return doc, False, check(doc)
+
+
+def _corpus_records(path: Path, check: Callable[[dict[str, Any]], Any]) -> Iterator[tuple]:
+    """The one reader of corpus records: (line number, text, *_read_doc with
+    `check`) for every non-blank line of a corpus, or (line number, text,
+    None, False, None) for a malformed one, which is no JSON object or for
+    which _read_doc raises ParseError."""
+    for lineno, line in _corpus_lines(path):
+        try:
+            read = _read_doc(loads_document(line), check)
+        except ParseError:
+            read = None, False, None
+        yield lineno, line, *read
 
 
 def _env_flag(raw: str) -> bool:
@@ -434,23 +458,14 @@ def cmd_generate(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     existing: dict[str, tuple[str, bool]] = {}
     if resumable:
-        # A line is kept only as a record generate could have written: a
-        # stub that check_stub reads, or an episode that strict validation
+        # A line is kept only as a record generate could have written for
+        # one of the jobs: a stub, or an episode that strict validation
         # passes.  The job of any other line is run again.
-        for _, line in _corpus_lines(corpus_path):
-            try:
-                doc = loads_document(line)
-                episode_id = doc.get("episode_id")
-                if not (isinstance(episode_id, str) and episode_id in jobs):
-                    continue
-                is_stub = doc.get("kind") == "failure_stub"
-                if is_stub:
-                    check_stub(doc)
-                elif not validate_episode(doc).valid:
-                    continue
-            except ParseError:
-                continue
-            existing[episode_id] = (line, is_stub)
+        for _, line, doc, is_stub, report in _corpus_records(corpus_path, validate_episode):
+            if doc is not None and (is_stub or report.valid):
+                episode_id = doc["episode_id"]
+                if isinstance(episode_id, str) and episode_id in jobs:
+                    existing[episode_id] = (line, is_stub)
     if config.canonical:
         timestamp = EPOCH_TIMESTAMP
     else:
@@ -515,17 +530,14 @@ def cmd_generate(config: RunConfig) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-def _check_doc(doc: Mapping[str, Any], strict: bool) -> dict[str, Any] | tuple:
+def _check_doc(doc: Mapping[str, Any], is_stub: bool, report: ValidationReport | None) -> dict[str, Any] | tuple:
     """The score record of a failure stub or an invalid episode, which t_opt
     does not change; for a valid episode, its identity keys and the
     EpisodeTerms read from its validated document, which _finish scores.
-    Raises ParseError for a stub that check_stub refuses."""
-    if doc.get("kind") == "failure_stub":
-        stub = check_stub(doc)
+    Takes _read_doc's reading of a record, with validate_episode's report."""
+    if is_stub:
         keys = ("kind", "model", "scenario_id", "seed", "attempts_used", "error_kind")
-        return {**{key: stub[key] for key in keys}, "scored": False}
-    # Validate the raw document: strict mode must see every field it holds.
-    report = validate_episode(doc, strict=strict)
+        return {**{key: doc[key] for key in keys}, "scored": False}
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), Mapping) else {}
     # aggregate reads the model and the attempts by exact type, so a value of
     # any other type is written as a missing one is; an integral float is
@@ -576,7 +588,7 @@ def _finish(entry: dict[str, Any] | tuple, ctx: ScoringContext) -> dict[str, Any
 def _score_doc(doc: Mapping[str, Any], ctx: ScoringContext, strict: bool) -> dict[str, Any]:
     """Score one corpus record."""
     _load("scoring")
-    return _finish(_check_doc(doc, strict), ctx)
+    return _finish(_check_doc(*_read_doc(doc, partial(validate_episode, strict=strict))), ctx)
 
 
 def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
@@ -590,11 +602,11 @@ def cmd_score(out: str, corpus: str | None = None, strict: bool = True) -> int:
     # any of them can be finished.
     entries = []
     malformed = 0
-    for _, line in _corpus_lines(corpus_path):
-        try:
-            entries.append(_check_doc(loads_document(line), strict))
-        except ParseError:
+    for _, _, doc, is_stub, report in _corpus_records(corpus_path, partial(validate_episode, strict=strict)):
+        if doc is None:
             malformed += 1
+        else:
+            entries.append(_check_doc(doc, is_stub, report))
     valid_terms = [entry[1] for entry in entries if isinstance(entry, tuple)]
     t_opt = compute_t_opt(valid_terms)
     ctx = ScoringContext(t_opt=t_opt)
@@ -853,20 +865,14 @@ def cmd_analytics(out: str, corpus: str | None = None) -> int:
     malformed = 0
 
     def episode_docs() -> Iterator[dict[str, Any]]:
-        """The buildable episode documents of the corpus; a stub is checked
-        and skipped, and a line that builds no record counts as malformed."""
+        """The buildable episode documents of the corpus; a stub is skipped,
+        and a line that builds no record counts as malformed."""
         nonlocal malformed
-        for _, line in _corpus_lines(corpus_path):
-            try:
-                doc = loads_document(line)
-                if doc.get("kind") == "failure_stub":
-                    check_stub(doc)
-                    continue
-                check_episode_doc(doc)
-            except ParseError:
+        for _, _, doc, is_stub, _ in _corpus_records(corpus_path, check_episode_doc):
+            if doc is None:
                 malformed += 1
-                continue
-            yield doc
+            elif not is_stub:
+                yield doc
 
     report = corpus_analytics(episode_docs())
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -898,14 +904,11 @@ def cmd_validate(path: str, strict: bool = True) -> int:
     file_path = Path(path)
     if not file_path.exists():
         raise ScenarioError(f"no such file: {path}")
+    check = partial(validate_episode, strict=strict)
     if file_path.suffix != ".jsonl":
-        doc = loads_document(file_path.read_bytes())
-        if doc.get("kind") == "failure_stub":
-            check_stub(doc)  # a stub is read as in a corpus; an ill-typed one raises
-            print("valid")
-            return EXIT_OK
-        report = validate_episode(doc, strict=strict)
-        if report.valid:
+        # A stub is read as in a corpus: an ill-typed one raises.
+        _, is_stub, report = _read_doc(loads_document(file_path.read_bytes()), check)
+        if is_stub or report.valid:
             print("valid")
             return EXIT_OK
         for violation in report.violations:
@@ -913,18 +916,11 @@ def cmd_validate(path: str, strict: bool = True) -> int:
             print(f"{violation.code} @ {where}: {violation.message}")
         return EXIT_INPUT
     invalid = malformed = 0
-    for lineno, line in _corpus_lines(file_path):
-        try:
-            doc = loads_document(line)
-            if doc.get("kind") == "failure_stub":
-                check_stub(doc)
-                continue
-        except ParseError:
+    for lineno, _, doc, is_stub, report in _corpus_records(file_path, check):
+        if doc is None:
             malformed += 1
             print(f"line {lineno}: MALFORMED")
-            continue
-        report = validate_episode(doc, strict=strict)
-        if not report.valid:
+        elif not (is_stub or report.valid):
             invalid += 1
             codes = ",".join(sorted(set(report.codes())))
             print(f"line {lineno}: INVALID ({codes})")

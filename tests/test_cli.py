@@ -111,6 +111,8 @@ def test_a_resume_runs_again_the_jobs_of_lines_that_are_no_record(tmp_path, caps
     stub = failure_stub("S01-safe_pilot-0000", "S01", "safe_pilot", 42, "internal", timestamp="1970-01-01T00:00:00Z")
     lines[0] = json.dumps({**stub, "seed": 4.9})
     lines[1] = json.dumps({"episode_id": "S01-safe_pilot-0001"})
+    # Well-formed stubs of no job are dropped too, whatever their id's type.
+    lines += [json.dumps({**stub, "episode_id": "S09-safe_pilot-0000"}), json.dumps({**stub, "episode_id": [1]})]
     (out / "corpus.jsonl").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(argv) == EXIT_OK
@@ -1682,26 +1684,52 @@ def test_malformed_corpus_lines_counted_not_fatal(tmp_path):
     assert meta["records"] == 2
 
 
-def test_non_utf8_line_is_malformed_not_fatal(tmp_path, capsys):
+def test_non_utf8_line_is_malformed_not_fatal(tmp_path, capsys, monkeypatch):
+    # Every reader of the corpus (score, analytics, validate and the resume)
+    # finds the same lines malformed.
+    import skybench.cli as cli
+
     out = tmp_path / "run"
-    cmd_generate(tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=1))
+    config = tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=2)
+    cmd_generate(config)
     corpus = out / "corpus.jsonl"
-    good = corpus.read_bytes().splitlines()
+    full = corpus.read_bytes()
+    good = full.splitlines()
+    stub = failure_stub(json.loads(good[3])["episode_id"], "S02", "safe_pilot", 42, "internal", timestamp="")
     # A lone \r ends a line, as in text mode.
-    corpus.write_bytes(
-        good[0] + b"\r" + b'{"a":"\xff"}' + b"\r\n" + good[1] + b"\n[1, 2]\n" + good[2] + b"\n"
-    )
+    corpus.write_bytes(b"".join([
+        good[0] + b"\r" + b'{"a":"\xff"}' + b"\r\n",  # lines 1 and 2, not UTF-8
+        good[1] + b"\n",
+        b"[1, 2]\n",
+        good[2][:-1] + b"\n",  # a cut line
+        json.dumps({**stub, "seed": 4.9}).encode() + b"\n",  # an ill-typed stub
+        good[4] + "\u00a0".encode() + b"\n",  # no JSON text
+        b" \t\n",  # blank
+        good[5] + b"\n",
+    ]))
+    malformed = [2, 4, 5, 6, 7]
     assert main(["score", "--out", str(out)]) == EXIT_OK
     meta = json.loads((out / "scoring_meta.json").read_text())
-    assert (meta["records"], meta["malformed_lines"]) == (3, 2)
+    assert (meta["records"], meta["malformed_lines"]) == (3, 5)
+    capsys.readouterr()
     assert main(["analytics", "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "analytics.json").read_text())["episodes"] == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err == "warning: 5 malformed lines skipped\n"
     assert main(["validate", str(corpus)]) == EXIT_INPUT
-    assert capsys.readouterr().out.splitlines() == ["line 2: MALFORMED", "line 4: MALFORMED", "2 malformed lines"]
-    # Resume skips the unreadable lines and regenerates the corpus whole.
-    cmd_generate(tiny_config(out, agents=("safe_pilot",), episodes_per_scenario=1))
-    assert corpus.read_bytes().splitlines() == good
+    assert capsys.readouterr().out.splitlines() == [f"line {n}: MALFORMED" for n in malformed] + ["5 malformed lines"]
+    # The resume runs again exactly the jobs of the unreadable lines, and the
+    # corpus is whole again.
+    jobs = []
+    run_attempts = cli.run_attempts
+
+    def recording(agent, user, scenario, **kwargs):
+        jobs.append((scenario.scenario_id, kwargs["index"]))
+        return run_attempts(agent, user, scenario, **kwargs)
+
+    monkeypatch.setattr(cli, "run_attempts", recording)
+    cmd_generate(config)
+    assert jobs == [("S02", 0), ("S02", 1), ("S03", 0)]
+    assert corpus.read_bytes() == full
 
 
 @pytest.mark.parametrize(
@@ -1712,21 +1740,38 @@ def test_non_utf8_line_is_malformed_not_fatal(tmp_path, capsys):
         ("note", "1e999"),
         ("note", "9" * 5000),
         ("latency_ms", "1" + "0" * 400),
+        # A valid line framed by whitespace that JSON does not allow around a
+        # value, which the readers once trimmed as they trim a space.
+        (None, "{}\u00a0"),
+        (None, "\u3000{}"),
+        (None, "{}\u2028"),
+        (None, "{}\u0085"),
+        (None, "{}\x0b"),
+        (None, "\x0c{}"),
+        (None, "{}\x1c"),
+        (None, "{}\x1f"),
+        (None, "\u00a0"),
     ],
-    ids=["NaN", "-Infinity", "1e999", "5000 digits", "401-digit latency"],
+    ids=[
+        "NaN", "-Infinity", "1e999", "5000 digits", "401-digit latency", "trailing U+00A0", "leading U+3000",
+        "trailing U+2028", "trailing U+0085", "trailing VT", "leading FF", "trailing FS", "trailing US",
+        "U+00A0 alone",
+    ],
 )
 def test_corpus_line_with_a_number_no_record_can_hold_is_malformed(tmp_path, capsys, key, number):
+    # key None: `number` is the whole line, with {} for the valid document.
     rng = np.random.default_rng(16)
     good = record_to_line(random_episode(rng))
     doc = episode_to_doc(random_episode(rng, structured_prob=1.0))
     if key == "note":
         next(t["observation"]["result"] for t in doc["turns"] if "result" in t.get("observation", {}))["note"] = "@"
-    else:
+    elif key == "latency_ms":
         doc["turns"][0]["network"]["latency_ms"] = "@"
+    line = number.format(dumps_canonical(doc)) if key is None else dumps_canonical(doc).replace('"@"', number)
     out = tmp_path / "run"
     out.mkdir()
     corpus = out / "corpus.jsonl"
-    corpus.write_text(good + "\n" + dumps_canonical(doc).replace('"@"', number) + "\n")
+    corpus.write_text(good + "\n" + line + "\n", "utf-8")
     assert main(["score", "--out", str(out)]) == EXIT_OK
     meta = json.loads((out / "scoring_meta.json").read_text())
     assert (meta["records"], meta["malformed_lines"]) == (1, 1)
