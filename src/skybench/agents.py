@@ -50,8 +50,6 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-    import numpy as np
-
     from .episode import Action, Episode
     from .network import NetworkState
 

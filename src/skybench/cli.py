@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Na
 
 from .episode import (
     canonical_float,
-    check_episode_doc,
     check_stub,
     doc_to_episode,  # noqa: F401  (perfbench traces it at this lookup site)
     dumps_canonical,
     dumps_document,
     dumps_pretty,
+    episode_values,
     format_float,
     integer_value,
     loads_document,
@@ -742,12 +742,10 @@ def _top(counter: Mapping[str, int], k: int = 10) -> list[tuple[str, int]]:
     return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
-def corpus_analytics(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
-    """Usage tables of the episode documents `docs`, folded in one pass.
-
-    Each document must pass check_episode_doc, and each value read from it
-    gets the conversion doc_to_episode would give it, so the tables are
-    those of the Episodes the documents build, and none is built.
+def corpus_analytics(episodes: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Usage tables of `episodes`, each the values episode_values gives an
+    episode document, folded in one pass: the tables of the Episodes the
+    documents build, and none is built.
     """
     import statistics
     from array import array
@@ -766,35 +764,29 @@ def corpus_analytics(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         for lo, hi in LATENCY_BINS
     ]
 
-    for doc in docs:
+    for episode in episodes:
         n_episodes += 1
         saw_a2a = False
-        for turn in doc["turns"]:
-            intent = str(turn["intent"]) if str(turn["role"]) == "agent" else None
+        for turn in episode["turns"]:
+            intent = turn["intent"] if turn["role"] == "agent" else None
             if intent is not None:
                 intent_counts[intent] = intent_counts.get(intent, 0) + 1
             network = turn["network"]
-            slice_name = str(network["slice"])
-            latency = float(network["latency_ms"])
-            action = turn.get("action")
+            slice_name = network["slice"]
+            latency = network["latency_ms"]
+            action = turn["action"]
             action_name = None
             if action is not None and action["protocol"] == "mcp":
-                action_name = str(action["name"])
+                action_name = action["name"]
                 mcp_counts[action_name] = mcp_counts.get(action_name, 0) + 1
                 per_slice = mcp_slice.setdefault(action_name, {})
                 per_slice[slice_name] = per_slice.get(slice_name, 0) + 1
             elif action is not None:
-                action_name = str(action["task"])
+                action_name = action["task"]
                 a2a_counts[action_name] = a2a_counts.get(action_name, 0) + 1
                 a2a_total += 1
                 saw_a2a = True
-                hard_fields = {
-                    "latency_ms": latency,
-                    "loss_pct": float(network["loss_pct"]),
-                    "throughput_mbps": float(network["throughput_mbps"]),
-                    "edge_load": float(network["edge_load"]),
-                }
-                if classify_hard(hard_fields):
+                if classify_hard(network):
                     a2a_degraded += 1
             for (lo, hi), slot in zip(LATENCY_BINS, bins):
                 if lo <= latency < hi:
@@ -864,17 +856,17 @@ def cmd_analytics(out: str, corpus: str | None = None) -> int:
         raise ScenarioError(f"corpus not found: {corpus_path}")
     malformed = 0
 
-    def episode_docs() -> Iterator[dict[str, Any]]:
-        """The buildable episode documents of the corpus; a stub is skipped,
-        and a line that builds no record counts as malformed."""
+    def episodes() -> Iterator[dict[str, Any]]:
+        """The values of the corpus' buildable episode documents; a stub is
+        skipped, and a line that builds no record counts as malformed."""
         nonlocal malformed
-        for _, _, doc, is_stub, _ in _corpus_records(corpus_path, check_episode_doc):
+        for _, _, doc, is_stub, values in _corpus_records(corpus_path, episode_values):
             if doc is None:
                 malformed += 1
             elif not is_stub:
-                yield doc
+                yield values
 
-    report = corpus_analytics(episode_docs())
+    report = corpus_analytics(episodes())
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / ANALYTICS_NAME).write_text(dumps_pretty(report) + "\n", "utf-8")
     print(f"episodes analyzed: {report['episodes']}")

@@ -76,7 +76,7 @@ _RECORD_UNIONS = ("Action", "Observation")
 
 def _create_record_classes() -> None:
     """Create the typed record classes and bind them, the unions over them
-    and NetworkState, which _doc_network builds, as globals of this module.
+    and NetworkState, which doc_to_episode builds, as globals of this module.
     Each class is named as if it were defined at module level, so its repr
     and pickle find it here."""
     if "Episode" in globals():
@@ -335,160 +335,147 @@ def episode_to_doc(e: Episode) -> dict[str, Any]:
     }
 
 
-# doc_to_episode builds the action and the observation of a turn only after
-# check_episode_doc has passed the document: each is of one of its forms.
-def doc_to_action(doc: Mapping[str, Any]) -> Action:
-    _create_record_classes()
-    if doc.get("protocol") == "mcp":
-        return McpCall(name=str(doc["name"]), args=dict(doc.get("args", {})))
-    return A2aTask(task=str(doc["task"]), to=str(doc["to"]), payload=dict(doc.get("payload", {})))
-
-
-def _doc_observation(doc: Mapping[str, Any]) -> Observation:
-    if "tool" in doc:
-        return McpResult(tool=str(doc["tool"]), result=dict(doc.get("result", {})))
-    return A2aAck(
-        task=str(doc["task"]),
-        from_agent=str(doc.get("from", "")),
-        status=str(doc.get("status", "")),
-        payload=dict(doc.get("payload", {})),
-    )
-
-
-def _doc_network(doc: Mapping[str, Any]) -> NetworkState:
-    return NetworkState(
-        slice=str(doc["slice"]),
-        latency_ms=float(doc["latency_ms"]),
-        jitter_ms=float(doc["jitter_ms"]),
-        loss_pct=float(doc["loss_pct"]),
-        throughput_mbps=float(doc["throughput_mbps"]),
-        edge_load=float(doc["edge_load"]),
-    )
-
-
-def _check_dict(value: Any) -> None:
-    """Raise as dict(value) does: a plain dict needs no copy to pass."""
-    if type(value) is not dict:
-        dict(value)
-
-
-def _check_action(doc: Mapping[str, Any]) -> None:
-    protocol = doc.get("protocol")
-    if protocol == "mcp":
-        str(doc["name"])
-        _check_dict(doc.get("args", {}))
-    elif protocol == "a2a":
-        str(doc["task"]), str(doc["to"])
-        _check_dict(doc.get("payload", {}))
-    else:
-        raise ParseError(f"unknown action protocol: {protocol!r}")
-
-
-def _check_observation(doc: Mapping[str, Any]) -> None:
-    if "tool" in doc:
-        str(doc["tool"])
-        _check_dict(doc.get("result", {}))
-    elif "task" in doc:
-        str(doc["task"]), str(doc.get("from", "")), str(doc.get("status", ""))
-        _check_dict(doc.get("payload", {}))
-    else:
-        raise ParseError("observation is neither a tool result nor an acknowledgement")
-
-
 _FLAGS = ("mission_completed", "altitude_violation", "nfz_violation", "separation_breach", "battery_depleted")
 
 
-def check_episode_doc(doc: Mapping[str, Any]) -> None:
-    """Raise ParseError unless doc_to_episode can build an Episode from doc.
+def episode_values(doc: Mapping[str, Any]) -> dict[str, Any]:
+    """The values of doc, a parsed episode document, as the Episode that
+    doc_to_episode builds from it holds them, in a document of the record's
+    fields alone: each string, integer and float converted by str, int or
+    float, each args, payload and result a dict copy, an absent action or
+    observation None, an acknowledgement's absent from and status "", and
+    the position a tuple of three floats.
 
-    This is the one definition of a buildable episode document:
-    doc_to_episode runs it first, and analytics folds exactly the documents
-    it passes.  The turns and the position must be lists and the five
-    final-state flags booleans, as they are in the schema; every other
-    value gets the conversion the build gives it (str, int, float, dict
-    and len), and none is kept, so the build cannot fail after it.
-    Semantic rule breaches are left to validate_episode.
+    This is the one definition of a buildable episode document: it raises
+    ParseError on any other.  The turns and the position must be lists and
+    the five final-state flags booleans, as they are in the schema.
+    Semantic rule breaches are left to validate_episode.  No record class is
+    made, so analytics folds these values without building an Episode.
     """
     try:
         turns = doc["turns"]
         if not isinstance(turns, list):
             raise ParseError("turns must be a list")
+        turn_values = []
         for t in turns:
-            if "action" in t and t["action"] is not None:
-                _check_action(t["action"])
-            if "observation" in t and t["observation"] is not None:
-                _check_observation(t["observation"])
-            str(t["role"]), str(t["intent"])
-            n = t["network"]
-            str(n["slice"])
-            float(n["latency_ms"]), float(n["jitter_ms"]), float(n["loss_pct"])
-            float(n["throughput_mbps"]), float(n["edge_load"])
+            action = t.get("action")
+            if action is not None:
+                protocol = action.get("protocol")
+                if protocol == "mcp":
+                    action = {"protocol": "mcp", "name": str(action["name"]), "args": dict(action.get("args", {}))}
+                elif protocol == "a2a":
+                    action = {
+                        "protocol": "a2a",
+                        "task": str(action["task"]),
+                        "to": str(action["to"]),
+                        "payload": dict(action.get("payload", {})),
+                    }
+                else:
+                    raise ParseError(f"unknown action protocol: {protocol!r}")
+            obs = t.get("observation")
+            if obs is None:
+                pass
+            elif "tool" in obs:
+                obs = {"tool": str(obs["tool"]), "result": dict(obs.get("result", {}))}
+            elif "task" in obs:
+                obs = {
+                    "task": str(obs["task"]),
+                    "from": str(obs.get("from", "")),
+                    "status": str(obs.get("status", "")),
+                    "payload": dict(obs.get("payload", {})),
+                }
+            else:
+                raise ParseError("observation is neither a tool result nor an acknowledgement")
+            role, intent, n = str(t["role"]), str(t["intent"]), t["network"]
+            turn_values.append({
+                "role": role,
+                "intent": intent,
+                "action": action,
+                "observation": obs,
+                "network": {
+                    "slice": str(n["slice"]),
+                    "latency_ms": float(n["latency_ms"]),
+                    "jitter_ms": float(n["jitter_ms"]),
+                    "loss_pct": float(n["loss_pct"]),
+                    "throughput_mbps": float(n["throughput_mbps"]),
+                    "edge_load": float(n["edge_load"]),
+                },
+            })
         m = doc["metadata"]
         f = doc["final_state"]
         position = f["position"]
         if not isinstance(position, list) or len(position) != 3:
             raise ParseError("final_state.position must be a list of three components")
-        str(doc["episode_id"])
-        str(m["model"]), int(m["seed"]), str(m["scenario_id"]), float(m["gen_time_s"])
-        int(m["attempts_used"]), int(m["prompt_tokens"]), int(m["completion_tokens"])
-        int(m["total_tokens"]), str(m["timestamp"])
-        float(position[0]), float(position[1]), float(position[2])
-        float(f["velocity"]), float(f["yaw"]), float(f["battery"])
-        if not all(isinstance(f[flag], bool) for flag in _FLAGS):
-            raise ParseError("final_state flags must be true or false")
+        values = {
+            "episode_id": str(doc["episode_id"]),
+            "metadata": {
+                "model": str(m["model"]),
+                "seed": int(m["seed"]),
+                "scenario_id": str(m["scenario_id"]),
+                "gen_time_s": float(m["gen_time_s"]),
+                "attempts_used": int(m["attempts_used"]),
+                "prompt_tokens": int(m["prompt_tokens"]),
+                "completion_tokens": int(m["completion_tokens"]),
+                "total_tokens": int(m["total_tokens"]),
+                "timestamp": str(m["timestamp"]),
+            },
+            "turns": turn_values,
+            "final_state": {
+                "position": (float(position[0]), float(position[1]), float(position[2])),
+                "velocity": float(f["velocity"]),
+                "yaw": float(f["yaw"]),
+                "battery": float(f["battery"]),
+                "mission_completed": f["mission_completed"],
+                "altitude_violation": f["altitude_violation"],
+                "nfz_violation": f["nfz_violation"],
+                "separation_breach": f["separation_breach"],
+                "battery_depleted": f["battery_depleted"],
+            },
+        }
     except ParseError:
         raise
-    # An AttributeError is an action that is not an object, which has no .get.
+    # An AttributeError is a turn or an action that is not an object, which
+    # has no .get.
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ParseError(f"cannot build episode from document: {exc}") from exc
+    final_state = values["final_state"]
+    if not all(isinstance(final_state[flag], bool) for flag in _FLAGS):
+        raise ParseError("final_state flags must be true or false")
+    return values
 
 
 def doc_to_episode(doc: Mapping[str, Any]) -> Episode:
-    """Build an Episode from a parsed document.
+    """Build an Episode from a parsed document, of the values episode_values
+    gives it.
 
-    Raises ParseError when check_episode_doc refuses the document; semantic
+    Raises ParseError when episode_values refuses the document; semantic
     rule breaches (bad roles, turn counts, ...) survive construction and are
     left to validate_episode.
     """
-    check_episode_doc(doc)
+    values = episode_values(doc)
     _create_record_classes()
     turns = []
-    for t in doc["turns"]:
-        action = doc_to_action(t["action"]) if "action" in t and t["action"] is not None else None
-        obs = _doc_observation(t["observation"]) if "observation" in t and t["observation"] is not None else None
-        turns.append(
-            Turn(
-                role=str(t["role"]),
-                intent=str(t["intent"]),
-                action=action,
-                observation=obs,
-                network=_doc_network(t["network"]),
-            )
-        )
-    m = doc["metadata"]
-    f = doc["final_state"]
-    position = f["position"]
+    for t in values["turns"]:
+        action, obs = t["action"], t["observation"]
+        if action is None:
+            pass
+        elif action["protocol"] == "mcp":
+            action = McpCall(name=action["name"], args=action["args"])
+        else:
+            action = A2aTask(task=action["task"], to=action["to"], payload=action["payload"])
+        if obs is None:
+            pass
+        elif "tool" in obs:
+            obs = McpResult(tool=obs["tool"], result=obs["result"])
+        else:
+            obs = A2aAck(task=obs["task"], from_agent=obs["from"], status=obs["status"], payload=obs["payload"])
+        network = NetworkState(**t["network"])
+        turns.append(Turn(role=t["role"], intent=t["intent"], action=action, observation=obs, network=network))
     return Episode(
-        episode_id=str(doc["episode_id"]),
-        metadata=EpisodeMetadata(
-            model=str(m["model"]),
-            seed=int(m["seed"]),
-            scenario_id=str(m["scenario_id"]),
-            gen_time_s=float(m["gen_time_s"]),
-            attempts_used=int(m["attempts_used"]),
-            prompt_tokens=int(m["prompt_tokens"]),
-            completion_tokens=int(m["completion_tokens"]),
-            total_tokens=int(m["total_tokens"]),
-            timestamp=str(m["timestamp"]),
-        ),
+        episode_id=values["episode_id"],
+        metadata=EpisodeMetadata(**values["metadata"]),
         turns=tuple(turns),
-        final_state=FinalState(
-            position=(float(position[0]), float(position[1]), float(position[2])),
-            velocity=float(f["velocity"]),
-            yaw=float(f["yaw"]),
-            battery=float(f["battery"]),
-            **{flag: f[flag] for flag in _FLAGS},
-        ),
+        final_state=FinalState(**values["final_state"]),
     )
 
 
@@ -520,7 +507,8 @@ _STRICT_DECODER = json.JSONDecoder(
 
 def loads_json(data: bytes | str) -> Any:
     """Parse JSON text that is UTF-8 and holds only values a record can hold:
-    no NaN or Infinity, and no number past float range.
+    no NaN or Infinity, no number past float range, and no value nested
+    past the parser's depth.
 
     Raises ParseError otherwise; this is the one parse of corpus lines,
     input files and external policy replies.
@@ -529,7 +517,9 @@ def loads_json(data: bytes | str) -> Any:
         if isinstance(data, bytes):
             data = data.decode("utf-8", errors="strict")
         return _STRICT_DECODER.decode(data)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; a RecursionError
+    # is a value nested past the parser's depth.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not well-formed JSON: {exc}") from exc
 
 

@@ -38,6 +38,7 @@ from skybench.episode import (
     Turn,
     dumps_canonical,
     episode_to_doc,
+    episode_values,
     failure_stub,
     line_to_record,
     record_to_line,
@@ -358,7 +359,7 @@ def test_analytics_hand_tally(tmp_path):
                 McpResult("read_telemetry", {"battery_pct": 90.0}), turns[i].network,
             )
         episodes.append(episode_to_doc(build_episode(turns)))
-    report = corpus_analytics(episodes)
+    report = corpus_analytics(map(episode_values, episodes))
     assert report["episodes"] == 3
     telemetry = [row for row in report["mcp_tools_top"] if row["tool"] == "read_telemetry"][0]
     assert telemetry["count"] == 6
@@ -1094,7 +1095,11 @@ def test_jobs_that_share_an_episode_id_exit_two_before_any_work(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("number", ["1" + "0" * 400, "9" * 5000, "1e999"], ids=["401 digits", "5000 digits", "1e999"])
+@pytest.mark.parametrize(
+    "number",
+    ["1" + "0" * 400, "9" * 5000, "1e999", "[" * 100_000 + "]" * 100_000],
+    ids=["401 digits", "5000 digits", "1e999", "nested 100000 deep"],
+)
 def test_input_file_with_a_number_no_record_can_hold_exits_two(tmp_path, capsys, number):
     scenario = _builtin_scenario_doc()
     scenario["initial_state"]["position"][0] = "@"
@@ -1740,6 +1745,8 @@ def test_non_utf8_line_is_malformed_not_fatal(tmp_path, capsys, monkeypatch):
         ("note", "1e999"),
         ("note", "9" * 5000),
         ("latency_ms", "1" + "0" * 400),
+        # Nested past the parser's depth, which once raised RecursionError.
+        ("note", "[" * 100_000 + "]" * 100_000),
         # A valid line framed by whitespace that JSON does not allow around a
         # value, which the readers once trimmed as they trim a space.
         (None, "{}\u00a0"),
@@ -1753,9 +1760,9 @@ def test_non_utf8_line_is_malformed_not_fatal(tmp_path, capsys, monkeypatch):
         (None, "\u00a0"),
     ],
     ids=[
-        "NaN", "-Infinity", "1e999", "5000 digits", "401-digit latency", "trailing U+00A0", "leading U+3000",
-        "trailing U+2028", "trailing U+0085", "trailing VT", "leading FF", "trailing FS", "trailing US",
-        "U+00A0 alone",
+        "NaN", "-Infinity", "1e999", "5000 digits", "401-digit latency", "nested 100000 deep", "trailing U+00A0",
+        "leading U+3000", "trailing U+2028", "trailing U+0085", "trailing VT", "leading FF", "trailing FS",
+        "trailing US", "U+00A0 alone",
     ],
 )
 def test_corpus_line_with_a_number_no_record_can_hold_is_malformed(tmp_path, capsys, key, number):
@@ -2124,8 +2131,9 @@ def test_analytics_folds_values_as_an_episode_holds_them(tmp_path):
     as_float = json.loads(json.dumps(as_int))
     for turn in as_float["turns"]:
         turn["network"]["latency_ms"] = float(turn["network"]["latency_ms"])
-    assert corpus_analytics([as_text]) == corpus_analytics([base])
-    assert corpus_analytics([as_int]) == corpus_analytics([as_float])
+    fold = lambda doc: corpus_analytics([episode_values(doc)])  # noqa: E731
+    assert fold(as_text) == fold(base)
+    assert fold(as_int) == fold(as_float)
 
 
 def _integral_line(line: str) -> str:

@@ -13,6 +13,7 @@ from skybench.episode import (
     doc_to_episode,
     dumps_canonical,
     episode_to_doc,
+    episode_values,
     failure_stub,
     format_float,
     line_to_record,
@@ -106,6 +107,75 @@ def test_round_trip_identity_over_random_episodes():
         line = record_to_line(episode)
         assert line_to_record(line) == episode
         assert record_to_line(line_to_record(line)) == line
+
+
+def _typed(value):
+    """value with each leaf beside its type, so that 12 and 12.0 differ."""
+    if isinstance(value, dict):
+        return {key: _typed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
+def _held_values(episode) -> dict:
+    """The values an Episode holds, in the form episode_values gives them."""
+    turns = []
+    for t in episode.turns:
+        action, obs = t.action, t.observation
+        if action is not None:
+            action = (
+                {"protocol": "mcp", "name": action.name, "args": action.args}
+                if hasattr(action, "args")
+                else {"protocol": "a2a", "task": action.task, "to": action.to, "payload": action.payload}
+            )
+        if obs is not None:
+            obs = (
+                {"tool": obs.tool, "result": obs.result}
+                if hasattr(obs, "result")
+                else {"task": obs.task, "from": obs.from_agent, "status": obs.status, "payload": obs.payload}
+            )
+        turns.append({"role": t.role, "intent": t.intent, "action": action, "observation": obs,
+                      "network": vars(t.network)})
+    return {"episode_id": episode.episode_id, "metadata": vars(episode.metadata), "turns": turns,
+            "final_state": vars(episode.final_state)}
+
+
+def _dict_ids(value) -> set:
+    if isinstance(value, dict):
+        return {id(value)}.union(*map(_dict_ids, value.values()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(_dict_ids, value))
+    return set()
+
+
+def test_doc_to_episode_holds_the_converted_values_and_shares_no_dict():
+    # Numbers written as text, an integer for a float and an acknowledgement
+    # without its from and status build as their converted values.
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        doc = episode_to_doc(random_episode(rng, structured_prob=1.0))
+        edited = json.loads(json.dumps(doc))
+        edited["metadata"]["seed"] = str(edited["metadata"]["seed"])
+        edited["final_state"]["position"][0] = "12"
+        edited["final_state"]["battery"] = 12
+        for turn in edited["turns"]:
+            turn["network"]["latency_ms"] = str(turn["network"]["latency_ms"])
+            if "from" in turn.get("observation", {}):
+                del turn["observation"]["from"], turn["observation"]["status"]
+        for source in (doc, edited):
+            before = json.loads(json.dumps(source))
+            values = episode_values(source)
+            held = _held_values(doc_to_episode(source))
+            assert source == before
+            assert _typed(held) == _typed(values)
+            assert not _dict_ids(values) & _dict_ids(source)
+            parts = [t[key] for t in held["turns"] for key in ("action", "observation") if t[key] is not None]
+            copies = {id(part[name]) for part in parts for name in ("args", "payload", "result") if name in part}
+            assert copies and not copies & _dict_ids(source)
+        assert values["metadata"]["seed"] == int(doc["metadata"]["seed"])
+        assert values["final_state"]["position"][0] == 12.0
+        assert type(values["final_state"]["battery"]) is float
 
 
 def test_canonical_serialization_is_byte_stable():
