@@ -425,6 +425,21 @@ class SubprocessPolicy:
 # The fields of each action protocol that a reply must give as strings, and
 # the one it may give as an object (left out, it is {}).
 _REPLY_FORMS = {"mcp": (("name",), "args"), "a2a": (("task", "to"), "payload")}
+# The most levels of objects and lists a reply's args or payload may nest.
+# canonical_value recurses two frames a level, so about 450 levels would end
+# the run rather than the attempt; no tool takes more than a few.
+REPLY_DEPTH = 100
+
+
+def _nests_past(value: Any, levels: int) -> bool:
+    """Whether value nests objects and lists more than `levels` deep, itself
+    counted as one: a walk level by level, with no recursion."""
+    layer = [value]
+    for _ in range(levels):
+        layer = [v for c in layer for v in (c.values() if isinstance(c, dict) else c) if isinstance(v, (dict, list))]
+        if not layer:
+            return False
+    return True
 
 
 def _read_reply(reply: Any) -> tuple[str, ActionDoc | None]:
@@ -432,8 +447,8 @@ def _read_reply(reply: Any) -> tuple[str, ActionDoc | None]:
 
     Nothing is coerced: the intent must be a string, and the action null,
     left out, or an mcp or a2a object whose names are strings and whose
-    args or payload is an object.  Raises ParseError otherwise.  Fields of
-    no protocol are dropped.
+    args or payload is an object nested at most REPLY_DEPTH levels.  Raises
+    ParseError otherwise.  Fields of no protocol are dropped.
     """
     if not isinstance(reply, dict) or not isinstance(reply.get("intent"), str):
         raise ParseError(f"a policy reply must be an object whose intent is a string, got {reply!r}")
@@ -452,6 +467,8 @@ def _read_reply(reply: Any) -> tuple[str, ActionDoc | None]:
     doc[part] = action.get(part, {})
     if not isinstance(doc[part], dict):
         raise ParseError(f"a reply's {protocol} {part} must be an object, got {action!r}")
+    if _nests_past(doc[part], REPLY_DEPTH):
+        raise ParseError(f"a reply's {protocol} {part} nests more than {REPLY_DEPTH} levels deep")
     return reply["intent"], doc
 
 

@@ -12,6 +12,7 @@ import os
 import sys
 from contextlib import closing
 from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -126,16 +127,17 @@ def _corpus_lines(path: Path) -> Iterator[tuple[int, str | bytes]]:
                 yield lineno, line
 
 
-def _read_doc(doc: dict[str, Any], check: Callable[[dict[str, Any]], Any]) -> tuple[dict[str, Any], bool, Any]:
+def _read_doc(doc: dict[str, Any], check: Callable[[dict[str, Any]], Any] | None) -> tuple[dict[str, Any], bool, Any]:
     """(document, is a failure stub, verdict) of a parsed corpus record:
-    check_stub's document and no verdict for a stub, else doc and check(doc).
-    Raises ParseError when check_stub or check does."""
+    check_stub's document and no verdict for a stub, else doc and check(doc),
+    or no verdict without a check.  Raises ParseError when check_stub or
+    check does."""
     if doc.get("kind") == "failure_stub":
         return check_stub(doc), True, None
-    return doc, False, check(doc)
+    return doc, False, check(doc) if check else None
 
 
-def _corpus_records(path: Path, check: Callable[[dict[str, Any]], Any]) -> Iterator[tuple]:
+def _corpus_records(path: Path, check: Callable[[dict[str, Any]], Any] | None) -> Iterator[tuple]:
     """The one reader of corpus records: (line number, text, *_read_doc with
     `check`) for every non-blank line of a corpus, or (line number, text,
     None, False, None) for a malformed one, which is no JSON object or for
@@ -305,69 +307,59 @@ def _generate_line(
     return dumps_document(doc), doc.get("kind") == "failure_stub"
 
 
-def _forked_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterator[Any]:
-    """fn(item) for each item, in item order.  Item k is made by worker
-    k mod workers: worker 0 is this process, and the others, forked on the
-    first next(), each send (ok, value) per item down a pipe of their own.
-    A worker stops after sending an exception, which is raised here when its
-    item comes; it waits while its pipe is full, and ends at its next write
-    once this process is gone.  Closing the iterator early kills the
-    workers; on every path each one is reaped."""
-    if workers < 2:
-        yield from map(fn, items)
-        return
-    import pickle
+def _job_of(doc: Mapping[str, Any], position: Mapping[str, int]) -> int | None:
+    episode_id = doc.get("episode_id")
+    return position.get(episode_id) if isinstance(episode_id, str) else None
 
-    pipes, pids, done = [], [], False
+
+def _kept_prefix(path: Path, position: Mapping[str, int], digest: Any) -> tuple[int, int]:
+    """Cut the partial file of a killed run after its longest prefix of
+    lines that are each the next job's record, one generate could have
+    written, and return (jobs kept, stubs among them); the kept bytes go
+    into digest.  The file is written in job order, so a line that is not
+    the next job's ends it: a half-written last line, or an edit."""
     try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    for pipe in pipes:  # else a sibling's pipe outlives this process
-                        pipe.close()
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        for item in items[w::workers]:
-                            try:
-                                reply = (True, fn(item))
-                            except Exception as exc:
-                                reply = (False, exc)
-                            pipe.write(pickle.dumps(reply))
-                            pipe.flush()
-                            if not reply[0]:
-                                break
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-            os.close(write_fd)
-            pipes.append(os.fdopen(read_fd, "rb"))
-        for k, item in enumerate(items):
-            if k % workers == 0:
-                value = fn(item)
-            else:
-                try:
-                    ok, value = pickle.load(pipes[k % workers - 1])
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"generate worker {pids[k % workers - 1]} ended early") from None
-                if not ok:
-                    raise value
-            # With the last item here, every worker has sent its share.
-            done = k == len(items) - 1
-            yield value
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if not done:
-            import signal
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return 0, 0
+    kept = stubs = size = 0
+    with fh:
+        for raw in fh:
+            # An object line as written: no whitespace around it, a newline after.
+            if not (raw.startswith(b"{") and raw.endswith(b"}\n")):
+                break
+            try:
+                doc, is_stub, report = _read_doc(loads_document(raw), validate_episode)
+            except ParseError:
+                break
+            if _job_of(doc, position) != kept or not (is_stub or report.valid):
+                break
+            digest.update(raw)
+            kept, stubs, size = kept + 1, stubs + is_stub, size + len(raw)
+        fh.truncate(size)
+    return kept, stubs
 
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-        if done and any(statuses):
-            raise RuntimeError("a generate worker did not exit cleanly")
+
+def _in_place(corpus_path: Path | None, position: Mapping[str, int], start: int) -> Iterator[tuple[str, bool] | None]:
+    """For each job from `start` on, (line, is a stub) of its record in the
+    corpus when the record is in job order and one generate could have
+    written: a stub, or an episode that strict validation passes; else None,
+    as for every job without a corpus.  The corpus is read as the jobs are
+    taken, and a record is checked only when its job's turn comes.  A line
+    of no job, a line behind the jobs already taken (out of order, or a job
+    of the partial file) and an invalid record give up their job, which is
+    made again."""
+    k = start
+    if corpus_path is not None:
+        with closing(_corpus_records(corpus_path, None)) as records:
+            for _, line, doc, is_stub, _ in records:
+                at = None if doc is None else _job_of(doc, position)
+                if at is None or at < k:
+                    continue
+                yield from repeat(None, at - k)
+                k = at + 1
+                yield (line, is_stub) if is_stub or validate_episode(doc).valid else None
+    yield from repeat(None, len(position) - k)
 
 
 def _vouched_counts(manifest: Mapping[str, Any], corpus_path: Path) -> dict[str, int] | None:
@@ -388,6 +380,13 @@ def _vouched_counts(manifest: Mapping[str, Any], corpus_path: Path) -> dict[str,
         while chunk := fh.read(1 << 20):
             digest.update(chunk)
     return counts if digest.hexdigest() == manifest["corpus_sha256"] else None
+
+
+def _remove_partials(out_dir: Path, keep: str | None = None) -> None:
+    """Remove every partial corpus file in out_dir but the one named keep."""
+    for name in os.listdir(out_dir):
+        if name.startswith(CORPUS_NAME) and name.endswith(".partial") and name != keep:
+            (out_dir / name).unlink()
 
 
 def _print_written(counts: Mapping[str, int], corpus_path: Path) -> None:
@@ -427,14 +426,15 @@ def cmd_generate(config: RunConfig) -> int:
         registry = load_registry_extension(tools_doc)
     out_dir = Path(config.out)
     corpus_path = out_dir / CORPUS_NAME
-    partial_path = out_dir / (CORPUS_NAME + ".partial")
+    # The partial file's name holds the configuration it is a prefix of.
+    partial_path = out_dir / f"{CORPUS_NAME}.{config_hash}.partial"
     # Resume only when the previous run used the same configuration.
     previous = _read_manifest(out_dir) if corpus_path.exists() else {}
     resumable = previous.get("config_hash") == config_hash
     if resumable and (counts := _vouched_counts(previous, corpus_path)) is not None:
         # The manifest vouches for these very bytes: a finished run of this
         # configuration, so there is nothing to parse or write.
-        partial_path.unlink(missing_ok=True)
+        _remove_partials(out_dir)
         _print_written(counts, corpus_path)
         return EXIT_OK
     if builtin:
@@ -443,29 +443,22 @@ def cmd_generate(config: RunConfig) -> int:
         calibration = default_calibration()
     if tools_doc is None:
         registry = default_registry()
-    jobs: dict[str, tuple[Scenario, str, int]] = {}
+    jobs: list[tuple[Scenario, str, int]] = []
+    position: dict[str, int] = {}  # episode id -> job number
     for scenario in scenarios:
         for agent_name in config.agents:
             for index in range(config.episodes_per_scenario):
                 episode_id = episode_id_for(scenario.scenario_id, agent_name, index)
-                if episode_id in jobs:  # as "S01" with agent "a-b" and "S01-a" with agent "b"
-                    other, other_agent, _ = jobs[episode_id]
+                if episode_id in position:  # as "S01" with agent "a-b" and "S01-a" with agent "b"
+                    other, other_agent, _ = jobs[position[episode_id]]
                     raise ScenarioError(
                         f"the jobs of scenario {other.scenario_id!r} with agent {other_agent!r} and of scenario "
                         f"{scenario.scenario_id!r} with agent {agent_name!r} share the episode id {episode_id!r}"
                     )
-                jobs[episode_id] = (scenario, agent_name, index)
+                position[episode_id] = len(jobs)
+                jobs.append((scenario, agent_name, index))
     out_dir.mkdir(parents=True, exist_ok=True)
-    existing: dict[str, tuple[str, bool]] = {}
-    if resumable:
-        # A line is kept only as a record generate could have written for
-        # one of the jobs: a stub, or an episode that strict validation
-        # passes.  The job of any other line is run again.
-        for _, line, doc, is_stub, report in _corpus_records(corpus_path, validate_episode):
-            if doc is not None and (is_stub or report.valid):
-                episode_id = doc["episode_id"]
-                if isinstance(episode_id, str) and episode_id in jobs:
-                    existing[episode_id] = (line, is_stub)
+    _remove_partials(out_dir, keep=partial_path.name)
     if config.canonical:
         timestamp = EPOCH_TIMESTAMP
     else:
@@ -473,55 +466,63 @@ def cmd_generate(config: RunConfig) -> int:
 
         timestamp = datetime.now(timezone.utc).isoformat()
 
-    # Only the jobs that the resume lacks are handed to workers.
-    todo = [job for episode_id, job in jobs.items() if episode_id not in existing]
-    made = _forked_map(
-        lambda job: _generate_line(*job, config, calibration, registry, timestamp),
-        todo,
-        min(config.parallel, len(todo)),
-    )
-
-    # Lines stream to a side file in job order, hashed as they go; the corpus
-    # is replaced only once every line is written, so a failed run leaves the
-    # old one whole.
+    # Lines are appended in job order to the partial file, which a killed
+    # run leaves for the next run of this configuration, and hashed as they
+    # go: first its kept prefix, then for each later job the old corpus's
+    # record when this configuration wrote it, else a line made now.  The
+    # corpus is replaced only once every line is written, so a failed run
+    # leaves the old one whole.
     import hashlib
 
+    from .dispatch import in_job_order
+
     digest = hashlib.sha256()
-    stubs = 0
-    with closing(made), open(partial_path, "wb") as fh:
-        for episode_id in jobs:
-            line, is_stub = existing.get(episode_id) or next(made)
-            data = line.encode("utf-8") + b"\n"
-            fh.write(data)
-            digest.update(data)
-            stubs += is_stub
-    # No manifest may vouch for a corpus it does not describe: if writing the
-    # new one fails, the next run finds none and regenerates.
-    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
-    # A rename onto an existing file makes ext4 write the new one out at once
-    # (auto_da_alloc), which took longer than the rest of a small resume.
-    # Without a manifest the old corpus is no longer resumable anyway.
-    corpus_path.unlink(missing_ok=True)
-    os.replace(partial_path, corpus_path)
-    episodes = len(jobs) - stubs
-    manifest = {
-        "config_hash": config_hash,
-        "corpus_version": CORPUS_VERSION,
-        "scenarios": [s.scenario_id for s in scenarios],
-        "agents": list(config.agents),
-        "episodes_per_scenario": config.episodes_per_scenario,
-        "seed": config.seed,
-        "episode_seed_set": list(config.episode_seed_set),
-        "episode_budget_per_model": len(scenarios) * config.episodes_per_scenario,
-        "counts": {"jobs": len(jobs), "episodes": episodes, "failure_stubs": stubs},
-        "corpus_sha256": digest.hexdigest(),
-        "seed_derivation": (
-            "episode seed = seed_set[index mod len(seed_set)]; RNG stream = "
-            "SeedSequence(global seed, episode seed, sha256(scenario|agent|index)[:16])"
-        ),
-        "generated_at": timestamp,
-    }
-    (out_dir / MANIFEST_NAME).write_text(dumps_pretty(manifest) + "\n", "utf-8")
+    start, stubs = _kept_prefix(partial_path, position, digest)
+    kept = _in_place(corpus_path if resumable else None, position, start)
+    made = in_job_order(
+        lambda job: _generate_line(*job, config, calibration, registry, timestamp),
+        jobs,
+        kept,
+        start,
+        config.parallel,
+    )
+    # `made` is closed, and its workers reaped, only once the corpus and its
+    # manifest are written, so that the workers end meanwhile.
+    with closing(kept), closing(made):
+        with open(partial_path, "ab") as fh:
+            for line, is_stub in islice(made, len(jobs) - start):
+                data = line.encode("utf-8") + b"\n"
+                fh.write(data)
+                digest.update(data)
+                stubs += is_stub
+        # No manifest may vouch for a corpus it does not describe: if writing
+        # the new one fails, the next run finds none and regenerates.
+        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+        # A rename onto an existing file makes ext4 write the new one out at
+        # once (auto_da_alloc), which took longer than the rest of a small
+        # resume.  Without a manifest the old corpus is no longer resumable
+        # anyway.
+        corpus_path.unlink(missing_ok=True)
+        os.replace(partial_path, corpus_path)
+        episodes = len(jobs) - stubs
+        manifest = {
+            "config_hash": config_hash,
+            "corpus_version": CORPUS_VERSION,
+            "scenarios": [s.scenario_id for s in scenarios],
+            "agents": list(config.agents),
+            "episodes_per_scenario": config.episodes_per_scenario,
+            "seed": config.seed,
+            "episode_seed_set": list(config.episode_seed_set),
+            "episode_budget_per_model": len(scenarios) * config.episodes_per_scenario,
+            "counts": {"jobs": len(jobs), "episodes": episodes, "failure_stubs": stubs},
+            "corpus_sha256": digest.hexdigest(),
+            "seed_derivation": (
+                "episode seed = seed_set[index mod len(seed_set)]; RNG stream = "
+                "SeedSequence(global seed, episode seed, sha256(scenario|agent|index)[:16])"
+            ),
+            "generated_at": timestamp,
+        }
+        (out_dir / MANIFEST_NAME).write_text(dumps_pretty(manifest) + "\n", "utf-8")
     _print_written(manifest["counts"], corpus_path)
     return EXIT_OK
 

@@ -9,7 +9,6 @@ awareness / completion bonus), and communication cost (budget ratios).
 from __future__ import annotations
 
 import math
-import operator
 import re
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -481,21 +480,27 @@ def pstdev(values: Sequence[float]) -> float:
     positive ones: the correctly rounded square root of the exact population
     variance, from integer sums."""
     low = min(values)
-    try:
-        # Times 2**k the smallest value has 53 integer bits, so each value is
-        # an integer, exactly, unless the product overflows.
-        k = 53 - math.frexp(low)[1]
-        scale = 2.0**k
-        ints = list(map(int, [v * scale for v in values])) if low > 0 else None
-    except OverflowError:
-        ints = None
-    if ints is None:  # a value not above 0, or values too far apart
+    exact = low > 0
+    if exact:
+        try:
+            # Times 2**k the smallest value has 53 integer bits, so each value
+            # is an integer, exactly, unless the product overflows.  Each
+            # integer is summed as it is made: no list is built.
+            k = 53 - math.frexp(low)[1]
+            scale = 2.0**k
+            total = squares = 0
+            for i in map(int, map(scale.__mul__, values)):
+                total += i
+                squares += i * i
+        except OverflowError:
+            exact = False
+    if not exact:  # a value not above 0, or values too far apart
         import statistics
 
         return statistics.pstdev(values)
-    count, total = len(ints), sum(ints)
+    count = len(values)
     # variance = n / m = (count * sum(x * x) - total**2) / count**2 / 4**k
-    n, m = count * sum(map(operator.mul, ints, ints)) - total * total, count * count
+    n, m = count * squares - total * total, count * count
     # As statistics does it: the root scaled to 109 bits and rounded to odd,
     # so that its one rounding to a float is correct.
     q = (n.bit_length() - m.bit_length() - 2 * k - 109) // 2

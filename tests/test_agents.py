@@ -663,3 +663,21 @@ def test_read_reply_keeps_the_action_as_sent():
     assert agents._read_reply({"intent": "sync", "action": {"protocol": "a2a", "task": "t", "to": "P1"}}) == (
         "sync", {"protocol": "a2a", "task": "t", "to": "P1", "payload": {}},
     )
+
+
+@pytest.mark.parametrize("protocol, names, part", [("mcp", {"name": "land"}, "args"),
+                                                   ("a2a", {"task": "t", "to": "P1"}, "payload")])
+def test_read_reply_takes_args_nested_up_to_the_reply_depth(protocol, names, part):
+    def nested(levels: int) -> dict:
+        # The object itself is one level; objects and lists alternate below it.
+        value: object = 1
+        for level in range(levels - 1):
+            value = [value] if level % 2 else {"k": value}
+        return {"k": value}
+
+    for levels in (1, 2, agents.REPLY_DEPTH):
+        action = {"protocol": protocol, **names, part: nested(levels)}
+        assert agents._read_reply({"intent": "x", "action": action}) == ("x", action)
+    action = {"protocol": protocol, **names, part: nested(agents.REPLY_DEPTH + 1)}
+    with pytest.raises(ParseError, match=f"nests more than {agents.REPLY_DEPTH} levels deep"):
+        agents._read_reply({"intent": "x", "action": action})

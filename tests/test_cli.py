@@ -32,6 +32,7 @@ from skybench.cli import (
     corpus_analytics,
     main,
 )
+from skybench.dispatch import CREDIT
 from skybench.episode import (
     McpCall,
     McpResult,
@@ -1487,8 +1488,9 @@ def test_a_killed_parallel_generate_leaves_no_worker_behind(tmp_path, fresh_pyth
         f"argv = [sys.executable, '-m', 'skybench.cli', *{argv!r}, {str(killed)!r}]\n"
         "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, start_new_session=True)\n"
         "try:\n"
-        f"    partial = Path({str(killed)!r}) / 'corpus.jsonl.partial'\n"
-        "    while not (partial.exists() and b'\\n' in partial.read_bytes()):\n"
+        "    def partial():\n"
+        f"        return next(Path({str(killed)!r}).glob('corpus.jsonl.*.partial'), None)\n"
+        "    while not (partial() and b'\\n' in partial().read_bytes()):\n"
         "        assert proc.poll() is None, 'generate ended before it was killed'\n"
         "        time.sleep(0.001)\n"
         "    os.kill(proc.pid, signal.SIGKILL)\n"
@@ -1518,6 +1520,130 @@ def test_a_killed_parallel_generate_leaves_no_worker_behind(tmp_path, fresh_pyth
     assert main(argv + [str(killed)]) == EXIT_OK
     assert main(serial + [str(whole)]) == EXIT_OK
     assert (killed / "corpus.jsonl").read_bytes() == (whole / "corpus.jsonl").read_bytes()
+
+
+def _partial_files(out: Path) -> list[str]:
+    return sorted(path.name for path in out.glob("corpus.jsonl*.partial"))
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("damage", ["cut line", "edited line"])
+def test_a_killed_runs_partial_file_is_kept_up_to_its_first_line_out_of_place(tmp_path, monkeypatch, parallel,
+                                                                              damage):
+    import skybench.cli as cli
+
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "3", "--canonical", "--out"]
+    fresh, out = tmp_path / "fresh", tmp_path / "run"
+    assert main(argv + [str(fresh)]) == EXIT_OK
+    lines = (fresh / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 9
+    if damage == "cut line":  # a run killed while it wrote its fifth line
+        prefix = b"".join(lines[:4]) + lines[4][:100]
+    else:  # the third line is another job's: the lines after it are made again
+        prefix = b"".join([lines[0], lines[1], lines[5], lines[3]])
+    kept = 4 if damage == "cut line" else 2
+    out.mkdir()
+    config_hash = json.loads((fresh / MANIFEST_NAME).read_text())["config_hash"]
+    (out / f"corpus.jsonl.{config_hash}.partial").write_bytes(prefix)
+    # A partial file of another configuration, and one of the name an
+    # earlier release wrote, are removed unread.
+    (out / "corpus.jsonl.0123456789abcdef.partial").write_bytes(lines[0])
+    (out / "corpus.jsonl.partial").write_bytes(lines[0])
+    made = tmp_path / "made"
+    run_attempts = cli.run_attempts
+
+    def logged(*args, **kwargs):
+        with open(made, "a") as fh:
+            fh.write(f"{kwargs['index']}\n")
+        return run_attempts(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_attempts", logged)
+    assert main(argv + [str(out), "--parallel", parallel]) == EXIT_OK
+    assert len(made.read_text().split()) == 9 - kept
+    for name in ("corpus.jsonl", MANIFEST_NAME):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    assert _partial_files(out) == []
+
+
+def test_the_other_processes_take_the_jobs_of_a_slow_worker(tmp_path, monkeypatch):
+    import time
+
+    import skybench.cli as cli
+
+    generator = os.getpid()
+    slow, makers = tmp_path / "slow", tmp_path / "makers"
+    run_attempts = cli.run_attempts
+
+    def slow_in_one_worker(*args, **kwargs):
+        pid = str(os.getpid())
+        if pid != str(generator):
+            # The first worker to make a job claims slowness: a link is made whole or not at all.
+            (tmp_path / pid).write_text(pid)
+            try:
+                os.link(tmp_path / pid, slow)
+            except FileExistsError:
+                pass
+            if slow.read_text() == pid:
+                time.sleep(0.2)
+        with open(makers, "a") as fh:
+            fh.write(pid + "\n")
+        return run_attempts(*args, **kwargs)
+
+    argv = ["generate", "--agents", "safe_pilot", "--episodes-per-scenario", "6", "--canonical", "--out"]
+    assert main(argv + [str(tmp_path / "serial")]) == EXIT_OK
+    monkeypatch.setattr(cli, "run_attempts", slow_in_one_worker)
+    assert main(argv + [str(tmp_path / "run"), "--parallel", "3"]) == EXIT_OK
+    by_maker = makers.read_text().split()
+    assert len(by_maker) == 18
+    # Dealt out k mod 3, the slow worker would make 6 of the 18 jobs; it
+    # makes only those it held when the others had made the rest.
+    assert by_maker.count(slow.read_text()) <= CREDIT
+    assert len(set(by_maker)) == 3
+    for name in ("corpus.jsonl", MANIFEST_NAME):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_a_resume_killed_partway_gives_the_uninterrupted_bytes(tmp_path, parallel):
+    import shutil
+    import signal
+    import subprocess
+    import time
+
+    import skybench
+
+    argv = ["generate", "--episodes-per-scenario", "20", "--canonical", "--parallel", parallel, "--out"]
+    whole, out = tmp_path / "whole", tmp_path / "run"
+    assert main(argv + [str(whole)]) == EXIT_OK
+    shutil.copytree(whole, out)
+    half = b"".join((whole / "corpus.jsonl").read_bytes().splitlines(keepends=True)[1::2])
+    (out / "corpus.jsonl").write_bytes(half)
+    env = {**os.environ, "PYTHONPATH": str(Path(skybench.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "skybench.cli", *argv, str(out)], env=env,
+                            stdout=subprocess.DEVNULL, start_new_session=True)
+
+    def partial_lines() -> int:
+        try:
+            return sum(path.read_bytes().count(b"\n") for path in out.glob("corpus.jsonl.*.partial"))
+        except FileNotFoundError:  # renamed as it was read
+            return 0
+
+    try:
+        while partial_lines() < 2:
+            assert proc.poll() is None, "generate ended before it was killed"
+            time.sleep(0.001)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    # The killed resume left the corpus it resumed, its manifest and a prefix.
+    assert (out / "corpus.jsonl").read_bytes() == half
+    assert len(_partial_files(out)) == 1
+    assert main(argv + [str(out)]) == EXIT_OK
+    for name in ("corpus.jsonl", MANIFEST_NAME):
+        assert (out / name).read_bytes() == (whole / name).read_bytes()
+    assert _partial_files(out) == []
 
 
 def test_generate_with_tool_extension_file(tmp_path):
@@ -2366,3 +2492,28 @@ def test_aggregate_writes_finite_cells_for_extreme_valid_records(tmp_path, metad
     assert len(scores) == len(docs)
     if "alpha3_per_sec" in cells:
         assert {s["ge_per_sec"] for s in scores} == {0.0}
+
+
+_DEEP_POLICY = (
+    "import json, sys\n"
+    "depth = int(sys.argv[1])\n"
+    "args = {'x': json.loads('[' * depth + ']' * depth)}\n"
+    "for line in sys.stdin:\n"
+    "    action = {'protocol': 'mcp', 'name': 'read_telemetry', 'args': args}\n"
+    "    print(json.dumps({'intent': 'deep', 'action': action}), flush=True)\n"
+)
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_a_reply_nested_past_the_record_depth_fails_its_attempt(tmp_path, capsys, parallel):
+    # The reply parses, but its args nest 900 levels deep: each attempt
+    # fails, so every job of the agent ends as a failure stub.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"external_agents": {"deep": [sys.executable, "-c", _DEEP_POLICY, "900"]}}))
+    out = tmp_path / "run"
+    argv = ["generate", "--config", str(config), "--agents", "deep", "--episodes-per-scenario", "1", "--canonical",
+            "--parallel", parallel, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("wrote 3 records (0 episodes, 3 stubs) to ")
+    for line in (out / "corpus.jsonl").read_text().splitlines():
+        assert json.loads(line)["kind"] == "failure_stub"

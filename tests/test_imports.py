@@ -95,14 +95,17 @@ def _added(fresh_python, body: str, flags: tuple[str, ...] = ("-S",)) -> set[str
 
 # The skybench modules each command loads: validate reads records with the
 # episode model alone, the other readers add scoring, and generate adds the
-# agents, the tools, the scenarios and the physics, but not scoring.
+# agents, the tools, the scenarios, the physics and the job dispatch, but not
+# scoring.
 READER_MODULES = {"skybench", "skybench.cli", "skybench.episode", "skybench.errors", "skybench.network"}
 COMMAND_MODULES = {
     "validate": READER_MODULES,
     "score": READER_MODULES | {"skybench.scoring"},
     "aggregate": READER_MODULES | {"skybench.scoring"},
     "analytics": READER_MODULES | {"skybench.scoring"},
-    "generate": READER_MODULES | {"skybench.agents", "skybench.tools", "skybench.scenarios", "skybench.environment"},
+    "generate": READER_MODULES | {
+        "skybench.agents", "skybench.tools", "skybench.scenarios", "skybench.environment", "skybench.dispatch",
+    },
 }
 IMPORT_AND_SETUP = (
     "import skybench.cli\n"
